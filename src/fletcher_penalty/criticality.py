@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .linalg import kernel_basis, sym_eig_min
-from .penalty import _constraint_hessians, _point_data, _riem_grad
+from .penalty import _lagrangian_hess, _point_data, _riem_grad
 
 __all__ = [
     "LayeredQuantities",
@@ -83,16 +83,6 @@ def layered_grad(problem, x):
     return _riem_grad(grad_f, jac, lam)
 
 
-def _weighted_hessian(problem, x, lam):
-    hess = np.asarray(problem.hess_f(x), dtype=float).copy()
-    if problem.hess_h is not None:
-        tensor = _constraint_hessians(problem, x)
-        hess -= np.einsum("l,lkj->kj", lam, tensor)
-    else:
-        raise ValueError("layered Hessian needs constraint Hessians (hess_h is None)")
-    return hess
-
-
 def layered_hess(problem, x):
     """Layered Riemannian gradient and reduced Hessian at x.
 
@@ -103,7 +93,7 @@ def layered_hess(problem, x):
     x, h_val, jac, _, grad_f, lam = _point_data(problem, x)
     rg = _riem_grad(grad_f, jac, lam)
     q = kernel_basis(jac)
-    reduced = q.T @ _weighted_hessian(problem, x, lam) @ q
+    reduced = q.T @ _lagrangian_hess(problem, x, lam) @ q
     reduced = 0.5 * (reduced + reduced.T)
     min_eig, vec = sym_eig_min(reduced)
     return LayeredQuantities(
@@ -127,24 +117,19 @@ def certify(problem, x, eps0, eps1, eps2):
         _, h_val, jac, _, grad_f, lam = _point_data(problem, x)
         eps0_m = float(np.linalg.norm(h_val))
         eps1_m = float(np.linalg.norm(_riem_grad(grad_f, jac, lam)))
-        focp = eps0_m <= eps0 and eps1_m <= eps1
-        return CriticalityCertificate(
-            eps0_measured=eps0_m,
-            eps1_measured=eps1_m,
-            eps2_measured=None,
-            targets=(eps0, eps1, eps2),
-            focp_pass=focp,
-            socp_pass=focp,
-        )
-    lq = layered_hess(problem, x)
-    focp = lq.h_norm <= eps0 and lq.riem_grad_norm <= eps1
+        eps2_m, curvature_ok = None, True
+    else:
+        lq = layered_hess(problem, x)
+        eps0_m, eps1_m = lq.h_norm, lq.riem_grad_norm
+        eps2_m, curvature_ok = max(0.0, -lq.min_eig), lq.min_eig >= -eps2
+    focp = eps0_m <= eps0 and eps1_m <= eps1
     return CriticalityCertificate(
-        eps0_measured=lq.h_norm,
-        eps1_measured=lq.riem_grad_norm,
-        eps2_measured=max(0.0, -lq.min_eig),
+        eps0_measured=eps0_m,
+        eps1_measured=eps1_m,
+        eps2_measured=eps2_m,
         targets=(eps0, eps1, eps2),
         focp_pass=focp,
-        socp_pass=focp and lq.min_eig >= -eps2,
+        socp_pass=focp and curvature_ok,
     )
 
 
@@ -167,6 +152,6 @@ def lagrangian_check(problem, x, lam, eps0, eps1, eps2):
     if math.isinf(eps2):
         return True, True
     q = kernel_basis(jac)
-    reduced = q.T @ _weighted_hessian(problem, x, lam) @ q
+    reduced = q.T @ _lagrangian_hess(problem, x, lam) @ q
     min_eig, _ = sym_eig_min(reduced)
     return True, bool(min_eig >= -eps2)

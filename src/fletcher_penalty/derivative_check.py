@@ -104,10 +104,10 @@ def check_problem(problem, seeds, beta=1.0):
     """Verify every analytic derivative of a problem against finite differences.
 
     At init_point(seed) for each seed, checks grad_f against f, hess_f
-    against grad_f, jac_h against h, each constraint Hessian against its
-    Jacobian row, the penalty gradient against the penalty value, and the
-    multiplier Jacobian against the multipliers. Failures are reported,
-    never raised.
+    against grad_f, jac_h against h, each constraint Hessian hess_h(x, e_i)
+    against its Jacobian row, the penalty gradient against the penalty
+    value, and the multiplier Jacobian against the multipliers. Failures
+    are reported, never raised.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -128,9 +128,9 @@ def check_problem(problem, seeds, beta=1.0):
         note("jac_h", relative_error(problem.jac_h(x), fd_jacobian(problem.h, x)), seed)
         if problem.hess_h is not None:
             err = 0.0
-            for i in range(problem.dim_h):
+            for i, e in enumerate(np.eye(problem.dim_h)):
                 fd = fd_jacobian(lambda y, i=i: problem.jac_h(y)[i], x, SECOND_ORDER_STEP)
-                err = max(err, relative_error(problem.hess_h(x, i), fd))
+                err = max(err, relative_error(problem.hess_h(x, e), fd))
             note("hess_h", err, seed)
         note(
             "penalty_grad",

@@ -23,10 +23,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Full SVD A = u @ diag(s) @ vt with s sorted nonincreasing.
+    """Thin SVD A = u @ diag(s) @ vt with s sorted nonincreasing.
 
-    u is (m, m), vt is (n, n), s has min(m, n) entries. Reconstruction is
-    accurate to 1e-10 * (1 + ||A||_F) in Frobenius norm.
+    With k = min(m, n), u is (m, k), s has k entries and vt is (k, n).
+    Reconstruction is accurate to 1e-10 * (1 + ||A||_F) in Frobenius norm.
     """
 
     u: np.ndarray
@@ -51,22 +51,25 @@ def _as_matrix(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a 2-D array, got shape %s" % (a.shape,))
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
 
+def _lapack_svd(a, full_matrices):
+    try:
+        return np.linalg.svd(a, full_matrices=full_matrices)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError("SVD did not converge: %s" % exc) from exc
+
+
 def svd(a):
-    """Full singular value decomposition of a dense matrix.
+    """Thin singular value decomposition of a dense matrix.
 
     Raises NumericalFailureError if the underlying iteration does not
     converge within LAPACK's sweep budget.
     """
-    a = _as_matrix(a)
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError("SVD did not converge: %s" % exc) from exc
+    u, s, vt = _lapack_svd(_as_matrix(a), full_matrices=False)
     return SvdResult(u=u, s=s, vt=vt)
 
 
@@ -85,11 +88,9 @@ def pinv_apply(a, b, rank_tol=None):
         raise ValueError("rank_tol must be nonnegative")
     res = svd(a)
     s = res.s
-    k = s.size
-    cutoff = rank_tol * (s[0] if k else 0.0)
-    keep = s > cutoff
-    coeffs = (res.u[:, :k].T @ b)[keep] / s[keep]
-    return res.vt[:k][keep].T @ coeffs
+    keep = s > rank_tol * (s[0] if s.size else 0.0)
+    coeffs = (res.u.T @ b)[keep] / s[keep]
+    return res.vt[keep].T @ coeffs
 
 
 def sym_eig_min(h):
@@ -122,8 +123,9 @@ def kernel_basis(a, rank_tol=None):
         raise ValueError("kernel_basis expects m <= n, got shape %s" % (a.shape,))
     if rank_tol is None:
         rank_tol = default_rank_tol(m, n)
-    res = svd(a)
-    cutoff = rank_tol * (res.s[0] if res.s.size else 0.0)
-    null_rows = [i for i in range(m) if res.s[i] <= cutoff]
+    # The kernel needs the complete right basis, so this is the one full SVD.
+    _, s, vt = _lapack_svd(a, full_matrices=True)
+    cutoff = rank_tol * (s[0] if s.size else 0.0)
+    null_rows = [i for i in range(m) if s[i] <= cutoff]
     rows = null_rows + list(range(m, n))
-    return res.vt[rows].T.copy()
+    return vt[rows].T.copy()

@@ -5,11 +5,12 @@ least-squares multipliers lambda(x) = pinv(Dh(x)^T) grad f(x). Its gradient
 splits into a tangent part (the Riemannian gradient of f on the level set
 of h through x) and constraint-normal parts; the Hessian is realized by
 central differences of the analytic gradient, which avoids third
-derivatives of f and h.
+derivatives of f and h. Each point costs one thin SVD of Dh, which yields
+the multipliers, (Dh Dh^T)^{-1} = U diag(s^-2) U^T and the rank check.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -39,7 +40,8 @@ class PenaltyEval:
     """Cached quantities of one penalty evaluation at a point.
 
     Immutable after construction; independent points may be evaluated
-    concurrently. grad_g is None when the evaluation was value-only.
+    concurrently. grad_g is None when the evaluation was value-only;
+    evaluate() can complete such an evaluation without redoing the point.
     """
 
     x: np.ndarray
@@ -47,6 +49,7 @@ class PenaltyEval:
     h_val: np.ndarray
     jac: np.ndarray
     jac_svd: SvdResult
+    grad_f: np.ndarray
     lambda_val: np.ndarray
     g_val: float
     grad_g: Optional[np.ndarray]
@@ -78,13 +81,18 @@ class BetaThresholds:
 
 
 def _finite(arr, label, x):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise EvaluationError("%s returned non-finite values at %s" % (label, x))
     return arr
 
 
 def _point_data(problem, x):
-    """Shared per-point bundle: h, Dh, its SVD, grad f, and multipliers."""
+    """Shared per-point bundle: h, Dh, its thin SVD, grad f, and multipliers.
+
+    x may be a PenaltyEval, whose bundle is returned without new evaluations.
+    """
+    if isinstance(x, PenaltyEval):
+        return x.x, x.h_val, x.jac, x.jac_svd, x.grad_f, x.lambda_val
     x = np.asarray(x, dtype=float)
     h_val = _finite(np.asarray(problem.h(x), dtype=float).ravel(), "h", x)
     jac = _finite(np.asarray(problem.jac_h(x), dtype=float), "jac_h", x)
@@ -105,8 +113,7 @@ def _point_data(problem, x):
             stacklevel=3,
         )
     # Minimum-norm least-squares multipliers through the SVD of Dh.
-    coeffs = res.vt[:m] @ grad_f
-    lam = res.u @ (coeffs / res.s)
+    lam = res.u @ ((res.vt @ grad_f) / res.s)
     return x, h_val, jac, res, grad_f, lam
 
 
@@ -124,24 +131,45 @@ def _riem_grad(grad_f, jac, lam):
     return grad_f - jac.T @ lam
 
 
-def _constraint_hessians(problem, x):
-    m = problem.dim_h
-    n = problem.dim_x
-    tensor = np.empty((m, n, n))
-    for i in range(m):
-        tensor[i] = problem.hess_h(x, i)
-    return tensor
+def _gram_inverse(res, rhs):
+    """(Dh Dh^T)^{-1} rhs = U diag(s^-2) U^T rhs from the SVD in hand."""
+    us = res.u / res.s
+    return us @ (us.T @ rhs)
 
 
-def _dlambda_analytic(problem, x, jac, grad_f, lam):
-    # Differentiate the full-rank normal equations (Dh Dh^T) lam = Dh grad f.
-    # One factorization of Dh Dh^T is shared by all coordinate directions.
-    tensor = _constraint_hessians(problem, x)
+def _lagrangian_hess(problem, x, lam):
+    """hess f - sum_i lam_i hess h_i: one weighted constraint-Hessian call."""
+    if problem.hess_h is None:
+        raise ValueError("the Lagrangian Hessian needs constraint Hessians (hess_h is None)")
     hess_f = _finite(np.asarray(problem.hess_f(x), dtype=float), "hess_f", x)
-    weighted = np.einsum("l,lkj->kj", lam, tensor)
-    rhs = np.einsum("ikj,k->ij", tensor, _riem_grad(grad_f, jac, lam))
-    rhs += jac @ (hess_f - weighted)
-    return np.linalg.solve(jac @ jac.T, rhs)
+    return hess_f - problem.hess_h(x, lam)
+
+
+def _dlambda(problem, x, jac, res, grad_f, lam):
+    """Dense multiplier Jacobian; central differences when hess_h is missing.
+
+    Differentiating (Dh Dh^T) lam = Dh grad f gives
+    Dlam = (Dh Dh^T)^{-1} (R + Dh (hess f - H(lam))) with R's rows
+    (H(e_i) grad_M f)^T and H(w) = sum_i w_i hess h_i.
+    """
+    if problem.hess_h is None:
+        return _dlambda_fd(problem, x)
+    rg = _riem_grad(grad_f, jac, lam)
+    rows = np.array([problem.hess_h(x, e) @ rg for e in np.eye(jac.shape[0])])
+    return _gram_inverse(res, rows + jac @ _lagrangian_hess(problem, x, lam))
+
+
+def _dlambda_adjoint(problem, x, h_val, jac, res, grad_f, lam):
+    """(Dlam)^T h without forming Dlam: two hess_h calls and a few products.
+
+    With w = (Dh Dh^T)^{-1} h the transpose of the formula in _dlambda gives
+    H(w) grad_M f + (hess f - H(lam))^T Dh^T w.
+    """
+    if problem.hess_h is None:
+        return _dlambda(problem, x, jac, res, grad_f, lam).T @ h_val
+    w = _gram_inverse(res, h_val)
+    adjoint = problem.hess_h(x, w) @ _riem_grad(grad_f, jac, lam)
+    return adjoint + _lagrangian_hess(problem, x, lam).T @ (jac.T @ w)
 
 
 def _dlambda_fd(problem, x, step=DEFAULT_FD_STEP):
@@ -159,43 +187,45 @@ def _dlambda_fd(problem, x, step=DEFAULT_FD_STEP):
 def dlambda_jacobian(problem, x, method="auto"):
     """Dense Jacobian of the multiplier map, one column per coordinate.
 
-    method="analytic" differentiates the normal equations (needs hess_f and
-    hess_h); "fd" falls back to central differences of the multipliers;
-    "auto" picks analytic whenever constraint Hessians are available.
+    method="analytic" differentiates the normal equations through the thin
+    SVD of Dh (needs hess_f and hess_h); "fd" falls back to central
+    differences of the multipliers; "auto" picks analytic whenever
+    constraint Hessians are available.
     """
-    x, _, jac, _, grad_f, lam = _point_data(problem, x)
-    if method == "auto":
-        method = "fd" if problem.hess_h is None else "analytic"
-    if method == "analytic":
-        if problem.hess_h is None:
-            raise ValueError("problem has no constraint Hessians; use method='fd'")
-        return _dlambda_analytic(problem, x, jac, grad_f, lam)
+    if method not in ("auto", "analytic", "fd"):
+        raise ValueError("unknown method %r" % (method,))
+    if method == "analytic" and problem.hess_h is None:
+        raise ValueError("problem has no constraint Hessians; use method='fd'")
+    x, _, jac, res, grad_f, lam = _point_data(problem, x)
     if method == "fd":
         return _dlambda_fd(problem, x)
-    raise ValueError("unknown method %r" % (method,))
+    return _dlambda(problem, x, jac, res, grad_f, lam)
 
 
 def evaluate(problem, x, beta, with_grad=True):
-    """Build a PenaltyEval at x; the Dh SVD is computed once and shared."""
+    """Build a PenaltyEval at x; the Dh SVD is computed once and shared.
+
+    x may also be a value-only PenaltyEval built with the same beta (as the
+    backtracking searches return): its point data is reused and only the
+    gradient is added.
+    """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    x, h_val, jac, res, grad_f, lam = _point_data(problem, x)
-    g_val = float(problem.f(x)) - float(h_val @ lam) + beta * float(h_val @ h_val)
-    grad_g = None
-    if with_grad:
-        dlam = _dlambda_analytic(problem, x, jac, grad_f, lam) if problem.hess_h is not None \
-            else _dlambda_fd(problem, x)
-        grad_g = _riem_grad(grad_f, jac, lam) + 2.0 * beta * (jac.T @ h_val) - dlam.T @ h_val
-    return PenaltyEval(
-        x=x,
-        beta=float(beta),
-        h_val=h_val,
-        jac=jac,
-        jac_svd=res,
-        lambda_val=lam,
-        g_val=g_val,
-        grad_g=grad_g,
-    )
+    if isinstance(x, PenaltyEval):
+        if x.beta != beta:
+            raise ValueError("PenaltyEval has beta=%r, not %r" % (x.beta, beta))
+        ev = x
+    else:
+        x, h_val, jac, res, grad_f, lam = _point_data(problem, x)
+        g_val = float(problem.f(x)) - float(h_val @ lam) + beta * float(h_val @ h_val)
+        ev = PenaltyEval(x=x, beta=float(beta), h_val=h_val, jac=jac, jac_svd=res, grad_f=grad_f,
+                         lambda_val=lam, g_val=g_val, grad_g=None)
+    if not with_grad or ev.grad_g is not None:
+        return ev
+    x, h_val, jac, res, grad_f, lam = _point_data(problem, ev)
+    adjoint = _dlambda_adjoint(problem, x, h_val, jac, res, grad_f, lam)
+    grad_g = _riem_grad(grad_f, jac, lam) + 2.0 * beta * (jac.T @ h_val) - adjoint
+    return replace(ev, grad_g=grad_g)
 
 
 def penalty_value(problem, x, beta):
@@ -207,7 +237,8 @@ def penalty_grad(problem, x, beta):
     """Analytic gradient of the penalty.
 
     Assembled as the layered Riemannian gradient of f plus the two
-    constraint-normal terms 2*beta*Dh^T h and -(Dlambda)^T h.
+    constraint-normal terms 2*beta*Dh^T h and -(Dlambda)^T h, the latter
+    as an adjoint product that never forms Dlambda.
     """
     return evaluate(problem, x, beta, with_grad=True).grad_g
 
@@ -232,11 +263,12 @@ def penalty_hess(problem, x, beta, fd_step=DEFAULT_FD_STEP):
 
 
 def beta_thresholds(problem, x):
-    """Pointwise beta thresholds from the Jacobian SVD and the multiplier map."""
+    """Pointwise beta thresholds from the Jacobian SVD and the multiplier map.
+
+    x may be a PenaltyEval, whose point data is reused.
+    """
     x, _, jac, res, grad_f, lam = _point_data(problem, x)
-    dlam = _dlambda_analytic(problem, x, jac, grad_f, lam) if problem.hess_h is not None \
-        else _dlambda_fd(problem, x)
-    c_lambda = svd(dlam).sigma_max
+    c_lambda = svd(_dlambda(problem, x, jac, res, grad_f, lam)).sigma_max
     s_min = res.sigma_min
     s_max = res.sigma_max
     beta1 = s_max * c_lambda / (2.0 * s_min**2)

@@ -61,11 +61,12 @@ class Cost:
 class Problem:
     """Smooth equality-constrained problem with explicit derivatives.
 
-    Evaluators must be pure and reentrant; a Problem may be shared
-    read-only across threads. hess_h(x, i) returns the dense Hessian of
-    the i-th constraint component; it may be None for problems lacking
-    second constraint derivatives (a finite-difference fallback is used
-    for the multiplier Jacobian in that case).
+    Evaluators must be pure and reentrant and return fresh arrays; a
+    Problem may be shared read-only across threads. hess_h(x, w) returns
+    the dense weighted constraint Hessian sum_i w_i hess h_i(x) for a
+    weight vector w of shape (dim_h,) (built-ins reject any other shape);
+    it may be None for problems lacking second constraint derivatives (a
+    finite-difference fallback is used for the multiplier Jacobian then).
     """
 
     dim_x: int
@@ -76,7 +77,7 @@ class Problem:
     hess_f: Callable[[np.ndarray], np.ndarray]
     h: Callable[[np.ndarray], np.ndarray]
     jac_h: Callable[[np.ndarray], np.ndarray]
-    hess_h: Optional[Callable[[np.ndarray, int], np.ndarray]]
+    hess_h: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
     init_point: Callable[[int], np.ndarray]
     name: str = field(default="")
 
@@ -118,24 +119,27 @@ def zero_cost(n):
     )
 
 
+def _weights(w, m):
+    """Constraint-Hessian weights as a float vector, rejecting any shape but (m,)."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (m,):
+        raise ValueError("hess_h weights must have shape (%d,), got %s" % (m, w.shape))
+    return w
+
+
 # ---------------------------------------------------------------------------
 # Unit sphere
 
 
 def _sphere_constraint(n):
-    eye2 = None
-
     def h(x):
         return np.array([float(x @ x) - 1.0])
 
     def jac(x):
         return (2.0 * x).reshape(1, n)
 
-    def hess(x, i):
-        nonlocal eye2
-        if eye2 is None:
-            eye2 = 2.0 * np.eye(n)
-        return eye2
+    def hess(x, w):
+        return np.diag(np.full(n, 2.0 * float(_weights(w, 1)[0])))
 
     return h, jac, hess
 
@@ -255,6 +259,8 @@ def make_stiefel(n, p, cost, radius=0.5):
     basis = _sym_basis(p)
     dim = n * p
     eye_p = np.eye(p)
+    basis_flat = basis.reshape(m, p * p)
+    rows = np.arange(n)
 
     def h(x):
         xm = x.reshape(n, p)
@@ -265,8 +271,11 @@ def make_stiefel(n, p, cost, radius=0.5):
         xm = x.reshape(n, p)
         return 2.0 * np.einsum("ai,kij->kaj", xm, basis).reshape(m, dim)
 
-    def hess(x, k):
-        return 2.0 * np.kron(np.eye(n), basis[k])
+    def hess(x, w):
+        # 2 kron(I_n, S(w)), filled block by block on the diagonal.
+        out = np.zeros((n, p, n, p))
+        out[rows, :, rows, :] = 2.0 * (_weights(w, m) @ basis_flat).reshape(p, p)
+        return out.reshape(dim, dim)
 
     def init_point(seed):
         g = np.random.default_rng(seed).standard_normal((n, p))
@@ -327,14 +336,12 @@ def make_product(blocks, cost, name="product"):
             out[h_off[i] : h_off[i + 1], x_off[i] : x_off[i + 1]] = b.jac_h(xi)
         return out
 
-    def hess(x, i):
-        blk = int(np.searchsorted(h_off, i, side="right")) - 1
+    def hess(x, w):
+        w = _weights(w, m_total)
         out = np.zeros((n_total, n_total))
-        b = blocks[blk]
-        if b.hess_h is None:
-            raise ValueError("block %d has no constraint Hessian" % blk)
-        sl = slice(x_off[blk], x_off[blk + 1])
-        out[sl, sl] = b.hess_h(x[sl], i - int(h_off[blk]))
+        for i, b in enumerate(blocks):
+            sl = slice(x_off[i], x_off[i + 1])
+            out[sl, sl] = b.hess_h(x[sl], w[h_off[i] : h_off[i + 1]])
         return out
 
     def init_point(seed):

@@ -12,7 +12,7 @@ flow provides feasibility restoration.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -72,6 +72,10 @@ class SolverConfig:
     fd_step: float = DEFAULT_FD_STEP
 
     def validate(self):
+        for name in ("beta", "c1", "c2", "tau1", "tau2", "alpha01", "alpha02",
+                     "max_iters", "max_backtracks", "fd_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
         if not self.eps1 > 0:
             raise ValueError("eps1 must be positive")
         if not self.eps2 > 0:
@@ -92,20 +96,9 @@ class SolverConfig:
             raise ValueError("fd_step must be positive")
 
     def as_dict(self):
-        return {
-            "eps1": self.eps1,
-            "eps2": None if math.isinf(self.eps2) else self.eps2,
-            "beta": self.beta,
-            "c1": self.c1,
-            "c2": self.c2,
-            "tau1": self.tau1,
-            "tau2": self.tau2,
-            "alpha01": self.alpha01,
-            "alpha02": self.alpha02,
-            "max_iters": self.max_iters,
-            "max_backtracks": self.max_backtracks,
-            "fd_step": self.fd_step,
-        }
+        out = asdict(self)
+        out["eps2"] = None if math.isinf(self.eps2) else self.eps2
+        return out
 
 
 @dataclass(frozen=True)
@@ -150,14 +143,7 @@ class PlateauStage:
     b_value: Optional[float]
 
     def as_dict(self):
-        return {
-            "index": self.index,
-            "beta": self.beta,
-            "lp": self.lp,
-            "iters": self.iters,
-            "stop_reason": self.stop_reason,
-            "b_value": self.b_value,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -232,7 +218,9 @@ def region_step_floors(problem, x, beta):
 def gradient_backtrack(problem, x, beta, grad_g, cfg, g_x=None):
     """First member of {alpha01 * tau1^j} passing Armijo decrease and the region test.
 
-    Returns (alpha, x_next, backtracks). Raises BacktrackFailureError once
+    Returns (alpha, trial, backtracks), where trial is the accepted point's
+    value-only PenaltyEval (trial.x is the point); evaluate() completes it
+    with its gradient. Raises BacktrackFailureError once
     the trial budget is exhausted, which signals that beta is likely below
     the pointwise exactness threshold (or numerical trouble).
     """
@@ -246,9 +234,9 @@ def gradient_backtrack(problem, x, beta, grad_g, cfg, g_x=None):
     for j in range(cfg.max_backtracks + 1):
         x_next = x - alpha * grad_g
         if np.linalg.norm(problem.h(x_next)) <= radius:
-            g_next = penalty_value(problem, x_next, beta)
-            if g_x - g_next >= cfg.c1 * alpha * gnorm_sq:
-                return alpha, x_next, j
+            trial = evaluate(problem, x_next, beta, with_grad=False)
+            if g_x - trial.g_val >= cfg.c1 * alpha * gnorm_sq:
+                return alpha, trial, j
         alpha *= cfg.tau1
     raise BacktrackFailureError(
         "no acceptable gradient step within %d backtracks" % cfg.max_backtracks
@@ -259,7 +247,8 @@ def eigen_backtrack(problem, x, beta, d, hess_quad, cfg, g_x=None):
     """First member of {alpha02 * tau2^j} passing curvature decrease and the region test.
 
     d must be a unit vector with <d, grad g(x)> <= 0 and hess_quad the
-    (negative) curvature <d, hess g(x) d>. Returns (alpha, x_next, backtracks).
+    (negative) curvature <d, hess g(x) d>. Returns (alpha, trial, backtracks)
+    as gradient_backtrack does.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -270,9 +259,9 @@ def eigen_backtrack(problem, x, beta, d, hess_quad, cfg, g_x=None):
     for j in range(cfg.max_backtracks + 1):
         x_next = x + alpha * d
         if np.linalg.norm(problem.h(x_next)) <= radius:
-            g_next = penalty_value(problem, x_next, beta)
-            if g_x - g_next >= -cfg.c2 * alpha * alpha * hess_quad:
-                return alpha, x_next, j
+            trial = evaluate(problem, x_next, beta, with_grad=False)
+            if g_x - trial.g_val >= -cfg.c2 * alpha * alpha * hess_quad:
+                return alpha, trial, j
         alpha *= cfg.tau2
     raise BacktrackFailureError(
         "no acceptable eigenstep within %d backtracks" % cfg.max_backtracks
@@ -285,6 +274,7 @@ def _assert_first_order_bounds(problem, x, cert, cfg):
     With beta above the pointwise thresholds, a small penalty gradient
     forces small ||h|| and small layered gradient; violation indicates a
     broken gradient computation, so it raises rather than passing silently.
+    x may be the point or its PenaltyEval.
     """
     th = beta_thresholds(problem, x)
     if cfg.beta <= max(th.beta2, th.beta3):
@@ -320,7 +310,7 @@ def _finalize(problem, cfg, records, ev, reason, k):
     except RankDeficiencyError:
         cert = None
     if reason == "converged" and cert is not None:
-        _assert_first_order_bounds(problem, ev.x, cert, cfg)
+        _assert_first_order_bounds(problem, ev, cert, cfg)
     return RunTrace(
         config=cfg,
         records=records,
@@ -355,7 +345,8 @@ def gradient_eigenstep(problem, x0, cfg, _stop_check=None):
     cfg.validate()
     if cfg.eps1 > problem.region.radius / 2.0:
         raise ValueError(
-            "eps1=%g exceeds half the region radius %g" % (cfg.eps1, problem.region.radius)
+            "eps1=%g violates the requirement eps1 <= R/2 (R=%g)"
+            % (cfg.eps1, problem.region.radius)
         )
     x0 = np.asarray(x0, dtype=float)
     if not in_region(problem, x0):
@@ -381,10 +372,10 @@ def gradient_eigenstep(problem, x0, cfg, _stop_check=None):
             return _finalize(problem, cfg, records, ev, "max_iters", k)
         try:
             if ev.grad_norm > cfg.eps1:
-                alpha, x_next, bts = gradient_backtrack(
+                alpha, trial, bts = gradient_backtrack(
                     problem, ev.x, cfg.beta, ev.grad_g, cfg, g_x=ev.g_val
                 )
-                ev_next = evaluate(problem, x_next, cfg.beta, with_grad=True)
+                ev_next = evaluate(problem, trial, cfg.beta, with_grad=True)
                 records.append(
                     IterationRecord(
                         k=k,
@@ -404,10 +395,10 @@ def gradient_eigenstep(problem, x0, cfg, _stop_check=None):
                 if lam_min < -cfg.eps2:
                     if float(d @ ev.grad_g) > 0.0:
                         d = -d
-                    alpha, x_next, bts = eigen_backtrack(
+                    alpha, trial, bts = eigen_backtrack(
                         problem, ev.x, cfg.beta, d, lam_min, cfg, g_x=ev.g_val
                     )
-                    ev_next = evaluate(problem, x_next, cfg.beta, with_grad=True)
+                    ev_next = evaluate(problem, trial, cfg.beta, with_grad=True)
                     records.append(
                         IterationRecord(
                             k=k,
@@ -469,7 +460,7 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
         b_at_stop = [None]
 
         def stop_check(k, ev, _beta=beta_l, _lp=lp_l, _cache=b_at_stop):
-            th = beta_thresholds(problem, ev.x)
+            th = beta_thresholds(problem, ev)
             _cache[0] = th.b_max
             if th.b_max >= _beta:
                 return "b_trigger"

@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
+from fletcher_penalty import cli
 from fletcher_penalty.cli import main
+
+from conftest import make_rank_crossing_toy
 
 
 def run_cli(args):
@@ -116,6 +120,19 @@ def test_plateau_command(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert "plateaus" in payload
     assert payload["termination"] == "converged"
+
+
+def test_plateau_rank_deficient_end_exits_three(tmp_path, monkeypatch, capsys):
+    # a start with Dh = 0 ends the first plateau as rank_deficient, without a certificate
+    toy = replace(make_rank_crossing_toy(), init_point=lambda seed: np.array([0.5, 0.2, 0.2]))
+    monkeypatch.setattr(cli, "builtin_problem", lambda *args, **kwargs: toy)
+    out = tmp_path / "p.json"
+    code = run_cli(["plateau", "--problem", "sphere", "--output-path", str(out)])
+    assert code == 3
+    payload = json.loads(out.read_text())
+    assert payload["termination"] == "rank_deficient"
+    assert payload["certificate"] is None
+    assert "h_norm=nan" in capsys.readouterr().err
 
 
 def test_restore_command(tmp_path):

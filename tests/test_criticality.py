@@ -90,7 +90,7 @@ def test_min_eig_invariant_under_basis_rotation(builtins):
         k = q.shape[1]
         o, _ = np.linalg.qr(rng.standard_normal((k, k)))
         lam, _ = multipliers(p, x)
-        hess = p.hess_f(x) - sum(lam[i] * p.hess_h(x, i) for i in range(p.dim_h))
+        hess = p.hess_f(x) - p.hess_h(x, lam)
         rotated = (q @ o).T @ hess @ (q @ o)
         assert np.linalg.eigvalsh(rotated)[0] == pytest.approx(lq.min_eig, abs=1e-9)
 

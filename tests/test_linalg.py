@@ -19,15 +19,15 @@ def test_svd_diagonal():
 
 def test_svd_reconstruction_random():
     rng = np.random.default_rng(7)
-    a = rng.standard_normal((5, 3))
-    res = svd(a)
-    sigma = np.zeros((5, 3))
-    sigma[:3, :3] = np.diag(res.s)
-    err = np.linalg.norm(a - res.u @ sigma @ res.vt)
-    assert err <= 1e-10 * (1.0 + np.linalg.norm(a))
-    assert np.all(np.diff(res.s) <= 0)
-    np.testing.assert_allclose(res.u.T @ res.u, np.eye(5), atol=1e-12)
-    np.testing.assert_allclose(res.vt @ res.vt.T, np.eye(3), atol=1e-12)
+    for shape in ((5, 3), (3, 5)):
+        a = rng.standard_normal(shape)
+        res = svd(a)
+        assert res.u.shape == (shape[0], 3) and res.vt.shape == (3, shape[1])
+        err = np.linalg.norm(a - res.u @ np.diag(res.s) @ res.vt)
+        assert err <= 1e-10 * (1.0 + np.linalg.norm(a))
+        assert np.all(np.diff(res.s) <= 0)
+        np.testing.assert_allclose(res.u.T @ res.u, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(res.vt @ res.vt.T, np.eye(3), atol=1e-12)
 
 
 def test_svd_rejects_nonfinite():

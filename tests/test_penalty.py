@@ -186,6 +186,40 @@ def test_beta_affinity(builtins):
         np.testing.assert_allclose(gr, penalty_grad(p, x, bm), atol=1e-12)
 
 
+def test_adjoint_gradient_matches_dense_and_fd(builtins):
+    # the adjoint (Dlambda)^T h against the dense multiplier Jacobian and
+    # against central differences of the penalty value, on every built-in,
+    # the affine toy, and a problem without constraint Hessians
+    from dataclasses import replace
+
+    problems = dict(builtins)
+    problems["affine"] = make_affine_toy(seed=4)[0]
+    problems["stiefel without hess_h"] = replace(builtins["stiefel"], hess_h=None)
+    beta = 2.0
+    for p in problems.values():
+        for seed in range(5):
+            x = random_point_in_region(p, seed, scale=0.4)
+            ev = evaluate(p, x, beta)
+            normal = 2.0 * beta * ev.jac.T @ ev.h_val
+            adjoint = layered_grad(p, x) + normal - ev.grad_g
+            dense = dlambda_jacobian(p, x).T @ ev.h_val
+            np.testing.assert_allclose(adjoint, dense, atol=1e-10 * (1.0 + np.linalg.norm(dense)))
+            fd = fd_grad(lambda y: penalty_value(p, y, beta), x)
+            assert relative_error(ev.grad_g, fd) <= 1e-6
+
+
+def test_evaluate_completes_a_value_only_evaluation(builtins):
+    for p in builtins.values():
+        x = random_point_in_region(p, 2, scale=0.4)
+        value_only = evaluate(p, x, 3.0, with_grad=False)
+        assert value_only.grad_g is None
+        done = evaluate(p, value_only, 3.0)
+        assert done.g_val == value_only.g_val and done.jac_svd is value_only.jac_svd
+        np.testing.assert_array_equal(done.grad_g, evaluate(p, x, 3.0).grad_g)
+        with pytest.raises(ValueError):
+            evaluate(p, value_only, 4.0)
+
+
 def test_dlambda_closed_form_at_w(sphere_w):
     p, w = sphere_w
     dlam = dlambda_jacobian(p, w)
@@ -310,7 +344,7 @@ def test_in_region_boundary_inclusive():
         hess_f=lambda x: np.zeros((n, n)),
         h=lambda x: np.array([x[0]]),
         jac_h=lambda x: np.array([[1.0, 0.0, 0.0]]),
-        hess_h=lambda x, i: np.zeros((n, n)),
+        hess_h=lambda x, w: np.zeros((n, n)),
         init_point=lambda seed: np.zeros(n),
         name="axis",
     )

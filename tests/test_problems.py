@@ -177,9 +177,69 @@ def test_derivative_consistency_all_builtins(builtins):
                 relative_error(p.hess_f(x), fd_jacobian(p.grad_f, x, SECOND_ORDER_STEP))
                 <= 1e-5
             )
-            for i in range(p.dim_h):
+            for i, e in enumerate(np.eye(p.dim_h)):
                 fd = fd_jacobian(lambda y, i=i: p.jac_h(y)[i], x, SECOND_ORDER_STEP)
-                assert relative_error(p.hess_h(x, i), fd) <= 1e-5
+                assert relative_error(p.hess_h(x, e), fd) <= 1e-5
+
+
+ALL_BUILTIN_IDS = ("sphere", "rayleigh", "stiefel", "product:sphere,stiefel")
+
+
+@pytest.mark.parametrize("problem_id", ALL_BUILTIN_IDS)
+def test_evaluators_hand_out_fresh_arrays(problem_id):
+    # writing into a returned array must not change the next call's result
+    p = builtin_problem(problem_id, n=5, seed=1)
+    x = random_point_in_region(p, 3, scale=0.3)
+    w = np.arange(1.0, p.dim_h + 1.0)
+    calls = {
+        "grad_f": lambda: p.grad_f(x),
+        "hess_f": lambda: p.hess_f(x),
+        "jac_h": lambda: p.jac_h(x),
+        "hess_h": lambda: p.hess_h(x, w),
+    }
+    for name, call in calls.items():
+        first = call()
+        expected = first.copy()
+        first[...] = 12345.0
+        np.testing.assert_array_equal(call(), expected, err_msg=name)
+
+
+def test_weighted_constraint_hessian_matches_fd(builtins):
+    # hess_h(x, w) = sum_i w_i hess h_i(x), each term from central differences of a Jacobian row
+    rng = np.random.default_rng(41)
+    for p in builtins.values():
+        for seed in range(5):
+            x = random_point_in_region(p, seed, scale=0.4)
+            w = rng.standard_normal(p.dim_h)
+            fd = sum(
+                wi * fd_jacobian(lambda y, i=i: p.jac_h(y)[i], x, SECOND_ORDER_STEP)
+                for i, wi in enumerate(w)
+            )
+            assert relative_error(p.hess_h(x, w), fd) <= 1e-5
+
+
+def test_stiefel_weighted_hessian_equals_kron_form():
+    # the block-diagonal fill reproduces 2 kron(I_n, sum_k w_k B_k); only the
+    # summation order of S(w) may differ, hence a few ulps of tolerance
+    from fletcher_penalty.problems import _sym_basis
+
+    n, p_ = 7, 3
+    prob = make_stiefel(n, p_, zero_cost(n * p_))
+    w = np.random.default_rng(8).standard_normal(prob.dim_h)
+    s = np.einsum("k,kij->ij", w, _sym_basis(p_))
+    np.testing.assert_allclose(
+        prob.hess_h(prob.init_point(0), w), 2.0 * np.kron(np.eye(n), s), rtol=0, atol=1e-14
+    )
+
+
+@pytest.mark.parametrize("problem_id", ALL_BUILTIN_IDS)
+def test_weighted_constraint_hessian_rejects_bad_weights(problem_id):
+    # an index in place of a weight vector must fail loudly, not pick a Hessian
+    p = builtin_problem(problem_id, n=5, seed=1)
+    x = p.init_point(0)
+    for bad in (0, np.ones(p.dim_h + 1), np.ones((p.dim_h, 1))):
+        with pytest.raises(ValueError, match="weights"):
+            p.hess_h(x, bad)
 
 
 def test_registry_ids():

@@ -1,6 +1,7 @@
 """Solver loop, backtracking procedures, plateau scheme, restoration flow."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,9 +40,9 @@ def test_gradient_backtrack_accepts_first_trial():
     cfg = SolverConfig(alpha01=0.05)
     x = toy.init_point(0)
     grad = penalty_grad(toy, x, 1.0)
-    alpha, x_next, bts = gradient_backtrack(toy, x, 1.0, grad, cfg)
+    alpha, trial, bts = gradient_backtrack(toy, x, 1.0, grad, cfg)
     assert alpha == 0.05 and bts == 0
-    np.testing.assert_allclose(x_next, x - 0.05 * grad)
+    np.testing.assert_allclose(trial.x, x - 0.05 * grad)
 
 
 def test_gradient_backtrack_keeps_region_near_boundary():
@@ -50,8 +51,8 @@ def test_gradient_backtrack_keeps_region_near_boundary():
     x = np.sqrt(1.49) * (np.ones(10) / np.sqrt(10.0))
     assert np.linalg.norm(p.h(x)) <= 0.4900001
     grad = penalty_grad(p, x, 10.0)
-    _, x_next, _ = gradient_backtrack(p, x, 10.0, grad, SolverConfig())
-    assert np.linalg.norm(p.h(x_next)) <= 0.5
+    _, trial, _ = gradient_backtrack(p, x, 10.0, grad, SolverConfig())
+    assert np.linalg.norm(p.h(trial.x)) <= 0.5
 
 
 def test_gradient_backtrack_decrease_predicate_replay():
@@ -69,9 +70,9 @@ def test_eigen_backtrack_accepts_small_initial_step():
     cfg = SolverConfig(alpha02=0.1, c2=0.4)
     x = np.zeros(3)
     d = np.array([1.0, 0.0, 0.0])
-    alpha, x_next, bts = eigen_backtrack(toy, x, 1.0, d, -1.0, cfg)
+    alpha, trial, bts = eigen_backtrack(toy, x, 1.0, d, -1.0, cfg)
     assert alpha == 0.1 and bts == 0
-    np.testing.assert_allclose(x_next, 0.1 * d)
+    np.testing.assert_allclose(trial.x, 0.1 * d)
 
 
 def test_eigen_records_obey_direction_contract():
@@ -222,6 +223,60 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tau1=0.0).validate()
     SolverConfig().validate()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["beta", "c1", "c2", "tau1", "tau2", "alpha01", "alpha02", "max_iters", "max_backtracks",
+     "fd_step"],
+)
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(**{name: value}).validate()
+
+
+def test_config_allows_infinite_eps2():
+    SolverConfig(eps2=math.inf).validate()
+    with pytest.raises(ValueError):
+        SolverConfig(eps2=math.nan).validate()
+
+
+def test_solve_takes_thin_svds_and_two_hess_h_per_gradient(monkeypatch):
+    # St(8, 2): m = 3 constraints, n = 16 coordinates
+    from fletcher_penalty import penalty, solver
+
+    base = builtin_problem("stiefel", n=8, p=2, seed=3)
+    hess_h_calls = [0]
+
+    def counted_hess_h(x, w):
+        hess_h_calls[0] += 1
+        return base.hess_h(x, w)
+
+    p = replace(base, hess_h=counted_hess_h)
+    real_svd, real_evaluate = penalty.svd, penalty.evaluate
+    vt_shapes, per_gradient = [], []
+
+    def spy_svd(a):
+        res = real_svd(a)
+        vt_shapes.append(res.vt.shape)
+        return res
+
+    def spy_evaluate(problem, x, beta, with_grad=True):
+        before = hess_h_calls[0]
+        ev = real_evaluate(problem, x, beta, with_grad)
+        if with_grad:
+            per_gradient.append(hess_h_calls[0] - before)
+        return ev
+
+    monkeypatch.setattr(penalty, "svd", spy_svd)
+    monkeypatch.setattr(penalty, "evaluate", spy_evaluate)
+    monkeypatch.setattr(solver, "evaluate", spy_evaluate)
+    trace = gradient_eigenstep(p, p.init_point(3), SolverConfig(eps1=1e-4, eps2=1e-3, beta=5.0))
+    assert trace.termination == "converged"
+    assert vt_shapes and set(vt_shapes) == {(3, 16)}
+    assert len(per_gradient) > trace.iteration_counts()[0]
+    assert max(per_gradient) <= 2
 
 
 def test_max_iters_termination():
