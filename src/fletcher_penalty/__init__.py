@@ -30,7 +30,7 @@ from .exceptions import (
     RankDeficiencyError,
     StepSizeError,
 )
-from .linalg import SvdResult, kernel_basis, pinv_apply, svd, sym_eig_min
+from .linalg import SvdResult, kernel_basis, svd, sym_eig_min
 from .penalty import (
     BetaThresholds,
     PenaltyEval,

@@ -22,7 +22,7 @@ from .exceptions import (
     PlateauLimitError,
     StepSizeError,
 )
-from .problems import builtin_problem
+from .problems import builtin_problem, random_point_in_region
 from .solver import SolverConfig, gradient_eigenstep, plateau, restore_feasibility
 
 __all__ = ["RunSpec", "main"]
@@ -254,6 +254,7 @@ def cmd_plateau(spec):
             max_plateaus=int(ex.get("max_plateaus", 60)),
         )
     except PlateauLimitError as exc:
+        _write(spec.output_path, exc.trace.to_json() + "\n")
         _summary("plateau: %s" % exc)
         return EXIT_NOT_REACHED
     _write(spec.output_path, trace.to_json() + "\n")
@@ -274,17 +275,11 @@ def cmd_plateau(spec):
 def cmd_restore(spec):
     problem, seed = _make_problem(spec)
     ex = spec.extras
-    x0 = problem.init_point(seed)
     perturb = float(ex.get("perturb", 0.0))
     if perturb > 0.0:
-        rng = np.random.default_rng([seed, 0xF10])
-        v = rng.standard_normal(problem.dim_x)
-        v *= perturb / np.linalg.norm(v)
-        for _ in range(60):
-            if np.linalg.norm(problem.h(x0 + v)) <= problem.region.radius:
-                break
-            v *= 0.5
-        x0 = x0 + v
+        x0 = random_point_in_region(problem, seed, scale=perturb, fraction=1.0)
+    else:
+        x0 = problem.init_point(seed)
     try:
         x_final, decay = restore_feasibility(
             problem, x0, step=float(ex.get("step", 1e-3)), t_end=float(ex.get("t_end", 3.0))

@@ -111,7 +111,8 @@ def certify(problem, x, eps0, eps1, eps2):
     """Measure layered criticality at x and compare against the targets.
 
     eps2 = inf skips the Hessian measurement; the second-order flag then
-    reduces to the first-order one.
+    reduces to the first-order one. x may be a PenaltyEval, whose point
+    data is reused.
     """
     if math.isinf(eps2):
         _, h_val, jac, _, grad_f, lam = _point_data(problem, x)

@@ -43,4 +43,13 @@ class StepSizeError(FletcherPenaltyError):
 
 
 class PlateauLimitError(FletcherPenaltyError):
-    """The plateau scheme exceeded its global plateau cap without converging."""
+    """The plateau scheme exceeded its global plateau cap without converging.
+
+    trace is the RunTrace accumulated up to the cap: the records of every
+    inner run, the per-plateau stages, the last point and its certificate,
+    with termination "max_plateaus".
+    """
+
+    def __init__(self, message, trace):
+        self.trace = trace
+        super().__init__(message)

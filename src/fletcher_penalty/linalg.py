@@ -15,7 +15,6 @@ __all__ = [
     "SvdResult",
     "default_rank_tol",
     "svd",
-    "pinv_apply",
     "sym_eig_min",
     "kernel_basis",
 ]
@@ -71,26 +70,6 @@ def svd(a):
     """
     u, s, vt = _lapack_svd(_as_matrix(a), full_matrices=False)
     return SvdResult(u=u, s=s, vt=vt)
-
-
-def pinv_apply(a, b, rank_tol=None):
-    """Apply the Moore-Penrose pseudo-inverse: returns a_dagger @ b.
-
-    Singular values sigma_i <= rank_tol * sigma_1 are truncated, so
-    rank-deficient inputs are handled silently; the caller decides whether
-    deficiency is acceptable.
-    """
-    a = _as_matrix(a)
-    b = np.asarray(b, dtype=float)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(*a.shape)
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
-    res = svd(a)
-    s = res.s
-    keep = s > rank_tol * (s[0] if s.size else 0.0)
-    coeffs = (res.u.T @ b)[keep] / s[keep]
-    return res.vt[keep].T @ coeffs
 
 
 def sym_eig_min(h):

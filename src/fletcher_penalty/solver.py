@@ -153,7 +153,8 @@ class RunTrace:
     termination is one of "converged", "max_iters", "rank_deficient",
     "beta_too_small". Plateau runs additionally carry the per-plateau
     schedule; their records concatenate all inner runs (the k index
-    restarts at each plateau).
+    restarts at each plateau). A plateau run stopped by its plateau cap
+    has termination "max_plateaus" and travels on the PlateauLimitError.
     """
 
     config: SolverConfig
@@ -215,6 +216,26 @@ def region_step_floors(problem, x, beta):
     return min(terms), unit_floor
 
 
+def _backtrack(problem, x, beta, d, alpha0, tau, required_decrease, cfg, g_x, what):
+    """First alpha in {alpha0 * tau^j} whose trial x + alpha*d stays in the region
+    and decreases g by at least required_decrease(alpha)."""
+    x = np.asarray(x, dtype=float)
+    if g_x is None:
+        g_x = penalty_value(problem, x, beta)
+    radius = problem.region.radius
+    alpha = alpha0
+    for j in range(cfg.max_backtracks + 1):
+        x_next = x + alpha * d
+        if np.linalg.norm(problem.h(x_next)) <= radius:
+            trial = evaluate(problem, x_next, beta, with_grad=False)
+            if g_x - trial.g_val >= required_decrease(alpha):
+                return alpha, trial, j
+        alpha *= tau
+    raise BacktrackFailureError(
+        "no acceptable %s within %d backtracks" % (what, cfg.max_backtracks)
+    )
+
+
 def gradient_backtrack(problem, x, beta, grad_g, cfg, g_x=None):
     """First member of {alpha01 * tau1^j} passing Armijo decrease and the region test.
 
@@ -224,23 +245,10 @@ def gradient_backtrack(problem, x, beta, grad_g, cfg, g_x=None):
     the trial budget is exhausted, which signals that beta is likely below
     the pointwise exactness threshold (or numerical trouble).
     """
-    x = np.asarray(x, dtype=float)
-    grad_g = np.asarray(grad_g, dtype=float)
-    if g_x is None:
-        g_x = penalty_value(problem, x, beta)
-    gnorm_sq = float(grad_g @ grad_g)
-    radius = problem.region.radius
-    alpha = cfg.alpha01
-    for j in range(cfg.max_backtracks + 1):
-        x_next = x - alpha * grad_g
-        if np.linalg.norm(problem.h(x_next)) <= radius:
-            trial = evaluate(problem, x_next, beta, with_grad=False)
-            if g_x - trial.g_val >= cfg.c1 * alpha * gnorm_sq:
-                return alpha, trial, j
-        alpha *= cfg.tau1
-    raise BacktrackFailureError(
-        "no acceptable gradient step within %d backtracks" % cfg.max_backtracks
-    )
+    d = -np.asarray(grad_g, dtype=float)
+    gnorm_sq = float(d @ d)
+    return _backtrack(problem, x, beta, d, cfg.alpha01, cfg.tau1,
+                      lambda a: cfg.c1 * a * gnorm_sq, cfg, g_x, "gradient step")
 
 
 def eigen_backtrack(problem, x, beta, d, hess_quad, cfg, g_x=None):
@@ -250,33 +258,18 @@ def eigen_backtrack(problem, x, beta, d, hess_quad, cfg, g_x=None):
     (negative) curvature <d, hess g(x) d>. Returns (alpha, trial, backtracks)
     as gradient_backtrack does.
     """
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if g_x is None:
-        g_x = penalty_value(problem, x, beta)
-    radius = problem.region.radius
-    alpha = cfg.alpha02
-    for j in range(cfg.max_backtracks + 1):
-        x_next = x + alpha * d
-        if np.linalg.norm(problem.h(x_next)) <= radius:
-            trial = evaluate(problem, x_next, beta, with_grad=False)
-            if g_x - trial.g_val >= -cfg.c2 * alpha * alpha * hess_quad:
-                return alpha, trial, j
-        alpha *= cfg.tau2
-    raise BacktrackFailureError(
-        "no acceptable eigenstep within %d backtracks" % cfg.max_backtracks
-    )
+    return _backtrack(problem, x, beta, np.asarray(d, dtype=float), cfg.alpha02, cfg.tau2,
+                      lambda a: -cfg.c2 * a * a * hess_quad, cfg, g_x, "eigenstep")
 
 
-def _assert_first_order_bounds(problem, x, cert, cfg):
+def _assert_first_order_bounds(problem, ev, cert, cfg):
     """Termination sanity: first-order certificate inequalities at the final point.
 
     With beta above the pointwise thresholds, a small penalty gradient
     forces small ||h|| and small layered gradient; violation indicates a
     broken gradient computation, so it raises rather than passing silently.
-    x may be the point or its PenaltyEval.
     """
-    th = beta_thresholds(problem, x)
+    th = beta_thresholds(problem, ev)
     if cfg.beta <= max(th.beta2, th.beta3):
         return
     bound_h = cfg.eps1 / (cfg.beta * th.sigma_min)
@@ -291,7 +284,6 @@ def _assert_first_order_bounds(problem, x, cert, cfg):
 
 
 def _finalize(problem, cfg, records, ev, reason, k):
-    records = list(records)
     records.append(
         IterationRecord(
             k=k,
@@ -305,32 +297,26 @@ def _finalize(problem, cfg, records, ev, reason, k):
             backtracks=0,
         )
     )
-    try:
-        cert = certify(problem, ev.x, cfg.eps1, 2.0 * cfg.eps1, cfg.eps2)
-    except RankDeficiencyError:
-        cert = None
-    if reason == "converged" and cert is not None:
+    cert = certify(problem, ev, cfg.eps1, 2.0 * cfg.eps1, cfg.eps2)
+    if reason == "converged":
         _assert_first_order_bounds(problem, ev, cert, cfg)
-    return RunTrace(
-        config=cfg,
-        records=records,
-        final_x=ev.x,
-        final_certificate=cert,
-        termination=reason,
-    )
+    return RunTrace(cfg, records, ev.x, cert, reason)
 
 
 def gradient_eigenstep(problem, x0, cfg, _stop_check=None):
     """Minimize the penalty until its gradient and (optionally) curvature tolerances hold.
 
-    Takes gradient steps while ||grad g|| > eps1; otherwise, with finite
-    eps2, measures the smallest Hessian eigenvalue and either takes an
-    eigenstep (direction sign-flipped so it is non-ascending) or returns.
+    Each accepted iterate is decided once, in this order: the iteration
+    budget (k >= max_iters ends the run as "max_iters"); convergence,
+    i.e. ||grad g|| <= eps1 and, with finite eps2, a smallest FD-Hessian
+    eigenvalue >= -eps2; the optional stop check; and finally a step. The
+    step is a gradient step while ||grad g|| > eps1, otherwise an eigenstep
+    along the measured eigenvector (sign-flipped so it is non-ascending).
     The final point carries a layered criticality certificate with targets
     (eps1, 2*eps1, eps2).
 
-    _stop_check(k, ev) is an optional stopping criterion evaluated once per
-    accepted iterate before anything else; a non-None tag ends the run with
+    _stop_check(k, ev) is an optional stopping criterion consulted only at
+    non-converged iterates within budget; a non-None tag ends the run with
     that tag as termination (used by the plateau scheme).
 
     Worst-case accounting (documentation only): every accepted gradient
@@ -355,83 +341,52 @@ def gradient_eigenstep(problem, x0, cfg, _stop_check=None):
     try:
         ev = evaluate(problem, x0, cfg.beta, with_grad=True)
     except RankDeficiencyError:
-        return RunTrace(
-            config=cfg,
-            records=[],
-            final_x=x0,
-            final_certificate=None,
-            termination="rank_deficient",
-        )
+        return RunTrace(cfg, records, x0, None, "rank_deficient")
     k = 0
     while True:
-        if _stop_check is not None:
-            tag = _stop_check(k, ev)
-            if tag is not None:
-                return _finalize(problem, cfg, records, ev, tag, k)
         if k >= cfg.max_iters:
             return _finalize(problem, cfg, records, ev, "max_iters", k)
         try:
-            if ev.grad_norm > cfg.eps1:
+            curvature = None
+            if not ev.grad_norm > cfg.eps1:
+                if math.isinf(cfg.eps2):
+                    return _finalize(problem, cfg, records, ev, "converged", k)
+                curvature, d = sym_eig_min(penalty_hess(problem, ev.x, cfg.beta, cfg.fd_step))
+                if not curvature < -cfg.eps2:
+                    return _finalize(problem, cfg, records, ev, "converged", k)
+            tag = None if _stop_check is None else _stop_check(k, ev)
+            if tag is not None:
+                return _finalize(problem, cfg, records, ev, tag, k)
+            if curvature is None:
                 alpha, trial, bts = gradient_backtrack(
                     problem, ev.x, cfg.beta, ev.grad_g, cfg, g_x=ev.g_val
                 )
-                ev_next = evaluate(problem, trial, cfg.beta, with_grad=True)
-                records.append(
-                    IterationRecord(
-                        k=k,
-                        kind="gradient",
-                        step_len=alpha,
-                        g_before=ev.g_val,
-                        g_after=ev_next.g_val,
-                        grad_norm=ev.grad_norm,
-                        h_norm=ev_next.h_norm,
-                        curvature=None,
-                        backtracks=bts,
-                    )
-                )
-            elif math.isfinite(cfg.eps2):
-                hess = penalty_hess(problem, ev.x, cfg.beta, cfg.fd_step)
-                lam_min, d = sym_eig_min(hess)
-                if lam_min < -cfg.eps2:
-                    if float(d @ ev.grad_g) > 0.0:
-                        d = -d
-                    alpha, trial, bts = eigen_backtrack(
-                        problem, ev.x, cfg.beta, d, lam_min, cfg, g_x=ev.g_val
-                    )
-                    ev_next = evaluate(problem, trial, cfg.beta, with_grad=True)
-                    records.append(
-                        IterationRecord(
-                            k=k,
-                            kind="eigen",
-                            step_len=alpha,
-                            g_before=ev.g_val,
-                            g_after=ev_next.g_val,
-                            grad_norm=ev.grad_norm,
-                            h_norm=ev_next.h_norm,
-                            curvature=lam_min,
-                            backtracks=bts,
-                        )
-                    )
-                else:
-                    return _finalize(problem, cfg, records, ev, "converged", k)
             else:
-                return _finalize(problem, cfg, records, ev, "converged", k)
+                if float(d @ ev.grad_g) > 0.0:
+                    d = -d
+                alpha, trial, bts = eigen_backtrack(
+                    problem, ev.x, cfg.beta, d, curvature, cfg, g_x=ev.g_val
+                )
+            ev_next = evaluate(problem, trial, cfg.beta, with_grad=True)
         except RankDeficiencyError:
             return _finalize(problem, cfg, records, ev, "rank_deficient", k)
         except BacktrackFailureError:
             return _finalize(problem, cfg, records, ev, "beta_too_small", k)
+        records.append(
+            IterationRecord(
+                k=k,
+                kind="gradient" if curvature is None else "eigen",
+                step_len=alpha,
+                g_before=ev.g_val,
+                g_after=ev_next.g_val,
+                grad_norm=ev.grad_norm,
+                h_norm=ev_next.h_norm,
+                curvature=curvature,
+                backtracks=bts,
+            )
+        )
         ev = ev_next
         k += 1
-
-
-def _satisfies_tolerances(problem, x, cfg):
-    ev = evaluate(problem, x, cfg.beta, with_grad=True)
-    if ev.grad_norm > cfg.eps1:
-        return False
-    if math.isinf(cfg.eps2):
-        return True
-    lam_min, _ = sym_eig_min(penalty_hess(problem, x, cfg.beta, cfg.fd_step))
-    return lam_min >= -cfg.eps2
 
 
 def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
@@ -439,74 +394,59 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
 
     Each plateau runs at constant beta with the stopping criterion
     "B(x_k) >= beta_l or k > LP_l", where B is the maximum of the pointwise
-    beta thresholds, checked once per accepted iterate. On a B-trigger the
-    budget grows by (gamma*B/beta_l)^4 and beta jumps to gamma*B; otherwise
-    both grow geometrically (gamma^4 and gamma). Backtracking failure is
-    treated as a B-trigger at the current beta, forcing growth.
+    beta thresholds, checked at every non-converged iterate. On a B-trigger
+    the budget grows by (gamma*B/beta_l)^4 and beta jumps to gamma*B;
+    otherwise both grow geometrically (gamma^4 and gamma). Backtracking
+    failure is treated as a B-trigger at the current beta, forcing growth.
+    Any other end of an inner run (converged, max_iters, rank_deficient)
+    ends the scheme with that termination.
 
-    Raises PlateauLimitError after max_plateaus plateaus without convergence.
+    Raises PlateauLimitError after max_plateaus plateaus without convergence;
+    its trace holds every record and stage so far, the last point and its
+    certificate, with termination "max_plateaus".
     """
     if gamma <= 1.0:
         raise ValueError("gamma must exceed 1")
     if beta0 <= 0 or lp0 <= 0:
         raise ValueError("beta0 and lp0 must be positive")
-    x = np.asarray(x0, dtype=float)
     beta_l = float(beta0)
     lp_l = float(lp0)
-    stages = []
-    all_records = []
+    trace = RunTrace(replace(cfg, beta=beta_l), [], np.asarray(x0, dtype=float), None,
+                     "max_plateaus")
+    records, stages = [], []
     for ell in range(max_plateaus):
-        cfg_l = replace(cfg, beta=beta_l)
-        b_at_stop = [None]
+        b_max = None
 
-        def stop_check(k, ev, _beta=beta_l, _lp=lp_l, _cache=b_at_stop):
-            th = beta_thresholds(problem, ev)
-            _cache[0] = th.b_max
-            if th.b_max >= _beta:
+        def stop_check(k, ev):
+            nonlocal b_max
+            b_max = beta_thresholds(problem, ev).b_max
+            if b_max >= beta_l:
                 return "b_trigger"
-            if k > _lp:
+            if k > lp_l:
                 return "budget"
             return None
 
-        trace = gradient_eigenstep(problem, x, cfg_l, _stop_check=stop_check)
-        all_records.extend(trace.records)
-        x = trace.final_x
-        iters = sum(1 for r in trace.records if r.kind != "terminal")
+        trace = gradient_eigenstep(
+            problem, trace.final_x, replace(cfg, beta=beta_l), _stop_check=stop_check
+        )
+        records.extend(trace.records)
         reason = trace.termination
-        if reason == "converged":
-            stages.append(PlateauStage(ell, beta_l, lp_l, iters, "converged", None))
-            return RunTrace(cfg_l, all_records, x, trace.final_certificate, "converged", stages)
-        if reason in ("max_iters", "rank_deficient"):
-            stages.append(PlateauStage(ell, beta_l, lp_l, iters, reason, None))
-            return RunTrace(cfg_l, all_records, x, trace.final_certificate, reason, stages)
-        try:
-            converged_now = reason in ("b_trigger", "budget") and _satisfies_tolerances(
-                problem, x, cfg_l
-            )
-        except RankDeficiencyError:
-            stages.append(PlateauStage(ell, beta_l, lp_l, iters, "rank_deficient", None))
-            return RunTrace(
-                cfg_l, all_records, x, trace.final_certificate, "rank_deficient", stages
-            )
-        if converged_now:
-            stages.append(PlateauStage(ell, beta_l, lp_l, iters, "converged", None))
-            cert = certify(problem, x, cfg_l.eps1, 2.0 * cfg_l.eps1, cfg_l.eps2)
-            _assert_first_order_bounds(problem, x, cert, cfg_l)
-            return RunTrace(cfg_l, all_records, x, cert, "converged", stages)
+        stop_reason = "backtrack_failure" if reason == "beta_too_small" else reason
+        b_value = {"b_trigger": b_max, "beta_too_small": beta_l}.get(reason)
+        stages.append(PlateauStage(ell, beta_l, lp_l, trace.iteration_counts()[0],
+                                   stop_reason, b_value))
+        if reason not in ("b_trigger", "budget", "beta_too_small"):
+            return replace(trace, records=records, plateaus=stages)
         if reason == "b_trigger":
-            b_val = float(b_at_stop[0])
-            stages.append(PlateauStage(ell, beta_l, lp_l, iters, "b_trigger", b_val))
-            lp_l = (gamma * b_val / beta_l) ** 4 * lp_l
-            beta_l = gamma * b_val
-        elif reason == "beta_too_small":
-            stages.append(PlateauStage(ell, beta_l, lp_l, iters, "backtrack_failure", beta_l))
+            lp_l = (gamma * b_max / beta_l) ** 4 * lp_l
+            beta_l = gamma * b_max
+        else:
             lp_l = gamma**4 * lp_l
             beta_l = gamma * beta_l
-        else:  # budget exhausted
-            stages.append(PlateauStage(ell, beta_l, lp_l, iters, "budget", None))
-            lp_l = gamma**4 * lp_l
-            beta_l = gamma * beta_l
-    raise PlateauLimitError("no convergence within %d plateaus" % max_plateaus)
+    raise PlateauLimitError(
+        "no convergence within %d plateaus" % max_plateaus,
+        replace(trace, records=records, termination="max_plateaus", plateaus=stages),
+    )
 
 
 def restore_feasibility(problem, x0, step, t_end):

@@ -10,6 +10,8 @@ from fletcher_penalty import (
     quadratic_cost,
 )
 
+ALL_BUILTIN_IDS = ("sphere", "rayleigh", "stiefel", "product:sphere,stiefel")
+
 
 @pytest.fixture(scope="session")
 def sphere5():

@@ -135,6 +135,22 @@ def test_plateau_rank_deficient_end_exits_three(tmp_path, monkeypatch, capsys):
     assert "h_norm=nan" in capsys.readouterr().err
 
 
+def test_plateau_cap_writes_trace_and_exits_two(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    code = run_cli(
+        [
+            "plateau", "--problem", "rayleigh", "--n", "10", "--seed", "0", "--eps1", "1e-5",
+            "--beta", "1", "--alpha01", "1e9", "--max-backtracks", "0", "--beta0", "1e9",
+            "--gamma", "2", "--lp0", "10", "--max-plateaus", "3", "--output-path", str(out),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "plateau: no convergence within 3 plateaus\n"
+    payload = json.loads(out.read_text())
+    assert payload["termination"] == "max_plateaus"
+    assert len(payload["plateaus"]) == 3
+
+
 def test_restore_command(tmp_path):
     out = tmp_path / "r.json"
     code = run_cli(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fletcher_penalty import kernel_basis, pinv_apply, svd, sym_eig_min
+from fletcher_penalty import kernel_basis, svd, sym_eig_min
 from fletcher_penalty.linalg import default_rank_tol
 
 
@@ -33,35 +33,6 @@ def test_svd_reconstruction_random():
 def test_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         svd(np.array([[np.nan, 1.0], [0.0, 1.0]]))
-
-
-def test_pinv_identity():
-    np.testing.assert_allclose(pinv_apply(np.eye(2), np.array([1.0, 2.0])), [1.0, 2.0])
-
-
-def test_pinv_truncates_null_direction():
-    a = np.array([[2.0, 0.0], [0.0, 0.0]])
-    np.testing.assert_allclose(pinv_apply(a, np.array([4.0, 1.0]), rank_tol=1e-12), [2.0, 0.0])
-
-
-def test_pinv_projection_oracle():
-    # A (A^+ b) must be the orthogonal projection of b onto range(A).
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 6))
-    b = rng.standard_normal(4)
-    u = np.linalg.svd(a)[0]
-    proj = u @ (u.T @ b)
-    np.testing.assert_allclose(a @ pinv_apply(a, b), proj, atol=1e-9)
-
-
-def test_pinv_roundtrip_full_rank():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((3, 7))
-    q = kernel_basis(a)
-    v = rng.standard_normal(7)
-    v -= q @ (q.T @ v)  # orthogonal to ker A
-    out = pinv_apply(a, a @ v)
-    assert np.linalg.norm(out - v) <= 1e-9 * np.linalg.norm(v)
 
 
 def test_sym_eig_min_diagonal():
@@ -148,6 +119,4 @@ def test_bitwise_determinism():
     assert sym_eig_min(sym)[0] == sym_eig_min(sym)[0]
     v1, v2 = sym_eig_min(sym)[1], sym_eig_min(sym)[1]
     assert np.array_equal(v1, v2)
-    b = rng.standard_normal(8)
-    assert np.array_equal(pinv_apply(a.T, b), pinv_apply(a.T, b))
     assert np.array_equal(kernel_basis(a), kernel_basis(a))

@@ -19,6 +19,8 @@ from fletcher_penalty.derivative_check import (
     relative_error,
 )
 
+from conftest import ALL_BUILTIN_IDS
+
 SQRT_HALF = np.sqrt(0.5)
 
 
@@ -180,9 +182,6 @@ def test_derivative_consistency_all_builtins(builtins):
             for i, e in enumerate(np.eye(p.dim_h)):
                 fd = fd_jacobian(lambda y, i=i: p.jac_h(y)[i], x, SECOND_ORDER_STEP)
                 assert relative_error(p.hess_h(x, e), fd) <= 1e-5
-
-
-ALL_BUILTIN_IDS = ("sphere", "rayleigh", "stiefel", "product:sphere,stiefel")
 
 
 @pytest.mark.parametrize("problem_id", ALL_BUILTIN_IDS)

@@ -24,7 +24,7 @@ from fletcher_penalty import (
     restore_feasibility,
 )
 
-from conftest import make_affine_toy, make_rank_crossing_toy, make_saddle_toy
+from conftest import ALL_BUILTIN_IDS, make_affine_toy, make_rank_crossing_toy, make_saddle_toy
 
 
 def diag_rayleigh(n=10, radius=0.5):
@@ -359,8 +359,106 @@ def test_plateau_b_trigger_replay():
 def test_plateau_cap_raises():
     p = diag_rayleigh()
     cfg = SolverConfig(eps1=1e-5, eps2=math.inf, beta=1.0, alpha01=1e9, max_backtracks=0)
-    with pytest.raises(PlateauLimitError):
+    with pytest.raises(PlateauLimitError) as info:
         plateau(p, p.init_point(0), cfg, gamma=2.0, beta0=1e9, lp0=10, max_plateaus=3)
+    trace = info.value.trace
+    assert trace.termination == "max_plateaus"
+    assert [s.stop_reason for s in trace.plateaus] == ["backtrack_failure"] * 3
+    assert trace.config.beta == trace.plateaus[-1].beta
+    assert [r.kind for r in trace.records] == ["terminal"] * 3
+
+
+def test_plateau_certifies_only_inside_the_solver(monkeypatch):
+    # every evaluation, FD Hessian and certificate of a plateau run happens
+    # inside an inner gradient_eigenstep call; plateau adds no second pass
+    from fletcher_penalty import solver
+
+    inside = [False]
+    outside = []
+
+    def spy(name):
+        real = getattr(solver, name)
+
+        def wrapped(*args, **kwargs):
+            if not inside[0]:
+                outside.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, wrapped)
+
+    for name in ("evaluate", "penalty_hess", "certify"):
+        spy(name)
+    real_solve = solver.gradient_eigenstep
+
+    def inner_solve(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_solve(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(solver, "gradient_eigenstep", inner_solve)
+    p = builtin_problem("stiefel", n=8, p=2, seed=3)
+    trace = plateau(p, p.init_point(3), SolverConfig(eps1=1e-4, eps2=1e-3),
+                    gamma=2.0, beta0=1e-3, lp0=50)
+    assert trace.termination == "converged"
+    assert len(trace.plateaus) >= 2
+    assert outside == []
+
+
+@pytest.mark.parametrize("eps2", [math.inf, 1e-3])
+def test_converged_point_takes_one_svd(monkeypatch, eps2):
+    # the final point's Dh is factorized once; the certificate reuses that SVD
+    from fletcher_penalty import penalty
+
+    seen = []
+    real_svd = penalty.svd
+
+    def spy_svd(a):
+        seen.append(np.array(a, copy=True))
+        return real_svd(a)
+
+    monkeypatch.setattr(penalty, "svd", spy_svd)
+    p = builtin_problem("stiefel", n=8, p=2, seed=3)
+    trace = gradient_eigenstep(p, p.init_point(3), SolverConfig(eps1=1e-4, eps2=eps2, beta=5.0))
+    assert trace.termination == "converged"
+    jac = p.jac_h(trace.final_x)
+    assert sum(1 for a in seen if a.shape == jac.shape and np.array_equal(a, jac)) == 1
+
+
+@pytest.mark.parametrize("eps2", [math.inf, 1e-3])
+@pytest.mark.parametrize("driver", ["solve", "plateau"])
+@pytest.mark.parametrize("problem_id", ALL_BUILTIN_IDS)
+def test_trace_invariants_across_builtins(problem_id, driver, eps2):
+    # the paper's guarantees replayed from the trace: region, decrease, certificate
+    # second-order runs start near a maximizer of f, so eigensteps must fire
+    rng = np.random.default_rng([7, ALL_BUILTIN_IDS.index(problem_id)])
+    cfg = SolverConfig(eps1=1e-4, eps2=eps2, beta=3.0)
+    eigensteps = 0
+    for _ in range(2):
+        seed = int(rng.integers(1000))
+        p = builtin_problem(problem_id, n=4, seed=seed)
+        x0 = random_point_in_region(p, seed, scale=float(rng.uniform(0.05, 0.5)), fraction=1.0)
+        if math.isfinite(eps2):
+            neg = replace(p, f=lambda x, p=p: -p.f(x), grad_f=lambda x, p=p: -p.grad_f(x),
+                          hess_f=lambda x, p=p: -p.hess_f(x))
+            x0 = gradient_eigenstep(neg, x0, replace(cfg, eps1=1e-5, eps2=math.inf)).final_x
+        if driver == "solve":
+            trace = gradient_eigenstep(p, x0, cfg)
+        else:
+            trace = plateau(p, x0, cfg, gamma=2.0, beta0=1e-2, lp0=20)
+        assert trace.termination == "converged"
+        assert trace.final_certificate.focp_pass
+        assert all(r.h_norm <= p.region.radius for r in trace.records)
+        for r in trace.records:
+            decrease = r.g_before - r.g_after
+            if r.kind == "gradient":
+                assert decrease >= cfg.c1 * r.step_len * r.grad_norm**2 * (1 - 1e-12) - 1e-15
+            elif r.kind == "eigen":
+                eigensteps += 1
+                assert r.curvature < -cfg.eps2
+                assert decrease >= -cfg.c2 * r.step_len**2 * r.curvature * (1 - 1e-12) - 1e-15
+    assert (eigensteps > 0) == math.isfinite(eps2)
 
 
 # ---------------------------------------------------------------------------
