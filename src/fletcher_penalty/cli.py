@@ -41,6 +41,8 @@ _TERMINATION_EXIT = {
 
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
 
+_TEXT_KEYS = ("problem_id", "diag", "matrix", "output_path", "eps_list")
+
 _DEFAULT_OUTPUT = {
     "solve": "solve.json",
     "plateau": "plateau.json",
@@ -122,12 +124,25 @@ def _resolve(args):
     if args.spec:
         with open(args.spec) as fh:
             file_spec = json.load(fh)
+        if not isinstance(file_spec, dict) or not all(
+                isinstance(file_spec.get(key, {}), dict) for key in ("problem_params", "solver")):
+            raise UsageError("spec file %s: the top level, problem_params and solver must be "
+                             "JSON objects" % args.spec)
 
     def pick(flag_val, file_key, default=None, section=None):
         if flag_val is not None:
             return flag_val
         src = file_spec.get(section, {}) if section else file_spec
-        return src.get(file_key, default)
+        val = src.get(file_key)
+        if val is None:
+            return default
+        # File values must be what the flag would give: text, or a number
+        # (numbers may be quoted); eps_list may also be a list of numbers.
+        listed = file_key == "eps_list" and isinstance(val, list)
+        kinds = str if file_key in _TEXT_KEYS and not listed else (str, int, float)
+        if not all(isinstance(v, kinds) for v in (val if listed else [val])):
+            raise UsageError("spec file %s: %r is not a valid %s" % (args.spec, val, file_key))
+        return val
 
     problem_id = pick(args.problem, "problem_id")
     if problem_id is None:
@@ -166,17 +181,25 @@ class UsageError(Exception):
     pass
 
 
+def _whole(value, key):
+    """An integer parameter; a fractional or infinite value is a usage error, not truncated."""
+    if not float(value).is_integer():
+        raise UsageError("%s must be an integer, got %r" % (key, value))
+    return int(value)
+
+
 def _make_problem(spec):
     params = dict(spec.problem_params)
-    seed = int(params.pop("seed", 0))
+    seed = _whole(params.pop("seed", 0), "seed")
+    n = params.pop("n", None)
     matrix = params.pop("matrix", None)
     if matrix is not None:
         matrix = np.loadtxt(matrix, delimiter=",", ndmin=2)
     try:
         problem = builtin_problem(
             spec.problem_id,
-            n=params.get("n"),
-            p=int(params.get("p", 2)),
+            n=None if n is None else _whole(n, "n"),
+            p=_whole(params.get("p", 2), "p"),
             radius=float(params.get("radius", 0.5)),
             seed=seed,
             diag=params.get("diag"),
@@ -190,10 +213,9 @@ def _make_problem(spec):
 def _make_config(spec):
     cfg = SolverConfig()
     overrides = dict(spec.solver)
-    if "max_iters" in overrides:
-        overrides["max_iters"] = int(overrides["max_iters"])
-    if "max_backtracks" in overrides:
-        overrides["max_backtracks"] = int(overrides["max_backtracks"])
+    for key in ("max_iters", "max_backtracks"):
+        if key in overrides:
+            overrides[key] = _whole(overrides[key], key)
     try:
         cfg = replace(cfg, **overrides)
         cfg.validate()

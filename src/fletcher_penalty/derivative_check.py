@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import EvaluationError
+from .linalg import FIRST_ORDER_STEP, fd_jacobian
 from .penalty import dlambda_jacobian, multipliers, penalty_grad, penalty_value
 
 __all__ = [
@@ -23,18 +23,18 @@ __all__ = [
     "reports_to_json",
 ]
 
-FIRST_ORDER_STEP = float(np.finfo(float).eps ** (1.0 / 3.0))
 SECOND_ORDER_STEP = float(np.finfo(float).eps ** 0.25)
 
-# Per-target pass thresholds: first derivatives of analytic quantities are
-# held to 1e-6, anything built from second-derivative data to 1e-4.
-TOLERANCES = {
-    "grad_f": 1e-6,
-    "jac_h": 1e-6,
-    "penalty_grad": 1e-6,
-    "hess_f": 1e-4,
-    "hess_h": 1e-4,
-    "dlambda_jacobian": 1e-4,
+# Per target, in report order: the pass threshold and the FD step. First
+# derivatives of analytic quantities are held to 1e-6, anything built from
+# second-derivative data to 1e-4.
+TARGETS = {
+    "grad_f": (1e-6, FIRST_ORDER_STEP),
+    "jac_h": (1e-6, FIRST_ORDER_STEP),
+    "penalty_grad": (1e-6, FIRST_ORDER_STEP),
+    "hess_f": (1e-4, SECOND_ORDER_STEP),
+    "hess_h": (1e-4, SECOND_ORDER_STEP),
+    "dlambda_jacobian": (1e-4, FIRST_ORDER_STEP),
 }
 
 
@@ -57,39 +57,12 @@ class DerivativeReport:
 
 
 def fd_grad(fun, x, step=FIRST_ORDER_STEP):
-    """Central-difference gradient of a scalar function.
+    """Central-difference gradient of a scalar function: the one-row fd_jacobian.
 
     Uses the scaled offset step * (1 + ||x||). Raises EvaluationError on a
     non-finite stencil value.
     """
-    x = np.asarray(x, dtype=float)
-    delta = step * (1.0 + float(np.linalg.norm(x)))
-    grad = np.empty(x.size)
-    for j in range(x.size):
-        e = np.zeros(x.size)
-        e[j] = delta
-        fp = float(fun(x + e))
-        fm = float(fun(x - e))
-        if not np.isfinite(fp) or not np.isfinite(fm):
-            raise EvaluationError("non-finite stencil value in fd_grad at coordinate %d" % j)
-        grad[j] = (fp - fm) / (2.0 * delta)
-    return grad
-
-
-def fd_jacobian(fun, x, step=FIRST_ORDER_STEP):
-    """Central-difference Jacobian of a vector function, one column at a time."""
-    x = np.asarray(x, dtype=float)
-    delta = step * (1.0 + float(np.linalg.norm(x)))
-    cols = []
-    for j in range(x.size):
-        e = np.zeros(x.size)
-        e[j] = delta
-        fp = np.asarray(fun(x + e), dtype=float).ravel()
-        fm = np.asarray(fun(x - e), dtype=float).ravel()
-        if not np.all(np.isfinite(fp)) or not np.all(np.isfinite(fm)):
-            raise EvaluationError("non-finite stencil value in fd_jacobian at coordinate %d" % j)
-        cols.append((fp - fm) / (2.0 * delta))
-    return np.array(cols).T
+    return fd_jacobian(fun, x, step).ravel()
 
 
 def relative_error(a, b):
@@ -111,7 +84,7 @@ def check_problem(problem, seeds, beta=1.0):
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    worst = {name: (0.0, int(seeds[0])) for name in TOLERANCES}
+    worst = {name: (0.0, int(seeds[0])) for name in TARGETS}
 
     def note(name, err, seed):
         if err >= worst[name][0]:
@@ -149,16 +122,8 @@ def check_problem(problem, seeds, beta=1.0):
             seed,
         )
 
-    steps = {
-        "grad_f": FIRST_ORDER_STEP,
-        "jac_h": FIRST_ORDER_STEP,
-        "penalty_grad": FIRST_ORDER_STEP,
-        "hess_f": SECOND_ORDER_STEP,
-        "hess_h": SECOND_ORDER_STEP,
-        "dlambda_jacobian": FIRST_ORDER_STEP,
-    }
     reports = []
-    for name, tol in TOLERANCES.items():
+    for name, (tol, step) in TARGETS.items():
         if name == "hess_h" and problem.hess_h is None:
             continue
         err, seed = worst[name]
@@ -167,7 +132,7 @@ def check_problem(problem, seeds, beta=1.0):
                 target=name,
                 max_rel_err=err,
                 worst_point_seed=seed,
-                step_used=steps[name],
+                step_used=step,
                 passed=err <= tol,
             )
         )

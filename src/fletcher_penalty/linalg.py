@@ -1,23 +1,31 @@
 """Dense linear-algebra primitives with explicit tolerance contracts.
 
 Everything here is a thin, contract-checked layer over LAPACK (through
-numpy.linalg). All functions are pure and deterministic within one build:
-identical inputs give bitwise-identical outputs.
+numpy.linalg), plus the one central-difference Jacobian that the penalty
+Hessian, the multiplier-Jacobian fallback and the derivative checks share.
+All functions are pure and deterministic within one build: identical
+inputs give bitwise-identical outputs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NumericalFailureError
+from .exceptions import EvaluationError, NumericalFailureError
 
 __all__ = [
+    "FIRST_ORDER_STEP",
     "SvdResult",
     "default_rank_tol",
     "svd",
     "sym_eig_min",
     "kernel_basis",
+    "fd_jacobian",
 ]
+
+# Central-difference step for first derivatives: eps^(1/3) balances the
+# O(step^2) truncation error against the O(eps/step) rounding error.
+FIRST_ORDER_STEP = float(np.finfo(float).eps ** (1.0 / 3.0))
 
 
 @dataclass(frozen=True)
@@ -89,22 +97,43 @@ def sym_eig_min(h):
     return float(w[0]), v[:, 0].copy()
 
 
-def kernel_basis(a, rank_tol=None):
+def kernel_basis(a):
     """Orthonormal basis of the numerical kernel of a wide matrix.
 
     For an m-by-n input with m <= n, returns an n-by-k matrix Q whose
-    columns span {v : ||A v|| <= rank_tol * sigma_1 * ||v||}; for full-rank
-    A that is exactly n - m columns.
+    columns span {v : ||A v|| <= default_rank_tol(m, n) * sigma_1 * ||v||};
+    for full-rank A that is exactly n - m columns.
     """
     a = _as_matrix(a)
     m, n = a.shape
     if m > n:
         raise ValueError("kernel_basis expects m <= n, got shape %s" % (a.shape,))
-    if rank_tol is None:
-        rank_tol = default_rank_tol(m, n)
     # The kernel needs the complete right basis, so this is the one full SVD.
     _, s, vt = _lapack_svd(a, full_matrices=True)
-    cutoff = rank_tol * (s[0] if s.size else 0.0)
+    cutoff = default_rank_tol(m, n) * (s[0] if s.size else 0.0)
     null_rows = [i for i in range(m) if s[i] <= cutoff]
     rows = null_rows + list(range(m, n))
     return vt[rows].T.copy()
+
+
+def fd_jacobian(fun, x, step=FIRST_ORDER_STEP):
+    """Central-difference Jacobian of a vector function, one column at a time.
+
+    Uses the scaled offset step * (1 + ||x||). Raises EvaluationError on a
+    non-finite stencil value.
+    """
+    x = np.asarray(x, dtype=float)
+    delta = step * (1.0 + float(np.linalg.norm(x)))
+    cols = []
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = delta
+        fp = np.asarray(fun(x + e), dtype=float).ravel()
+        fm = np.asarray(fun(x - e), dtype=float).ravel()
+        cols.append((fp - fm) / (2.0 * delta))
+    jac = np.array(cols).T
+    # A non-finite stencil value always leaves a non-finite difference.
+    bad = np.flatnonzero(~np.isfinite(jac).all(axis=0))
+    if bad.size:
+        raise EvaluationError("non-finite stencil value in fd_jacobian at coordinate %d" % bad[0])
+    return jac

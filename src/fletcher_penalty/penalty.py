@@ -9,6 +9,7 @@ derivatives of f and h. Each point costs one thin SVD of Dh, which yields
 the multipliers, (Dh Dh^T)^{-1} = U diag(s^-2) U^T and the rank check.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -16,10 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import EvaluationError, RankDeficiencyError
-from .linalg import SvdResult, default_rank_tol, svd
+from .linalg import FIRST_ORDER_STEP, SvdResult, default_rank_tol, fd_jacobian, svd
 
 __all__ = [
-    "DEFAULT_FD_STEP",
     "PenaltyEval",
     "BetaThresholds",
     "multipliers",
@@ -31,8 +31,6 @@ __all__ = [
     "beta_thresholds",
     "in_region",
 ]
-
-DEFAULT_FD_STEP = float(np.finfo(float).eps ** (1.0 / 3.0))
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,7 @@ def _dlambda(problem, x, jac, res, grad_f, lam):
     (H(e_i) grad_M f)^T and H(w) = sum_i w_i hess h_i.
     """
     if problem.hess_h is None:
-        return _dlambda_fd(problem, x)
+        return fd_jacobian(lambda y: multipliers(problem, y)[0], x)
     rg = _riem_grad(grad_f, jac, lam)
     rows = np.array([problem.hess_h(x, e) @ rg for e in np.eye(jac.shape[0])])
     return _gram_inverse(res, rows + jac @ _lagrangian_hess(problem, x, lam))
@@ -172,33 +170,14 @@ def _dlambda_adjoint(problem, x, h_val, jac, res, grad_f, lam):
     return adjoint + _lagrangian_hess(problem, x, lam).T @ (jac.T @ w)
 
 
-def _dlambda_fd(problem, x, step=DEFAULT_FD_STEP):
-    delta = step * (1.0 + float(np.linalg.norm(x)))
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = delta
-        lp, _ = multipliers(problem, x + e)
-        lm, _ = multipliers(problem, x - e)
-        cols.append((lp - lm) / (2.0 * delta))
-    return np.array(cols).T
-
-
-def dlambda_jacobian(problem, x, method="auto"):
+def dlambda_jacobian(problem, x):
     """Dense Jacobian of the multiplier map, one column per coordinate.
 
-    method="analytic" differentiates the normal equations through the thin
-    SVD of Dh (needs hess_f and hess_h); "fd" falls back to central
-    differences of the multipliers; "auto" picks analytic whenever
-    constraint Hessians are available.
+    Differentiates the normal equations through the thin SVD of Dh when the
+    problem has constraint Hessians (hess_h); without them it takes central
+    differences of the multipliers (fd_jacobian). x may be a PenaltyEval.
     """
-    if method not in ("auto", "analytic", "fd"):
-        raise ValueError("unknown method %r" % (method,))
-    if method == "analytic" and problem.hess_h is None:
-        raise ValueError("problem has no constraint Hessians; use method='fd'")
     x, _, jac, res, grad_f, lam = _point_data(problem, x)
-    if method == "fd":
-        return _dlambda_fd(problem, x)
     return _dlambda(problem, x, jac, res, grad_f, lam)
 
 
@@ -207,7 +186,8 @@ def evaluate(problem, x, beta, with_grad=True):
 
     x may also be a value-only PenaltyEval built with the same beta (as the
     backtracking searches return): its point data is reused and only the
-    gradient is added.
+    gradient is added. Raises EvaluationError when an evaluator returns a
+    non-finite value (hess_h is caught through the assembled gradient).
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
@@ -217,7 +197,10 @@ def evaluate(problem, x, beta, with_grad=True):
         ev = x
     else:
         x, h_val, jac, res, grad_f, lam = _point_data(problem, x)
-        g_val = float(problem.f(x)) - float(h_val @ lam) + beta * float(h_val @ h_val)
+        f_val = float(problem.f(x))
+        if not math.isfinite(f_val):
+            raise EvaluationError("f returned a non-finite value at %s" % (x,))
+        g_val = f_val - float(h_val @ lam) + beta * float(h_val @ h_val)
         ev = PenaltyEval(x=x, beta=float(beta), h_val=h_val, jac=jac, jac_svd=res, grad_f=grad_f,
                          lambda_val=lam, g_val=g_val, grad_g=None)
     if not with_grad or ev.grad_g is not None:
@@ -225,7 +208,9 @@ def evaluate(problem, x, beta, with_grad=True):
     x, h_val, jac, res, grad_f, lam = _point_data(problem, ev)
     adjoint = _dlambda_adjoint(problem, x, h_val, jac, res, grad_f, lam)
     grad_g = _riem_grad(grad_f, jac, lam) + 2.0 * beta * (jac.T @ h_val) - adjoint
-    return replace(ev, grad_g=grad_g)
+    # Every other input is checked where it is read; hess_h output is checked
+    # here, once per gradient, rather than on each of its n-by-n results.
+    return replace(ev, grad_g=_finite(grad_g, "hess_h", x))
 
 
 def penalty_value(problem, x, beta):
@@ -243,22 +228,13 @@ def penalty_grad(problem, x, beta):
     return evaluate(problem, x, beta, with_grad=True).grad_g
 
 
-def penalty_hess(problem, x, beta, fd_step=DEFAULT_FD_STEP):
-    """Symmetrized central-difference Jacobian of the analytic gradient.
+def penalty_hess(problem, x, beta, fd_step=FIRST_ORDER_STEP):
+    """Symmetrized central-difference Jacobian (fd_jacobian) of the analytic gradient.
 
     Every stencil point must admit multipliers; a rank-deficient stencil
     point raises and the caller may shrink fd_step and retry.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    delta = fd_step * (1.0 + float(np.linalg.norm(x)))
-    hess = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = delta
-        gp = penalty_grad(problem, x + e, beta)
-        gm = penalty_grad(problem, x - e, beta)
-        hess[:, j] = (gp - gm) / (2.0 * delta)
+    hess = fd_jacobian(lambda y: penalty_grad(problem, y, beta), x, fd_step)
     return 0.5 * (hess + hess.T)
 
 

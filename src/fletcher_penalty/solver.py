@@ -25,15 +25,8 @@ from .exceptions import (
     RankDeficiencyError,
     StepSizeError,
 )
-from .linalg import sym_eig_min
-from .penalty import (
-    DEFAULT_FD_STEP,
-    beta_thresholds,
-    evaluate,
-    in_region,
-    penalty_hess,
-    penalty_value,
-)
+from .linalg import FIRST_ORDER_STEP, sym_eig_min
+from .penalty import beta_thresholds, evaluate, in_region, penalty_hess
 
 __all__ = [
     "SolverConfig",
@@ -69,7 +62,7 @@ class SolverConfig:
     alpha02: float = 1.0
     max_iters: int = 20000
     max_backtracks: int = 60
-    fd_step: float = DEFAULT_FD_STEP
+    fd_step: float = FIRST_ORDER_STEP
 
     def validate(self):
         for name in ("beta", "c1", "c2", "tau1", "tau2", "alpha01", "alpha02",
@@ -198,8 +191,8 @@ def region_step_floors(problem, x, beta):
     may come out nonpositive when beta is too small; callers should treat
     that as "no guarantee".
     """
-    th = beta_thresholds(problem, x)
     ev = evaluate(problem, x, beta, with_grad=True)
+    th = beta_thresholds(problem, ev)
     grad_norm = ev.grad_norm
     radius = problem.region.radius
     c_h = problem.region.c_h
@@ -216,19 +209,16 @@ def region_step_floors(problem, x, beta):
     return min(terms), unit_floor
 
 
-def _backtrack(problem, x, beta, d, alpha0, tau, required_decrease, cfg, g_x, what):
-    """First alpha in {alpha0 * tau^j} whose trial x + alpha*d stays in the region
+def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what):
+    """First alpha in {alpha0 * tau^j} whose trial ev.x + alpha*d stays in the region
     and decreases g by at least required_decrease(alpha)."""
-    x = np.asarray(x, dtype=float)
-    if g_x is None:
-        g_x = penalty_value(problem, x, beta)
     radius = problem.region.radius
     alpha = alpha0
     for j in range(cfg.max_backtracks + 1):
-        x_next = x + alpha * d
+        x_next = ev.x + alpha * d
         if np.linalg.norm(problem.h(x_next)) <= radius:
-            trial = evaluate(problem, x_next, beta, with_grad=False)
-            if g_x - trial.g_val >= required_decrease(alpha):
+            trial = evaluate(problem, x_next, ev.beta, with_grad=False)
+            if ev.g_val - trial.g_val >= required_decrease(alpha):
                 return alpha, trial, j
         alpha *= tau
     raise BacktrackFailureError(
@@ -236,30 +226,33 @@ def _backtrack(problem, x, beta, d, alpha0, tau, required_decrease, cfg, g_x, wh
     )
 
 
-def gradient_backtrack(problem, x, beta, grad_g, cfg, g_x=None):
+def gradient_backtrack(problem, ev, cfg):
     """First member of {alpha01 * tau1^j} passing Armijo decrease and the region test.
 
-    Returns (alpha, trial, backtracks), where trial is the accepted point's
+    ev is the current point's PenaltyEval with its gradient; its point,
+    beta, value and gradient are read, never recomputed. Returns
+    (alpha, trial, backtracks), where trial is the accepted point's
     value-only PenaltyEval (trial.x is the point); evaluate() completes it
-    with its gradient. Raises BacktrackFailureError once
-    the trial budget is exhausted, which signals that beta is likely below
-    the pointwise exactness threshold (or numerical trouble).
+    with its gradient. Raises BacktrackFailureError once the trial budget
+    is exhausted, which signals that beta is likely below the pointwise
+    exactness threshold (or numerical trouble).
     """
-    d = -np.asarray(grad_g, dtype=float)
+    d = -ev.grad_g
     gnorm_sq = float(d @ d)
-    return _backtrack(problem, x, beta, d, cfg.alpha01, cfg.tau1,
-                      lambda a: cfg.c1 * a * gnorm_sq, cfg, g_x, "gradient step")
+    return _backtrack(problem, ev, d, cfg.alpha01, cfg.tau1,
+                      lambda a: cfg.c1 * a * gnorm_sq, cfg, "gradient step")
 
 
-def eigen_backtrack(problem, x, beta, d, hess_quad, cfg, g_x=None):
+def eigen_backtrack(problem, ev, d, hess_quad, cfg):
     """First member of {alpha02 * tau2^j} passing curvature decrease and the region test.
 
-    d must be a unit vector with <d, grad g(x)> <= 0 and hess_quad the
-    (negative) curvature <d, hess g(x) d>. Returns (alpha, trial, backtracks)
-    as gradient_backtrack does.
+    ev is the current point's PenaltyEval (value-only suffices). d must be
+    a unit vector with <d, grad g(x)> <= 0 and hess_quad the (negative)
+    curvature <d, hess g(x) d>. Returns (alpha, trial, backtracks) as
+    gradient_backtrack does.
     """
-    return _backtrack(problem, x, beta, np.asarray(d, dtype=float), cfg.alpha02, cfg.tau2,
-                      lambda a: -cfg.c2 * a * a * hess_quad, cfg, g_x, "eigenstep")
+    return _backtrack(problem, ev, np.asarray(d, dtype=float), cfg.alpha02, cfg.tau2,
+                      lambda a: -cfg.c2 * a * a * hess_quad, cfg, "eigenstep")
 
 
 def _assert_first_order_bounds(problem, ev, cert, cfg):
@@ -358,15 +351,11 @@ def gradient_eigenstep(problem, x0, cfg, _stop_check=None):
             if tag is not None:
                 return _finalize(problem, cfg, records, ev, tag, k)
             if curvature is None:
-                alpha, trial, bts = gradient_backtrack(
-                    problem, ev.x, cfg.beta, ev.grad_g, cfg, g_x=ev.g_val
-                )
+                alpha, trial, bts = gradient_backtrack(problem, ev, cfg)
             else:
                 if float(d @ ev.grad_g) > 0.0:
                     d = -d
-                alpha, trial, bts = eigen_backtrack(
-                    problem, ev.x, cfg.beta, d, curvature, cfg, g_x=ev.g_val
-                )
+                alpha, trial, bts = eigen_backtrack(problem, ev, d, curvature, cfg)
             ev_next = evaluate(problem, trial, cfg.beta, with_grad=True)
         except RankDeficiencyError:
             return _finalize(problem, cfg, records, ev, "rank_deficient", k)
@@ -405,10 +394,10 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
     its trace holds every record and stage so far, the last point and its
     certificate, with termination "max_plateaus".
     """
-    if gamma <= 1.0:
-        raise ValueError("gamma must exceed 1")
-    if beta0 <= 0 or lp0 <= 0:
-        raise ValueError("beta0 and lp0 must be positive")
+    if not 1.0 < gamma < math.inf:
+        raise ValueError("gamma must be finite and exceed 1")
+    if not (0 < beta0 < math.inf and 0 < lp0 < math.inf):
+        raise ValueError("beta0 and lp0 must be positive and finite")
     beta_l = float(beta0)
     lp_l = float(lp0)
     trace = RunTrace(replace(cfg, beta=beta_l), [], np.asarray(x0, dtype=float), None,
@@ -459,8 +448,8 @@ def restore_feasibility(problem, x0, step, t_end):
 
     Raises StepSizeError when halving cannot restore monotone decrease.
     """
-    if step <= 0 or t_end <= 0:
-        raise ValueError("step and t_end must be positive")
+    if not (0 < step < math.inf and 0 < t_end < math.inf):
+        raise ValueError("step and t_end must be positive and finite")
     x = np.asarray(x0, dtype=float)
     if not in_region(problem, x):
         raise ValueError("x0 lies outside the region ||h|| <= %g" % problem.region.radius)

@@ -4,6 +4,7 @@ import json
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from fletcher_penalty import cli
 from fletcher_penalty.cli import main
 
@@ -135,6 +136,15 @@ def test_plateau_rank_deficient_end_exits_three(tmp_path, monkeypatch, capsys):
     assert "h_norm=nan" in capsys.readouterr().err
 
 
+def test_non_finite_hess_h_exits_three(tmp_path, monkeypatch, capsys):
+    # a NaN penalty gradient is a numerical failure, not convergence or a usage error
+    base = cli.builtin_problem("rayleigh", n=10)
+    bad = replace(base, hess_h=lambda x, w: np.full((10, 10), np.nan))
+    monkeypatch.setattr(cli, "builtin_problem", lambda *args, **kwargs: bad)
+    assert run_cli(["solve", "--problem", "rayleigh", "--output-path", str(tmp_path / "s.json")]) == 3
+    assert "hess_h returned non-finite" in capsys.readouterr().err
+
+
 def test_plateau_cap_writes_trace_and_exits_two(tmp_path, capsys):
     out = tmp_path / "p.json"
     code = run_cli(
@@ -223,6 +233,38 @@ def test_spec_file_with_flag_override(tmp_path):
     a = json.loads((tmp_path / "from_spec.json").read_text())
     b = json.loads(out2.read_text())
     assert a == b
+
+
+@pytest.mark.parametrize("args", [
+    ["restore", "--problem", "stiefel", "--step", "nan"],
+    ["restore", "--problem", "stiefel", "--t-end", "nan"],
+    ["plateau", "--problem", "stiefel", "--lp0", "nan"],
+    ["plateau", "--problem", "stiefel", "--gamma", "inf"],
+])
+def test_non_finite_run_parameters_exit_64_before_any_output(tmp_path, capsys, args):
+    out = tmp_path / "out.json"
+    assert run_cli(args + ["--output-path", str(out)]) == 64
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, spec", [
+    ("solve", {"problem_id": "sphere", "problem_params": {"n": "abc"}}),
+    ("solve", {"problem_id": "sphere", "problem_params": [5]}),
+    ("solve", {"problem_id": "sphere", "solver": "fast"}),
+    ("solve", {"problem_id": 7}),
+    ("solve", {"problem_id": "sphere", "problem_params": {"n": [5]}}),
+    ("solve", {"problem_id": "sphere", "problem_params": {"n": 3.5}}),
+    ("solve", {"problem_id": "rayleigh", "solver": {"max_iters": 3.9}}),
+    ("solve", {"problem_id": "rayleigh", "problem_params": {"diag": 5}}),
+    ("sweep", {"problem_id": "sphere", "eps_list": 0.1}),
+    ("solve", [{"problem_id": "sphere"}]),
+])
+def test_malformed_spec_file_exits_64(tmp_path, mode, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    args = [mode, "--spec", str(spec_path), "--output-path", str(tmp_path / "x.csv")]
+    assert run_cli(args) == 64
 
 
 def test_rayleigh_matrix_csv(tmp_path):

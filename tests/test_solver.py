@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from fletcher_penalty import (
+    EvaluationError,
     PlateauLimitError,
     SolverConfig,
     StepSizeError,
     beta_thresholds,
     builtin_problem,
     eigen_backtrack,
+    evaluate,
     gradient_backtrack,
     gradient_eigenstep,
     make_rayleigh_sphere,
@@ -39,10 +41,10 @@ def test_gradient_backtrack_accepts_first_trial():
     toy = make_affine_toy(seed=0, radius=10.0)[0]
     cfg = SolverConfig(alpha01=0.05)
     x = toy.init_point(0)
-    grad = penalty_grad(toy, x, 1.0)
-    alpha, trial, bts = gradient_backtrack(toy, x, 1.0, grad, cfg)
+    ev = evaluate(toy, x, 1.0)
+    alpha, trial, bts = gradient_backtrack(toy, ev, cfg)
     assert alpha == 0.05 and bts == 0
-    np.testing.assert_allclose(trial.x, x - 0.05 * grad)
+    np.testing.assert_allclose(trial.x, x - 0.05 * ev.grad_g)
 
 
 def test_gradient_backtrack_keeps_region_near_boundary():
@@ -50,8 +52,7 @@ def test_gradient_backtrack_keeps_region_near_boundary():
     # radial point with ||h|| = 0.49
     x = np.sqrt(1.49) * (np.ones(10) / np.sqrt(10.0))
     assert np.linalg.norm(p.h(x)) <= 0.4900001
-    grad = penalty_grad(p, x, 10.0)
-    _, trial, _ = gradient_backtrack(p, x, 10.0, grad, SolverConfig())
+    _, trial, _ = gradient_backtrack(p, evaluate(p, x, 10.0), SolverConfig())
     assert np.linalg.norm(p.h(trial.x)) <= 0.5
 
 
@@ -70,7 +71,7 @@ def test_eigen_backtrack_accepts_small_initial_step():
     cfg = SolverConfig(alpha02=0.1, c2=0.4)
     x = np.zeros(3)
     d = np.array([1.0, 0.0, 0.0])
-    alpha, trial, bts = eigen_backtrack(toy, x, 1.0, d, -1.0, cfg)
+    alpha, trial, bts = eigen_backtrack(toy, evaluate(toy, x, 1.0, with_grad=False), d, -1.0, cfg)
     assert alpha == 0.1 and bts == 0
     np.testing.assert_allclose(trial.x, 0.1 * d)
 
@@ -103,6 +104,24 @@ def test_region_step_floor_for_gradient_steps():
         grad = penalty_grad(p, x, beta)
         for frac in (0.25, 0.5, 1.0):
             assert np.linalg.norm(p.h(x - frac * grad_floor * grad)) <= p.region.radius
+
+
+def test_region_step_floors_factorize_the_point_once(monkeypatch):
+    from fletcher_penalty import penalty
+
+    seen = []
+    real_svd = penalty.svd
+
+    def spy_svd(a):
+        seen.append(np.array(a, copy=True))
+        return real_svd(a)
+
+    monkeypatch.setattr(penalty, "svd", spy_svd)
+    p = builtin_problem("stiefel", n=8, p=2, seed=3)
+    x = p.init_point(3)
+    region_step_floors(p, x, 5.0)
+    jac = p.jac_h(x)
+    assert sum(1 for a in seen if a.shape == jac.shape and np.array_equal(a, jac)) == 1
 
 
 def test_region_step_floor_for_unit_steps():
@@ -294,6 +313,16 @@ def test_backtrack_exhaustion_maps_to_beta_too_small():
     assert trace.termination == "beta_too_small"
 
 
+@pytest.mark.parametrize("evaluator", ["f", "hess_h"])
+def test_non_finite_evaluator_output_raises_evaluation_error(evaluator):
+    # a NaN must not read as convergence (hess_h) or as beta_too_small (f)
+    p = diag_rayleigh()
+    nan = {"f": lambda x: math.nan, "hess_h": lambda x, w: np.full((10, 10), math.nan)}
+    bad = replace(p, **{evaluator: nan[evaluator]})
+    with pytest.raises(EvaluationError, match="^%s returned (a )?non-finite" % evaluator):
+        gradient_eigenstep(bad, p.init_point(0), SolverConfig(eps1=1e-5, beta=10.0))
+
+
 def test_rank_deficiency_terminates_cleanly():
     toy = make_rank_crossing_toy()
     cfg = SolverConfig(eps1=1e-6, eps2=math.inf, beta=1.0)
@@ -354,6 +383,18 @@ def test_plateau_b_trigger_replay():
             assert nxt.beta == gamma * prev.beta
             assert nxt.lp == gamma**4 * prev.lp
     assert any(s.stop_reason == "b_trigger" for s in stages)
+
+
+@pytest.mark.parametrize("kwargs, what", [
+    ({"lp0": math.nan}, "lp0"),
+    ({"beta0": math.inf}, "beta0"),
+    ({"gamma": math.inf}, "gamma"),
+    ({"gamma": math.nan}, "gamma"),
+])
+def test_plateau_rejects_non_finite_parameters(kwargs, what):
+    p = diag_rayleigh()
+    with pytest.raises(ValueError, match=what):
+        plateau(p, p.init_point(0), SolverConfig(eps1=1e-4), **kwargs)
 
 
 def test_plateau_cap_raises():
@@ -508,3 +549,13 @@ def test_restore_rejects_infeasible_start():
     p = make_sphere(4, w)
     with pytest.raises(ValueError):
         restore_feasibility(p, 1.5 * w, 1e-3, 1.0)
+
+
+@pytest.mark.parametrize("step, t_end", [(math.nan, 1.0), (1e-3, math.nan), (math.inf, 1.0),
+                                         (1e-3, math.inf)])
+def test_restore_rejects_non_finite_step_and_horizon(step, t_end):
+    w = np.zeros(4)
+    w[0] = 1.0
+    p = make_sphere(4, w)
+    with pytest.raises(ValueError, match="finite"):
+        restore_feasibility(p, 1.1 * w, step, t_end)
