@@ -26,7 +26,6 @@ from .exceptions import (
     EvaluationError,
     FletcherPenaltyError,
     NumericalFailureError,
-    PlateauLimitError,
     RankDeficiencyError,
     StepSizeError,
 )

@@ -17,11 +17,7 @@ import numpy as np
 
 from .criticality import layered_hess
 from .derivative_check import check_problem, reports_to_json
-from .exceptions import (
-    FletcherPenaltyError,
-    PlateauLimitError,
-    StepSizeError,
-)
+from .exceptions import FletcherPenaltyError, StepSizeError
 from .problems import builtin_problem, random_point_in_region
 from .solver import SolverConfig, gradient_eigenstep, plateau, restore_feasibility
 
@@ -37,9 +33,11 @@ _TERMINATION_EXIT = {
     "max_iters": EXIT_NOT_REACHED,
     "rank_deficient": EXIT_NUMERICAL,
     "beta_too_small": EXIT_NUMERICAL,
+    "max_plateaus": EXIT_NOT_REACHED,
 }
 
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
+_INT_SOLVER_KEYS = ("max_iters", "max_backtracks")
 
 _TEXT_KEYS = ("problem_id", "diag", "matrix", "output_path", "eps_list")
 
@@ -87,7 +85,7 @@ def _build_parser():
         p.add_argument("--output-path", help="where to write the JSON/CSV result")
         for key in _SOLVER_KEYS:
             flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, type=int if key in ("max_iters", "max_backtracks") else float)
+            p.add_argument(flag, type=int if key in _INT_SOLVER_KEYS else float)
 
     p_solve = sub.add_parser("solve", help="one gradient-eigenstep run")
     add_common(p_solve)
@@ -156,7 +154,12 @@ def _resolve(args):
     for key in _SOLVER_KEYS:
         val = pick(getattr(args, key), key, section="solver")
         if val is not None:
-            solver[key] = val
+            # spec-file values take the flag's own type, so "1e-4" reads as --eps1 1e-4
+            try:
+                solver[key] = _whole(val, key) if key in _INT_SOLVER_KEYS else float(val)
+            except ValueError:
+                raise UsageError("spec file %s: %r is not a valid %s"
+                                 % (args.spec, val, key)) from None
     extras = {}
     for key in ("gamma", "beta0", "lp0", "max_plateaus", "step", "t_end",
                 "perturb", "seeds", "eps_list", "second_order"):
@@ -211,16 +214,8 @@ def _make_problem(spec):
 
 
 def _make_config(spec):
-    cfg = SolverConfig()
-    overrides = dict(spec.solver)
-    for key in ("max_iters", "max_backtracks"):
-        if key in overrides:
-            overrides[key] = _whole(overrides[key], key)
-    try:
-        cfg = replace(cfg, **overrides)
-        cfg.validate()
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = replace(SolverConfig(), **spec.solver)
+    cfg.validate()
     return cfg
 
 
@@ -265,20 +260,15 @@ def cmd_plateau(spec):
     problem, seed = _make_problem(spec)
     cfg = _make_config(spec)
     ex = spec.extras
-    try:
-        trace = plateau(
-            problem,
-            problem.init_point(seed),
-            cfg,
-            gamma=float(ex.get("gamma", 2.0)),
-            beta0=float(ex.get("beta0", 1.0)),
-            lp0=float(ex.get("lp0", 100)),
-            max_plateaus=int(ex.get("max_plateaus", 60)),
-        )
-    except PlateauLimitError as exc:
-        _write(spec.output_path, exc.trace.to_json() + "\n")
-        _summary("plateau: %s" % exc)
-        return EXIT_NOT_REACHED
+    trace = plateau(
+        problem,
+        problem.init_point(seed),
+        cfg,
+        gamma=float(ex.get("gamma", 2.0)),
+        beta0=float(ex.get("beta0", 1.0)),
+        lp0=float(ex.get("lp0", 100)),
+        max_plateaus=int(ex.get("max_plateaus", 60)),
+    )
     _write(spec.output_path, trace.to_json() + "\n")
     cert = trace.final_certificate
     _summary(
@@ -286,7 +276,7 @@ def cmd_plateau(spec):
         % (
             trace.termination,
             len(trace.plateaus),
-            trace.plateaus[-1].beta,
+            trace.config.beta,
             float("nan") if cert is None else cert.eps0_measured,
             float("nan") if cert is None else cert.eps1_measured,
         )
@@ -324,8 +314,6 @@ def cmd_restore(spec):
 def cmd_check(spec):
     problem, _ = _make_problem(spec)
     count = int(spec.extras.get("seeds", 10))
-    if count < 1:
-        raise UsageError("--seeds must be at least 1")
     reports = check_problem(problem, list(range(count)))
     _write(spec.output_path, reports_to_json(reports) + "\n")
     failed = [r.target for r in reports if not r.passed]
@@ -339,9 +327,7 @@ def cmd_check(spec):
 def cmd_sweep(spec):
     problem, seed = _make_problem(spec)
     base_cfg = _make_config(spec)
-    eps_raw = spec.extras.get("eps_list")
-    if not eps_raw:
-        raise UsageError("sweep needs a nonempty --eps-list")
+    eps_raw = spec.extras.get("eps_list", "")
     if isinstance(eps_raw, str):
         eps_values = [float(v) for v in eps_raw.split(",") if v]
     else:

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .linalg import kernel_basis, sym_eig_min
-from .penalty import _lagrangian_hess, _point_data, _riem_grad
+from .penalty import _finite, _lagrangian_hess, _point_data, _riem_grad
 
 __all__ = [
     "LayeredQuantities",
@@ -93,7 +93,7 @@ def layered_hess(problem, x):
     x, h_val, jac, _, grad_f, lam = _point_data(problem, x)
     rg = _riem_grad(grad_f, jac, lam)
     q = kernel_basis(jac)
-    reduced = q.T @ _lagrangian_hess(problem, x, lam) @ q
+    reduced = _finite(q.T @ _lagrangian_hess(problem, x, lam) @ q, "hess_h", x)
     reduced = 0.5 * (reduced + reduced.T)
     min_eig, vec = sym_eig_min(reduced)
     return LayeredQuantities(
@@ -153,6 +153,6 @@ def lagrangian_check(problem, x, lam, eps0, eps1, eps2):
     if math.isinf(eps2):
         return True, True
     q = kernel_basis(jac)
-    reduced = q.T @ _lagrangian_hess(problem, x, lam) @ q
+    reduced = _finite(q.T @ _lagrangian_hess(problem, x, lam) @ q, "hess_h", x)
     min_eig, _ = sym_eig_min(reduced)
     return True, bool(min_eig >= -eps2)

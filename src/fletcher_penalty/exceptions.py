@@ -41,15 +41,3 @@ class BacktrackFailureError(FletcherPenaltyError):
 class StepSizeError(FletcherPenaltyError):
     """The restoration flow integrator could not make monotone progress."""
 
-
-class PlateauLimitError(FletcherPenaltyError):
-    """The plateau scheme exceeded its global plateau cap without converging.
-
-    trace is the RunTrace accumulated up to the cap: the records of every
-    inner run, the per-plateau stages, the last point and its certificate,
-    with termination "max_plateaus".
-    """
-
-    def __init__(self, message, trace):
-        self.trace = trace
-        super().__init__(message)

@@ -154,7 +154,7 @@ def _dlambda(problem, x, jac, res, grad_f, lam):
         return fd_jacobian(lambda y: multipliers(problem, y)[0], x)
     rg = _riem_grad(grad_f, jac, lam)
     rows = np.array([problem.hess_h(x, e) @ rg for e in np.eye(jac.shape[0])])
-    return _gram_inverse(res, rows + jac @ _lagrangian_hess(problem, x, lam))
+    return _finite(_gram_inverse(res, rows + jac @ _lagrangian_hess(problem, x, lam)), "hess_h", x)
 
 
 def _dlambda_adjoint(problem, x, h_val, jac, res, grad_f, lam):

@@ -12,7 +12,7 @@ flow provides feasibility restoration.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List, Optional
 
 import numpy as np
@@ -21,7 +21,6 @@ from .criticality import CriticalityCertificate, certify
 from .exceptions import (
     BacktrackFailureError,
     NumericalFailureError,
-    PlateauLimitError,
     RankDeficiencyError,
     StepSizeError,
 )
@@ -109,18 +108,10 @@ class IterationRecord:
     backtracks: int
 
     def as_dict(self):
-        out = {
-            "k": self.k,
-            "kind": self.kind,
-            "step_len": self.step_len,
-            "g_before": self.g_before,
-            "g_after": self.g_after,
-            "grad_norm": self.grad_norm,
-            "h_norm": self.h_norm,
-        }
-        if self.curvature is not None:
-            out["curvature"] = self.curvature
-        out["backtracks"] = self.backtracks
+        # shallow: asdict's deep copy cost ~5% of a plateau CLI run on a 2-CPU VM
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.curvature is None:
+            del out["curvature"]
         return out
 
 
@@ -145,9 +136,9 @@ class RunTrace:
 
     termination is one of "converged", "max_iters", "rank_deficient",
     "beta_too_small". Plateau runs additionally carry the per-plateau
-    schedule; their records concatenate all inner runs (the k index
+    schedule; their records concatenate all plateaus (the k index
     restarts at each plateau). A plateau run stopped by its plateau cap
-    has termination "max_plateaus" and travels on the PlateauLimitError.
+    has termination "max_plateaus".
     """
 
     config: SolverConfig
@@ -276,7 +267,24 @@ def _assert_first_order_bounds(problem, ev, cert, cfg):
         )
 
 
-def _finalize(problem, cfg, records, ev, reason, k):
+def _check_inputs(problem, x0, cfg):
+    """Check cfg and x0 before a run evaluates anything; returns x0 as an array."""
+    cfg.validate()
+    if cfg.eps1 > problem.region.radius / 2.0:
+        raise ValueError(
+            "eps1=%g violates the requirement eps1 <= R/2 (R=%g)"
+            % (cfg.eps1, problem.region.radius)
+        )
+    if math.isfinite(cfg.eps2) and problem.hess_h is None:
+        raise ValueError("a second-order run (finite eps2) needs constraint Hessians "
+                         "(hess_h is None) for its certificate")
+    x0 = np.asarray(x0, dtype=float)
+    if not in_region(problem, x0):
+        raise ValueError("x0 lies outside the region ||h|| <= %g" % problem.region.radius)
+    return x0
+
+
+def _terminal(records, ev, reason, k):
     records.append(
         IterationRecord(
             k=k,
@@ -290,66 +298,38 @@ def _finalize(problem, cfg, records, ev, reason, k):
             backtracks=0,
         )
     )
-    cert = certify(problem, ev, cfg.eps1, 2.0 * cfg.eps1, cfg.eps2)
-    if reason == "converged":
-        _assert_first_order_bounds(problem, ev, cert, cfg)
-    return RunTrace(cfg, records, ev.x, cert, reason)
+    return ev, reason
 
 
-def gradient_eigenstep(problem, x0, cfg, _stop_check=None):
-    """Minimize the penalty until its gradient and (optionally) curvature tolerances hold.
+def _descend(problem, x0, cfg, records, stop=None):
+    """The gradient/eigenstep loop from x0 at penalty parameter cfg.beta.
 
-    Each accepted iterate is decided once, in this order: the iteration
-    budget (k >= max_iters ends the run as "max_iters"); convergence,
-    i.e. ||grad g|| <= eps1 and, with finite eps2, a smallest FD-Hessian
-    eigenvalue >= -eps2; the optional stop check; and finally a step. The
-    step is a gradient step while ||grad g|| > eps1, otherwise an eigenstep
-    along the measured eigenvector (sign-flipped so it is non-ascending).
-    The final point carries a layered criticality certificate with targets
-    (eps1, 2*eps1, eps2).
-
-    _stop_check(k, ev) is an optional stopping criterion consulted only at
-    non-converged iterates within budget; a non-None tag ends the run with
-    that tag as termination (used by the plateau scheme).
-
-    Worst-case accounting (documentation only): every accepted gradient
-    step decreases g by at least c1 * alpha * eps1^2 and every eigenstep by
-    at least c2 * alpha^2 * eps2, with alpha bounded below through the
-    region floors (region_step_floors) and regionwide curvature bounds.
-    Dividing the initial gap g(x0) - inf g by those decreases gives
-    iteration counts scaling like eps1^-2 and eps2^-3; the curvature bounds
-    are unobservable suprema, so the library never evaluates the count and
-    instead records each step's decrease in the trace for replay.
+    Appends a record per accepted step and then a terminal record (none
+    when x0 itself is rank deficient). Returns (ev, reason): the last
+    iterate's PenaltyEval, None when x0 is rank deficient, and the
+    termination tag. Each iterate is decided once, in this order: the
+    budget (k >= max_iters gives "max_iters"); convergence; stop(k, ev),
+    whose non-None tag ends the loop with that tag; and finally a step.
     """
-    cfg.validate()
-    if cfg.eps1 > problem.region.radius / 2.0:
-        raise ValueError(
-            "eps1=%g violates the requirement eps1 <= R/2 (R=%g)"
-            % (cfg.eps1, problem.region.radius)
-        )
-    x0 = np.asarray(x0, dtype=float)
-    if not in_region(problem, x0):
-        raise ValueError("x0 lies outside the region ||h|| <= %g" % problem.region.radius)
-    records = []
     try:
         ev = evaluate(problem, x0, cfg.beta, with_grad=True)
     except RankDeficiencyError:
-        return RunTrace(cfg, records, x0, None, "rank_deficient")
+        return None, "rank_deficient"
     k = 0
     while True:
         if k >= cfg.max_iters:
-            return _finalize(problem, cfg, records, ev, "max_iters", k)
+            return _terminal(records, ev, "max_iters", k)
         try:
             curvature = None
             if not ev.grad_norm > cfg.eps1:
                 if math.isinf(cfg.eps2):
-                    return _finalize(problem, cfg, records, ev, "converged", k)
+                    return _terminal(records, ev, "converged", k)
                 curvature, d = sym_eig_min(penalty_hess(problem, ev.x, cfg.beta, cfg.fd_step))
                 if not curvature < -cfg.eps2:
-                    return _finalize(problem, cfg, records, ev, "converged", k)
-            tag = None if _stop_check is None else _stop_check(k, ev)
+                    return _terminal(records, ev, "converged", k)
+            tag = None if stop is None else stop(k, ev)
             if tag is not None:
-                return _finalize(problem, cfg, records, ev, tag, k)
+                return _terminal(records, ev, tag, k)
             if curvature is None:
                 alpha, trial, bts = gradient_backtrack(problem, ev, cfg)
             else:
@@ -358,9 +338,9 @@ def gradient_eigenstep(problem, x0, cfg, _stop_check=None):
                 alpha, trial, bts = eigen_backtrack(problem, ev, d, curvature, cfg)
             ev_next = evaluate(problem, trial, cfg.beta, with_grad=True)
         except RankDeficiencyError:
-            return _finalize(problem, cfg, records, ev, "rank_deficient", k)
+            return _terminal(records, ev, "rank_deficient", k)
         except BacktrackFailureError:
-            return _finalize(problem, cfg, records, ev, "beta_too_small", k)
+            return _terminal(records, ev, "beta_too_small", k)
         records.append(
             IterationRecord(
                 k=k,
@@ -378,21 +358,66 @@ def gradient_eigenstep(problem, x0, cfg, _stop_check=None):
         k += 1
 
 
+def _certified(problem, cfg, records, ev, reason, x0, plateaus=None):
+    """The RunTrace of a finished run, with the one certificate of its last iterate.
+
+    ev is None when no point was evaluated; the trace then ends at x0
+    without a certificate.
+    """
+    if ev is None:
+        return RunTrace(cfg, records, x0, None, reason, plateaus)
+    cert = certify(problem, ev, cfg.eps1, 2.0 * cfg.eps1, cfg.eps2)
+    if reason == "converged":
+        _assert_first_order_bounds(problem, ev, cert, cfg)
+    return RunTrace(cfg, records, ev.x, cert, reason, plateaus)
+
+
+def gradient_eigenstep(problem, x0, cfg):
+    """Minimize the penalty until its gradient and (optionally) curvature tolerances hold.
+
+    Each accepted iterate is decided once, in this order: the iteration
+    budget (k >= max_iters ends the run as "max_iters"); convergence,
+    i.e. ||grad g|| <= eps1 and, with finite eps2, a smallest FD-Hessian
+    eigenvalue >= -eps2; and otherwise a step. The step is a gradient step
+    while ||grad g|| > eps1, otherwise an eigenstep along the measured
+    eigenvector (sign-flipped so it is non-ascending). The final point
+    carries a layered criticality certificate with targets
+    (eps1, 2*eps1, eps2). A finite eps2 needs problem.hess_h for that
+    certificate; without it the run raises ValueError before evaluating.
+
+    Worst-case accounting (documentation only): every accepted gradient
+    step decreases g by at least c1 * alpha * eps1^2 and every eigenstep by
+    at least c2 * alpha^2 * eps2, with alpha bounded below through the
+    region floors (region_step_floors) and regionwide curvature bounds.
+    Dividing the initial gap g(x0) - inf g by those decreases gives
+    iteration counts scaling like eps1^-2 and eps2^-3; the curvature bounds
+    are unobservable suprema, so the library never evaluates the count and
+    instead records each step's decrease in the trace for replay.
+    """
+    x0 = _check_inputs(problem, x0, cfg)
+    records = []
+    ev, reason = _descend(problem, x0, cfg, records)
+    return _certified(problem, cfg, records, ev, reason, x0)
+
+
 def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
-    """Rerun the solver with growing beta until it converges on its own.
+    """Rerun the solver's loop with growing beta until it converges on its own.
 
-    Each plateau runs at constant beta with the stopping criterion
-    "B(x_k) >= beta_l or k > LP_l", where B is the maximum of the pointwise
-    beta thresholds, checked at every non-converged iterate. On a B-trigger
-    the budget grows by (gamma*B/beta_l)^4 and beta jumps to gamma*B;
-    otherwise both grow geometrically (gamma^4 and gamma). Backtracking
-    failure is treated as a B-trigger at the current beta, forcing growth.
-    Any other end of an inner run (converged, max_iters, rank_deficient)
-    ends the scheme with that termination.
+    Each plateau runs the gradient_eigenstep loop at constant beta with the
+    extra stopping criterion "B(x_k) >= beta_l or k > LP_l", where B is the
+    maximum of the pointwise beta thresholds, checked at every non-converged
+    iterate. On a B-trigger the budget grows by (gamma*B/beta_l)^4 and beta
+    jumps to gamma*B; otherwise both grow geometrically (gamma^4 and
+    gamma). Backtracking failure is treated as a B-trigger at the current
+    beta, forcing growth. Any other end of a plateau (converged, max_iters,
+    rank_deficient) ends the scheme with that termination. After
+    max_plateaus plateaus without such an end the termination is
+    "max_plateaus".
 
-    Raises PlateauLimitError after max_plateaus plateaus without convergence;
-    its trace holds every record and stage so far, the last point and its
-    certificate, with termination "max_plateaus".
+    The returned trace holds the records of every plateau, the per-plateau
+    stages, the config of the last plateau, and the last point with its
+    certificate; only that point is certified (no certificate when no
+    plateau ran).
     """
     if not 1.0 < gamma < math.inf:
         raise ValueError("gamma must be finite and exceed 1")
@@ -400,13 +425,15 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
         raise ValueError("beta0 and lp0 must be positive and finite")
     beta_l = float(beta0)
     lp_l = float(lp0)
-    trace = RunTrace(replace(cfg, beta=beta_l), [], np.asarray(x0, dtype=float), None,
-                     "max_plateaus")
-    records, stages = [], []
+    stage_cfg = replace(cfg, beta=beta_l)
+    x = _check_inputs(problem, x0, stage_cfg)
+    records, stages, ev = [], [], None
     for ell in range(max_plateaus):
+        if not math.isfinite(beta_l):  # the geometric growth can overflow
+            raise ValueError("beta must be finite")
         b_max = None
 
-        def stop_check(k, ev):
+        def stop(k, ev):
             nonlocal b_max
             b_max = beta_thresholds(problem, ev).b_max
             if b_max >= beta_l:
@@ -415,27 +442,25 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
                 return "budget"
             return None
 
-        trace = gradient_eigenstep(
-            problem, trace.final_x, replace(cfg, beta=beta_l), _stop_check=stop_check
-        )
-        records.extend(trace.records)
-        reason = trace.termination
+        stage_cfg = replace(cfg, beta=beta_l)
+        first = len(records)
+        ev, reason = _descend(problem, x, stage_cfg, records, stop)
+        iters = sum(r.kind != "terminal" for r in records[first:])
         stop_reason = "backtrack_failure" if reason == "beta_too_small" else reason
         b_value = {"b_trigger": b_max, "beta_too_small": beta_l}.get(reason)
-        stages.append(PlateauStage(ell, beta_l, lp_l, trace.iteration_counts()[0],
-                                   stop_reason, b_value))
+        stages.append(PlateauStage(ell, beta_l, lp_l, iters, stop_reason, b_value))
         if reason not in ("b_trigger", "budget", "beta_too_small"):
-            return replace(trace, records=records, plateaus=stages)
+            break
+        x = ev.x
         if reason == "b_trigger":
             lp_l = (gamma * b_max / beta_l) ** 4 * lp_l
             beta_l = gamma * b_max
         else:
             lp_l = gamma**4 * lp_l
             beta_l = gamma * beta_l
-    raise PlateauLimitError(
-        "no convergence within %d plateaus" % max_plateaus,
-        replace(trace, records=records, termination="max_plateaus", plateaus=stages),
-    )
+    else:
+        reason = "max_plateaus"
+    return _certified(problem, stage_cfg, records, ev, reason, x, stages)
 
 
 def restore_feasibility(problem, x0, step, t_end):

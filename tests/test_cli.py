@@ -155,7 +155,9 @@ def test_plateau_cap_writes_trace_and_exits_two(tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert capsys.readouterr().err == "plateau: no convergence within 3 plateaus\n"
+    assert capsys.readouterr().err == (
+        "plateau: termination=max_plateaus plateaus=3 final_beta=4.000000e+09 "
+        "h_norm=0.000000e+00 grad_M_norm=2.040232e+00\n")
     payload = json.loads(out.read_text())
     assert payload["termination"] == "max_plateaus"
     assert len(payload["plateaus"]) == 3
@@ -233,6 +235,34 @@ def test_spec_file_with_flag_override(tmp_path):
     a = json.loads((tmp_path / "from_spec.json").read_text())
     b = json.loads(out2.read_text())
     assert a == b
+
+
+def test_spec_file_solver_numbers_may_be_quoted(tmp_path):
+    # a quoted number reads as the flag would read it, as in problem_params
+    outputs = []
+    for solver in ({"eps1": 1e-4, "beta": 10, "max_iters": 500},
+                   {"eps1": "1e-4", "beta": "10", "max_iters": "500"}):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"problem_id": "rayleigh", "solver": solver}))
+        out = tmp_path / ("%d.json" % len(outputs))
+        assert run_cli(["solve", "--spec", str(spec_path), "--output-path", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_spec_file_non_numeric_solver_value_exits_64(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"problem_id": "rayleigh", "solver": {"eps1": "fast"}}))
+    assert run_cli(["solve", "--spec", str(spec_path), "--output-path", str(tmp_path / "x.json")]) == 64
+    assert capsys.readouterr().err == (
+        "fletcher-penalty: spec file %s: 'fast' is not a valid eps1\n" % spec_path)
+
+
+def test_check_without_seeds_exits_64(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert run_cli(["check", "--problem", "sphere", "--seeds", "0", "--output-path", str(out)]) == 64
+    assert "need at least one seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

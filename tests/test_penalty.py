@@ -5,16 +5,22 @@ lambda(x) = <x, w> / (2 ||x||^2) and grad lambda = w/(2||x||^2) - <x,w> x/||x||^
 which this file uses as the independent oracle for the SVD-based code paths.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fletcher_penalty import (
+    EvaluationError,
     RankDeficiencyError,
     beta_thresholds,
+    builtin_problem,
+    certify,
     dlambda_jacobian,
     evaluate,
     in_region,
     kernel_basis,
+    lagrangian_check,
     layered_grad,
     layered_hess,
     linear_cost,
@@ -259,6 +265,25 @@ def test_dlambda_fd_fallback_matches_analytic(sphere_w):
         dlambda_jacobian(p, x),
         atol=1e-7,
     )
+
+
+@pytest.mark.parametrize("entry", [
+    "dlambda_jacobian", "beta_thresholds", "certify", "layered_hess", "lagrangian_check",
+])
+def test_non_finite_hess_h_raises_evaluation_error(entry):
+    # outside the solver too a NaN hess_h is an evaluator failure, not a NaN or a ValueError
+    p = builtin_problem("rayleigh", n=5)
+    bad = replace(p, hess_h=lambda x, w: np.full((5, 5), np.nan))
+    x = p.init_point(0)
+    calls = {
+        "dlambda_jacobian": lambda: dlambda_jacobian(bad, x),
+        "beta_thresholds": lambda: beta_thresholds(bad, x),
+        "certify": lambda: certify(bad, x, 1.0, 1.0, 1.0),
+        "layered_hess": lambda: layered_hess(bad, x),
+        "lagrangian_check": lambda: lagrangian_check(bad, x, multipliers(p, x)[0], 1e9, 1e9, 1.0),
+    }
+    with pytest.raises(EvaluationError, match="^hess_h returned non-finite"):
+        calls[entry]()
 
 
 def test_penalty_hess_symmetric(sphere_w):

@@ -8,7 +8,6 @@ import pytest
 
 from fletcher_penalty import (
     EvaluationError,
-    PlateauLimitError,
     SolverConfig,
     StepSizeError,
     beta_thresholds,
@@ -397,54 +396,81 @@ def test_plateau_rejects_non_finite_parameters(kwargs, what):
         plateau(p, p.init_point(0), SolverConfig(eps1=1e-4), **kwargs)
 
 
-def test_plateau_cap_raises():
+def test_plateau_cap_returns_trace():
     p = diag_rayleigh()
     cfg = SolverConfig(eps1=1e-5, eps2=math.inf, beta=1.0, alpha01=1e9, max_backtracks=0)
-    with pytest.raises(PlateauLimitError) as info:
-        plateau(p, p.init_point(0), cfg, gamma=2.0, beta0=1e9, lp0=10, max_plateaus=3)
-    trace = info.value.trace
+    trace = plateau(p, p.init_point(0), cfg, gamma=2.0, beta0=1e9, lp0=10, max_plateaus=3)
     assert trace.termination == "max_plateaus"
     assert [s.stop_reason for s in trace.plateaus] == ["backtrack_failure"] * 3
     assert trace.config.beta == trace.plateaus[-1].beta
     assert [r.kind for r in trace.records] == ["terminal"] * 3
 
 
+def test_plateau_zero_cap_returns_the_start():
+    p = diag_rayleigh()
+    x0 = p.init_point(0)
+    trace = plateau(p, x0, SolverConfig(eps1=1e-5), beta0=3.0, max_plateaus=0)
+    assert trace.termination == "max_plateaus"
+    assert trace.plateaus == [] and trace.records == []
+    assert trace.final_certificate is None
+    assert trace.config.beta == 3.0
+    np.testing.assert_array_equal(trace.final_x, x0)
+
+
 def test_plateau_certifies_only_inside_the_solver(monkeypatch):
-    # every evaluation, FD Hessian and certificate of a plateau run happens
-    # inside an inner gradient_eigenstep call; plateau adds no second pass
+    # a plateau run evaluates points only inside the solver's loop and
+    # certifies once, at its last point, however many plateaus it runs
     from fletcher_penalty import solver
 
     inside = [False]
-    outside = []
+    calls = []
 
     def spy(name):
         real = getattr(solver, name)
 
         def wrapped(*args, **kwargs):
-            if not inside[0]:
-                outside.append(name)
+            calls.append((name, inside[0]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver, name, wrapped)
 
     for name in ("evaluate", "penalty_hess", "certify"):
         spy(name)
-    real_solve = solver.gradient_eigenstep
+    real_loop = solver._descend
 
-    def inner_solve(*args, **kwargs):
+    def loop(*args, **kwargs):
         inside[0] = True
         try:
-            return real_solve(*args, **kwargs)
+            return real_loop(*args, **kwargs)
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(solver, "gradient_eigenstep", inner_solve)
+    monkeypatch.setattr(solver, "_descend", loop)
     p = builtin_problem("stiefel", n=8, p=2, seed=3)
     trace = plateau(p, p.init_point(3), SolverConfig(eps1=1e-4, eps2=1e-3),
                     gamma=2.0, beta0=1e-3, lp0=50)
     assert trace.termination == "converged"
     assert len(trace.plateaus) >= 2
-    assert outside == []
+    assert [c for c in calls if c[0] == "certify"] == [("certify", False)]
+    assert {in_loop for name, in_loop in calls if name != "certify"} == {True}
+
+
+@pytest.mark.parametrize("driver", ["solve", "plateau"])
+def test_second_order_run_without_hess_h_fails_before_evaluating(monkeypatch, driver):
+    # the certificate needs hess_h; a finite eps2 without it is refused up front
+    from fletcher_penalty import solver
+
+    calls = []
+    real = solver.evaluate
+    monkeypatch.setattr(solver, "evaluate", lambda *a, **k: calls.append(a) or real(*a, **k))
+    p = replace(builtin_problem("rayleigh", n=12), hess_h=None)
+    cfg = SolverConfig(eps1=1e-4, eps2=1e-3, beta=5.0)
+    with pytest.raises(ValueError, match="hess_h"):
+        if driver == "solve":
+            gradient_eigenstep(p, p.init_point(1), cfg)
+        else:
+            plateau(p, p.init_point(1), cfg, beta0=5.0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("eps2", [math.inf, 1e-3])
