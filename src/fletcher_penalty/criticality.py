@@ -87,13 +87,13 @@ def layered_hess(problem, x):
     """Layered Riemannian gradient and reduced Hessian at x.
 
     The reduced Hessian is Q^T (hess f - sum_i lambda_i hess h_i) Q for an
-    orthonormal kernel basis Q of Dh(x); its smallest eigenpair is lifted
-    back to the ambient space through Q.
+    orthonormal kernel basis Q of Dh(x), one Hessian product with Q; its
+    smallest eigenpair is lifted back to the ambient space through Q.
     """
     x, h_val, jac, _, grad_f, lam = _point_data(problem, x)
     rg = _riem_grad(grad_f, jac, lam)
     q = kernel_basis(jac)
-    reduced = _finite(q.T @ _lagrangian_hess(problem, x, lam) @ q, "hess_h", x)
+    reduced = _finite(q.T @ _lagrangian_hess(problem, x, lam, q), "hess_h", x)
     reduced = 0.5 * (reduced + reduced.T)
     min_eig, vec = sym_eig_min(reduced)
     return LayeredQuantities(
@@ -153,6 +153,6 @@ def lagrangian_check(problem, x, lam, eps0, eps1, eps2):
     if math.isinf(eps2):
         return True, True
     q = kernel_basis(jac)
-    reduced = _finite(q.T @ _lagrangian_hess(problem, x, lam) @ q, "hess_h", x)
+    reduced = _finite(q.T @ _lagrangian_hess(problem, x, lam, q), "hess_h", x)
     min_eig, _ = sym_eig_min(reduced)
     return True, bool(min_eig >= -eps2)

@@ -76,11 +76,11 @@ def relative_error(a, b):
 def check_problem(problem, seeds, beta=1.0):
     """Verify every analytic derivative of a problem against finite differences.
 
-    At init_point(seed) for each seed, checks grad_f against f, hess_f
-    against grad_f, jac_h against h, each constraint Hessian hess_h(x, e_i)
-    against its Jacobian row, the penalty gradient against the penalty
-    value, and the multiplier Jacobian against the multipliers. Failures
-    are reported, never raised.
+    At init_point(seed) for each seed, checks hess_f(x, I) against grad_f,
+    grad_f against f, jac_h against h, each hess_h(x, e_i, I) against its
+    Jacobian row, the penalty gradient against the penalty value, and the
+    multiplier Jacobian against the multipliers. Failures are reported,
+    never raised.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -90,12 +90,14 @@ def check_problem(problem, seeds, beta=1.0):
         if err >= worst[name][0]:
             worst[name] = (err, int(seed))
 
+    eye = np.eye(problem.dim_x)  # a dense Hessian is the product with the identity
     for seed in seeds:
         x = problem.init_point(seed)
         note("grad_f", relative_error(problem.grad_f(x), fd_grad(problem.f, x)), seed)
         note(
             "hess_f",
-            relative_error(problem.hess_f(x), fd_jacobian(problem.grad_f, x, SECOND_ORDER_STEP)),
+            relative_error(problem.hess_f(x, eye),
+                           fd_jacobian(problem.grad_f, x, SECOND_ORDER_STEP)),
             seed,
         )
         note("jac_h", relative_error(problem.jac_h(x), fd_jacobian(problem.h, x)), seed)
@@ -103,7 +105,7 @@ def check_problem(problem, seeds, beta=1.0):
             err = 0.0
             for i, e in enumerate(np.eye(problem.dim_h)):
                 fd = fd_jacobian(lambda y, i=i: problem.jac_h(y)[i], x, SECOND_ORDER_STEP)
-                err = max(err, relative_error(problem.hess_h(x, e), fd))
+                err = max(err, relative_error(problem.hess_h(x, e, eye), fd))
             note("hess_h", err, seed)
         note(
             "penalty_grad",

@@ -7,6 +7,7 @@ of h through x) and constraint-normal parts; the Hessian is realized by
 central differences of the analytic gradient, which avoids third
 derivatives of f and h. Each point costs one thin SVD of Dh, which yields
 the multipliers, (Dh Dh^T)^{-1} = U diag(s^-2) U^T and the rank check.
+Second derivatives enter only as Hessian products, never as n-by-n matrices.
 """
 
 import math
@@ -40,6 +41,8 @@ class PenaltyEval:
     Immutable after construction; independent points may be evaluated
     concurrently. grad_g is None when the evaluation was value-only;
     evaluate() can complete such an evaluation without redoing the point.
+    lag_block is the n-by-m Lagrangian-Hessian block (hess f - H(lambda)) Dh^T
+    that the gradient computed; None without a gradient or without hess_h.
     """
 
     x: np.ndarray
@@ -51,6 +54,7 @@ class PenaltyEval:
     lambda_val: np.ndarray
     g_val: float
     grad_g: Optional[np.ndarray]
+    lag_block: Optional[np.ndarray] = None
 
     @property
     def h_norm(self):
@@ -135,39 +139,30 @@ def _gram_inverse(res, rhs):
     return us @ (us.T @ rhs)
 
 
-def _lagrangian_hess(problem, x, lam):
-    """hess f - sum_i lam_i hess h_i: one weighted constraint-Hessian call."""
+def _lagrangian_hess(problem, x, lam, v):
+    """(hess f - sum_i lam_i hess h_i) v: one hess_f and one weighted hess_h product."""
     if problem.hess_h is None:
         raise ValueError("the Lagrangian Hessian needs constraint Hessians (hess_h is None)")
-    hess_f = _finite(np.asarray(problem.hess_f(x), dtype=float), "hess_f", x)
-    return hess_f - problem.hess_h(x, lam)
+    hess_f = _finite(np.asarray(problem.hess_f(x, v), dtype=float), "hess_f", x)
+    return hess_f - problem.hess_h(x, lam, v)
 
 
-def _dlambda(problem, x, jac, res, grad_f, lam):
-    """Dense multiplier Jacobian; central differences when hess_h is missing.
+def _dlambda(problem, x):
+    """Dense multiplier Jacobian and the Dh SVD; central differences without hess_h.
 
-    Differentiating (Dh Dh^T) lam = Dh grad f gives
-    Dlam = (Dh Dh^T)^{-1} (R + Dh (hess f - H(lam))) with R's rows
-    (H(e_i) grad_M f)^T and H(w) = sum_i w_i hess h_i.
+    Differentiating (Dh Dh^T) lam = Dh grad f gives Dlam = (Dh Dh^T)^{-1} (R + B^T)
+    with R's rows (H(e_i) grad_M f)^T, H(w) = sum_i w_i hess h_i and the block
+    B = (hess f - H(lam)) Dh^T: x's lag_block when x is a completed PenaltyEval.
     """
+    block = getattr(x, "lag_block", None)
+    x, _, jac, res, grad_f, lam = _point_data(problem, x)
     if problem.hess_h is None:
-        return fd_jacobian(lambda y: multipliers(problem, y)[0], x)
+        return fd_jacobian(lambda y: multipliers(problem, y)[0], x), res
+    if block is None:
+        block = _lagrangian_hess(problem, x, lam, jac.T)
     rg = _riem_grad(grad_f, jac, lam)
-    rows = np.array([problem.hess_h(x, e) @ rg for e in np.eye(jac.shape[0])])
-    return _finite(_gram_inverse(res, rows + jac @ _lagrangian_hess(problem, x, lam)), "hess_h", x)
-
-
-def _dlambda_adjoint(problem, x, h_val, jac, res, grad_f, lam):
-    """(Dlam)^T h without forming Dlam: two hess_h calls and a few products.
-
-    With w = (Dh Dh^T)^{-1} h the transpose of the formula in _dlambda gives
-    H(w) grad_M f + (hess f - H(lam))^T Dh^T w.
-    """
-    if problem.hess_h is None:
-        return _dlambda(problem, x, jac, res, grad_f, lam).T @ h_val
-    w = _gram_inverse(res, h_val)
-    adjoint = problem.hess_h(x, w) @ _riem_grad(grad_f, jac, lam)
-    return adjoint + _lagrangian_hess(problem, x, lam).T @ (jac.T @ w)
+    rows = np.array([problem.hess_h(x, e, rg) for e in np.eye(jac.shape[0])])
+    return _finite(_gram_inverse(res, rows + block.T), "hess_h", x), res
 
 
 def dlambda_jacobian(problem, x):
@@ -175,10 +170,10 @@ def dlambda_jacobian(problem, x):
 
     Differentiates the normal equations through the thin SVD of Dh when the
     problem has constraint Hessians (hess_h); without them it takes central
-    differences of the multipliers (fd_jacobian). x may be a PenaltyEval.
+    differences of the multipliers (fd_jacobian). x may be a PenaltyEval,
+    whose point data and Lagrangian-Hessian block are reused.
     """
-    x, _, jac, res, grad_f, lam = _point_data(problem, x)
-    return _dlambda(problem, x, jac, res, grad_f, lam)
+    return _dlambda(problem, x)[0]
 
 
 def evaluate(problem, x, beta, with_grad=True):
@@ -206,11 +201,18 @@ def evaluate(problem, x, beta, with_grad=True):
     if not with_grad or ev.grad_g is not None:
         return ev
     x, h_val, jac, res, grad_f, lam = _point_data(problem, ev)
-    adjoint = _dlambda_adjoint(problem, x, h_val, jac, res, grad_f, lam)
-    grad_g = _riem_grad(grad_f, jac, lam) + 2.0 * beta * (jac.T @ h_val) - adjoint
+    rg = _riem_grad(grad_f, jac, lam)
+    if problem.hess_h is None:
+        block, adjoint = None, _dlambda(problem, ev)[0].T @ h_val
+    else:
+        # (Dlam)^T h = H(w) grad_M f + B w, w = (Dh Dh^T)^{-1} h: _dlambda's formula transposed
+        block = _lagrangian_hess(problem, x, lam, jac.T)
+        w = _gram_inverse(res, h_val)
+        adjoint = problem.hess_h(x, w, rg) + block @ w
+    grad_g = rg + 2.0 * beta * (jac.T @ h_val) - adjoint
     # Every other input is checked where it is read; hess_h output is checked
-    # here, once per gradient, rather than on each of its n-by-n results.
-    return replace(ev, grad_g=_finite(grad_g, "hess_h", x))
+    # here, once per gradient, rather than on each of its products.
+    return replace(ev, grad_g=_finite(grad_g, "hess_h", x), lag_block=block)
 
 
 def penalty_value(problem, x, beta):
@@ -241,10 +243,11 @@ def penalty_hess(problem, x, beta, fd_step=FIRST_ORDER_STEP):
 def beta_thresholds(problem, x):
     """Pointwise beta thresholds from the Jacobian SVD and the multiplier map.
 
-    x may be a PenaltyEval, whose point data is reused.
+    x may be a PenaltyEval, whose point data and Lagrangian-Hessian block
+    are reused: Dlambda then costs only m hess_h products.
     """
-    x, _, jac, res, grad_f, lam = _point_data(problem, x)
-    c_lambda = svd(_dlambda(problem, x, jac, res, grad_f, lam)).sigma_max
+    dlam, res = _dlambda(problem, x)
+    c_lambda = svd(dlam).sigma_max
     s_min = res.sigma_min
     s_max = res.sigma_max
     beta1 = s_max * c_lambda / (2.0 * s_min**2)

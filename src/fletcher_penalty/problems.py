@@ -50,11 +50,11 @@ class RegionParams:
 
 @dataclass(frozen=True)
 class Cost:
-    """Bundle of cost evaluators over the ambient vector x."""
+    """Bundle of cost evaluators over the ambient vector x; hess(x, v) is hess f(x) v."""
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
+    hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,12 @@ class Problem:
     """Smooth equality-constrained problem with explicit derivatives.
 
     Evaluators must be pure and reentrant and return fresh arrays; a
-    Problem may be shared read-only across threads. hess_h(x, w) returns
-    the dense weighted constraint Hessian sum_i w_i hess h_i(x) for a
-    weight vector w of shape (dim_h,) (built-ins reject any other shape);
-    it may be None for problems lacking second constraint derivatives (a
-    finite-difference fallback is used for the multiplier Jacobian then).
+    Problem may be shared read-only across threads. Hessians are products:
+    hess_f(x, v) = hess f(x) v and hess_h(x, w, v) = (sum_i w_i hess h_i(x)) v
+    for an n-vector or n-by-k block v and weights w of shape (dim_h,)
+    (built-ins reject any other). hess_h may be None for problems lacking
+    second constraint derivatives (a finite-difference fallback is used for
+    the multiplier Jacobian then).
     """
 
     dim_x: int
@@ -74,10 +75,10 @@ class Problem:
     region: RegionParams
     f: Callable[[np.ndarray], float]
     grad_f: Callable[[np.ndarray], np.ndarray]
-    hess_f: Callable[[np.ndarray], np.ndarray]
+    hess_f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     h: Callable[[np.ndarray], np.ndarray]
     jac_h: Callable[[np.ndarray], np.ndarray]
-    hess_h: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
+    hess_h: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
     init_point: Callable[[int], np.ndarray]
     name: str = field(default="")
 
@@ -92,11 +93,10 @@ class Problem:
 def linear_cost(c):
     """f(x) = <x, c> with constant gradient and zero Hessian."""
     c = np.asarray(c, dtype=float).ravel()
-    n = c.size
     return Cost(
         value=lambda x: float(x @ c),
         grad=lambda x: c.copy(),
-        hess=lambda x: np.zeros((n, n)),
+        hess=lambda x, v: np.zeros(np.shape(v)),
     )
 
 
@@ -107,16 +107,13 @@ def quadratic_cost(a):
     return Cost(
         value=lambda x: float(0.5 * x @ (a @ x)),
         grad=lambda x: a @ x,
-        hess=lambda x: a.copy(),
+        hess=lambda x, v: a @ v,
     )
 
 
 def zero_cost(n):
-    return Cost(
-        value=lambda x: 0.0,
-        grad=lambda x: np.zeros(n),
-        hess=lambda x: np.zeros((n, n)),
-    )
+    """f = 0 on R^n."""
+    return linear_cost(np.zeros(n))
 
 
 def _weights(w, m):
@@ -138,8 +135,8 @@ def _sphere_constraint(n):
     def jac(x):
         return (2.0 * x).reshape(1, n)
 
-    def hess(x, w):
-        return np.diag(np.full(n, 2.0 * float(_weights(w, 1)[0])))
+    def hess(x, w, v):
+        return 2.0 * float(_weights(w, 1)[0]) * np.asarray(v, dtype=float)
 
     return h, jac, hess
 
@@ -260,7 +257,6 @@ def make_stiefel(n, p, cost, radius=0.5):
     dim = n * p
     eye_p = np.eye(p)
     basis_flat = basis.reshape(m, p * p)
-    rows = np.arange(n)
 
     def h(x):
         xm = x.reshape(n, p)
@@ -271,11 +267,10 @@ def make_stiefel(n, p, cost, radius=0.5):
         xm = x.reshape(n, p)
         return 2.0 * np.einsum("ai,kij->kaj", xm, basis).reshape(m, dim)
 
-    def hess(x, w):
-        # 2 kron(I_n, S(w)), filled block by block on the diagonal.
-        out = np.zeros((n, p, n, p))
-        out[rows, :, rows, :] = 2.0 * (_weights(w, m) @ basis_flat).reshape(p, p)
-        return out.reshape(dim, dim)
+    def hess(x, w, v):
+        # 2 kron(I_n, S(w)) v: S(w) times the n-by-p reshape of each column of v
+        s = (_weights(w, m) @ basis_flat).reshape(p, p)
+        return 2.0 * (s @ v.reshape(n, p, -1)).reshape(v.shape)
 
     def init_point(seed):
         g = np.random.default_rng(seed).standard_normal((n, p))
@@ -336,12 +331,12 @@ def make_product(blocks, cost, name="product"):
             out[h_off[i] : h_off[i + 1], x_off[i] : x_off[i + 1]] = b.jac_h(xi)
         return out
 
-    def hess(x, w):
+    def hess(x, w, v):
         w = _weights(w, m_total)
-        out = np.zeros((n_total, n_total))
+        out = np.zeros(v.shape)
         for i, b in enumerate(blocks):
             sl = slice(x_off[i], x_off[i + 1])
-            out[sl, sl] = b.hess_h(x[sl], w[h_off[i] : h_off[i + 1]])
+            out[sl] = b.hess_h(x[sl], w[h_off[i] : h_off[i + 1]], v[sl])
         return out
 
     def init_point(seed):

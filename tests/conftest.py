@@ -75,7 +75,7 @@ def make_affine_toy(n=5, m=2, seed=0, radius=2.0, definite=True):
         hess_f=cost.hess,
         h=lambda x: a @ (x - base),
         jac_h=lambda x: a.copy(),
-        hess_h=lambda x, w: np.zeros((n, n)),
+        hess_h=lambda x, w, v: np.zeros(np.shape(v)),
         init_point=init_point,
         name="affine-toy",
     ), a, base, p_mat
@@ -99,7 +99,7 @@ def make_saddle_toy():
         hess_f=cost.hess,
         h=lambda x: a @ x,
         jac_h=lambda x: a.copy(),
-        hess_h=lambda x, w: np.zeros((3, 3)),
+        hess_h=lambda x, w, v: np.zeros(np.shape(v)),
         init_point=lambda seed: np.zeros(3),
         name="saddle-toy",
     )
@@ -127,10 +127,10 @@ def make_rank_crossing_toy():
         region=RegionParams(radius=1.0, sigma_lb=0.1, c_h=1.0),
         f=lambda x: 0.5 * float((x - target) @ (x - target)),
         grad_f=lambda x: x - target,
-        hess_f=lambda x: np.eye(n),
+        hess_f=lambda x, v: np.array(v, dtype=float),
         h=lambda x: np.array([0.1 * x[0]]),
         jac_h=jac,
-        hess_h=lambda x, w: np.zeros((n, n)),
+        hess_h=lambda x, w, v: np.zeros(np.shape(v)),
         init_point=lambda seed: np.array([0.5, 0.3, 0.2]),
         name="rank-crossing-toy",
     )

@@ -139,7 +139,7 @@ def test_plateau_rank_deficient_end_exits_three(tmp_path, monkeypatch, capsys):
 def test_non_finite_hess_h_exits_three(tmp_path, monkeypatch, capsys):
     # a NaN penalty gradient is a numerical failure, not convergence or a usage error
     base = cli.builtin_problem("rayleigh", n=10)
-    bad = replace(base, hess_h=lambda x, w: np.full((10, 10), np.nan))
+    bad = replace(base, hess_h=lambda x, w, v: np.full(np.shape(v), np.nan))
     monkeypatch.setattr(cli, "builtin_problem", lambda *args, **kwargs: bad)
     assert run_cli(["solve", "--problem", "rayleigh", "--output-path", str(tmp_path / "s.json")]) == 3
     assert "hess_h returned non-finite" in capsys.readouterr().err

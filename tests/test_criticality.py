@@ -75,7 +75,7 @@ def test_layered_hess_zero_cost(sphere_w):
 
     p, _ = sphere_w
     pz = replace(
-        p, f=lambda y: 0.0, grad_f=lambda y: np.zeros(5), hess_f=lambda y: np.zeros((5, 5))
+        p, f=lambda y: 0.0, grad_f=lambda y: np.zeros(5), hess_f=lambda y, v: np.zeros(np.shape(v))
     )
     lq = layered_hess(pz, pz.init_point(1))
     np.testing.assert_allclose(lq.reduced_hess, 0.0, atol=1e-14)
@@ -90,7 +90,8 @@ def test_min_eig_invariant_under_basis_rotation(builtins):
         k = q.shape[1]
         o, _ = np.linalg.qr(rng.standard_normal((k, k)))
         lam, _ = multipliers(p, x)
-        hess = p.hess_f(x) - p.hess_h(x, lam)
+        eye = np.eye(p.dim_x)
+        hess = p.hess_f(x, eye) - p.hess_h(x, lam, eye)
         rotated = (q @ o).T @ hess @ (q @ o)
         assert np.linalg.eigvalsh(rotated)[0] == pytest.approx(lq.min_eig, abs=1e-9)
 

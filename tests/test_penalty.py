@@ -76,7 +76,7 @@ def test_multipliers_zero_gradient():
     p = make_affine_toy(seed=2)[0]
     x = p.init_point(0)
     n = p.dim_x
-    pz = replace(p, f=lambda y: 0.0, grad_f=lambda y: np.zeros(n), hess_f=lambda y: np.zeros((n, n)))
+    pz = replace(p, f=lambda y: 0.0, grad_f=lambda y: np.zeros(n), hess_f=lambda y, v: np.zeros(np.shape(v)))
     lam, _ = multipliers(pz, x)
     np.testing.assert_allclose(lam, 0.0, atol=1e-15)
 
@@ -273,7 +273,7 @@ def test_dlambda_fd_fallback_matches_analytic(sphere_w):
 def test_non_finite_hess_h_raises_evaluation_error(entry):
     # outside the solver too a NaN hess_h is an evaluator failure, not a NaN or a ValueError
     p = builtin_problem("rayleigh", n=5)
-    bad = replace(p, hess_h=lambda x, w: np.full((5, 5), np.nan))
+    bad = replace(p, hess_h=lambda x, w, v: np.full(np.shape(v), np.nan))
     x = p.init_point(0)
     calls = {
         "dlambda_jacobian": lambda: dlambda_jacobian(bad, x),
@@ -332,13 +332,33 @@ def test_beta_thresholds_zero_cost():
     toy = make_affine_toy(seed=3)[0]
     n = toy.dim_x
     pz = replace(
-        toy, f=lambda y: 0.0, grad_f=lambda y: np.zeros(n), hess_f=lambda y: np.zeros((n, n))
+        toy, f=lambda y: 0.0, grad_f=lambda y: np.zeros(n), hess_f=lambda y, v: np.zeros(np.shape(v))
     )
     th = beta_thresholds(pz, pz.init_point(0))
     assert th.c_lambda == pytest.approx(0.0, abs=1e-14)
     assert th.beta1 == pytest.approx(0.0, abs=1e-14)
     assert th.beta2 == pytest.approx(0.0, abs=1e-14)
     assert th.beta3 == pytest.approx(1.0 / th.sigma_min, rel=1e-12)
+
+
+def test_beta_thresholds_of_a_completed_evaluation_add_m_hess_h_products():
+    # St(8, 2), m = 3: the gradient's Lagrangian-Hessian block is reused, so
+    # Dlambda needs only the products H(e_i) grad_M f and no hess_f at all
+    base = builtin_problem("stiefel", n=8, p=2, seed=3)
+    calls = {"hess_f": 0, "hess_h": 0}
+
+    def counted(name):
+        def call(*args):
+            calls[name] += 1
+            return getattr(base, name)(*args)
+        return call
+
+    p = replace(base, hess_f=counted("hess_f"), hess_h=counted("hess_h"))
+    ev = evaluate(p, random_point_in_region(p, 2, scale=0.3), 2.0)
+    calls.update(hess_f=0, hess_h=0)
+    th = beta_thresholds(p, ev)
+    assert calls == {"hess_f": 0, "hess_h": p.dim_h}
+    assert th == beta_thresholds(base, ev.x)
 
 
 def test_b_max_is_max(builtins):
@@ -368,10 +388,10 @@ def test_in_region_boundary_inclusive():
         region=RegionParams(radius=1.0, sigma_lb=1.0, c_h=1.0),
         f=lambda x: 0.0,
         grad_f=lambda x: np.zeros(n),
-        hess_f=lambda x: np.zeros((n, n)),
+        hess_f=lambda x, v: np.zeros(np.shape(v)),
         h=lambda x: np.array([x[0]]),
         jac_h=lambda x: np.array([[1.0, 0.0, 0.0]]),
-        hess_h=lambda x, w: np.zeros((n, n)),
+        hess_h=lambda x, w, v: np.zeros(np.shape(v)),
         init_point=lambda seed: np.zeros(n),
         name="axis",
     )

@@ -171,17 +171,19 @@ def test_init_point_lands_in_region(builtins):
 
 def test_derivative_consistency_all_builtins(builtins):
     # jac_h vs h at 1e-6, hess_f vs grad_f and hess_h vs jac_h rows at 1e-5
+    # (dense Hessians are the products with the identity)
     for p in builtins.values():
+        eye = np.eye(p.dim_x)
         for seed in range(100):
             x = random_point_in_region(p, seed, scale=0.4)
             assert relative_error(p.jac_h(x), fd_jacobian(p.h, x)) <= 1e-6
             assert (
-                relative_error(p.hess_f(x), fd_jacobian(p.grad_f, x, SECOND_ORDER_STEP))
+                relative_error(p.hess_f(x, eye), fd_jacobian(p.grad_f, x, SECOND_ORDER_STEP))
                 <= 1e-5
             )
             for i, e in enumerate(np.eye(p.dim_h)):
                 fd = fd_jacobian(lambda y, i=i: p.jac_h(y)[i], x, SECOND_ORDER_STEP)
-                assert relative_error(p.hess_h(x, e), fd) <= 1e-5
+                assert relative_error(p.hess_h(x, e, eye), fd) <= 1e-5
 
 
 @pytest.mark.parametrize("problem_id", ALL_BUILTIN_IDS)
@@ -190,17 +192,23 @@ def test_evaluators_hand_out_fresh_arrays(problem_id):
     p = builtin_problem(problem_id, n=5, seed=1)
     x = random_point_in_region(p, 3, scale=0.3)
     w = np.arange(1.0, p.dim_h + 1.0)
+    v = np.linspace(-1.0, 2.0, p.dim_x)
     calls = {
         "grad_f": lambda: p.grad_f(x),
-        "hess_f": lambda: p.hess_f(x),
+        "hess_f": lambda: p.hess_f(x, v),
         "jac_h": lambda: p.jac_h(x),
-        "hess_h": lambda: p.hess_h(x, w),
+        "hess_h": lambda: p.hess_h(x, w, v),
     }
     for name, call in calls.items():
         first = call()
         expected = first.copy()
         first[...] = 12345.0
         np.testing.assert_array_equal(call(), expected, err_msg=name)
+    # nor may a product write into, or hand back, the block it multiplies
+    v_before = v.copy()
+    assert not np.shares_memory(p.hess_h(x, w, v), v)
+    assert not np.shares_memory(p.hess_f(x, v), v)
+    np.testing.assert_array_equal(v, v_before)
 
 
 def test_weighted_constraint_hessian_matches_fd(builtins):
@@ -214,12 +222,38 @@ def test_weighted_constraint_hessian_matches_fd(builtins):
                 wi * fd_jacobian(lambda y, i=i: p.jac_h(y)[i], x, SECOND_ORDER_STEP)
                 for i, wi in enumerate(w)
             )
-            assert relative_error(p.hess_h(x, w), fd) <= 1e-5
+            assert relative_error(p.hess_h(x, w, np.eye(p.dim_x)), fd) <= 1e-5
+
+
+@pytest.mark.parametrize("problem_id", ALL_BUILTIN_IDS)
+@pytest.mark.parametrize("cols", [None, 3])
+def test_hessian_products_match_dense_oracle_and_fd(problem_id, cols):
+    # hess_h(x, w, v) and hess_f(x, v) for a vector and for an n-by-3 block:
+    # against the dense product with the identity, and against central
+    # differences of the Jacobian rows (sum_i w_i FD(jac row i)) and of grad f
+    p = builtin_problem(problem_id, n=5, seed=1)
+    rng = np.random.default_rng([17, ALL_BUILTIN_IDS.index(problem_id)])
+    eye = np.eye(p.dim_x)
+    for seed in range(3):
+        x = random_point_in_region(p, seed, scale=0.4)
+        w = rng.standard_normal(p.dim_h)
+        v = rng.standard_normal(p.dim_x if cols is None else (p.dim_x, cols))
+        hv, fv = p.hess_h(x, w, v), p.hess_f(x, v)
+        assert hv.shape == fv.shape == v.shape
+        for prod, dense in ((hv, p.hess_h(x, w, eye)), (fv, p.hess_f(x, eye))):
+            np.testing.assert_allclose(prod, dense @ v, rtol=0,
+                                       atol=1e-13 * (1.0 + np.linalg.norm(dense @ v)))
+        fd_h = sum(
+            wi * fd_jacobian(lambda y, i=i: p.jac_h(y)[i], x, SECOND_ORDER_STEP)
+            for i, wi in enumerate(w)
+        )
+        assert relative_error(hv, fd_h @ v) <= 1e-5
+        assert relative_error(fv, fd_jacobian(p.grad_f, x, SECOND_ORDER_STEP) @ v) <= 1e-5
 
 
 def test_stiefel_weighted_hessian_equals_kron_form():
-    # the block-diagonal fill reproduces 2 kron(I_n, sum_k w_k B_k); only the
-    # summation order of S(w) may differ, hence a few ulps of tolerance
+    # the product with the identity reproduces 2 kron(I_n, sum_k w_k B_k); only
+    # the summation order of S(w) may differ, hence a few ulps of tolerance
     from fletcher_penalty.problems import _sym_basis
 
     n, p_ = 7, 3
@@ -227,7 +261,8 @@ def test_stiefel_weighted_hessian_equals_kron_form():
     w = np.random.default_rng(8).standard_normal(prob.dim_h)
     s = np.einsum("k,kij->ij", w, _sym_basis(p_))
     np.testing.assert_allclose(
-        prob.hess_h(prob.init_point(0), w), 2.0 * np.kron(np.eye(n), s), rtol=0, atol=1e-14
+        prob.hess_h(prob.init_point(0), w, np.eye(n * p_)), 2.0 * np.kron(np.eye(n), s),
+        rtol=0, atol=1e-14,
     )
 
 
@@ -238,7 +273,7 @@ def test_weighted_constraint_hessian_rejects_bad_weights(problem_id):
     x = p.init_point(0)
     for bad in (0, np.ones(p.dim_h + 1), np.ones((p.dim_h, 1))):
         with pytest.raises(ValueError, match="weights"):
-            p.hess_h(x, bad)
+            p.hess_h(x, bad, np.ones(p.dim_x))
 
 
 def test_registry_ids():

@@ -267,9 +267,9 @@ def test_solve_takes_thin_svds_and_two_hess_h_per_gradient(monkeypatch):
     base = builtin_problem("stiefel", n=8, p=2, seed=3)
     hess_h_calls = [0]
 
-    def counted_hess_h(x, w):
+    def counted_hess_h(x, w, v):
         hess_h_calls[0] += 1
-        return base.hess_h(x, w)
+        return base.hess_h(x, w, v)
 
     p = replace(base, hess_h=counted_hess_h)
     real_svd, real_evaluate = penalty.svd, penalty.evaluate
@@ -316,7 +316,7 @@ def test_backtrack_exhaustion_maps_to_beta_too_small():
 def test_non_finite_evaluator_output_raises_evaluation_error(evaluator):
     # a NaN must not read as convergence (hess_h) or as beta_too_small (f)
     p = diag_rayleigh()
-    nan = {"f": lambda x: math.nan, "hess_h": lambda x, w: np.full((10, 10), math.nan)}
+    nan = {"f": lambda x: math.nan, "hess_h": lambda x, w, v: np.full(np.shape(v), math.nan)}
     bad = replace(p, **{evaluator: nan[evaluator]})
     with pytest.raises(EvaluationError, match="^%s returned (a )?non-finite" % evaluator):
         gradient_eigenstep(bad, p.init_point(0), SolverConfig(eps1=1e-5, beta=10.0))
@@ -508,7 +508,7 @@ def test_trace_invariants_across_builtins(problem_id, driver, eps2):
         x0 = random_point_in_region(p, seed, scale=float(rng.uniform(0.05, 0.5)), fraction=1.0)
         if math.isfinite(eps2):
             neg = replace(p, f=lambda x, p=p: -p.f(x), grad_f=lambda x, p=p: -p.grad_f(x),
-                          hess_f=lambda x, p=p: -p.hess_f(x))
+                          hess_f=lambda x, v, p=p: -p.hess_f(x, v))
             x0 = gradient_eigenstep(neg, x0, replace(cfg, eps1=1e-5, eps2=math.inf)).final_x
         if driver == "solve":
             trace = gradient_eigenstep(p, x0, cfg)
