@@ -217,11 +217,13 @@ def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what):
     )
 
 
-def gradient_backtrack(problem, ev, cfg):
-    """First member of {alpha01 * tau1^j} passing Armijo decrease and the region test.
+def gradient_backtrack(problem, ev, cfg, alpha0=None):
+    """First member of {alpha0 * tau1^j} passing Armijo decrease and the region test.
 
-    ev is the current point's PenaltyEval with its gradient; its point,
-    beta, value and gradient are read, never recomputed. Returns
+    alpha0 defaults to cfg.alpha01; the solver passes min(alpha01,
+    alpha_prev / tau1), alpha_prev being the last gradient step accepted in
+    the same loop. ev is the current point's PenaltyEval with its gradient;
+    its point, beta, value and gradient are read, never recomputed. Returns
     (alpha, trial, backtracks), where trial is the accepted point's
     value-only PenaltyEval (trial.x is the point); evaluate() completes it
     with its gradient. Raises BacktrackFailureError once the trial budget
@@ -230,7 +232,7 @@ def gradient_backtrack(problem, ev, cfg):
     """
     d = -ev.grad_g
     gnorm_sq = float(d @ d)
-    return _backtrack(problem, ev, d, cfg.alpha01, cfg.tau1,
+    return _backtrack(problem, ev, d, cfg.alpha01 if alpha0 is None else alpha0, cfg.tau1,
                       lambda a: cfg.c1 * a * gnorm_sq, cfg, "gradient step")
 
 
@@ -310,12 +312,14 @@ def _descend(problem, x0, cfg, records, stop=None):
     termination tag. Each iterate is decided once, in this order: the
     budget (k >= max_iters gives "max_iters"); convergence; stop(k, ev),
     whose non-None tag ends the loop with that tag; and finally a step.
+    Gradient searches start at min(alpha01, alpha_prev / tau1), alpha_prev
+    being the last gradient step this call accepted; eigensteps keep alpha02.
     """
     try:
         ev = evaluate(problem, x0, cfg.beta, with_grad=True)
     except RankDeficiencyError:
         return None, "rank_deficient"
-    k = 0
+    k, alpha_prev = 0, math.inf
     while True:
         if k >= cfg.max_iters:
             return _terminal(records, ev, "max_iters", k)
@@ -331,7 +335,9 @@ def _descend(problem, x0, cfg, records, stop=None):
             if tag is not None:
                 return _terminal(records, ev, tag, k)
             if curvature is None:
-                alpha, trial, bts = gradient_backtrack(problem, ev, cfg)
+                start = min(cfg.alpha01, alpha_prev / cfg.tau1)
+                alpha, trial, bts = gradient_backtrack(problem, ev, cfg, start)
+                alpha_prev = alpha
             else:
                 if float(d @ ev.grad_g) > 0.0:
                     d = -d
@@ -389,6 +395,10 @@ def gradient_eigenstep(problem, x0, cfg):
     step decreases g by at least c1 * alpha * eps1^2 and every eigenstep by
     at least c2 * alpha^2 * eps2, with alpha bounded below through the
     region floors (region_step_floors) and regionwide curvature bounds.
+    Gradient searches start at min(alpha01, alpha_prev / tau1), so by
+    induction every start is at least min(alpha01, floor) and every
+    accepted gradient step at least tau1 * min(alpha01, floor), as with a
+    fixed start.
     Dividing the initial gap g(x0) - inf g by those decreases gives
     iteration counts scaling like eps1^-2 and eps2^-3; the curvature bounds
     are unobservable suprema, so the library never evaluates the count and

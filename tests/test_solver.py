@@ -65,6 +65,35 @@ def test_gradient_backtrack_decrease_predicate_replay():
         assert r.g_before - r.g_after >= cfg.c1 * r.step_len * r.grad_norm**2 - 1e-15
 
 
+@pytest.mark.parametrize("driver", ["solve", "plateau"])
+def test_gradient_search_starts_from_the_previous_step(driver):
+    # step memory: each gradient search starts at min(alpha01, alpha_prev / tau1),
+    # alpha_prev the last accepted gradient step of the same loop; eigensteps do
+    # not reset it, and each plateau (whose k restarts at 0) starts at alpha01
+    cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
+    if driver == "solve":
+        p = diag_rayleigh(n=12)
+        trace = gradient_eigenstep(p, np.eye(12)[3] + 1e-6 * np.linspace(-1.0, 1.0, 12), cfg)
+    else:
+        p = builtin_problem("stiefel", n=8, p=2, seed=5)
+        trace = plateau(p, p.init_point(5), replace(cfg, eps2=1e-3), beta0=1e-3, lp0=50)
+    assert trace.termination == "converged"
+    starts, prev = [], math.inf
+    for r in trace.records:
+        if r.k == 0:
+            prev = math.inf
+        if r.kind == "gradient":
+            starts.append(min(cfg.alpha01, prev / cfg.tau1))
+            assert r.step_len == starts[-1] * cfg.tau1**r.backtracks
+            prev = r.step_len
+    assert min(starts) < cfg.alpha01
+    if driver == "plateau":
+        assert len(trace.plateaus) > 1
+        assert [r.k for r in trace.records].count(0) >= len(trace.plateaus)
+    else:
+        assert "gradient eigen gradient" in " ".join(r.kind for r in trace.records)
+
+
 def test_eigen_backtrack_accepts_small_initial_step():
     toy = make_saddle_toy()
     cfg = SolverConfig(alpha02=0.1, c2=0.4)
