@@ -228,9 +228,13 @@ def _fmt(value):
     return format(float(value), ".12g")
 
 
-def _final_min_eig(problem, x):
+def _final_min_eig(problem, trace):
+    """The certificate's measured min_eig; only first-order runs measure it here."""
+    cert = trace.final_certificate
+    if cert is not None and cert.min_eig is not None:
+        return cert.min_eig
     try:
-        return layered_hess(problem, x).min_eig
+        return layered_hess(problem, trace.final_x).min_eig
     except FletcherPenaltyError:
         return float("nan")
 
@@ -246,7 +250,7 @@ def cmd_solve(spec):
     _write(spec.output_path, trace.to_json() + "\n")
     cert = trace.final_certificate
     iters = trace.iteration_counts()[0]
-    min_eig = _final_min_eig(problem, trace.final_x)
+    min_eig = _final_min_eig(problem, trace)
     h_norm = float("nan") if cert is None else cert.eps0_measured
     grad_norm = float("nan") if cert is None else cert.eps1_measured
     _summary(
@@ -346,7 +350,7 @@ def cmd_sweep(spec):
         trace = gradient_eigenstep(problem, x0, cfg)
         total, grad_iters, eigen_iters = trace.iteration_counts()
         cert = trace.final_certificate
-        min_eig = _final_min_eig(problem, trace.final_x)
+        min_eig = _final_min_eig(problem, trace)
         h_norm = float("nan") if cert is None else cert.eps0_measured
         grad_norm = float("nan") if cert is None else cert.eps1_measured
         g_final = trace.records[-1].g_after if trace.records else float("nan")

@@ -48,7 +48,9 @@ class CriticalityCertificate:
 
     eps2_measured is max(0, -min_eig) so certificates are monotone in the
     targets; it is None when the Hessian check was skipped (eps2 infinite).
-    Ties at exact equality pass (non-strict comparisons).
+    Ties at exact equality pass (non-strict comparisons). min_eig keeps the
+    measured smallest reduced-Hessian eigenvalue (None when skipped); as_dict
+    leaves it out.
     """
 
     eps0_measured: float
@@ -57,6 +59,7 @@ class CriticalityCertificate:
     targets: Tuple[float, float, float]
     focp_pass: bool
     socp_pass: bool
+    min_eig: Optional[float] = None
 
     def as_dict(self):
         eps2_target = self.targets[2]
@@ -118,11 +121,11 @@ def certify(problem, x, eps0, eps1, eps2):
         _, h_val, jac, _, grad_f, lam = _point_data(problem, x)
         eps0_m = float(np.linalg.norm(h_val))
         eps1_m = float(np.linalg.norm(_riem_grad(grad_f, jac, lam)))
-        eps2_m, curvature_ok = None, True
+        eps2_m, curvature_ok, min_eig = None, True, None
     else:
         lq = layered_hess(problem, x)
-        eps0_m, eps1_m = lq.h_norm, lq.riem_grad_norm
-        eps2_m, curvature_ok = max(0.0, -lq.min_eig), lq.min_eig >= -eps2
+        eps0_m, eps1_m, min_eig = lq.h_norm, lq.riem_grad_norm, lq.min_eig
+        eps2_m, curvature_ok = max(0.0, -min_eig), min_eig >= -eps2
     focp = eps0_m <= eps0 and eps1_m <= eps1
     return CriticalityCertificate(
         eps0_measured=eps0_m,
@@ -131,6 +134,7 @@ def certify(problem, x, eps0, eps1, eps2):
         targets=(eps0, eps1, eps2),
         focp_pass=focp,
         socp_pass=focp and curvature_ok,
+        min_eig=min_eig,
     )
 
 

@@ -137,8 +137,9 @@ class RunTrace:
     termination is one of "converged", "max_iters", "rank_deficient",
     "beta_too_small". Plateau runs additionally carry the per-plateau
     schedule; their records concatenate all plateaus (the k index
-    restarts at each plateau). A plateau run stopped by its plateau cap
-    has termination "max_plateaus".
+    restarts at each plateau). A plateau run stopped by its plateau cap,
+    or by a schedule that cannot grow any further, has termination
+    "max_plateaus".
     """
 
     config: SolverConfig
@@ -421,8 +422,9 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
     gamma). Backtracking failure is treated as a B-trigger at the current
     beta, forcing growth. Any other end of a plateau (converged, max_iters,
     rank_deficient) ends the scheme with that termination. After
-    max_plateaus plateaus without such an end the termination is
-    "max_plateaus".
+    max_plateaus plateaus without such an end (a negative cap raises
+    ValueError), or once the next beta or budget would overflow to inf,
+    the termination is "max_plateaus".
 
     The returned trace holds the records of every plateau, the per-plateau
     stages, the config of the last plateau, and the last point with its
@@ -433,14 +435,14 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
         raise ValueError("gamma must be finite and exceed 1")
     if not (0 < beta0 < math.inf and 0 < lp0 < math.inf):
         raise ValueError("beta0 and lp0 must be positive and finite")
+    if max_plateaus < 0:
+        raise ValueError("max_plateaus must be nonnegative")
     beta_l = float(beta0)
     lp_l = float(lp0)
     stage_cfg = replace(cfg, beta=beta_l)
     x = _check_inputs(problem, x0, stage_cfg)
     records, stages, ev = [], [], None
     for ell in range(max_plateaus):
-        if not math.isfinite(beta_l):  # the geometric growth can overflow
-            raise ValueError("beta must be finite")
         b_max = None
 
         def stop(k, ev):
@@ -463,11 +465,16 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
             break
         x = ev.x
         if reason == "b_trigger":
-            lp_l = (gamma * b_max / beta_l) ** 4 * lp_l
-            beta_l = gamma * b_max
+            ratio, beta_l = gamma * b_max / beta_l, gamma * b_max
         else:
-            lp_l = gamma**4 * lp_l
-            beta_l = gamma * beta_l
+            ratio, beta_l = gamma, gamma * beta_l
+        try:
+            lp_l = ratio**4 * lp_l
+        except OverflowError:  # float ** raises where float * overflows to inf
+            lp_l = math.inf
+        if not (math.isfinite(beta_l) and math.isfinite(lp_l)):
+            reason = "max_plateaus"  # the schedule cannot grow any further
+            break
     else:
         reason = "max_plateaus"
     return _certified(problem, stage_cfg, records, ev, reason, x, stages)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -161,6 +162,56 @@ def test_plateau_cap_writes_trace_and_exits_two(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["termination"] == "max_plateaus"
     assert len(payload["plateaus"]) == 3
+
+
+def test_negative_max_plateaus_exits_64_before_any_output(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    args = ["plateau", "--problem", "rayleigh", "--n", "10", "--max-plateaus", "-3"]
+    assert run_cli(args + ["--output-path", str(out)]) == 64
+    assert "max_plateaus must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--gamma", "1e200", "--beta0", "1e-3"],
+    ["--gamma", "1e70", "--beta0", "1", "--lp0", "1"],
+])
+def test_plateau_growth_overflow_ends_as_max_plateaus(tmp_path, capsys, flags):
+    # a schedule whose next beta or budget overflows cannot grow any further:
+    # no OverflowError traceback, no "beta must be finite" usage error
+    out = tmp_path / "p.json"
+    args = ["plateau", "--problem", "rayleigh", "--n", "10", *flags, "--output-path", str(out)]
+    assert run_cli(args) == 2
+    payload = json.loads(out.read_text())
+    assert payload["termination"] == "max_plateaus"
+    stages = payload["plateaus"]
+    assert all(math.isfinite(s["beta"]) and math.isfinite(s["lp"]) for s in stages)
+    err = capsys.readouterr().err
+    assert err.startswith("plateau: termination=max_plateaus plateaus=%d " % len(stages))
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, solves", [
+    (["solve", "--problem", "rayleigh", "--n", "10", "--eps2", "1e-4", "--seed", "1"], 1),
+    (["solve", "--problem", "rayleigh", "--n", "10", "--seed", "1"], 1),
+    (["sweep", "--problem", "rayleigh", "--n", "8", "--beta", "10", "--eps-list", "1e-2,1e-3",
+      "--second-order"], 2),
+])
+def test_cli_run_measures_min_eig_once_per_solve(tmp_path, monkeypatch, capsys, args, solves):
+    # a second-order certificate carries the min_eig it measured, so the CLI
+    # does not run layered_hess again; a first-order run measures it in the CLI
+    from fletcher_penalty import criticality
+
+    real, calls = criticality.layered_hess, []
+
+    def spy(*a):
+        calls.append(a)
+        return real(*a)
+
+    monkeypatch.setattr(criticality, "layered_hess", spy)
+    monkeypatch.setattr(cli, "layered_hess", spy)
+    assert run_cli(args + ["--output-path", str(tmp_path / "out")]) == 0
+    assert len(calls) == solves
 
 
 def test_restore_command(tmp_path):

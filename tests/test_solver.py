@@ -418,6 +418,7 @@ def test_plateau_b_trigger_replay():
     ({"beta0": math.inf}, "beta0"),
     ({"gamma": math.inf}, "gamma"),
     ({"gamma": math.nan}, "gamma"),
+    ({"max_plateaus": -1}, "max_plateaus"),
 ])
 def test_plateau_rejects_non_finite_parameters(kwargs, what):
     p = diag_rayleigh()
