@@ -7,7 +7,8 @@ of h through x) and constraint-normal parts; the Hessian is realized by
 central differences of the analytic gradient, which avoids third
 derivatives of f and h. Each point costs one thin SVD of Dh, which yields
 the multipliers, (Dh Dh^T)^{-1} = U diag(s^-2) U^T and the rank check.
-Second derivatives enter only as Hessian products, never as n-by-n matrices.
+Second derivatives of f and h enter only as Hessian products, never as
+n-by-n matrices.
 """
 
 import math
