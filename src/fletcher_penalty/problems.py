@@ -195,11 +195,11 @@ def make_rayleigh_sphere(a, radius=0.5):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.max(np.abs(a - a.T)) > 1e-12:
-        raise ValueError("matrix must be symmetric (within 1e-12)")
     n = a.shape[0]
     if n < 2:
         raise ValueError("sphere needs n >= 2")
+    if np.max(np.abs(a - a.T)) > 1e-12:
+        raise ValueError("matrix must be symmetric (within 1e-12)")
     h, jac, hess = _sphere_constraint(n)
     cost = quadratic_cost(a)
     return Problem(
@@ -412,9 +412,7 @@ def builtin_problem(problem_id, n=None, p=2, radius=0.5, seed=0, diag=None, matr
     """
     if problem_id == "sphere":
         n = 5 if n is None else n
-        w = np.zeros(n)
-        w[0] = 1.0
-        return make_sphere(n, w, radius=radius)
+        return make_sphere(n, np.eye(1, n), radius=radius)
     if problem_id == "rayleigh":
         if matrix is not None:
             a = np.asarray(matrix, dtype=float)
@@ -435,7 +433,7 @@ def builtin_problem(problem_id, n=None, p=2, radius=0.5, seed=0, diag=None, matr
         for bid in block_ids:
             if bid == "sphere":
                 nb = 3 if n is None else n
-                blocks.append(make_sphere(nb, np.eye(nb)[0], radius=radius))
+                blocks.append(make_sphere(nb, np.eye(1, nb), radius=radius))
             elif bid == "stiefel":
                 nb = 8 if n is None else n
                 blocks.append(

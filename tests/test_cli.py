@@ -2,12 +2,13 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from fletcher_penalty import cli
 from fletcher_penalty.cli import main
+from fletcher_penalty.solver import SolverConfig
 
 from conftest import make_rank_crossing_toy
 
@@ -305,7 +306,117 @@ def test_spec_file_non_numeric_solver_value_exits_64(tmp_path, capsys):
     spec_path.write_text(json.dumps({"problem_id": "rayleigh", "solver": {"eps1": "fast"}}))
     assert run_cli(["solve", "--spec", str(spec_path), "--output-path", str(tmp_path / "x.json")]) == 64
     assert capsys.readouterr().err == (
-        "fletcher-penalty: spec file %s: 'fast' is not a valid eps1\n" % spec_path)
+        "fletcher-penalty: spec file %s: argument --eps1: invalid float value: 'fast'\n"
+        % spec_path)
+
+
+@pytest.mark.parametrize("spec", [
+    {"problem_id": "rayleigh", "solver": {"eps_1": 1e-3}},  # a typo'd key
+    {"problem_id": "rayleigh", "tolerance": 1e-3},  # a key no flag takes
+    {"problem_id": "rayleigh", "gamma": 3},  # a plateau key in a solve spec
+    {"problem_id": "rayleigh", "beta": 10, "solver": {"beta": 5}},  # a key given twice
+    {"problem_id": "rayleigh", "problem": "sphere"},  # two keys naming one flag
+    {"problem_id": "rayleigh", "max_iter": 3},  # a prefix of a flag, not a flag
+    {"problem_id": "rayleigh", "spec": "other.json"},  # a spec file naming another
+])
+def test_spec_file_key_no_flag_takes_once_exits_64(tmp_path, capsys, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "x.json"
+    assert run_cli(["solve", "--spec", str(spec_path), "--output-path", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("fletcher-penalty: spec file %s: " % spec_path)
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, spec, flags", [
+    ("solve", {"problem_id": "sphere", "problem_params": {"n": 3.0}}, ["--problem", "sphere", "--n", "3"]),
+    ("solve", {"problem_id": "rayleigh", "eps1": 1e-4, "max_iters": 2e1},
+     ["--problem", "rayleigh", "--eps1", "1e-4", "--max-iters", "20"]),
+    ("solve", {"problem_id": "rayleigh", "beta": -1e-20}, ["--problem", "rayleigh", "--beta=-1e-20"]),
+    ("sweep", {"problem_id": "rayleigh", "solver": {"beta": 10}, "eps_list": ["1e-2", 1e-3],
+               "second_order": True},
+     ["--problem", "rayleigh", "--beta", "10", "--eps-list", "1e-2,1e-3", "--second-order"]),
+    ("sweep", {"problem_id": "rayleigh", "eps_list": "1e-2,1e-3", "second_order": False},
+     ["--problem", "rayleigh", "--eps-list", "1e-2,1e-3"]),
+])
+def test_spec_file_runs_as_the_flags_it_names(tmp_path, capsys, mode, spec, flags):
+    # sections only group keys; a whole-number float is an integer; true is a bare switch
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    outputs = []
+    for args in (["--spec", str(spec_path)], flags):
+        out = tmp_path / ("%d.out" % len(outputs))
+        code = run_cli([mode, *args, "--output-path", str(out)])
+        outputs.append((code, capsys.readouterr().err, out.exists() and out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["solve", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+    (["solve", "--max-iter", "3"], "unrecognized arguments: --max-iter 3"),
+    (["check", "--beta", "10"], "unrecognized arguments: --beta 10"),  # check runs no solver
+])
+def test_bad_flag_exits_64_in_one_line(tmp_path, capsys, args, message):
+    out = tmp_path / "x.json"
+    assert run_cli([*args, "--problem", "sphere", "--output-path", str(out)]) == 64
+    assert capsys.readouterr().err == "fletcher-penalty: %s\n" % message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--problem", "sphere", "--n", "0"],
+    ["--problem", "product:sphere,stiefel", "--n", "0"],
+    ["--problem", "rayleigh", "--n", "0"],
+    ["--problem", "rayleigh", "--diag", "3..1"],
+])
+def test_sphere_below_two_dimensions_exits_64(tmp_path, capsys, flags):
+    assert run_cli(["solve", *flags, "--output-path", str(tmp_path / "x.json")]) == 64
+    assert capsys.readouterr().err == "fletcher-penalty: sphere needs n >= 2\n"
+
+
+@pytest.mark.parametrize("perturb", ["nan", "inf", "-1"])
+def test_restore_rejects_a_perturbation_that_is_negative_or_not_finite(tmp_path, capsys, perturb):
+    out = tmp_path / "r.json"
+    args = ["restore", "--problem", "stiefel", "--perturb", perturb, "--output-path", str(out)]
+    assert run_cli(args) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("fletcher-penalty: perturb must be") and err.count("\n") == 1
+    assert not out.exists()
+
+
+_GRID_BASE = {
+    "solve": ["--problem", "rayleigh", "--n", "4", "--max-iters", "20"],
+    "plateau": ["--problem", "rayleigh", "--n", "4", "--max-iters", "20", "--max-plateaus", "2"],
+    "restore": ["--problem", "stiefel", "--n", "3", "--t-end", "0.05", "--step", "0.01",
+                "--perturb", "0.2"],
+    "check": ["--problem", "stiefel", "--n", "3", "--seeds", "1"],
+    "sweep": ["--problem", "rayleigh", "--n", "4", "--max-iters", "20", "--eps-list", "1e-2"],
+}
+_GRID_SOLVER_FLAGS = ["--" + f.name.replace("_", "-") for f in fields(SolverConfig)]
+_GRID_MODE_FLAGS = {
+    "solve": _GRID_SOLVER_FLAGS,
+    "plateau": _GRID_SOLVER_FLAGS + ["--gamma", "--beta0", "--lp0", "--max-plateaus"],
+    "restore": ["--step", "--t-end", "--perturb"],
+    "check": ["--seeds"],
+    "sweep": _GRID_SOLVER_FLAGS + ["--eps-list"],
+}
+# flags that size an array, a budget or a loop are not tried at 1e6
+_GRID_SIZES = {"--n", "--p", "--max-iters", "--max-backtracks", "--max-plateaus", "--lp0",
+               "--seeds", "--t-end"}
+
+
+@pytest.mark.parametrize("mode, flag", [
+    (mode, flag) for mode in _GRID_BASE
+    for flag in ["--n", "--p", "--radius", "--seed"] + _GRID_MODE_FLAGS[mode]])
+def test_numeric_flag_edges_end_in_an_exit_code(tmp_path, capsys, mode, flag):
+    out = str(tmp_path / "out")
+    for value in ["nan", "inf", "-inf", "0", "-1"] + ([] if flag in _GRID_SIZES else ["1e6"]):
+        code = run_cli([mode, *_GRID_BASE[mode], flag, value, "--output-path", out])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 64), (value, code, err)
+        assert err.count("\n") == 1, (value, err)
 
 
 def test_check_without_seeds_exits_64(tmp_path, capsys):
