@@ -1,24 +1,24 @@
 """Command-line front end: solves, plateau runs, restoration, derivative checks, sweeps.
 
-Every run parameter is a flag, and a --spec JSON file is read as flags too:
-each key is the flag of that name (problem_id is --problem), the
+Every run parameter is one flag, taken only where it is used (plateau sets
+beta from --beta0, sweep eps1 and eps2 from --eps-list; --p needs a stiefel
+block, --diag and --matrix rayleigh), and a --spec JSON file is read as
+flags too: each key is the flag of that name (problem_id is --problem), the
 problem_params and solver sections only group keys, an eps_list list is
 joined with commas, and true is a bare switch. The mode's parser reads the
 file's flags first and then the command line's, so flags given on the
-command line win. A key no flag of the mode takes, a key given twice, or a
-value the flag refuses is a usage error. Values not given keep the defaults
-of the library functions they go to.
+command line win. A key or flag the mode or problem does not take, a key
+given twice, or a value the flag refuses is a usage error. Values not given
+keep the defaults of the library functions they go to.
 
 All output is machine-first (JSON traces, CSV tables); the human summary is
 a single stderr line. Exit codes: 0 converged, 2 tolerance not reached,
-3 numerical failure, 64 usage error (one stderr line, no usage block). The
-FLETCHER_SEED environment variable overrides --seed when set.
+3 numerical failure, 64 usage error (one stderr line, no usage block).
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import fields, replace
 
@@ -82,9 +82,11 @@ def _build_parser():
         p.add_argument("--diag", help="rayleigh diagonal, e.g. 1..10 or 1,4,9")
         p.add_argument("--matrix", help="rayleigh matrix CSV path (dense, comma-separated rows)")
         p.add_argument("--output-path", default=output, help="where to write the JSON/CSV result")
-    for mode in ("solve", "plateau", "sweep"):  # the modes that run the solver
+    # the modes that run the solver, less the fields a mode sets itself
+    for mode, own in (("solve", ()), ("plateau", ("beta",)), ("sweep", ("eps1", "eps2"))):
         for f in fields(SolverConfig):
-            modes[mode].add_argument("--" + f.name.replace("_", "-"), type=f.type)
+            if f.name not in own:
+                modes[mode].add_argument("--" + f.name.replace("_", "-"), type=f.type)
     modes["plateau"].add_argument("--gamma", type=float)
     modes["plateau"].add_argument("--beta0", type=float)
     modes["plateau"].add_argument("--lp0", type=float)
@@ -148,14 +150,12 @@ def _parse(argv):
         except (UsageError, ValueError) as exc:
             raise UsageError("spec file %s: %s" % (path, exc)) from None
         args = mode.parse_args(argv[1:], namespace=args)  # argv[0] is the mode
-    if "FLETCHER_SEED" in os.environ:
-        args.seed = int(os.environ["FLETCHER_SEED"])
     return args
 
 
 def _given(args, *keys):
     """The values of `keys` the run set; the others keep the defaults of the callee."""
-    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
 def _make_problem(args):
@@ -170,9 +170,7 @@ def _make_problem(args):
 
 
 def _make_config(args):
-    cfg = SolverConfig(**_given(args, *(f.name for f in fields(SolverConfig))))
-    cfg.validate()
-    return cfg
+    return SolverConfig(**_given(args, *(f.name for f in fields(SolverConfig))))
 
 
 def _write(path, text):
@@ -238,12 +236,7 @@ def cmd_plateau(args):
 
 def cmd_restore(args):
     problem = _make_problem(args)
-    if not 0.0 <= args.perturb < math.inf:
-        raise UsageError("perturb must be nonnegative and finite, got %r" % args.perturb)
-    if args.perturb > 0.0:
-        x0 = random_point_in_region(problem, args.seed, scale=args.perturb, fraction=1.0)
-    else:
-        x0 = problem.init_point(args.seed)
+    x0 = random_point_in_region(problem, args.seed, scale=args.perturb, fraction=1.0)
     try:
         x_final, decay = restore_feasibility(problem, x0, step=args.step, t_end=args.t_end)
     except StepSizeError as exc:

@@ -39,7 +39,6 @@ class LayeredQuantities:
     tangent_basis: np.ndarray
     reduced_hess: np.ndarray
     min_eig: float
-    min_eig_vec: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,15 +89,14 @@ def layered_hess(problem, x):
     """Layered Riemannian gradient and reduced Hessian at x.
 
     The reduced Hessian is Q^T (hess f - sum_i lambda_i hess h_i) Q for an
-    orthonormal kernel basis Q of Dh(x), one Hessian product with Q; its
-    smallest eigenpair is lifted back to the ambient space through Q.
+    orthonormal kernel basis Q of Dh(x), one Hessian product with Q.
     """
     x, h_val, jac, _, grad_f, lam = _point_data(problem, x)
     rg = _riem_grad(grad_f, jac, lam)
     q = kernel_basis(jac)
     reduced = _finite(q.T @ _lagrangian_hess(problem, x, lam, q), "hess_h", x)
     reduced = 0.5 * (reduced + reduced.T)
-    min_eig, vec = sym_eig_min(reduced)
+    min_eig, _ = sym_eig_min(reduced)
     return LayeredQuantities(
         h_norm=float(np.linalg.norm(h_val)),
         riem_grad=rg,
@@ -106,7 +104,6 @@ def layered_hess(problem, x):
         tangent_basis=q,
         reduced_hess=reduced,
         min_eig=min_eig,
-        min_eig_vec=q @ vec,
     )
 
 

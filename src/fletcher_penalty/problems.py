@@ -8,6 +8,7 @@ Built-ins cover the unit sphere (linear and Rayleigh-quotient costs), the
 orthonormal-frame manifold, and Cartesian products of constraint blocks.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -26,7 +27,6 @@ __all__ = [
     "zero_cost",
     "random_point_in_region",
     "builtin_problem",
-    "BUILTIN_IDS",
 ]
 
 
@@ -124,11 +124,34 @@ def _weights(w, m):
     return w
 
 
+def _frame_problem(name, cost, radius, dim_x, dim_h, h, jac, hess, init_point):
+    """Problem for a constraint X^T X = I_p (the unit sphere is p = 1) under `cost`.
+
+    Any radius R in (0, 1) is admissible: sigma_min(Dh) >= 2*sqrt(1 - R)
+    over the region, and the Taylor remainder constant c_h is exactly 1.
+    """
+    if not 0 < radius < 1:
+        raise ValueError("region radius must lie in (0, 1), got %r" % (radius,))
+    return Problem(
+        dim_x=dim_x,
+        dim_h=dim_h,
+        region=RegionParams(radius=radius, sigma_lb=2.0 * np.sqrt(1.0 - radius), c_h=1.0),
+        f=cost.value,
+        grad_f=cost.grad,
+        hess_f=cost.hess,
+        h=h,
+        jac_h=jac,
+        hess_h=hess,
+        init_point=init_point,
+        name=name,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Unit sphere
 
 
-def _sphere_constraint(n):
+def _sphere_problem(name, n, cost, radius):
     def h(x):
         return np.array([float(x @ x) - 1.0])
 
@@ -138,21 +161,11 @@ def _sphere_constraint(n):
     def hess(x, w, v):
         return 2.0 * float(_weights(w, 1)[0]) * np.asarray(v, dtype=float)
 
-    return h, jac, hess
-
-
-def _sphere_init(n):
     def init_point(seed):
         g = np.random.default_rng(seed).standard_normal(n)
         return g / np.linalg.norm(g)
 
-    return init_point
-
-
-def _sphere_region(radius):
-    if not 0 < radius < 1:
-        raise ValueError("sphere region radius must lie in (0, 1), got %r" % (radius,))
-    return RegionParams(radius=radius, sigma_lb=2.0 * np.sqrt(1.0 - radius), c_h=1.0)
+    return _frame_problem(name, cost, radius, n, 1, h, jac, hess, init_point)
 
 
 def make_sphere(n, w, radius=0.5):
@@ -169,21 +182,7 @@ def make_sphere(n, w, radius=0.5):
         raise ValueError("w has length %d, expected %d" % (w.size, n))
     if abs(np.linalg.norm(w) - 1.0) > 1e-12:
         raise ValueError("w must be a unit vector (within 1e-12)")
-    h, jac, hess = _sphere_constraint(n)
-    cost = linear_cost(w)
-    return Problem(
-        dim_x=n,
-        dim_h=1,
-        region=_sphere_region(radius),
-        f=cost.value,
-        grad_f=cost.grad,
-        hess_f=cost.hess,
-        h=h,
-        jac_h=jac,
-        hess_h=hess,
-        init_point=_sphere_init(n),
-        name="sphere",
-    )
+    return _sphere_problem("sphere", n, linear_cost(w), radius)
 
 
 def make_rayleigh_sphere(a, radius=0.5):
@@ -200,21 +199,7 @@ def make_rayleigh_sphere(a, radius=0.5):
         raise ValueError("sphere needs n >= 2")
     if np.max(np.abs(a - a.T)) > 1e-12:
         raise ValueError("matrix must be symmetric (within 1e-12)")
-    h, jac, hess = _sphere_constraint(n)
-    cost = quadratic_cost(a)
-    return Problem(
-        dim_x=n,
-        dim_h=1,
-        region=_sphere_region(radius),
-        f=cost.value,
-        grad_f=cost.grad,
-        hess_f=cost.hess,
-        h=h,
-        jac_h=jac,
-        hess_h=hess,
-        init_point=_sphere_init(n),
-        name="rayleigh",
-    )
+    return _sphere_problem("rayleigh", n, quadratic_cost(a), radius)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +229,11 @@ def make_stiefel(n, p, cost, radius=0.5):
 
     The ambient variable is x = X.ravel(); the m = p(p+1)/2 constraint
     components are Frobenius coordinates of X^T X - I_p in an orthonormal
-    basis of the symmetric matrices. Any radius < 1 is admissible; the
-    Jacobian's singular values then stay above 2*sqrt(1 - radius), and the
-    constraint's Taylor remainder constant is exactly 1.
+    basis of the symmetric matrices. The region constants follow the
+    sphere's rule: 0 < R < 1, sigma_lb = 2*sqrt(1 - R) and c_h = 1.
     """
     if not 1 <= p <= n:
         raise ValueError("need 1 <= p <= n")
-    if not 0 < radius < 1:
-        raise ValueError("region radius must satisfy 0 < R < 1, got %r" % (radius,))
     m = p * (p + 1) // 2
     basis = _sym_basis(p)
     dim = n * p
@@ -279,19 +261,7 @@ def make_stiefel(n, p, cost, radius=0.5):
         signs[signs == 0] = 1.0
         return (q * signs).ravel()
 
-    return Problem(
-        dim_x=dim,
-        dim_h=m,
-        region=RegionParams(radius=radius, sigma_lb=2.0 * np.sqrt(1.0 - radius), c_h=1.0),
-        f=cost.value,
-        grad_f=cost.grad,
-        hess_f=cost.hess,
-        h=h,
-        jac_h=jac,
-        hess_h=hess,
-        init_point=init_point,
-        name="stiefel",
-    )
+    return _frame_problem("stiefel", cost, radius, dim, m, h, jac, hess, init_point)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +339,11 @@ def make_product(blocks, cost, name="product"):
 def random_point_in_region(problem, seed, scale=0.5, fraction=0.98):
     """Seeded point with ||h(x)|| <= fraction * radius.
 
-    Perturbs the problem's initial point along a random direction and
-    halves the perturbation until the result lies inside the region.
+    Perturbs the initial point by `scale` (finite, >= 0) along a random
+    direction, halving the perturbation until the result lies in the region.
     """
+    if not 0.0 <= scale < math.inf:
+        raise ValueError("perturbation scale must be nonnegative and finite, got %r" % (scale,))
     rng = np.random.default_rng([int(seed), 0x5EED])
     x0 = problem.init_point(seed)
     v = rng.standard_normal(problem.dim_x)
@@ -399,17 +371,32 @@ def _seeded_linear_cost(n, seed):
     return linear_cost(c)
 
 
-BUILTIN_IDS = ("sphere", "rayleigh", "stiefel", "product:...")
-
-
-def builtin_problem(problem_id, n=None, p=2, radius=0.5, seed=0, diag=None, matrix=None):
+def builtin_problem(problem_id, n=None, p=None, radius=0.5, seed=0, diag=None, matrix=None):
     """Resolve a string id to a built-in Problem.
 
-    Supported ids: "sphere" (linear cost <x, e_1>), "rayleigh" (matrix from
-    `diag` spec like "1..10" or a dense `matrix` array, default diag(1..n)),
-    "stiefel" (seeded linear cost), and "product:<id>,<id>,..." combining
-    sphere/stiefel blocks under a seeded linear cost.
+    Supported ids: "sphere" (linear cost <x, e_1>), "rayleigh" (diag(1..n),
+    a `diag` spec like "1..10" or "1,4,9", or a dense `matrix`: one of the
+    three), "stiefel" (seeded linear cost; p defaults to 2) and
+    "product:<id>,<id>,..." (sphere/stiefel blocks under a seeded linear
+    cost). An unknown id raises KeyError, a parameter the id does not use
+    ValueError.
     """
+    if problem_id.startswith("product:"):
+        block_ids = [b for b in problem_id[len("product:") :].split(",") if b]
+        if not block_ids:
+            raise KeyError("empty product block list in %r" % problem_id)
+    elif problem_id in ("sphere", "rayleigh", "stiefel"):
+        block_ids = [problem_id]
+    else:
+        raise KeyError("unknown problem id %r" % problem_id)
+    if p is not None and "stiefel" not in block_ids:
+        raise ValueError("problem %s does not take p" % problem_id)
+    for name, value in (("diag", diag), ("matrix", matrix)):
+        if value is not None and problem_id != "rayleigh":
+            raise ValueError("problem %s does not take %s" % (problem_id, name))
+    if sum(v is not None for v in (n, diag, matrix)) > 1:
+        raise ValueError("rayleigh takes only one of n, diag and matrix")
+    p = 2 if p is None else p
     if problem_id == "sphere":
         n = 5 if n is None else n
         return make_sphere(n, np.eye(1, n), radius=radius)
@@ -425,22 +412,15 @@ def builtin_problem(problem_id, n=None, p=2, radius=0.5, seed=0, diag=None, matr
     if problem_id == "stiefel":
         n = 8 if n is None else n
         return make_stiefel(n, p, _seeded_linear_cost(n * p, seed), radius=radius)
-    if problem_id.startswith("product:"):
-        block_ids = [b for b in problem_id[len("product:") :].split(",") if b]
-        if not block_ids:
-            raise KeyError("empty product block list in %r" % problem_id)
-        blocks = []
-        for bid in block_ids:
-            if bid == "sphere":
-                nb = 3 if n is None else n
-                blocks.append(make_sphere(nb, np.eye(1, nb), radius=radius))
-            elif bid == "stiefel":
-                nb = 8 if n is None else n
-                blocks.append(
-                    make_stiefel(nb, p, zero_cost(nb * p), radius=radius)
-                )
-            else:
-                raise KeyError("unknown product block id %r" % bid)
-        total = sum(b.dim_x for b in blocks)
-        return make_product(blocks, _seeded_linear_cost(total, seed), name=problem_id)
-    raise KeyError("unknown problem id %r" % problem_id)
+    blocks = []
+    for bid in block_ids:
+        if bid == "sphere":
+            nb = 3 if n is None else n
+            blocks.append(make_sphere(nb, np.eye(1, nb), radius=radius))
+        elif bid == "stiefel":
+            nb = 8 if n is None else n
+            blocks.append(make_stiefel(nb, p, zero_cost(nb * p), radius=radius))
+        else:
+            raise KeyError("unknown product block id %r" % bid)
+    total = sum(b.dim_x for b in blocks)
+    return make_product(blocks, _seeded_linear_cost(total, seed), name=problem_id)

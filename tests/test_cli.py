@@ -152,7 +152,7 @@ def test_plateau_cap_writes_trace_and_exits_two(tmp_path, capsys):
     code = run_cli(
         [
             "plateau", "--problem", "rayleigh", "--n", "10", "--seed", "0", "--eps1", "1e-5",
-            "--beta", "1", "--alpha01", "1e9", "--max-backtracks", "0", "--beta0", "1e9",
+            "--alpha01", "1e9", "--max-backtracks", "0", "--beta0", "1e9",
             "--gamma", "2", "--lp0", "10", "--max-plateaus", "3", "--output-path", str(out),
         ]
     )
@@ -196,6 +196,7 @@ def test_plateau_growth_overflow_ends_as_max_plateaus(tmp_path, capsys, flags):
     (["solve", "--problem", "rayleigh", "--n", "10", "--seed", "1"], 1),
     (["sweep", "--problem", "rayleigh", "--n", "8", "--beta", "10", "--eps-list", "1e-2,1e-3",
       "--second-order"], 2),
+    (["solve", "--problem", "rayleigh", "--diag", "1,4,9", "--seed", "1"], 1),
 ])
 def test_cli_run_measures_min_eig_once_per_solve(tmp_path, monkeypatch, capsys, args, solves):
     # a second-order certificate carries the min_eig it measured, so the CLI
@@ -256,17 +257,6 @@ def test_byte_determinism_same_runspec(tmp_path):
     assert run_cli(sweep_args + ["--output-path", str(csv1)]) == 0
     assert run_cli(sweep_args + ["--output-path", str(csv2)]) == 0
     assert csv1.read_bytes() == csv2.read_bytes()
-
-
-def test_env_seed_override(tmp_path, monkeypatch):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    base = ["solve", "--problem", "rayleigh", "--n", "8", "--beta", "10", "--eps1", "1e-4"]
-    monkeypatch.setenv("FLETCHER_SEED", "7")
-    assert run_cli(base + ["--seed", "1", "--output-path", str(out1)]) == 0
-    monkeypatch.delenv("FLETCHER_SEED")
-    assert run_cli(base + ["--seed", "7", "--output-path", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_spec_file_with_flag_override(tmp_path):
@@ -357,6 +347,8 @@ def test_spec_file_runs_as_the_flags_it_names(tmp_path, capsys, mode, spec, flag
     (["solve", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
     (["solve", "--max-iter", "3"], "unrecognized arguments: --max-iter 3"),
     (["check", "--beta", "10"], "unrecognized arguments: --beta 10"),  # check runs no solver
+    (["plateau", "--beta", "5"], "unrecognized arguments: --beta 5"),  # --beta0 sets beta
+    (["sweep", "--eps1", "5", "--eps-list", "1e-2"], "unrecognized arguments: --eps1 5"),
 ])
 def test_bad_flag_exits_64_in_one_line(tmp_path, capsys, args, message):
     out = tmp_path / "x.json"
@@ -382,7 +374,42 @@ def test_restore_rejects_a_perturbation_that_is_negative_or_not_finite(tmp_path,
     args = ["restore", "--problem", "stiefel", "--perturb", perturb, "--output-path", str(out)]
     assert run_cli(args) == 64
     err = capsys.readouterr().err
-    assert err.startswith("fletcher-penalty: perturb must be") and err.count("\n") == 1
+    assert err == "fletcher-penalty: perturbation scale must be nonnegative and finite, got %r\n" % (
+        float(perturb),)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--problem", "sphere", "--p", "3"], "problem sphere does not take p"),
+    (["--problem", "stiefel", "--diag", "1..3"], "problem stiefel does not take diag"),
+    (["--problem", "rayleigh", "--n", "5", "--diag", "1..3"],
+     "rayleigh takes only one of n, diag and matrix"),
+])
+def test_problem_parameter_the_problem_does_not_use_exits_64(tmp_path, capsys, args, message):
+    out = tmp_path / "x.json"
+    assert run_cli(["solve", *args, "--output-path", str(out)]) == 64
+    assert capsys.readouterr().err == "fletcher-penalty: %s\n" % message
+    assert not out.exists()
+
+
+_RESTORE = ["restore", "--problem", "stiefel", "--n", "8", "--p", "3", "--seed", "3",
+            "--perturb", "0.3"]
+
+
+def test_restore_halves_a_step_too_large(tmp_path):
+    # a first step over the whole horizon (t_end = 3) raises phi, so it is halved
+    out = tmp_path / "r.json"
+    assert run_cli(_RESTORE + ["--step", "1e3", "--output-path", str(out)]) == 0
+    decay = json.loads(out.read_text())["decay_log"]
+    assert 0.0 < decay[1][0] < 3.0
+    assert all(b[1] <= a[1] for a, b in zip(decay, decay[1:]))
+
+
+def test_restore_step_halving_cannot_salvage_exits_three(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run_cli(_RESTORE + ["--step", "1e100", "--output-path", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("restore: violation energy keeps increasing") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -397,10 +424,11 @@ _GRID_BASE = {
 _GRID_SOLVER_FLAGS = ["--" + f.name.replace("_", "-") for f in fields(SolverConfig)]
 _GRID_MODE_FLAGS = {
     "solve": _GRID_SOLVER_FLAGS,
-    "plateau": _GRID_SOLVER_FLAGS + ["--gamma", "--beta0", "--lp0", "--max-plateaus"],
+    "plateau": [f for f in _GRID_SOLVER_FLAGS if f != "--beta"] + [
+        "--gamma", "--beta0", "--lp0", "--max-plateaus"],
     "restore": ["--step", "--t-end", "--perturb"],
     "check": ["--seeds"],
-    "sweep": _GRID_SOLVER_FLAGS + ["--eps-list"],
+    "sweep": [f for f in _GRID_SOLVER_FLAGS if f not in ("--eps1", "--eps2")] + ["--eps-list"],
 }
 # flags that size an array, a budget or a loop are not tried at 1e6
 _GRID_SIZES = {"--n", "--p", "--max-iters", "--max-backtracks", "--max-plateaus", "--lp0",
@@ -412,8 +440,11 @@ _GRID_SIZES = {"--n", "--p", "--max-iters", "--max-backtracks", "--max-plateaus"
     for flag in ["--n", "--p", "--radius", "--seed"] + _GRID_MODE_FLAGS[mode]])
 def test_numeric_flag_edges_end_in_an_exit_code(tmp_path, capsys, mode, flag):
     out = str(tmp_path / "out")
+    base = _GRID_BASE[mode]
+    if flag == "--p":  # only stiefel blocks take p
+        base = ["--problem", "stiefel", *base[2:]]
     for value in ["nan", "inf", "-inf", "0", "-1"] + ([] if flag in _GRID_SIZES else ["1e6"]):
-        code = run_cli([mode, *_GRID_BASE[mode], flag, value, "--output-path", out])
+        code = run_cli([mode, *base, flag, value, "--output-path", out])
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 64), (value, code, err)
         assert err.count("\n") == 1, (value, err)
@@ -450,6 +481,9 @@ def test_non_finite_run_parameters_exit_64_before_any_output(tmp_path, capsys, a
     ("solve", {"problem_id": "rayleigh", "problem_params": {"diag": 5}}),
     ("sweep", {"problem_id": "sphere", "eps_list": 0.1}),
     ("solve", [{"problem_id": "sphere"}]),
+    ("solve", {"problem_params": {"n": 5}}),  # no problem id
+    ("solve", {"problem_id": "product:"}),
+    ("solve", {"problem_id": "product:sphere,cube"}),
 ])
 def test_malformed_spec_file_exits_64(tmp_path, mode, spec):
     spec_path = tmp_path / "spec.json"

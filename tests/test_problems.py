@@ -283,3 +283,38 @@ def test_registry_ids():
     assert builtin_problem("product:sphere,sphere").dim_h == 2
     with pytest.raises(KeyError):
         builtin_problem("nope")
+
+
+@pytest.mark.parametrize("problem_id, params", [
+    ("sphere", {"p": 3}),
+    ("rayleigh", {"p": 2}),
+    ("product:sphere,sphere", {"p": 2}),
+    ("sphere", {"diag": "1..3"}),
+    ("stiefel", {"matrix": np.eye(3)}),
+    ("product:sphere,stiefel", {"diag": "1..3"}),
+    ("rayleigh", {"n": 5, "diag": "1..3"}),
+    ("rayleigh", {"diag": "1..3", "matrix": np.eye(3)}),
+])
+def test_registry_rejects_a_parameter_the_id_does_not_use(problem_id, params):
+    with pytest.raises(ValueError):
+        builtin_problem(problem_id, **params)
+
+
+def test_registry_p_defaults_to_two_wherever_a_stiefel_block_takes_it():
+    assert builtin_problem("stiefel", n=6).dim_x == 12
+    assert builtin_problem("product:sphere,stiefel", n=4, p=3).dim_x == 4 + 12
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -0.2])
+def test_random_point_rejects_a_scale_that_is_negative_or_not_finite(scale):
+    p = builtin_problem("stiefel", n=3, p=2)
+    with pytest.raises(ValueError, match="scale"):
+        random_point_in_region(p, 0, scale=scale)
+
+
+def test_random_point_at_scale_zero_is_the_initial_point():
+    for problem_id in ALL_BUILTIN_IDS:
+        p = builtin_problem(problem_id, n=5, seed=1)
+        for seed in range(20):
+            x = random_point_in_region(p, seed, scale=0.0, fraction=1.0)
+            assert x.tobytes() == p.init_point(seed).tobytes()
