@@ -16,7 +16,7 @@ problem = builtin_problem("stiefel", n=8, p=3, seed=0)
 sigma_lb = problem.region.sigma_lb
 rate = 2.0 * sigma_lb**2
 
-x0 = random_point_in_region(problem, 5, scale=0.4, fraction=1.0)
+x0 = random_point_in_region(problem, 5, scale=0.4)
 print("start: ||h(x0)|| = %.4f (region radius %.2f)" % (np.linalg.norm(problem.h(x0)), problem.region.radius))
 print("guaranteed decay rate: exp(-%.1f t)" % rate)
 print()

@@ -11,9 +11,11 @@ command line win. A key or flag the mode or problem does not take, a key
 given twice, or a value the flag refuses is a usage error. Values not given
 keep the defaults of the library functions they go to.
 
-All output is machine-first (JSON traces, CSV tables); the human summary is
-a single stderr line. Exit codes: 0 converged, 2 tolerance not reached,
-3 numerical failure, 64 usage error (one stderr line, no usage block).
+Each command returns (text, summary, exit code); main alone writes the
+machine-first text (JSON trace, CSV table) to --output-path and prints the
+summary as one stderr line. A failure writes no file: main prints one line
+and maps it to its exit code. Exit codes: 0 converged, 2 tolerance not
+reached, 3 numerical failure, 64 usage error (no usage block).
 """
 
 import argparse
@@ -26,7 +28,7 @@ import numpy as np
 
 from .criticality import layered_hess
 from .derivative_check import check_problem, reports_to_json
-from .exceptions import FletcherPenaltyError, StepSizeError
+from .exceptions import FletcherPenaltyError
 from .problems import builtin_problem, random_point_in_region
 from .solver import SolverConfig, gradient_eigenstep, plateau, restore_feasibility
 
@@ -162,56 +164,41 @@ def _make_problem(args):
     if args.problem is None:
         raise UsageError("no problem id given (--problem or spec file)")
     matrix = None if args.matrix is None else np.loadtxt(args.matrix, delimiter=",", ndmin=2)
-    try:
-        return builtin_problem(args.problem, matrix=matrix,
-                               **_given(args, "n", "p", "radius", "seed", "diag"))
-    except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+    return builtin_problem(args.problem, matrix=matrix,
+                           **_given(args, "n", "p", "radius", "seed", "diag"))
 
 
 def _make_config(args):
     return SolverConfig(**_given(args, *(f.name for f in fields(SolverConfig))))
 
 
-def _write(path, text):
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
 def _fmt(value):
     return format(float(value), ".12g")
 
 
-def _final_min_eig(problem, trace):
-    """The certificate's measured min_eig; only first-order runs measure it here."""
+def _final_measures(problem, trace):
+    """The certificate's h_norm, grad_M_norm and min_eig, all nan without one.
+
+    Only a first-order run's min_eig is measured here.
+    """
     cert = trace.final_certificate
-    if cert is not None and cert.min_eig is not None:
-        return cert.min_eig
-    try:
-        return layered_hess(problem, trace.final_x).min_eig
-    except FletcherPenaltyError:
-        return float("nan")
-
-
-def _summary(line):
-    print(line, file=sys.stderr)
+    if cert is None:
+        return (float("nan"),) * 3
+    min_eig = layered_hess(problem, trace.final_x).min_eig if cert.min_eig is None else cert.min_eig
+    return cert.eps0_measured, cert.eps1_measured, min_eig
 
 
 def cmd_solve(args):
     problem = _make_problem(args)
     cfg = _make_config(args)
     trace = gradient_eigenstep(problem, problem.init_point(args.seed), cfg)
-    _write(args.output_path, trace.to_json() + "\n")
-    cert = trace.final_certificate
     iters = trace.iteration_counts()[0]
-    min_eig = _final_min_eig(problem, trace)
-    h_norm = float("nan") if cert is None else cert.eps0_measured
-    grad_norm = float("nan") if cert is None else cert.eps1_measured
-    _summary(
+    h_norm, grad_norm, min_eig = _final_measures(problem, trace)
+    summary = (
         "solve: termination=%s iters=%d h_norm=%.6e grad_M_norm=%.6e min_eig=%.6e"
         % (trace.termination, iters, h_norm, grad_norm, min_eig)
     )
-    return _TERMINATION_EXIT[trace.termination]
+    return trace.to_json() + "\n", summary, _TERMINATION_EXIT[trace.termination]
 
 
 def cmd_plateau(args):
@@ -219,9 +206,8 @@ def cmd_plateau(args):
     cfg = _make_config(args)
     trace = plateau(problem, problem.init_point(args.seed), cfg,
                     **_given(args, "gamma", "beta0", "lp0", "max_plateaus"))
-    _write(args.output_path, trace.to_json() + "\n")
     cert = trace.final_certificate
-    _summary(
+    summary = (
         "plateau: termination=%s plateaus=%d final_beta=%.6e h_norm=%.6e grad_M_norm=%.6e"
         % (
             trace.termination,
@@ -231,39 +217,33 @@ def cmd_plateau(args):
             float("nan") if cert is None else cert.eps1_measured,
         )
     )
-    return _TERMINATION_EXIT[trace.termination]
+    return trace.to_json() + "\n", summary, _TERMINATION_EXIT[trace.termination]
 
 
 def cmd_restore(args):
     problem = _make_problem(args)
-    x0 = random_point_in_region(problem, args.seed, scale=args.perturb, fraction=1.0)
-    try:
-        x_final, decay = restore_feasibility(problem, x0, step=args.step, t_end=args.t_end)
-    except StepSizeError as exc:
-        _summary("restore: %s" % exc)
-        return EXIT_NUMERICAL
+    x0 = random_point_in_region(problem, args.seed, scale=args.perturb)
+    x_final, decay = restore_feasibility(problem, x0, step=args.step, t_end=args.t_end)
     payload = {
         "final_x": [float(v) for v in x_final],
         "decay_log": [[float(t), float(phi)] for t, phi in decay],
     }
-    _write(args.output_path, json.dumps(payload) + "\n")
-    _summary(
+    summary = (
         "restore: steps=%d phi_start=%.6e phi_end=%.6e"
         % (len(decay) - 1, decay[0][1], decay[-1][1])
     )
-    return EXIT_OK
+    return json.dumps(payload) + "\n", summary, EXIT_OK
 
 
 def cmd_check(args):
     problem = _make_problem(args)
     reports = check_problem(problem, list(range(args.seeds)))
-    _write(args.output_path, reports_to_json(reports) + "\n")
     failed = [r.target for r in reports if not r.passed]
-    _summary(
+    summary = (
         "check: %d/%d targets pass%s"
         % (len(reports) - len(failed), len(reports), "" if not failed else " (failing: %s)" % ",".join(failed))
     )
-    return EXIT_OK if not failed else EXIT_NOT_REACHED
+    return reports_to_json(reports) + "\n", summary, EXIT_NOT_REACHED if failed else EXIT_OK
 
 
 def cmd_sweep(args):
@@ -281,10 +261,7 @@ def cmd_sweep(args):
         cfg = replace(base_cfg, eps1=eps, eps2=eps if args.second_order else math.inf)
         trace = gradient_eigenstep(problem, x0, cfg)
         total, grad_iters, eigen_iters = trace.iteration_counts()
-        cert = trace.final_certificate
-        min_eig = _final_min_eig(problem, trace)
-        h_norm = float("nan") if cert is None else cert.eps0_measured
-        grad_norm = float("nan") if cert is None else cert.eps1_measured
+        h_norm, grad_norm, min_eig = _final_measures(problem, trace)
         g_final = trace.records[-1].g_after if trace.records else float("nan")
         flag = "" if trace.termination == "converged" else trace.termination
         all_converged = all_converged and trace.termination == "converged"
@@ -303,15 +280,19 @@ def cmd_sweep(args):
                 ]
             )
         )
-    _write(args.output_path, "\r\n".join(lines) + "\r\n")
-    _summary("sweep: %d runs, %s" % (len(eps_values), "all converged" if all_converged else "some did not converge"))
-    return EXIT_OK if all_converged else EXIT_NOT_REACHED
+    summary = "sweep: %d runs, %s" % (
+        len(eps_values), "all converged" if all_converged else "some did not converge")
+    return "\r\n".join(lines) + "\r\n", summary, EXIT_OK if all_converged else EXIT_NOT_REACHED
 
 
 def main(argv=None):
     try:
         args = _parse(argv)
-        return args.run(args)
+        text, summary, code = args.run(args)
+        with open(args.output_path, "w", newline="") as fh:
+            fh.write(text)
+        print(summary, file=sys.stderr)
+        return code
     except (UsageError, ValueError, OSError) as exc:
         print("fletcher-penalty: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -85,6 +85,15 @@ def layered_grad(problem, x):
     return _riem_grad(grad_f, jac, lam)
 
 
+def _reduced_hess(problem, x, jac, lam):
+    """Kernel basis Q of jac, the symmetrized Q^T (hess f - H(lam)) Q and its least eigenvalue."""
+    q = kernel_basis(jac)
+    reduced = _finite(q.T @ _lagrangian_hess(problem, x, lam, q), "hess_h", x)
+    reduced = 0.5 * (reduced + reduced.T)
+    min_eig, _ = sym_eig_min(reduced)
+    return q, reduced, min_eig
+
+
 def layered_hess(problem, x):
     """Layered Riemannian gradient and reduced Hessian at x.
 
@@ -93,10 +102,7 @@ def layered_hess(problem, x):
     """
     x, h_val, jac, _, grad_f, lam = _point_data(problem, x)
     rg = _riem_grad(grad_f, jac, lam)
-    q = kernel_basis(jac)
-    reduced = _finite(q.T @ _lagrangian_hess(problem, x, lam, q), "hess_h", x)
-    reduced = 0.5 * (reduced + reduced.T)
-    min_eig, _ = sym_eig_min(reduced)
+    q, reduced, min_eig = _reduced_hess(problem, x, jac, lam)
     return LayeredQuantities(
         h_norm=float(np.linalg.norm(h_val)),
         riem_grad=rg,
@@ -153,7 +159,4 @@ def lagrangian_check(problem, x, lam, eps0, eps1, eps2):
         return False, False
     if math.isinf(eps2):
         return True, True
-    q = kernel_basis(jac)
-    reduced = _finite(q.T @ _lagrangian_hess(problem, x, lam, q), "hess_h", x)
-    min_eig, _ = sym_eig_min(reduced)
-    return True, bool(min_eig >= -eps2)
+    return True, bool(_reduced_hess(problem, x, jac, lam)[2] >= -eps2)

@@ -77,10 +77,10 @@ def check_problem(problem, seeds, beta=1.0):
     """Verify every analytic derivative of a problem against finite differences.
 
     At init_point(seed) for each seed, checks hess_f(x, I) against grad_f,
-    grad_f against f, jac_h against h, each hess_h(x, e_i, I) against its
-    Jacobian row, the penalty gradient against the penalty value, and the
-    multiplier Jacobian against the multipliers. Failures are reported,
-    never raised.
+    grad_f against f, jac_h against h, each hess_h(x, e_i, I) against row i
+    of one FD Jacobian of jac_h, the penalty gradient against the penalty
+    value, and the multiplier Jacobian against the multipliers. Failures
+    are reported, never raised.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -102,10 +102,10 @@ def check_problem(problem, seeds, beta=1.0):
         )
         note("jac_h", relative_error(problem.jac_h(x), fd_jacobian(problem.h, x)), seed)
         if problem.hess_h is not None:
-            err = 0.0
-            for i, e in enumerate(np.eye(problem.dim_h)):
-                fd = fd_jacobian(lambda y, i=i: problem.jac_h(y)[i], x, SECOND_ORDER_STEP)
-                err = max(err, relative_error(problem.hess_h(x, e, eye), fd))
+            # fd[i] is the FD Jacobian of row i of jac_h: the Hessian of h_i
+            fd = fd_jacobian(problem.jac_h, x, SECOND_ORDER_STEP).reshape(problem.dim_h, x.size, x.size)
+            err = max(relative_error(problem.hess_h(x, e, eye), fd[i])
+                      for i, e in enumerate(np.eye(problem.dim_h)))
             note("hess_h", err, seed)
         note(
             "penalty_grad",

@@ -336,11 +336,13 @@ def make_product(blocks, cost, name="product"):
 # Sampling and the registry
 
 
-def random_point_in_region(problem, seed, scale=0.5, fraction=0.98):
-    """Seeded point with ||h(x)|| <= fraction * radius.
+def random_point_in_region(problem, seed, scale=0.5):
+    """Seeded point with ||h(x)|| <= radius.
 
     Perturbs the initial point by `scale` (finite, >= 0) along a random
     direction, halving the perturbation until the result lies in the region.
+    Raises ValueError when no halving of `scale` lands in the region, e.g.
+    when the initial point itself lies outside it.
     """
     if not 0.0 <= scale < math.inf:
         raise ValueError("perturbation scale must be nonnegative and finite, got %r" % (scale,))
@@ -348,14 +350,14 @@ def random_point_in_region(problem, seed, scale=0.5, fraction=0.98):
     x0 = problem.init_point(seed)
     v = rng.standard_normal(problem.dim_x)
     v /= np.linalg.norm(v)
-    target = fraction * problem.region.radius
+    radius = problem.region.radius
     t = scale
     for _ in range(80):
         cand = x0 + t * v
-        if np.linalg.norm(problem.h(cand)) <= target:
+        if np.linalg.norm(problem.h(cand)) <= radius:
             return cand
         t *= 0.5
-    return x0
+    raise ValueError("no halving of scale %r reaches the region ||h(x)|| <= %r" % (scale, radius))
 
 
 def _range_or_list(spec_str):
@@ -378,17 +380,15 @@ def builtin_problem(problem_id, n=None, p=None, radius=0.5, seed=0, diag=None, m
     a `diag` spec like "1..10" or "1,4,9", or a dense `matrix`: one of the
     three), "stiefel" (seeded linear cost; p defaults to 2) and
     "product:<id>,<id>,..." (sphere/stiefel blocks under a seeded linear
-    cost). An unknown id raises KeyError, a parameter the id does not use
-    ValueError.
+    cost). Every id it cannot build raises ValueError: an unknown id, an
+    unknown or empty product block, or a parameter the id does not use.
     """
     if problem_id.startswith("product:"):
-        block_ids = [b for b in problem_id[len("product:") :].split(",") if b]
-        if not block_ids:
-            raise KeyError("empty product block list in %r" % problem_id)
+        block_ids = problem_id[len("product:") :].split(",")
     elif problem_id in ("sphere", "rayleigh", "stiefel"):
         block_ids = [problem_id]
     else:
-        raise KeyError("unknown problem id %r" % problem_id)
+        raise ValueError("unknown problem id %r" % problem_id)
     if p is not None and "stiefel" not in block_ids:
         raise ValueError("problem %s does not take p" % problem_id)
     for name, value in (("diag", diag), ("matrix", matrix)):
@@ -421,6 +421,6 @@ def builtin_problem(problem_id, n=None, p=None, radius=0.5, seed=0, diag=None, m
             nb = 8 if n is None else n
             blocks.append(make_stiefel(nb, p, zero_cost(nb * p), radius=radius))
         else:
-            raise KeyError("unknown product block id %r" % bid)
+            raise ValueError("unknown product block id %r" % bid)
     total = sum(b.dim_x for b in blocks)
     return make_product(blocks, _seeded_linear_cost(total, seed), name=problem_id)

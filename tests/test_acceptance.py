@@ -72,7 +72,7 @@ def test_criterion_2_stiefel_constants():
     rng = np.random.default_rng(123)
     sigma_ok = True
     for seed in range(100):
-        x = random_point_in_region(p, seed, scale=0.5, fraction=1.0)
+        x = random_point_in_region(p, seed, scale=0.5)
         assert np.linalg.norm(p.h(x)) <= 0.5
         s_min = np.linalg.svd(p.jac_h(x), compute_uv=False)[-1]
         sigma_ok = sigma_ok and s_min >= 2.0 * SQRT_HALF - 1e-9
@@ -82,7 +82,7 @@ def test_criterion_2_stiefel_constants():
         feasible_ok = feasible_ok and abs(s[-1] - 2.0) <= 1e-9
     taylor_ok = True
     for seed in range(20):
-        x = random_point_in_region(p, seed, scale=0.4, fraction=1.0)
+        x = random_point_in_region(p, seed, scale=0.4)
         v = rng.standard_normal(p.dim_x) * rng.uniform(0.05, 0.6)
         rem = np.linalg.norm(p.h(x + v) - p.h(x) - p.jac_h(x) @ v)
         taylor_ok = taylor_ok and rem <= float(v @ v)
@@ -190,7 +190,7 @@ def test_criterion_7_gronwall_decay():
     sigma_lb = 2.0 * SQRT_HALF
     ok = True
     for seed in range(5):
-        x0 = random_point_in_region(p, seed, scale=0.4, fraction=1.0)
+        x0 = random_point_in_region(p, seed, scale=0.4)
         assert np.linalg.norm(p.h(x0)) <= 0.5
         _, log = restore_feasibility(p, x0, 1e-3, 3.0)
         phi0 = log[0][1]

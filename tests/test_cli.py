@@ -33,8 +33,18 @@ def test_solve_writes_trace_and_exits_zero(tmp_path):
     assert len(payload["final_x"]) == 10
 
 
-def test_unknown_problem_exits_64(tmp_path):
-    assert run_cli(["solve", "--problem", "nosuch", "--output-path", str(tmp_path / "x.json")]) == 64
+def test_unknown_problem_exits_64(tmp_path, capsys):
+    # builtin_problem alone rejects an id: one line, the id quoted once, no output
+    out = tmp_path / "x.json"
+    for problem_id, message in [
+        ("nope", "unknown problem id 'nope'"),
+        ("product:", "unknown product block id ''"),
+        ("product:sphere,,sphere", "unknown product block id ''"),
+        ("product:sphere,cube", "unknown product block id 'cube'"),
+    ]:
+        assert run_cli(["solve", "--problem", problem_id, "--output-path", str(out)]) == 64
+        assert capsys.readouterr().err == "fletcher-penalty: %s\n" % message
+        assert not out.exists()
 
 
 def test_eps1_above_half_radius_exits_64(tmp_path, capsys):
@@ -409,7 +419,8 @@ def test_restore_step_halving_cannot_salvage_exits_three(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert run_cli(_RESTORE + ["--step", "1e100", "--output-path", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("restore: violation energy keeps increasing") and err.count("\n") == 1
+    assert err.startswith("fletcher-penalty: violation energy keeps increasing")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Built-in problems: closed forms, region constants, derivative consistency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,7 @@ def test_sphere_sigma_bound_in_region():
     # sigma_min(Dh) >= 2*sqrt(1-R) over the region, specialized to one column.
     p = make_sphere(6, unit(np.arange(1.0, 7.0)))
     for seed in range(100):
-        x = random_point_in_region(p, seed, scale=0.6, fraction=1.0)
+        x = random_point_in_region(p, seed, scale=0.6)
         s = np.linalg.svd(p.jac_h(x), compute_uv=False)
         assert s[-1] >= 2.0 * SQRT_HALF - 1e-9
 
@@ -96,7 +98,7 @@ def test_stiefel_sigma_exactly_two_at_feasible():
 def test_stiefel_sigma_lower_bound_in_region():
     p = builtin_problem("stiefel", n=8, p=3, seed=0)
     for seed in range(100):
-        x = random_point_in_region(p, seed, scale=0.5, fraction=1.0)
+        x = random_point_in_region(p, seed, scale=0.5)
         assert np.linalg.norm(p.h(x)) <= 0.5
         s = np.linalg.svd(p.jac_h(x), compute_uv=False)
         assert s[-1] >= 2.0 * SQRT_HALF - 1e-9
@@ -106,7 +108,7 @@ def test_stiefel_taylor_remainder_constant_one():
     p = builtin_problem("stiefel", n=8, p=3, seed=0)
     rng = np.random.default_rng(17)
     for seed in range(20):
-        x = random_point_in_region(p, seed, scale=0.4, fraction=1.0)
+        x = random_point_in_region(p, seed, scale=0.4)
         v = rng.standard_normal(p.dim_x) * rng.uniform(0.01, 0.5)
         remainder = p.h(x + v) - p.h(x) - p.jac_h(x) @ v
         assert np.linalg.norm(remainder) <= float(v @ v)
@@ -145,7 +147,7 @@ def test_product_blockdiag_sigma_oracle():
     blocks = [make_sphere(3, w), make_sphere(3, w)]
     p = make_product(blocks, linear_cost(np.ones(6)))
     for seed in range(20):
-        x = random_point_in_region(p, seed, scale=0.4, fraction=1.0)
+        x = random_point_in_region(p, seed, scale=0.4)
         s_full = np.linalg.svd(p.jac_h(x), compute_uv=False)[-1]
         s_blocks = min(
             np.linalg.svd(b.jac_h(xi), compute_uv=False)[-1]
@@ -157,7 +159,7 @@ def test_product_blockdiag_sigma_oracle():
 def test_product_sigma_bound_matches_min_rule(product_spheres):
     p = product_spheres
     for seed in range(50):
-        x = random_point_in_region(p, seed, scale=0.4, fraction=1.0)
+        x = random_point_in_region(p, seed, scale=0.4)
         s = np.linalg.svd(p.jac_h(x), compute_uv=False)
         assert s[-1] >= p.region.sigma_lb - 1e-9
 
@@ -281,8 +283,15 @@ def test_registry_ids():
     assert builtin_problem("rayleigh", diag="1..4").dim_x == 4
     assert builtin_problem("stiefel", n=6, p=2).dim_h == 3
     assert builtin_problem("product:sphere,sphere").dim_h == 2
-    with pytest.raises(KeyError):
-        builtin_problem("nope")
+    for problem_id, message in [
+        ("nope", "unknown problem id 'nope'"),
+        ("product:", "unknown product block id ''"),
+        ("product:sphere,,sphere", "unknown product block id ''"),
+        ("product:sphere,cube", "unknown product block id 'cube'"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            builtin_problem(problem_id)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("problem_id, params", [
@@ -312,9 +321,17 @@ def test_random_point_rejects_a_scale_that_is_negative_or_not_finite(scale):
         random_point_in_region(p, 0, scale=scale)
 
 
+def test_random_point_rejects_an_initial_point_outside_the_region():
+    # ||h|| = 3 at the start, against R = 0.5: no halving reaches the region
+    p = replace(builtin_problem("sphere", n=3), init_point=lambda seed: np.array([2.0, 0.0, 0.0]))
+    for scale in (0.0, 0.4):
+        with pytest.raises(ValueError, match="reaches the region"):
+            random_point_in_region(p, 0, scale=scale)
+
+
 def test_random_point_at_scale_zero_is_the_initial_point():
     for problem_id in ALL_BUILTIN_IDS:
         p = builtin_problem(problem_id, n=5, seed=1)
         for seed in range(20):
-            x = random_point_in_region(p, seed, scale=0.0, fraction=1.0)
+            x = random_point_in_region(p, seed, scale=0.0)
             assert x.tobytes() == p.init_point(seed).tobytes()

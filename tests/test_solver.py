@@ -124,7 +124,7 @@ def test_region_step_floor_for_gradient_steps():
     p = diag_rayleigh()
     beta = 10.0
     for seed in range(15):
-        x = random_point_in_region(p, seed, scale=0.5, fraction=1.0)
+        x = random_point_in_region(p, seed, scale=0.5)
         th = beta_thresholds(p, x)
         assert beta > th.beta1
         grad_floor, _ = region_step_floors(p, x, beta)
@@ -535,7 +535,7 @@ def test_trace_invariants_across_builtins(problem_id, driver, eps2):
     for _ in range(2):
         seed = int(rng.integers(1000))
         p = builtin_problem(problem_id, n=4, seed=seed)
-        x0 = random_point_in_region(p, seed, scale=float(rng.uniform(0.05, 0.5)), fraction=1.0)
+        x0 = random_point_in_region(p, seed, scale=float(rng.uniform(0.05, 0.5)))
         if math.isfinite(eps2):
             neg = replace(p, f=lambda x, p=p: -p.f(x), grad_f=lambda x, p=p: -p.grad_f(x),
                           hess_f=lambda x, v, p=p: -p.hess_f(x, v))
@@ -584,7 +584,7 @@ def test_restore_sphere_closed_form_limit():
 def test_restore_gronwall_decay():
     p = builtin_problem("stiefel", n=8, p=3, seed=0)
     sigma_lb = p.region.sigma_lb
-    x0 = random_point_in_region(p, 5, scale=0.4, fraction=1.0)
+    x0 = random_point_in_region(p, 5, scale=0.4)
     x, log = restore_feasibility(p, x0, 1e-3, 3.0)
     phi0 = log[0][1]
     for t, phi in log:
@@ -593,7 +593,7 @@ def test_restore_gronwall_decay():
 
 def test_restore_monotone_log():
     p = builtin_problem("stiefel", n=8, p=2, seed=1)
-    x0 = random_point_in_region(p, 3, scale=0.3, fraction=1.0)
+    x0 = random_point_in_region(p, 3, scale=0.3)
     _, log = restore_feasibility(p, x0, 1e-2, 1.0)
     phis = [phi for _, phi in log]
     assert all(b <= a for a, b in zip(phis, phis[1:]))
