@@ -5,6 +5,7 @@ code paths they verify: they call only the black-box evaluators.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +81,17 @@ def check_problem(problem, seeds, beta=1.0):
     grad_f against f, jac_h against h, each hess_h(x, e_i, I) against row i
     of one FD Jacobian of jac_h, the penalty gradient against the penalty
     value, and the multiplier Jacobian against the multipliers. Failures
-    are reported, never raised.
+    are reported, never raised; a NaN relative error is reported as the
+    worst one and fails.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     worst = {name: (0.0, int(seeds[0])) for name in TARGETS}
 
     def note(name, err, seed):
-        if err >= worst[name][0]:
+        # a NaN error is the worst: it replaces any finite one and stays
+        old = worst[name][0]
+        if not math.isnan(old) and not err < old:
             worst[name] = (err, int(seed))
 
     eye = np.eye(problem.dim_x)  # a dense Hessian is the product with the identity

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import EvaluationError, RankDeficiencyError
-from .linalg import FIRST_ORDER_STEP, SvdResult, default_rank_tol, fd_jacobian, svd
+from .linalg import FIRST_ORDER_STEP, SvdResult, _central_differences, default_rank_tol, svd
 
 __all__ = [
     "PenaltyEval",
@@ -89,6 +89,23 @@ def _finite(arr, label, x):
     return arr
 
 
+def _finite_rows(arr, label, xs):
+    """_finite for a stack of per-row outputs: the error names the first non-finite row."""
+    ok = np.isfinite(arr.reshape(len(xs), -1)).all(axis=1)
+    if not ok.all():
+        raise EvaluationError("%s returned non-finite values at %s" % (label, xs[np.argmin(ok)]))
+    return arr
+
+
+def _warn_sigma_lb(sigma_min, sigma_lb):
+    warnings.warn(
+        "sigma_min(Dh)=%.3e dips below the declared lower bound %.3e inside "
+        "the region; the supplied region constants look inconsistent" % (sigma_min, sigma_lb),
+        RuntimeWarning,
+        stacklevel=4,
+    )
+
+
 def _point_data(problem, x):
     """Shared per-point bundle: h, Dh, its thin SVD, grad f, and multipliers.
 
@@ -108,16 +125,38 @@ def _point_data(problem, x):
     h_norm = float(np.linalg.norm(h_val))
     reg = problem.region
     if h_norm <= reg.radius and res.sigma_min < reg.sigma_lb * (1.0 - 1e-9):
-        warnings.warn(
-            "sigma_min(Dh)=%.3e dips below the declared lower bound %.3e inside "
-            "the region; the supplied region constants look inconsistent"
-            % (res.sigma_min, reg.sigma_lb),
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        _warn_sigma_lb(res.sigma_min, reg.sigma_lb)
     # Minimum-norm least-squares multipliers through the SVD of Dh.
     lam = res.u @ ((res.vt @ grad_f) / res.s)
     return x, h_val, jac, res, grad_f, lam
+
+
+def _stack_data(problem, xs):
+    """_point_data at every row of xs, bitwise, with one stacked SVD of the Dh stack.
+
+    Returns h (N, m), Dh (N, m, n), its stacked SVD, grad f (N, n) and the
+    multipliers (N, m). Each evaluator is called once per row. Serves the
+    stencils of penalty_hess and of the multiplier-Jacobian fallback, where
+    one stack replaces 2n single-point dispatches; a single iterate keeps
+    _point_data, for which a stack of one would only add dispatch.
+    """
+    rows = len(xs)
+    h_val = _finite_rows(np.array([problem.h(x) for x in xs], dtype=float).reshape(rows, -1), "h", xs)
+    jac = _finite_rows(np.array([problem.jac_h(x) for x in xs], dtype=float), "jac_h", xs)
+    grad_f = _finite_rows(
+        np.array([problem.grad_f(x) for x in xs], dtype=float).reshape(rows, -1), "grad_f", xs)
+    res = svd(jac)
+    s_max, s_min = res.s[:, 0], res.s[:, -1]
+    deficient = np.flatnonzero(s_min <= default_rank_tol(*jac.shape[1:]) * s_max)
+    if deficient.size:
+        i = deficient[0]
+        raise RankDeficiencyError(xs[i], float(s_min[i]), float(s_max[i]))
+    reg = problem.region
+    for i in np.flatnonzero(s_min < reg.sigma_lb * (1.0 - 1e-9)):
+        if float(np.linalg.norm(h_val[i])) <= reg.radius:
+            _warn_sigma_lb(float(s_min[i]), reg.sigma_lb)
+    lam = (res.u @ ((res.vt @ grad_f[:, :, None]) / res.s[:, :, None]))[:, :, 0]
+    return h_val, jac, res, grad_f, lam
 
 
 def multipliers(problem, x):
@@ -158,7 +197,7 @@ def _dlambda(problem, x):
     block = getattr(x, "lag_block", None)
     x, _, jac, res, grad_f, lam = _point_data(problem, x)
     if problem.hess_h is None:
-        return fd_jacobian(lambda y: multipliers(problem, y)[0], x), res
+        return _fd_dlambda(problem, x), res
     if block is None:
         block = _lagrangian_hess(problem, x, lam, jac.T)
     rg = _riem_grad(grad_f, jac, lam)
@@ -166,12 +205,17 @@ def _dlambda(problem, x):
     return _finite(_gram_inverse(res, rows + block.T), "hess_h", x), res
 
 
+def _fd_dlambda(problem, x):
+    """Central differences of the multipliers over one stacked stencil."""
+    return _central_differences(lambda xs: _stack_data(problem, xs)[4], x)
+
+
 def dlambda_jacobian(problem, x):
     """Dense Jacobian of the multiplier map, one column per coordinate.
 
     Differentiates the normal equations through the thin SVD of Dh when the
     problem has constraint Hessians (hess_h); without them it takes central
-    differences of the multipliers (fd_jacobian). x may be a PenaltyEval,
+    differences of the multipliers. x may be a PenaltyEval,
     whose point data and Lagrangian-Hessian block are reused.
     """
     return _dlambda(problem, x)[0]
@@ -231,13 +275,46 @@ def penalty_grad(problem, x, beta):
     return evaluate(problem, x, beta, with_grad=True).grad_g
 
 
-def penalty_hess(problem, x, beta, fd_step=FIRST_ORDER_STEP):
-    """Symmetrized central-difference Jacobian (fd_jacobian) of the analytic gradient.
+def _grad_stack(problem, xs, beta):
+    """penalty_grad at every row of xs, bitwise, from _stack_data and no PenaltyEval.
 
-    Every stencil point must admit multipliers; a rank-deficient stencil
-    point raises and the caller may shrink fd_step and retry.
+    Each evaluator is called once per row (hess_h twice), and f too, for its
+    finiteness check, exactly as evaluate does. Non-finite outputs and rank
+    deficiency raise, naming the first offending row.
     """
-    hess = fd_jacobian(lambda y: penalty_grad(problem, y, beta), x, fd_step)
+    if beta < 0:
+        raise ValueError("beta must be nonnegative")
+    h_val, jac, res, grad_f, lam = _stack_data(problem, xs)
+    f_val = np.array([float(problem.f(x)) for x in xs])
+    bad = np.flatnonzero(~np.isfinite(f_val))
+    if bad.size:
+        raise EvaluationError("f returned a non-finite value at %s" % (xs[bad[0]],))
+    jac_t = jac.transpose(0, 2, 1)
+    rg = grad_f - (jac_t @ lam[:, :, None])[:, :, 0]
+    if problem.hess_h is None:
+        adjoint = np.array([_fd_dlambda(problem, x).T @ h for x, h in zip(xs, h_val)])
+    else:
+        # evaluate's adjoint H(w) grad_M f + B w, summed before it is subtracted
+        hess_f = _finite_rows(
+            np.array([problem.hess_f(x, v) for x, v in zip(xs, jac_t)], dtype=float), "hess_f", xs)
+        block = hess_f - np.array([problem.hess_h(x, l, v) for x, l, v in zip(xs, lam, jac_t)])
+        us = res.u / res.s[:, None, :]
+        w = us @ (us.transpose(0, 2, 1) @ h_val[:, :, None])
+        adjoint = (np.array([problem.hess_h(x, wi, r) for x, wi, r in zip(xs, w[:, :, 0], rg)])
+                   + (block @ w)[:, :, 0])
+    grad_g = rg + 2.0 * beta * (jac_t @ h_val[:, :, None])[:, :, 0] - adjoint
+    return _finite_rows(grad_g, "hess_h", xs)
+
+
+def penalty_hess(problem, x, beta, fd_step=FIRST_ORDER_STEP):
+    """Symmetrized central-difference Jacobian of the analytic gradient.
+
+    The 2n stencil gradients are evaluated as one stack (one stacked Dh SVD),
+    each row bitwise equal to penalty_grad at that stencil point. Every
+    stencil point must admit multipliers; a rank-deficient stencil point
+    raises and the caller may shrink fd_step and retry.
+    """
+    hess = _central_differences(lambda xs: _grad_stack(problem, xs, beta), x, fd_step)
     return 0.5 * (hess + hess.T)
 
 

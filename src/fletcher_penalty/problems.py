@@ -354,7 +354,10 @@ def random_point_in_region(problem, seed, scale=0.5):
     t = scale
     for _ in range(80):
         cand = x0 + t * v
-        if np.linalg.norm(problem.h(cand)) <= radius:
+        # a huge scale may overflow h; a non-finite norm fails the test and halving goes on
+        with np.errstate(over="ignore", invalid="ignore"):
+            inside = np.linalg.norm(problem.h(cand)) <= radius
+        if inside:
             return cand
         t *= 0.5
     raise ValueError("no halving of scale %r reaches the region ||h(x)|| <= %r" % (scale, radius))

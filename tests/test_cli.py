@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -454,11 +455,18 @@ def test_numeric_flag_edges_end_in_an_exit_code(tmp_path, capsys, mode, flag):
     base = _GRID_BASE[mode]
     if flag == "--p":  # only stiefel blocks take p
         base = ["--problem", "stiefel", *base[2:]]
-    for value in ["nan", "inf", "-inf", "0", "-1"] + ([] if flag in _GRID_SIZES else ["1e6"]):
-        code = run_cli([mode, *base, flag, value, "--output-path", out])
+    values = ["nan", "inf", "-inf", "0", "-1"] + ([] if flag in _GRID_SIZES else ["1e6"])
+    if flag == "--perturb":  # overflows h at the first trial point
+        values.append("1e300")
+    for value in values:
+        # outside pytest a warning is more stderr lines, so none may be raised
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli([mode, *base, flag, value, "--output-path", out])
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 64), (value, code, err)
         assert err.count("\n") == 1, (value, err)
+        assert not caught, (value, [str(w.message) for w in caught])
 
 
 def test_check_without_seeds_exits_64(tmp_path, capsys):

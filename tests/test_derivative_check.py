@@ -85,6 +85,22 @@ def test_check_problem_detects_corrupted_gradient():
     assert not reports["grad_f"].passed
 
 
+def test_check_problem_reports_a_nan_error_as_a_failure():
+    # NaN only for the dense n-by-n product the check takes; the n-by-m
+    # blocks the penalty uses stay finite
+    p = make_sphere(3, np.eye(1, 3)[0])
+
+    def hess_h(x, w, v):
+        out = p.hess_h(x, w, v)
+        return np.full_like(out, np.nan) if out.shape == (3, 3) else out
+
+    reports = {r.target: r for r in check_problem(replace(p, hess_h=hess_h), [0, 1])}
+    assert np.isnan(reports["hess_h"].max_rel_err)
+    assert reports["hess_h"].worst_point_seed == 0
+    assert not reports["hess_h"].passed
+    assert all(r.passed for name, r in reports.items() if name != "hess_h")
+
+
 def test_check_problem_zero_cost_absolute_errors():
     p = make_rayleigh_sphere(np.zeros((4, 4)))
     reports = {r.target: r for r in check_problem(p, list(range(3)))}

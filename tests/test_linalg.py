@@ -30,6 +30,19 @@ def test_svd_reconstruction_random():
         np.testing.assert_allclose(res.vt @ res.vt.T, np.eye(3), atol=1e-12)
 
 
+def test_svd_of_a_stack_is_each_matrix_bitwise():
+    stack = np.random.default_rng(3).standard_normal((6, 3, 16))
+    res = svd(stack)
+    assert res.u.shape == (6, 3, 3) and res.s.shape == (6, 3) and res.vt.shape == (6, 3, 16)
+    for a, u, s, vt in zip(stack, res.u, res.s, res.vt):
+        one = svd(a)
+        assert one.u.tobytes() == u.tobytes()
+        assert one.s.tobytes() == s.tobytes()
+        assert one.vt.tobytes() == vt.tobytes()
+    with pytest.raises(ValueError):
+        svd(np.ones(3))
+
+
 def test_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         svd(np.array([[np.nan, 1.0], [0.0, 1.0]]))

@@ -32,8 +32,9 @@ from fletcher_penalty import (
     random_point_in_region,
 )
 from fletcher_penalty.derivative_check import fd_grad, fd_jacobian, relative_error
+from fletcher_penalty.linalg import FIRST_ORDER_STEP
 
-from conftest import make_affine_toy
+from conftest import ALL_BUILTIN_IDS, make_affine_toy, make_rank_crossing_toy
 
 
 def sphere_lambda(x, w):
@@ -269,6 +270,7 @@ def test_dlambda_fd_fallback_matches_analytic(sphere_w):
 
 @pytest.mark.parametrize("entry", [
     "dlambda_jacobian", "beta_thresholds", "certify", "layered_hess", "lagrangian_check",
+    "penalty_hess",
 ])
 def test_non_finite_hess_h_raises_evaluation_error(entry):
     # outside the solver too a NaN hess_h is an evaluator failure, not a NaN or a ValueError
@@ -281,6 +283,7 @@ def test_non_finite_hess_h_raises_evaluation_error(entry):
         "certify": lambda: certify(bad, x, 1.0, 1.0, 1.0),
         "layered_hess": lambda: layered_hess(bad, x),
         "lagrangian_check": lambda: lagrangian_check(bad, x, multipliers(p, x)[0], 1e9, 1e9, 1.0),
+        "penalty_hess": lambda: penalty_hess(bad, x, 1.0),
     }
     with pytest.raises(EvaluationError, match="^hess_h returned non-finite"):
         calls[entry]()
@@ -290,6 +293,113 @@ def test_penalty_hess_symmetric(sphere_w):
     p, w = sphere_w
     h = penalty_hess(p, 1.05 * w, 2.0)
     assert np.linalg.norm(h - h.T) == 0.0
+
+
+def _stencil_point(x, j, sign):
+    """Stencil row x + sign * delta e_j of the central differences at x."""
+    delta = FIRST_ORDER_STEP * (1.0 + float(np.linalg.norm(x)))
+    return x + sign * delta * np.eye(x.size)[j]
+
+
+def _count_calls(problem):
+    """problem with every evaluator counting its calls in the returned dict."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    names = ("f", "grad_f", "hess_f", "h", "jac_h", "hess_h")
+    return replace(problem, **{k: counted(k, getattr(problem, k)) for k in names}), calls
+
+
+@pytest.mark.parametrize("pid", ALL_BUILTIN_IDS + ("product without hess_h",))
+def test_stencil_gradients_equal_penalty_grad_bitwise(monkeypatch, pid):
+    # the stacked stencil must reproduce the single-point path to the last bit,
+    # and penalty_hess the dense per-point central differences of penalty_grad
+    from fletcher_penalty import penalty
+
+    if pid == "product without hess_h":
+        p = replace(builtin_problem("product:sphere,stiefel", n=3, seed=2), hess_h=None)
+    else:
+        p = builtin_problem(pid, seed=2)
+    stacks = []
+    real_stack = penalty._grad_stack
+
+    def spy_stack(problem, xs, beta):
+        grads = real_stack(problem, xs, beta)
+        stacks.append((xs.copy(), grads))
+        return grads
+
+    monkeypatch.setattr(penalty, "_grad_stack", spy_stack)
+    for seed in range(2):
+        x = random_point_in_region(p, seed, scale=0.3)
+        for beta in (0.0, 3.0):
+            hess = penalty_hess(p, x, beta)
+            xs, grads = stacks[-1]
+            assert xs.shape == grads.shape == (2 * x.size, x.size)
+            for i, row in enumerate(xs):
+                assert row.tobytes() == _stencil_point(x, i // 2, (-1) ** i).tobytes()
+                assert grads[i].tobytes() == penalty_grad(p, row, beta).tobytes()
+            dense = fd_jacobian(lambda y: penalty_grad(p, y, beta), x)
+            assert hess.tobytes() == (0.5 * (dense + dense.T)).tobytes()
+
+
+def test_penalty_hess_takes_one_stacked_svd_and_no_evaluate(monkeypatch):
+    # St(8, 2): m = 3, n = 16, so a 32-point stencil
+    from fletcher_penalty import penalty
+
+    p, calls = _count_calls(builtin_problem("stiefel", n=8, p=2, seed=3))
+    x = random_point_in_region(p, 1, scale=0.2)
+    calls.clear()
+    real_svd, real_evaluate = penalty.svd, penalty.evaluate
+    svd_shapes, evaluations = [], []
+
+    def spy_svd(a):
+        svd_shapes.append(np.shape(a))
+        return real_svd(a)
+
+    def spy_evaluate(*args, **kwargs):
+        evaluations.append(args)
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(penalty, "svd", spy_svd)
+    monkeypatch.setattr(penalty, "evaluate", spy_evaluate)
+    penalty_hess(p, x, 2.0)
+    assert svd_shapes == [(32, 3, 16)]
+    assert evaluations == []
+    assert calls == {"h": 32, "jac_h": 32, "grad_f": 32, "f": 32, "hess_f": 32, "hess_h": 64}
+
+
+def test_penalty_hess_names_the_failing_stencil_point():
+    p = builtin_problem("rayleigh", n=5)
+    x = p.init_point(0)
+    point = _stencil_point(x, 2, -1)
+
+    def grad_f(y):
+        return np.full(y.size, np.nan) if np.array_equal(y, point) else p.grad_f(y)
+
+    with pytest.raises(EvaluationError) as info:
+        penalty_hess(replace(p, grad_f=grad_f), x, 1.0)
+    assert str(info.value) == "grad_f returned non-finite values at %s" % (point,)
+    # Dh vanishes for x_1 <= 0.25; with delta ~ 1e-5, x - delta e_1 is the
+    # one rank-deficient stencil row
+    toy = make_rank_crossing_toy()
+    x = np.array([0.5, 0.25 + 1e-6, 0.2])
+    with pytest.raises(RankDeficiencyError) as info:
+        penalty_hess(toy, x, 1.0)
+    assert info.value.point.tobytes() == _stencil_point(x, 1, -1).tobytes()
+
+
+def test_penalty_hess_warns_of_sigma_lb_at_every_stencil_point():
+    # sigma_min(Dh) = 2||x|| ~ 2 lies below a declared bound of 3 everywhere in the region
+    p = builtin_problem("sphere", n=4)
+    p = replace(p, region=replace(p.region, sigma_lb=3.0))
+    with pytest.warns(RuntimeWarning, match="dips below the declared lower bound") as record:
+        penalty_hess(p, p.init_point(0), 1.0)
+    assert len(record) == 2 * p.dim_x
 
 
 def test_penalty_hess_projected_matches_layered():

@@ -294,15 +294,15 @@ def test_solve_takes_thin_svds_and_two_hess_h_per_gradient(monkeypatch):
     from fletcher_penalty import penalty, solver
 
     base = builtin_problem("stiefel", n=8, p=2, seed=3)
-    hess_h_calls = [0]
+    hess_h_points = []
 
     def counted_hess_h(x, w, v):
-        hess_h_calls[0] += 1
+        hess_h_points.append(x.tobytes())
         return base.hess_h(x, w, v)
 
     p = replace(base, hess_h=counted_hess_h)
-    real_svd, real_evaluate = penalty.svd, penalty.evaluate
-    vt_shapes, per_gradient = [], []
+    real_svd, real_evaluate, real_hess = penalty.svd, penalty.evaluate, solver.penalty_hess
+    vt_shapes, per_gradient, per_stencil_row = [], [], []
 
     def spy_svd(a):
         res = real_svd(a)
@@ -310,20 +310,33 @@ def test_solve_takes_thin_svds_and_two_hess_h_per_gradient(monkeypatch):
         return res
 
     def spy_evaluate(problem, x, beta, with_grad=True):
-        before = hess_h_calls[0]
+        before = len(hess_h_points)
         ev = real_evaluate(problem, x, beta, with_grad)
         if with_grad:
-            per_gradient.append(hess_h_calls[0] - before)
+            per_gradient.append(len(hess_h_points) - before)
         return ev
+
+    def spy_hess(problem, x, beta, fd_step):
+        before = len(hess_h_points)
+        hess = real_hess(problem, x, beta, fd_step)
+        calls = hess_h_points[before:]
+        per_stencil_row.extend(calls.count(row) for row in set(calls))
+        return hess
 
     monkeypatch.setattr(penalty, "svd", spy_svd)
     monkeypatch.setattr(penalty, "evaluate", spy_evaluate)
     monkeypatch.setattr(solver, "evaluate", spy_evaluate)
+    monkeypatch.setattr(solver, "penalty_hess", spy_hess)
     trace = gradient_eigenstep(p, p.init_point(3), SolverConfig(eps1=1e-4, eps2=1e-3, beta=5.0))
     assert trace.termination == "converged"
-    assert vt_shapes and set(vt_shapes) == {(3, 16)}
+    # single points take (3, 16) factorizations; each FD Hessian's 32-point
+    # stencil takes one stacked (32, 3, 16) factorization
+    assert vt_shapes and {shape[-2:] for shape in vt_shapes} == {(3, 16)}
+    assert set(vt_shapes) == {(3, 16), (32, 3, 16)}
     assert len(per_gradient) > trace.iteration_counts()[0]
     assert max(per_gradient) <= 2
+    assert len(per_stencil_row) == 32 * vt_shapes.count((32, 3, 16))
+    assert max(per_stencil_row) <= 2
 
 
 def test_max_iters_termination():
