@@ -65,7 +65,6 @@ from .solver import (
     gradient_backtrack,
     gradient_eigenstep,
     plateau,
-    region_step_floors,
     restore_feasibility,
 )
 

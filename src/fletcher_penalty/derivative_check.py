@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import FletcherPenaltyError
 from .linalg import FIRST_ORDER_STEP, fd_jacobian
 from .penalty import dlambda_jacobian, multipliers, penalty_grad, penalty_value
 
@@ -81,8 +82,9 @@ def check_problem(problem, seeds, beta=1.0):
     grad_f against f, jac_h against h, each hess_h(x, e_i, I) against row i
     of one FD Jacobian of jac_h, the penalty gradient against the penalty
     value, and the multiplier Jacobian against the multipliers. Failures
-    are reported, never raised; a NaN relative error is reported as the
-    worst one and fails.
+    are reported, never raised: a NaN relative error, or a package error
+    (such as a non-finite evaluator output) raised while checking a target,
+    is reported as that target's worst error, NaN, and fails.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -95,43 +97,37 @@ def check_problem(problem, seeds, beta=1.0):
             worst[name] = (err, int(seed))
 
     eye = np.eye(problem.dim_x)  # a dense Hessian is the product with the identity
+
+    def hess_h_err(x):
+        # fd[i] is the FD Jacobian of row i of jac_h: the Hessian of h_i
+        fd = fd_jacobian(problem.jac_h, x, SECOND_ORDER_STEP).reshape(problem.dim_h, x.size, x.size)
+        return max(relative_error(problem.hess_h(x, e, eye), fd[i])
+                   for i, e in enumerate(np.eye(problem.dim_h)))
+
     for seed in seeds:
         x = problem.init_point(seed)
-        note("grad_f", relative_error(problem.grad_f(x), fd_grad(problem.f, x)), seed)
-        note(
-            "hess_f",
-            relative_error(problem.hess_f(x, eye),
-                           fd_jacobian(problem.grad_f, x, SECOND_ORDER_STEP)),
-            seed,
-        )
-        note("jac_h", relative_error(problem.jac_h(x), fd_jacobian(problem.h, x)), seed)
-        if problem.hess_h is not None:
-            # fd[i] is the FD Jacobian of row i of jac_h: the Hessian of h_i
-            fd = fd_jacobian(problem.jac_h, x, SECOND_ORDER_STEP).reshape(problem.dim_h, x.size, x.size)
-            err = max(relative_error(problem.hess_h(x, e, eye), fd[i])
-                      for i, e in enumerate(np.eye(problem.dim_h)))
-            note("hess_h", err, seed)
-        note(
-            "penalty_grad",
-            relative_error(
+        checks = {
+            "grad_f": lambda: relative_error(problem.grad_f(x), fd_grad(problem.f, x)),
+            "hess_f": lambda: relative_error(problem.hess_f(x, eye),
+                                             fd_jacobian(problem.grad_f, x, SECOND_ORDER_STEP)),
+            "jac_h": lambda: relative_error(problem.jac_h(x), fd_jacobian(problem.h, x)),
+            "hess_h": lambda: hess_h_err(x),
+            "penalty_grad": lambda: relative_error(
                 penalty_grad(problem, x, beta),
-                fd_grad(lambda y: penalty_value(problem, y, beta), x),
-            ),
-            seed,
-        )
-        note(
-            "dlambda_jacobian",
-            relative_error(
+                fd_grad(lambda y: penalty_value(problem, y, beta), x)),
+            "dlambda_jacobian": lambda: relative_error(
                 dlambda_jacobian(problem, x),
-                fd_jacobian(lambda y: multipliers(problem, y)[0], x),
-            ),
-            seed,
-        )
+                fd_jacobian(lambda y: multipliers(problem, y)[0], x)),
+        }
+        for name, check in checks.items():
+            try:
+                err = check()
+            except FletcherPenaltyError:
+                err = math.nan  # the failure is this target's worst error
+            note(name, err, seed)
 
     reports = []
     for name, (tol, step) in TARGETS.items():
-        if name == "hess_h" and problem.hess_h is None:
-            continue
         err, seed = worst[name]
         reports.append(
             DerivativeReport(

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "FletcherPenaltyError",
+    "NumericalFailureError",
+    "RankDeficiencyError",
+    "EvaluationError",
+    "BacktrackFailureError",
+    "StepSizeError",
+]
+
 
 class FletcherPenaltyError(Exception):
     """Base class for all errors raised by this package."""

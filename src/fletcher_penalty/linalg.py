@@ -2,9 +2,8 @@
 
 Everything here is a thin, contract-checked layer over LAPACK (through
 numpy.linalg), plus the one central-difference Jacobian that the penalty
-Hessian, the multiplier-Jacobian fallback and the derivative checks share;
-the first two hand it the whole stencil at once, the checks one point at a
-time through fd_jacobian.
+Hessian and the derivative checks share; the first hands it the whole
+stencil at once, the checks one point at a time through fd_jacobian.
 All functions are pure and deterministic within one build: identical
 inputs give bitwise-identical outputs.
 """

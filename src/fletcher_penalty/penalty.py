@@ -43,7 +43,7 @@ class PenaltyEval:
     concurrently. grad_g is None when the evaluation was value-only;
     evaluate() can complete such an evaluation without redoing the point.
     lag_block is the n-by-m Lagrangian-Hessian block (hess f - H(lambda)) Dh^T
-    that the gradient computed; None without a gradient or without hess_h.
+    that the gradient computed; None without a gradient.
     """
 
     x: np.ndarray
@@ -136,9 +136,9 @@ def _stack_data(problem, xs):
 
     Returns h (N, m), Dh (N, m, n), its stacked SVD, grad f (N, n) and the
     multipliers (N, m). Each evaluator is called once per row. Serves the
-    stencils of penalty_hess and of the multiplier-Jacobian fallback, where
-    one stack replaces 2n single-point dispatches; a single iterate keeps
-    _point_data, for which a stack of one would only add dispatch.
+    stencil of penalty_hess, where one stack replaces 2n single-point
+    dispatches; a single iterate keeps _point_data, for which a stack of one
+    would only add dispatch.
     """
     rows = len(xs)
     h_val = _finite_rows(np.array([problem.h(x) for x in xs], dtype=float).reshape(rows, -1), "h", xs)
@@ -181,14 +181,12 @@ def _gram_inverse(res, rhs):
 
 def _lagrangian_hess(problem, x, lam, v):
     """(hess f - sum_i lam_i hess h_i) v: one hess_f and one weighted hess_h product."""
-    if problem.hess_h is None:
-        raise ValueError("the Lagrangian Hessian needs constraint Hessians (hess_h is None)")
     hess_f = _finite(np.asarray(problem.hess_f(x, v), dtype=float), "hess_f", x)
     return hess_f - problem.hess_h(x, lam, v)
 
 
 def _dlambda(problem, x):
-    """Dense multiplier Jacobian and the Dh SVD; central differences without hess_h.
+    """Dense multiplier Jacobian and the Dh SVD.
 
     Differentiating (Dh Dh^T) lam = Dh grad f gives Dlam = (Dh Dh^T)^{-1} (R + B^T)
     with R's rows (H(e_i) grad_M f)^T, H(w) = sum_i w_i hess h_i and the block
@@ -196,8 +194,6 @@ def _dlambda(problem, x):
     """
     block = getattr(x, "lag_block", None)
     x, _, jac, res, grad_f, lam = _point_data(problem, x)
-    if problem.hess_h is None:
-        return _fd_dlambda(problem, x), res
     if block is None:
         block = _lagrangian_hess(problem, x, lam, jac.T)
     rg = _riem_grad(grad_f, jac, lam)
@@ -205,18 +201,12 @@ def _dlambda(problem, x):
     return _finite(_gram_inverse(res, rows + block.T), "hess_h", x), res
 
 
-def _fd_dlambda(problem, x):
-    """Central differences of the multipliers over one stacked stencil."""
-    return _central_differences(lambda xs: _stack_data(problem, xs)[4], x)
-
-
 def dlambda_jacobian(problem, x):
     """Dense Jacobian of the multiplier map, one column per coordinate.
 
-    Differentiates the normal equations through the thin SVD of Dh when the
-    problem has constraint Hessians (hess_h); without them it takes central
-    differences of the multipliers. x may be a PenaltyEval,
-    whose point data and Lagrangian-Hessian block are reused.
+    Differentiates the normal equations through the thin SVD of Dh, with
+    m hess_h products. x may be a PenaltyEval, whose point data and
+    Lagrangian-Hessian block are reused.
     """
     return _dlambda(problem, x)[0]
 
@@ -247,13 +237,10 @@ def evaluate(problem, x, beta, with_grad=True):
         return ev
     x, h_val, jac, res, grad_f, lam = _point_data(problem, ev)
     rg = _riem_grad(grad_f, jac, lam)
-    if problem.hess_h is None:
-        block, adjoint = None, _dlambda(problem, ev)[0].T @ h_val
-    else:
-        # (Dlam)^T h = H(w) grad_M f + B w, w = (Dh Dh^T)^{-1} h: _dlambda's formula transposed
-        block = _lagrangian_hess(problem, x, lam, jac.T)
-        w = _gram_inverse(res, h_val)
-        adjoint = problem.hess_h(x, w, rg) + block @ w
+    # (Dlam)^T h = H(w) grad_M f + B w, w = (Dh Dh^T)^{-1} h: _dlambda's formula transposed
+    block = _lagrangian_hess(problem, x, lam, jac.T)
+    w = _gram_inverse(res, h_val)
+    adjoint = problem.hess_h(x, w, rg) + block @ w
     grad_g = rg + 2.0 * beta * (jac.T @ h_val) - adjoint
     # Every other input is checked where it is read; hess_h output is checked
     # here, once per gradient, rather than on each of its products.
@@ -278,30 +265,23 @@ def penalty_grad(problem, x, beta):
 def _grad_stack(problem, xs, beta):
     """penalty_grad at every row of xs, bitwise, from _stack_data and no PenaltyEval.
 
-    Each evaluator is called once per row (hess_h twice), and f too, for its
-    finiteness check, exactly as evaluate does. Non-finite outputs and rank
-    deficiency raise, naming the first offending row.
+    Each evaluator the gradient reads is called once per row (hess_h twice);
+    f is not, since the gradient never reads the penalty value. Non-finite
+    outputs and rank deficiency raise, naming the first offending row.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     h_val, jac, res, grad_f, lam = _stack_data(problem, xs)
-    f_val = np.array([float(problem.f(x)) for x in xs])
-    bad = np.flatnonzero(~np.isfinite(f_val))
-    if bad.size:
-        raise EvaluationError("f returned a non-finite value at %s" % (xs[bad[0]],))
     jac_t = jac.transpose(0, 2, 1)
     rg = grad_f - (jac_t @ lam[:, :, None])[:, :, 0]
-    if problem.hess_h is None:
-        adjoint = np.array([_fd_dlambda(problem, x).T @ h for x, h in zip(xs, h_val)])
-    else:
-        # evaluate's adjoint H(w) grad_M f + B w, summed before it is subtracted
-        hess_f = _finite_rows(
-            np.array([problem.hess_f(x, v) for x, v in zip(xs, jac_t)], dtype=float), "hess_f", xs)
-        block = hess_f - np.array([problem.hess_h(x, l, v) for x, l, v in zip(xs, lam, jac_t)])
-        us = res.u / res.s[:, None, :]
-        w = us @ (us.transpose(0, 2, 1) @ h_val[:, :, None])
-        adjoint = (np.array([problem.hess_h(x, wi, r) for x, wi, r in zip(xs, w[:, :, 0], rg)])
-                   + (block @ w)[:, :, 0])
+    # evaluate's adjoint H(w) grad_M f + B w, summed before it is subtracted
+    hess_f = _finite_rows(
+        np.array([problem.hess_f(x, v) for x, v in zip(xs, jac_t)], dtype=float), "hess_f", xs)
+    block = hess_f - np.array([problem.hess_h(x, l, v) for x, l, v in zip(xs, lam, jac_t)])
+    us = res.u / res.s[:, None, :]
+    w = us @ (us.transpose(0, 2, 1) @ h_val[:, :, None])
+    adjoint = (np.array([problem.hess_h(x, wi, r) for x, wi, r in zip(xs, w[:, :, 0], rg)])
+               + (block @ w)[:, :, 0])
     grad_g = rg + 2.0 * beta * (jac_t @ h_val[:, :, None])[:, :, 0] - adjoint
     return _finite_rows(grad_g, "hess_h", xs)
 

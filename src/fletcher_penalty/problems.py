@@ -10,7 +10,7 @@ orthonormal-frame manifold, and Cartesian products of constraint blocks.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -65,9 +65,8 @@ class Problem:
     Problem may be shared read-only across threads. Hessians are products:
     hess_f(x, v) = hess f(x) v and hess_h(x, w, v) = (sum_i w_i hess h_i(x)) v
     for an n-vector or n-by-k block v and weights w of shape (dim_h,)
-    (built-ins reject any other). hess_h may be None for problems lacking
-    second constraint derivatives (a finite-difference fallback is used for
-    the multiplier Jacobian then).
+    (built-ins reject any other). Every evaluator is required: the
+    multiplier Jacobian, and with it the penalty gradient, needs hess_h.
     """
 
     dim_x: int
@@ -78,7 +77,7 @@ class Problem:
     hess_f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     h: Callable[[np.ndarray], np.ndarray]
     jac_h: Callable[[np.ndarray], np.ndarray]
-    hess_h: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
+    hess_h: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     init_point: Callable[[int], np.ndarray]
     name: str = field(default="")
 
@@ -88,6 +87,9 @@ class Problem:
                 "need 1 <= dim_h < dim_x (full row rank requires m < n), got m=%d n=%d"
                 % (self.dim_h, self.dim_x)
             )
+        for name in ("f", "grad_f", "hess_f", "h", "jac_h", "hess_h", "init_point"):
+            if not callable(getattr(self, name)):
+                raise ValueError("Problem.%s must be callable, got %r" % (name, getattr(self, name)))
 
 
 def linear_cost(c):
@@ -316,7 +318,6 @@ def make_product(blocks, cost, name="product"):
             parts.append(b.init_point(child))
         return np.concatenate(parts)
 
-    any_missing = any(b.hess_h is None for b in blocks)
     return Problem(
         dim_x=n_total,
         dim_h=m_total,
@@ -326,7 +327,7 @@ def make_product(blocks, cost, name="product"):
         hess_f=cost.hess,
         h=h,
         jac_h=jac,
-        hess_h=None if any_missing else hess,
+        hess_h=hess,
         init_point=init_point,
         name=name,
     )

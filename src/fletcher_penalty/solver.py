@@ -32,7 +32,6 @@ __all__ = [
     "IterationRecord",
     "PlateauStage",
     "RunTrace",
-    "region_step_floors",
     "gradient_backtrack",
     "eigen_backtrack",
     "gradient_eigenstep",
@@ -172,35 +171,6 @@ class RunTrace:
         return json.dumps(self.as_dict())
 
 
-def region_step_floors(problem, x, beta):
-    """Step lengths below which steps provably stay inside the region.
-
-    Returns (grad_floor, unit_floor). When beta exceeds the first pointwise
-    threshold, x - t * grad g(x) keeps ||h|| <= radius for every
-    0 <= t <= grad_floor. For any unit direction d, x + t * d stays inside
-    for 0 <= t <= unit_floor provided the penalty gradient at x is small
-    (at most radius/2, which pins the violation itself down). grad_floor
-    may come out nonpositive when beta is too small; callers should treat
-    that as "no guarantee".
-    """
-    ev = evaluate(problem, x, beta, with_grad=True)
-    th = beta_thresholds(problem, ev)
-    grad_norm = ev.grad_norm
-    radius = problem.region.radius
-    c_h = problem.region.c_h
-    s1 = th.sigma_max
-    terms = [1.0 / (2.0 * beta * s1 * s1)]
-    if grad_norm > 0.0:
-        terms.append(math.sqrt(radius / (2.0 * c_h)) / grad_norm)
-        terms.append(
-            (2.0 * beta * th.sigma_min**2 - s1 * th.c_lambda)
-            * radius
-            / (2.0 * c_h * grad_norm**2)
-        )
-    unit_floor = (-s1 + math.sqrt(s1 * s1 + 2.0 * c_h * radius)) / (2.0 * c_h)
-    return min(terms), unit_floor
-
-
 def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what):
     """First alpha in {alpha0 * tau^j} whose trial ev.x + alpha*d stays in the region
     and decreases g by at least required_decrease(alpha)."""
@@ -278,9 +248,6 @@ def _check_inputs(problem, x0, cfg):
             "eps1=%g violates the requirement eps1 <= R/2 (R=%g)"
             % (cfg.eps1, problem.region.radius)
         )
-    if math.isfinite(cfg.eps2) and problem.hess_h is None:
-        raise ValueError("a second-order run (finite eps2) needs constraint Hessians "
-                         "(hess_h is None) for its certificate")
     x0 = np.asarray(x0, dtype=float)
     if not in_region(problem, x0):
         raise ValueError("x0 lies outside the region ||h|| <= %g" % problem.region.radius)
@@ -389,13 +356,15 @@ def gradient_eigenstep(problem, x0, cfg):
     while ||grad g|| > eps1, otherwise an eigenstep along the measured
     eigenvector (sign-flipped so it is non-ascending). The final point
     carries a layered criticality certificate with targets
-    (eps1, 2*eps1, eps2). A finite eps2 needs problem.hess_h for that
-    certificate; without it the run raises ValueError before evaluating.
+    (eps1, 2*eps1, eps2).
 
     Worst-case accounting (documentation only): every accepted gradient
     step decreases g by at least c1 * alpha * eps1^2 and every eigenstep by
-    at least c2 * alpha^2 * eps2, with alpha bounded below through the
-    region floors (region_step_floors) and regionwide curvature bounds.
+    at least c2 * alpha^2 * eps2, with alpha bounded below through
+    regionwide curvature bounds and the region floor: the step length up to
+    which a step provably keeps ||h|| <= radius once beta exceeds the
+    pointwise thresholds (it scales with 1/(beta sigma_max(Dh)^2) and with
+    the radius over c_h).
     Gradient searches start at min(alpha01, alpha_prev / tau1), so by
     induction every start is at least min(alpha01, floor) and every
     accepted gradient step at least tau1 * min(alpha01, floor), as with a

@@ -101,6 +101,19 @@ def test_check_problem_reports_a_nan_error_as_a_failure():
     assert all(r.passed for name, r in reports.items() if name != "hess_h")
 
 
+def test_check_problem_reports_an_evaluator_failure_instead_of_raising():
+    # a NaN hess_f makes the penalty gradient and the multiplier Jacobian raise
+    # EvaluationError; the report notes those targets as NaN failures
+    p = make_sphere(3, np.eye(1, 3)[0])
+    bad = replace(p, hess_f=lambda x, v: np.full(np.shape(v), np.nan))
+    reports = {r.target: r for r in check_problem(bad, [0, 1])}
+    failing = {"hess_f", "penalty_grad", "dlambda_jacobian"}
+    assert {name for name, r in reports.items() if not r.passed} == failing
+    for name in failing:
+        assert np.isnan(reports[name].max_rel_err) and reports[name].worst_point_seed == 0
+    assert len(reports) == 6
+
+
 def test_check_problem_zero_cost_absolute_errors():
     p = make_rayleigh_sphere(np.zeros((4, 4)))
     reports = {r.target: r for r in check_problem(p, list(range(3)))}

@@ -195,13 +195,10 @@ def test_beta_affinity(builtins):
 
 def test_adjoint_gradient_matches_dense_and_fd(builtins):
     # the adjoint (Dlambda)^T h against the dense multiplier Jacobian and
-    # against central differences of the penalty value, on every built-in,
-    # the affine toy, and a problem without constraint Hessians
-    from dataclasses import replace
-
+    # against central differences of the penalty value, on every built-in
+    # and the affine toy
     problems = dict(builtins)
     problems["affine"] = make_affine_toy(seed=4)[0]
-    problems["stiefel without hess_h"] = replace(builtins["stiefel"], hess_h=None)
     beta = 2.0
     for p in problems.values():
         for seed in range(5):
@@ -256,18 +253,6 @@ def test_dlambda_fd_oracle(builtins):
             assert relative_error(dlam, fd) <= 1e-5
 
 
-def test_dlambda_fd_fallback_matches_analytic(sphere_w):
-    from dataclasses import replace
-
-    p, w = sphere_w
-    x = 1.05 * w
-    np.testing.assert_allclose(
-        dlambda_jacobian(replace(p, hess_h=None), x),
-        dlambda_jacobian(p, x),
-        atol=1e-7,
-    )
-
-
 @pytest.mark.parametrize("entry", [
     "dlambda_jacobian", "beta_thresholds", "certify", "layered_hess", "lagrangian_check",
     "penalty_hess",
@@ -315,16 +300,13 @@ def _count_calls(problem):
     return replace(problem, **{k: counted(k, getattr(problem, k)) for k in names}), calls
 
 
-@pytest.mark.parametrize("pid", ALL_BUILTIN_IDS + ("product without hess_h",))
+@pytest.mark.parametrize("pid", ALL_BUILTIN_IDS)
 def test_stencil_gradients_equal_penalty_grad_bitwise(monkeypatch, pid):
     # the stacked stencil must reproduce the single-point path to the last bit,
     # and penalty_hess the dense per-point central differences of penalty_grad
     from fletcher_penalty import penalty
 
-    if pid == "product without hess_h":
-        p = replace(builtin_problem("product:sphere,stiefel", n=3, seed=2), hess_h=None)
-    else:
-        p = builtin_problem(pid, seed=2)
+    p = builtin_problem(pid, seed=2)
     stacks = []
     real_stack = penalty._grad_stack
 
@@ -370,7 +352,8 @@ def test_penalty_hess_takes_one_stacked_svd_and_no_evaluate(monkeypatch):
     penalty_hess(p, x, 2.0)
     assert svd_shapes == [(32, 3, 16)]
     assert evaluations == []
-    assert calls == {"h": 32, "jac_h": 32, "grad_f": 32, "f": 32, "hess_f": 32, "hess_h": 64}
+    # no f: the gradient never reads the penalty value
+    assert calls == {"h": 32, "jac_h": 32, "grad_f": 32, "hess_f": 32, "hess_h": 64}
 
 
 def test_penalty_hess_names_the_failing_stencil_point():

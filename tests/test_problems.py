@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from fletcher_penalty import (
+    Problem,
+    RegionParams,
     builtin_problem,
     linear_cost,
     make_product,
@@ -162,6 +164,23 @@ def test_product_sigma_bound_matches_min_rule(product_spheres):
         x = random_point_in_region(p, seed, scale=0.4)
         s = np.linalg.svd(p.jac_h(x), compute_uv=False)
         assert s[-1] >= p.region.sigma_lb - 1e-9
+
+
+def test_a_problem_without_hess_h_is_rejected_at_construction():
+    # constraint Hessians are part of the contract: the multiplier Jacobian needs them
+    n = 3
+    fields = dict(
+        dim_x=n, dim_h=1, region=RegionParams(radius=0.5, sigma_lb=1.0, c_h=1.0),
+        f=lambda x: float(x[0]), grad_f=lambda x: np.eye(1, n)[0],
+        hess_f=lambda x, v: np.zeros(np.shape(v)), h=lambda x: np.array([x @ x - 1.0]),
+        jac_h=lambda x: 2.0 * x.reshape(1, n), init_point=lambda seed: np.eye(1, n)[0],
+    )
+    with pytest.raises(ValueError, match="hess_h"):
+        Problem(**fields, hess_h=None)
+    Problem(**fields, hess_h=lambda x, w, v: 2.0 * w[0] * v)
+    for problem_id in ALL_BUILTIN_IDS:
+        with pytest.raises(ValueError, match="hess_h"):
+            replace(builtin_problem(problem_id), hess_h=None)
 
 
 def test_init_point_lands_in_region(builtins):

@@ -21,7 +21,6 @@ from fletcher_penalty import (
     penalty_grad,
     plateau,
     random_point_in_region,
-    region_step_floors,
     restore_feasibility,
 )
 
@@ -116,58 +115,6 @@ def test_eigen_records_obey_direction_contract():
         assert r.g_before - r.g_after >= -cfg.c2 * r.step_len**2 * r.curvature - 1e-15
     assert trace.termination == "converged"
     assert p.f(trace.final_x) <= 0.5 + 1e-3
-
-
-def test_region_step_floor_for_gradient_steps():
-    # for beta above the first threshold, the whole segment
-    # [x, x - grad_floor * grad g] must stay inside the region
-    p = diag_rayleigh()
-    beta = 10.0
-    for seed in range(15):
-        x = random_point_in_region(p, seed, scale=0.5)
-        th = beta_thresholds(p, x)
-        assert beta > th.beta1
-        grad_floor, _ = region_step_floors(p, x, beta)
-        assert grad_floor > 0
-        grad = penalty_grad(p, x, beta)
-        for frac in (0.25, 0.5, 1.0):
-            assert np.linalg.norm(p.h(x - frac * grad_floor * grad)) <= p.region.radius
-
-
-def test_region_step_floors_factorize_the_point_once(monkeypatch):
-    from fletcher_penalty import penalty
-
-    seen = []
-    real_svd = penalty.svd
-
-    def spy_svd(a):
-        seen.append(np.array(a, copy=True))
-        return real_svd(a)
-
-    monkeypatch.setattr(penalty, "svd", spy_svd)
-    p = builtin_problem("stiefel", n=8, p=2, seed=3)
-    x = p.init_point(3)
-    region_step_floors(p, x, 5.0)
-    jac = p.jac_h(x)
-    assert sum(1 for a in seen if a.shape == jac.shape and np.array_equal(a, jac)) == 1
-
-
-def test_region_step_floor_for_unit_steps():
-    # near a critical point (tiny penalty gradient) any unit direction can be
-    # followed up to unit_floor without leaving the region
-    p = diag_rayleigh()
-    beta = 10.0
-    x = np.eye(10)[0] + 1e-7 * np.arange(10)
-    x /= np.linalg.norm(x)
-    assert np.linalg.norm(penalty_grad(p, x, beta)) <= p.region.radius / 2.0
-    _, unit_floor = region_step_floors(p, x, beta)
-    assert unit_floor > 0
-    rng = np.random.default_rng(33)
-    for _ in range(10):
-        d = rng.standard_normal(10)
-        d /= np.linalg.norm(d)
-        for frac in (0.5, 1.0):
-            assert np.linalg.norm(p.h(x + frac * unit_floor * d)) <= p.region.radius
 
 
 # ---------------------------------------------------------------------------
@@ -496,24 +443,6 @@ def test_plateau_certifies_only_inside_the_solver(monkeypatch):
     assert len(trace.plateaus) >= 2
     assert [c for c in calls if c[0] == "certify"] == [("certify", False)]
     assert {in_loop for name, in_loop in calls if name != "certify"} == {True}
-
-
-@pytest.mark.parametrize("driver", ["solve", "plateau"])
-def test_second_order_run_without_hess_h_fails_before_evaluating(monkeypatch, driver):
-    # the certificate needs hess_h; a finite eps2 without it is refused up front
-    from fletcher_penalty import solver
-
-    calls = []
-    real = solver.evaluate
-    monkeypatch.setattr(solver, "evaluate", lambda *a, **k: calls.append(a) or real(*a, **k))
-    p = replace(builtin_problem("rayleigh", n=12), hess_h=None)
-    cfg = SolverConfig(eps1=1e-4, eps2=1e-3, beta=5.0)
-    with pytest.raises(ValueError, match="hess_h"):
-        if driver == "solve":
-            gradient_eigenstep(p, p.init_point(1), cfg)
-        else:
-            plateau(p, p.init_point(1), cfg, beta0=5.0)
-    assert calls == []
 
 
 @pytest.mark.parametrize("eps2", [math.inf, 1e-3])
