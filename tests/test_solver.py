@@ -445,6 +445,26 @@ def test_plateau_certifies_only_inside_the_solver(monkeypatch):
     assert {in_loop for name, in_loop in calls if name != "certify"} == {True}
 
 
+@pytest.mark.parametrize("driver", ["solve", "plateau"])
+def test_second_order_run_without_hess_h_fails_before_evaluating(monkeypatch, driver):
+    # the certificate needs hess_h; the Problem contract refuses a run without it
+    # before the solver evaluates anything
+    from fletcher_penalty import solver
+
+    calls = []
+    real = solver.evaluate
+    monkeypatch.setattr(solver, "evaluate", lambda *a, **k: calls.append(a) or real(*a, **k))
+    rayleigh = builtin_problem("rayleigh", n=12)
+    cfg = SolverConfig(eps1=1e-4, eps2=1e-3, beta=5.0)
+    with pytest.raises(ValueError, match="hess_h"):
+        p = replace(rayleigh, hess_h=None)
+        if driver == "solve":
+            gradient_eigenstep(p, p.init_point(1), cfg)
+        else:
+            plateau(p, p.init_point(1), cfg, beta0=5.0)
+    assert calls == []
+
+
 @pytest.mark.parametrize("eps2", [math.inf, 1e-3])
 def test_converged_point_takes_one_svd(monkeypatch, eps2):
     # the final point's Dh is factorized once; the certificate reuses that SVD
