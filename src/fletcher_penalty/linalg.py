@@ -1,9 +1,8 @@
 """Dense linear-algebra primitives with explicit tolerance contracts.
 
 Everything here is a thin, contract-checked layer over LAPACK (through
-numpy.linalg), plus the one central-difference Jacobian that the penalty
-Hessian and the derivative checks share; the first hands it the whole
-stencil at once, the checks one point at a time through fd_jacobian.
+numpy.linalg), plus the one central-difference Jacobian that the
+derivative checks and the tests use as their reference.
 All functions are pure and deterministic within one build: identical
 inputs give bitwise-identical outputs.
 """
@@ -35,9 +34,6 @@ class SvdResult:
 
     With k = min(m, n), u is (m, k), s has k entries and vt is (k, n).
     Reconstruction is accurate to 1e-10 * (1 + ||A||_F) in Frobenius norm.
-    For a stack of matrices every array carries the leading stack axes, and
-    sigma_max/sigma_min are for a single matrix only: read s[..., 0] and
-    s[..., -1] instead.
     """
 
     u: np.ndarray
@@ -58,9 +54,9 @@ def default_rank_tol(rows, cols):
     return 1e-12 * max(rows, cols)
 
 
-def _as_matrix(a, stack=False):
+def _as_matrix(a):
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 and not (stack and a.ndim > 2):
+    if a.ndim != 2:
         raise ValueError("expected a 2-D array, got shape %s" % (a.shape,))
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
@@ -75,13 +71,12 @@ def _lapack_svd(a, full_matrices):
 
 
 def svd(a):
-    """Thin singular value decomposition of a dense matrix or a stack of them.
+    """Thin singular value decomposition of a dense matrix.
 
-    A (..., m, n) stack is factorized in one LAPACK dispatch, each matrix
-    bitwise as if alone. Raises NumericalFailureError if the underlying
-    iteration does not converge within LAPACK's sweep budget.
+    Raises NumericalFailureError if the underlying iteration does not
+    converge within LAPACK's sweep budget.
     """
-    u, s, vt = _lapack_svd(_as_matrix(a, stack=True), full_matrices=False)
+    u, s, vt = _lapack_svd(_as_matrix(a), full_matrices=False)
     return SvdResult(u=u, s=s, vt=vt)
 
 
@@ -121,34 +116,22 @@ def kernel_basis(a):
     return vt[rows].T.copy()
 
 
-def _central_differences(stack_fun, x, step=FIRST_ORDER_STEP):
-    """Central-difference Jacobian from one call of stack_fun on the whole stencil.
+def fd_jacobian(fun, x, step=FIRST_ORDER_STEP):
+    """Central-difference Jacobian of a vector function, one column at a time.
 
-    stack_fun maps the (2n, n) stencil, whose rows are x + delta e_0,
-    x - delta e_0, x + delta e_1, ..., to a (2n, k) array of values. The
-    offset is delta = step * (1 + ||x||). Raises EvaluationError on a
+    Uses the scaled offset step * (1 + ||x||). Raises EvaluationError on a
     non-finite stencil value.
     """
     x = np.asarray(x, dtype=float)
     delta = step * (1.0 + float(np.linalg.norm(x)))
-    offsets = np.diag(np.full(x.size, delta))
-    stencil = np.empty((2 * x.size, x.size))
-    stencil[0::2] = x + offsets
-    stencil[1::2] = x - offsets
-    vals = np.asarray(stack_fun(stencil), dtype=float).reshape(stencil.shape[0], -1)
-    jac = ((vals[0::2] - vals[1::2]) / (2.0 * delta)).T
+    cols = []
+    for e in np.diag(np.full(x.size, delta)):
+        fp = np.asarray(fun(x + e), dtype=float).ravel()
+        fm = np.asarray(fun(x - e), dtype=float).ravel()
+        cols.append((fp - fm) / (2.0 * delta))
+    jac = np.array(cols).T
     # A non-finite stencil value always leaves a non-finite difference.
     bad = np.flatnonzero(~np.isfinite(jac).all(axis=0))
     if bad.size:
         raise EvaluationError("non-finite stencil value in fd_jacobian at coordinate %d" % bad[0])
     return jac
-
-
-def fd_jacobian(fun, x, step=FIRST_ORDER_STEP):
-    """Central-difference Jacobian of a vector function, one stencil point at a time.
-
-    Uses the scaled offset step * (1 + ||x||). Raises EvaluationError on a
-    non-finite stencil value.
-    """
-    return _central_differences(
-        lambda stencil: [np.asarray(fun(y), dtype=float).ravel() for y in stencil], x, step)

@@ -3,12 +3,13 @@
 The penalty is g(x) = f(x) - <h(x), lambda(x)> + beta * ||h(x)||^2 with
 least-squares multipliers lambda(x) = pinv(Dh(x)^T) grad f(x). Its gradient
 splits into a tangent part (the Riemannian gradient of f on the level set
-of h through x) and constraint-normal parts; the Hessian is realized by
-central differences of the analytic gradient, which avoids third
-derivatives of f and h. Each point costs one thin SVD of Dh, which yields
-the multipliers, (Dh Dh^T)^{-1} = U diag(s^-2) U^T and the rank check.
-Second derivatives of f and h enter only as Hessian products, never as
-n-by-n matrices.
+of h through x) and constraint-normal parts. The Hessian is assembled from
+the same pieces, less the term sum_i h_i hess lambda_i, which would need
+third derivatives and vanishes on the feasible set. Each point costs one
+thin SVD of Dh, which yields the multipliers,
+(Dh Dh^T)^{-1} = U diag(s^-2) U^T and the rank check. Second derivatives
+of f and h enter as Hessian products; only penalty_hess takes them with
+the n-by-n identity.
 """
 
 import math
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import EvaluationError, RankDeficiencyError
-from .linalg import FIRST_ORDER_STEP, SvdResult, _central_differences, default_rank_tol, svd
+from .linalg import SvdResult, default_rank_tol, svd
 
 __all__ = [
     "PenaltyEval",
@@ -89,23 +90,6 @@ def _finite(arr, label, x):
     return arr
 
 
-def _finite_rows(arr, label, xs):
-    """_finite for a stack of per-row outputs: the error names the first non-finite row."""
-    ok = np.isfinite(arr.reshape(len(xs), -1)).all(axis=1)
-    if not ok.all():
-        raise EvaluationError("%s returned non-finite values at %s" % (label, xs[np.argmin(ok)]))
-    return arr
-
-
-def _warn_sigma_lb(sigma_min, sigma_lb):
-    warnings.warn(
-        "sigma_min(Dh)=%.3e dips below the declared lower bound %.3e inside "
-        "the region; the supplied region constants look inconsistent" % (sigma_min, sigma_lb),
-        RuntimeWarning,
-        stacklevel=4,
-    )
-
-
 def _point_data(problem, x):
     """Shared per-point bundle: h, Dh, its thin SVD, grad f, and multipliers.
 
@@ -125,38 +109,16 @@ def _point_data(problem, x):
     h_norm = float(np.linalg.norm(h_val))
     reg = problem.region
     if h_norm <= reg.radius and res.sigma_min < reg.sigma_lb * (1.0 - 1e-9):
-        _warn_sigma_lb(res.sigma_min, reg.sigma_lb)
+        warnings.warn(
+            "sigma_min(Dh)=%.3e dips below the declared lower bound %.3e inside "
+            "the region; the supplied region constants look inconsistent"
+            % (res.sigma_min, reg.sigma_lb),
+            RuntimeWarning,
+            stacklevel=3,
+        )
     # Minimum-norm least-squares multipliers through the SVD of Dh.
     lam = res.u @ ((res.vt @ grad_f) / res.s)
     return x, h_val, jac, res, grad_f, lam
-
-
-def _stack_data(problem, xs):
-    """_point_data at every row of xs, bitwise, with one stacked SVD of the Dh stack.
-
-    Returns h (N, m), Dh (N, m, n), its stacked SVD, grad f (N, n) and the
-    multipliers (N, m). Each evaluator is called once per row. Serves the
-    stencil of penalty_hess, where one stack replaces 2n single-point
-    dispatches; a single iterate keeps _point_data, for which a stack of one
-    would only add dispatch.
-    """
-    rows = len(xs)
-    h_val = _finite_rows(np.array([problem.h(x) for x in xs], dtype=float).reshape(rows, -1), "h", xs)
-    jac = _finite_rows(np.array([problem.jac_h(x) for x in xs], dtype=float), "jac_h", xs)
-    grad_f = _finite_rows(
-        np.array([problem.grad_f(x) for x in xs], dtype=float).reshape(rows, -1), "grad_f", xs)
-    res = svd(jac)
-    s_max, s_min = res.s[:, 0], res.s[:, -1]
-    deficient = np.flatnonzero(s_min <= default_rank_tol(*jac.shape[1:]) * s_max)
-    if deficient.size:
-        i = deficient[0]
-        raise RankDeficiencyError(xs[i], float(s_min[i]), float(s_max[i]))
-    reg = problem.region
-    for i in np.flatnonzero(s_min < reg.sigma_lb * (1.0 - 1e-9)):
-        if float(np.linalg.norm(h_val[i])) <= reg.radius:
-            _warn_sigma_lb(float(s_min[i]), reg.sigma_lb)
-    lam = (res.u @ ((res.vt @ grad_f[:, :, None]) / res.s[:, :, None]))[:, :, 0]
-    return h_val, jac, res, grad_f, lam
 
 
 def multipliers(problem, x):
@@ -186,19 +148,20 @@ def _lagrangian_hess(problem, x, lam, v):
 
 
 def _dlambda(problem, x):
-    """Dense multiplier Jacobian and the Dh SVD.
+    """Dense multiplier Jacobian and x's point data (the _point_data tuple).
 
     Differentiating (Dh Dh^T) lam = Dh grad f gives Dlam = (Dh Dh^T)^{-1} (R + B^T)
     with R's rows (H(e_i) grad_M f)^T, H(w) = sum_i w_i hess h_i and the block
     B = (hess f - H(lam)) Dh^T: x's lag_block when x is a completed PenaltyEval.
     """
     block = getattr(x, "lag_block", None)
-    x, _, jac, res, grad_f, lam = _point_data(problem, x)
+    point = _point_data(problem, x)
+    x, _, jac, res, grad_f, lam = point
     if block is None:
         block = _lagrangian_hess(problem, x, lam, jac.T)
     rg = _riem_grad(grad_f, jac, lam)
     rows = np.array([problem.hess_h(x, e, rg) for e in np.eye(jac.shape[0])])
-    return _finite(_gram_inverse(res, rows + block.T), "hess_h", x), res
+    return _finite(_gram_inverse(res, rows + block.T), "hess_h", x), point
 
 
 def dlambda_jacobian(problem, x):
@@ -262,40 +225,26 @@ def penalty_grad(problem, x, beta):
     return evaluate(problem, x, beta, with_grad=True).grad_g
 
 
-def _grad_stack(problem, xs, beta):
-    """penalty_grad at every row of xs, bitwise, from _stack_data and no PenaltyEval.
+def penalty_hess(problem, x, beta):
+    """Symmetrized penalty Hessian, less the term sum_i h_i hess lambda_i.
 
-    Each evaluator the gradient reads is called once per row (hess_h twice);
-    f is not, since the gradient never reads the penalty value. Non-finite
-    outputs and rank deficiency raise, naming the first offending row.
+    Differentiating the gradient once more gives
+    (hess f - H(lam)) - Dh^T Dlam - Dlam^T Dh + 2 beta (Dh^T Dh + H(h)),
+    with H(w) = sum_i w_i hess h_i. The dropped term needs third derivatives
+    and is O(||h||): zero on the feasible set and small at the
+    eps1-stationary iterates where the solver reads curvature. x may be a
+    PenaltyEval, whose point data and Lagrangian-Hessian block are reused:
+    the Hessian then costs one hess_f and m + 2 hess_h products with the
+    identity, and no further evaluation or SVD.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    h_val, jac, res, grad_f, lam = _stack_data(problem, xs)
-    jac_t = jac.transpose(0, 2, 1)
-    rg = grad_f - (jac_t @ lam[:, :, None])[:, :, 0]
-    # evaluate's adjoint H(w) grad_M f + B w, summed before it is subtracted
-    hess_f = _finite_rows(
-        np.array([problem.hess_f(x, v) for x, v in zip(xs, jac_t)], dtype=float), "hess_f", xs)
-    block = hess_f - np.array([problem.hess_h(x, l, v) for x, l, v in zip(xs, lam, jac_t)])
-    us = res.u / res.s[:, None, :]
-    w = us @ (us.transpose(0, 2, 1) @ h_val[:, :, None])
-    adjoint = (np.array([problem.hess_h(x, wi, r) for x, wi, r in zip(xs, w[:, :, 0], rg)])
-               + (block @ w)[:, :, 0])
-    grad_g = rg + 2.0 * beta * (jac_t @ h_val[:, :, None])[:, :, 0] - adjoint
-    return _finite_rows(grad_g, "hess_h", xs)
-
-
-def penalty_hess(problem, x, beta, fd_step=FIRST_ORDER_STEP):
-    """Symmetrized central-difference Jacobian of the analytic gradient.
-
-    The 2n stencil gradients are evaluated as one stack (one stacked Dh SVD),
-    each row bitwise equal to penalty_grad at that stencil point. Every
-    stencil point must admit multipliers; a rank-deficient stencil point
-    raises and the caller may shrink fd_step and retry.
-    """
-    hess = _central_differences(lambda xs: _grad_stack(problem, xs, beta), x, fd_step)
-    return 0.5 * (hess + hess.T)
+    dlam, (x, h_val, jac, _, _, lam) = _dlambda(problem, x)
+    eye = np.eye(x.size)
+    cross = jac.T @ dlam
+    hess = (_lagrangian_hess(problem, x, lam, eye) - cross - cross.T
+            + 2.0 * beta * (jac.T @ jac + problem.hess_h(x, h_val, eye)))
+    return _finite(0.5 * (hess + hess.T), "hess_h", x)
 
 
 def beta_thresholds(problem, x):
@@ -304,7 +253,7 @@ def beta_thresholds(problem, x):
     x may be a PenaltyEval, whose point data and Lagrangian-Hessian block
     are reused: Dlambda then costs only m hess_h products.
     """
-    dlam, res = _dlambda(problem, x)
+    dlam, (_, _, _, res, _, _) = _dlambda(problem, x)
     c_lambda = svd(dlam).sigma_max
     s_min = res.sigma_min
     s_max = res.sigma_max

@@ -24,7 +24,7 @@ from .exceptions import (
     RankDeficiencyError,
     StepSizeError,
 )
-from .linalg import FIRST_ORDER_STEP, sym_eig_min
+from .linalg import sym_eig_min
 from .penalty import beta_thresholds, evaluate, in_region, penalty_hess
 
 __all__ = [
@@ -60,11 +60,10 @@ class SolverConfig:
     alpha02: float = 1.0
     max_iters: int = 20000
     max_backtracks: int = 60
-    fd_step: float = FIRST_ORDER_STEP
 
     def validate(self):
         for name in ("beta", "c1", "c2", "tau1", "tau2", "alpha01", "alpha02",
-                     "max_iters", "max_backtracks", "fd_step"):
+                     "max_iters", "max_backtracks"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError("%s must be finite" % name)
         if not self.eps1 > 0:
@@ -83,8 +82,6 @@ class SolverConfig:
             raise ValueError("initial step sizes must be positive")
         if self.max_iters < 0 or self.max_backtracks < 0:
             raise ValueError("iteration budgets must be nonnegative")
-        if not self.fd_step > 0:
-            raise ValueError("fd_step must be positive")
 
     def as_dict(self):
         out = asdict(self)
@@ -212,8 +209,10 @@ def eigen_backtrack(problem, ev, d, hess_quad, cfg):
 
     ev is the current point's PenaltyEval (value-only suffices). d must be
     a unit vector with <d, grad g(x)> <= 0 and hess_quad the (negative)
-    curvature <d, hess g(x) d>. Returns (alpha, trial, backtracks) as
-    gradient_backtrack does.
+    curvature <d, H d>, H being penalty_hess at x (the solver passes its
+    smallest eigenvalue). Each trial is accepted on g's own decrease, so
+    monotonicity never rests on hess_quad. Returns (alpha, trial,
+    backtracks) as gradient_backtrack does.
     """
     return _backtrack(problem, ev, np.asarray(d, dtype=float), cfg.alpha02, cfg.tau2,
                       lambda a: -cfg.c2 * a * a * hess_quad, cfg, "eigenstep")
@@ -296,7 +295,7 @@ def _descend(problem, x0, cfg, records, stop=None):
             if not ev.grad_norm > cfg.eps1:
                 if math.isinf(cfg.eps2):
                     return _terminal(records, ev, "converged", k)
-                curvature, d = sym_eig_min(penalty_hess(problem, ev.x, cfg.beta, cfg.fd_step))
+                curvature, d = sym_eig_min(penalty_hess(problem, ev, cfg.beta))
                 if not curvature < -cfg.eps2:
                     return _terminal(records, ev, "converged", k)
             tag = None if stop is None else stop(k, ev)
@@ -351,8 +350,8 @@ def gradient_eigenstep(problem, x0, cfg):
 
     Each accepted iterate is decided once, in this order: the iteration
     budget (k >= max_iters ends the run as "max_iters"); convergence,
-    i.e. ||grad g|| <= eps1 and, with finite eps2, a smallest FD-Hessian
-    eigenvalue >= -eps2; and otherwise a step. The step is a gradient step
+    i.e. ||grad g|| <= eps1 and, with finite eps2, a smallest eigenvalue of
+    penalty_hess >= -eps2; and otherwise a step. The step is a gradient step
     while ||grad g|| > eps1, otherwise an eigenstep along the measured
     eigenvector (sign-flipped so it is non-ascending). The final point
     carries a layered criticality certificate with targets
@@ -453,9 +452,9 @@ def restore_feasibility(problem, x0, step, t_end):
     """Integrate the constraint-violation gradient flow dx/dt = -Dh(x)^T h(x).
 
     Fixed-size fourth-order (classical Runge-Kutta) steps, halved whenever
-    the violation energy phi = 0.5 ||h||^2 fails to decrease; stops at
-    t_end or once phi <= 1e-16. Returns the final point and the list of
-    (t, phi) samples including t = 0.
+    the violation energy phi = 0.5 ||h||^2 fails to decrease or is not
+    finite; stops at t_end or once phi <= 1e-16. Returns the final point and
+    the list of (t, phi) samples including t = 0.
 
     Raises StepSizeError when halving cannot restore monotone decrease.
     """
@@ -476,23 +475,26 @@ def restore_feasibility(problem, x0, step, t_end):
     log = [(0.0, phi)]
     t = 0.0
     dt = float(step)
-    while t < t_end - 1e-15 and phi > 1e-16:
-        dt_eff = min(dt, t_end - t)
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * dt_eff * k1)
-        k3 = rhs(x + 0.5 * dt_eff * k2)
-        k4 = rhs(x + dt_eff * k3)
-        x_new = x + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        phi_new = phi_at(x_new)
-        if phi_new > phi:
-            dt *= 0.5
-            if dt < step * 2.0**-40:
-                raise StepSizeError(
-                    "violation energy keeps increasing; step could not be salvaged by halving"
-                )
-            continue
-        x = x_new
-        t += dt_eff
-        phi = phi_new
-        log.append((t, phi))
+    # An overshooting step may overflow; its non-finite phi is rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_end - 1e-15 and phi > 1e-16:
+            dt_eff = min(dt, t_end - t)
+            k1 = rhs(x)
+            k2 = rhs(x + 0.5 * dt_eff * k1)
+            k3 = rhs(x + 0.5 * dt_eff * k2)
+            k4 = rhs(x + dt_eff * k3)
+            x_new = x + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            phi_new = phi_at(x_new)
+            if not phi_new <= phi:
+                dt *= 0.5
+                if dt < step * 2.0**-40:
+                    raise StepSizeError(
+                        "violation energy keeps increasing or is not finite; "
+                        "step could not be salvaged by halving"
+                    )
+                continue
+            x = x_new
+            t += dt_eff
+            phi = phi_new
+            log.append((t, phi))
     return x, log

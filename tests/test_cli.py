@@ -360,6 +360,8 @@ def test_spec_file_runs_as_the_flags_it_names(tmp_path, capsys, mode, spec, flag
     (["check", "--beta", "10"], "unrecognized arguments: --beta 10"),  # check runs no solver
     (["plateau", "--beta", "5"], "unrecognized arguments: --beta 5"),  # --beta0 sets beta
     (["sweep", "--eps1", "5", "--eps-list", "1e-2"], "unrecognized arguments: --eps1 5"),
+    # the penalty Hessian takes no difference step
+    (["solve", "--fd-step", "1e-6"], "unrecognized arguments: --fd-step 1e-6"),
 ])
 def test_bad_flag_exits_64_in_one_line(tmp_path, capsys, args, message):
     out = tmp_path / "x.json"
@@ -407,10 +409,14 @@ _RESTORE = ["restore", "--problem", "stiefel", "--n", "8", "--p", "3", "--seed",
             "--perturb", "0.3"]
 
 
-def test_restore_halves_a_step_too_large(tmp_path):
+def test_restore_halves_a_step_too_large(tmp_path, capsys):
     # a first step over the whole horizon (t_end = 3) raises phi, so it is halved
     out = tmp_path / "r.json"
-    assert run_cli(_RESTORE + ["--step", "1e3", "--output-path", str(out)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(_RESTORE + ["--step", "1e3", "--output-path", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("restore: steps=") and err.count("\n") == 1
     decay = json.loads(out.read_text())["decay_log"]
     assert 0.0 < decay[1][0] < 3.0
     assert all(b[1] <= a[1] for a, b in zip(decay, decay[1:]))
@@ -422,6 +428,21 @@ def test_restore_step_halving_cannot_salvage_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("fletcher-penalty: violation energy keeps increasing")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_restore_step_that_overflows_exits_three(tmp_path, capsys):
+    # a NaN violation energy must not pass as a decrease (NaN > phi is False):
+    # no phi_end=nan, no NaN tokens in the JSON, no RuntimeWarning lines
+    out = tmp_path / "r.json"
+    args = ["restore", "--problem", "stiefel", "--perturb", "0.3", "--step", "1e30",
+            "--t-end", "1e200", "--output-path", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(args) == 3
+    assert capsys.readouterr().err == (
+        "fletcher-penalty: violation energy keeps increasing or is not finite; "
+        "step could not be salvaged by halving\n")
     assert not out.exists()
 
 

@@ -32,9 +32,8 @@ from fletcher_penalty import (
     random_point_in_region,
 )
 from fletcher_penalty.derivative_check import fd_grad, fd_jacobian, relative_error
-from fletcher_penalty.linalg import FIRST_ORDER_STEP
 
-from conftest import ALL_BUILTIN_IDS, make_affine_toy, make_rank_crossing_toy
+from conftest import ALL_BUILTIN_IDS, make_affine_toy
 
 
 def sphere_lambda(x, w):
@@ -280,12 +279,6 @@ def test_penalty_hess_symmetric(sphere_w):
     assert np.linalg.norm(h - h.T) == 0.0
 
 
-def _stencil_point(x, j, sign):
-    """Stencil row x + sign * delta e_j of the central differences at x."""
-    delta = FIRST_ORDER_STEP * (1.0 + float(np.linalg.norm(x)))
-    return x + sign * delta * np.eye(x.size)[j]
-
-
 def _count_calls(problem):
     """problem with every evaluator counting its calls in the returned dict."""
     calls = {}
@@ -300,89 +293,78 @@ def _count_calls(problem):
     return replace(problem, **{k: counted(k, getattr(problem, k)) for k in names}), calls
 
 
+def _fd_penalty_hess(p, x, beta):
+    """Symmetrized central differences of the analytic penalty gradient: the reference."""
+    fd = fd_jacobian(lambda y: penalty_grad(p, y, beta), x)
+    return 0.5 * (fd + fd.T)
+
+
 @pytest.mark.parametrize("pid", ALL_BUILTIN_IDS)
-def test_stencil_gradients_equal_penalty_grad_bitwise(monkeypatch, pid):
-    # the stacked stencil must reproduce the single-point path to the last bit,
-    # and penalty_hess the dense per-point central differences of penalty_grad
-    from fletcher_penalty import penalty
-
+def test_penalty_hess_matches_fd_of_the_gradient_on_the_feasible_set(pid):
+    # h = 0 at the init points, so the dropped sum_i h_i hess lambda_i vanishes
     p = builtin_problem(pid, seed=2)
-    stacks = []
-    real_stack = penalty._grad_stack
-
-    def spy_stack(problem, xs, beta):
-        grads = real_stack(problem, xs, beta)
-        stacks.append((xs.copy(), grads))
-        return grads
-
-    monkeypatch.setattr(penalty, "_grad_stack", spy_stack)
     for seed in range(2):
-        x = random_point_in_region(p, seed, scale=0.3)
+        x = p.init_point(seed)
         for beta in (0.0, 3.0):
-            hess = penalty_hess(p, x, beta)
-            xs, grads = stacks[-1]
-            assert xs.shape == grads.shape == (2 * x.size, x.size)
-            for i, row in enumerate(xs):
-                assert row.tobytes() == _stencil_point(x, i // 2, (-1) ** i).tobytes()
-                assert grads[i].tobytes() == penalty_grad(p, row, beta).tobytes()
-            dense = fd_jacobian(lambda y: penalty_grad(p, y, beta), x)
-            assert hess.tobytes() == (0.5 * (dense + dense.T)).tobytes()
+            assert relative_error(penalty_hess(p, x, beta), _fd_penalty_hess(p, x, beta)) <= 1e-8
 
 
-def test_penalty_hess_takes_one_stacked_svd_and_no_evaluate(monkeypatch):
-    # St(8, 2): m = 3, n = 16, so a 32-point stencil
+@pytest.mark.parametrize("pid", ALL_BUILTIN_IDS)
+def test_penalty_hess_off_the_feasible_set_is_within_order_h(pid):
+    p = builtin_problem(pid, seed=2)
+    for seed in range(3):
+        x = random_point_in_region(p, seed, scale=0.3)
+        h_norm = float(np.linalg.norm(p.h(x)))
+        assert h_norm > 0.0
+        for beta in (0.0, 3.0):
+            gap = np.max(np.abs(penalty_hess(p, x, beta) - _fd_penalty_hess(p, x, beta)))
+            assert gap <= 10.0 * h_norm
+
+
+@pytest.mark.parametrize("pid, params", [
+    ("stiefel", {"n": 8, "p": 2}),
+    ("stiefel", {"n": 20, "p": 3}),
+    ("product:sphere,stiefel", {}),
+])
+def test_penalty_hess_min_eig_at_first_order_ends_matches_fd(pid, params):
+    # the solver reads curvature only at eps1-stationary iterates, where ||h|| is O(eps1)
+    from fletcher_penalty import SolverConfig, gradient_eigenstep, sym_eig_min
+
+    beta = 3.0
+    for seed in range(2):
+        p = builtin_problem(pid, seed=seed, **params)
+        trace = gradient_eigenstep(p, p.init_point(seed), SolverConfig(eps1=1e-5, beta=beta))
+        assert trace.termination == "converged"
+        ev = evaluate(p, trace.final_x, beta)
+        exact = sym_eig_min(penalty_hess(p, ev, beta))[0]
+        assert abs(exact - sym_eig_min(_fd_penalty_hess(p, ev.x, beta))[0]) <= 1e-5
+
+
+def test_penalty_hess_of_a_completed_evaluation_takes_one_hess_f_and_m_plus_2_hess_h(monkeypatch):
     from fletcher_penalty import penalty
 
     p, calls = _count_calls(builtin_problem("stiefel", n=8, p=2, seed=3))
-    x = random_point_in_region(p, 1, scale=0.2)
+    ev = evaluate(p, random_point_in_region(p, 1, scale=0.2), 2.0)
     calls.clear()
-    real_svd, real_evaluate = penalty.svd, penalty.evaluate
     svd_shapes, evaluations = [], []
-
-    def spy_svd(a):
-        svd_shapes.append(np.shape(a))
-        return real_svd(a)
-
-    def spy_evaluate(*args, **kwargs):
-        evaluations.append(args)
-        return real_evaluate(*args, **kwargs)
-
-    monkeypatch.setattr(penalty, "svd", spy_svd)
-    monkeypatch.setattr(penalty, "evaluate", spy_evaluate)
-    penalty_hess(p, x, 2.0)
-    assert svd_shapes == [(32, 3, 16)]
-    assert evaluations == []
-    # no f: the gradient never reads the penalty value
-    assert calls == {"h": 32, "jac_h": 32, "grad_f": 32, "hess_f": 32, "hess_h": 64}
+    real_svd, real_evaluate = penalty.svd, penalty.evaluate
+    monkeypatch.setattr(penalty, "svd", lambda a: svd_shapes.append(np.shape(a)) or real_svd(a))
+    monkeypatch.setattr(penalty, "evaluate",
+                        lambda *a, **k: evaluations.append(a) or real_evaluate(*a, **k))
+    hess = penalty_hess(p, ev, 2.0)
+    assert calls == {"hess_f": 1, "hess_h": p.dim_h + 2}
+    assert svd_shapes == [] and evaluations == []
+    # the same Hessian as from the bare point, which redoes the point data
+    assert hess.tobytes() == penalty_hess(p, ev.x, 2.0).tobytes()
 
 
-def test_penalty_hess_names_the_failing_stencil_point():
-    p = builtin_problem("rayleigh", n=5)
-    x = p.init_point(0)
-    point = _stencil_point(x, 2, -1)
-
-    def grad_f(y):
-        return np.full(y.size, np.nan) if np.array_equal(y, point) else p.grad_f(y)
-
-    with pytest.raises(EvaluationError) as info:
-        penalty_hess(replace(p, grad_f=grad_f), x, 1.0)
-    assert str(info.value) == "grad_f returned non-finite values at %s" % (point,)
-    # Dh vanishes for x_1 <= 0.25; with delta ~ 1e-5, x - delta e_1 is the
-    # one rank-deficient stencil row
-    toy = make_rank_crossing_toy()
-    x = np.array([0.5, 0.25 + 1e-6, 0.2])
-    with pytest.raises(RankDeficiencyError) as info:
-        penalty_hess(toy, x, 1.0)
-    assert info.value.point.tobytes() == _stencil_point(x, 1, -1).tobytes()
-
-
-def test_penalty_hess_warns_of_sigma_lb_at_every_stencil_point():
+def test_penalty_hess_warns_of_sigma_lb_once():
     # sigma_min(Dh) = 2||x|| ~ 2 lies below a declared bound of 3 everywhere in the region
     p = builtin_problem("sphere", n=4)
     p = replace(p, region=replace(p.region, sigma_lb=3.0))
     with pytest.warns(RuntimeWarning, match="dips below the declared lower bound") as record:
         penalty_hess(p, p.init_point(0), 1.0)
-    assert len(record) == 2 * p.dim_x
+    assert len(record) == 1
 
 
 def test_penalty_hess_projected_matches_layered():

@@ -1,6 +1,7 @@
 """Solver loop, backtracking procedures, plateau scheme, restoration flow."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -221,8 +222,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "name",
-    ["beta", "c1", "c2", "tau1", "tau2", "alpha01", "alpha02", "max_iters", "max_backtracks",
-     "fd_step"],
+    ["beta", "c1", "c2", "tau1", "tau2", "alpha01", "alpha02", "max_iters", "max_backtracks"],
 )
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_config_rejects_non_finite(name, value):
@@ -249,7 +249,7 @@ def test_solve_takes_thin_svds_and_two_hess_h_per_gradient(monkeypatch):
 
     p = replace(base, hess_h=counted_hess_h)
     real_svd, real_evaluate, real_hess = penalty.svd, penalty.evaluate, solver.penalty_hess
-    vt_shapes, per_gradient, per_stencil_row = [], [], []
+    vt_shapes, per_gradient, per_hessian = [], [], []
 
     def spy_svd(a):
         res = real_svd(a)
@@ -263,11 +263,10 @@ def test_solve_takes_thin_svds_and_two_hess_h_per_gradient(monkeypatch):
             per_gradient.append(len(hess_h_points) - before)
         return ev
 
-    def spy_hess(problem, x, beta, fd_step):
-        before = len(hess_h_points)
-        hess = real_hess(problem, x, beta, fd_step)
-        calls = hess_h_points[before:]
-        per_stencil_row.extend(calls.count(row) for row in set(calls))
+    def spy_hess(problem, ev, beta):
+        before = len(hess_h_points), len(vt_shapes)
+        hess = real_hess(problem, ev, beta)
+        per_hessian.append((len(hess_h_points) - before[0], len(vt_shapes) - before[1]))
         return hess
 
     monkeypatch.setattr(penalty, "svd", spy_svd)
@@ -276,14 +275,12 @@ def test_solve_takes_thin_svds_and_two_hess_h_per_gradient(monkeypatch):
     monkeypatch.setattr(solver, "penalty_hess", spy_hess)
     trace = gradient_eigenstep(p, p.init_point(3), SolverConfig(eps1=1e-4, eps2=1e-3, beta=5.0))
     assert trace.termination == "converged"
-    # single points take (3, 16) factorizations; each FD Hessian's 32-point
-    # stencil takes one stacked (32, 3, 16) factorization
-    assert vt_shapes and {shape[-2:] for shape in vt_shapes} == {(3, 16)}
-    assert set(vt_shapes) == {(3, 16), (32, 3, 16)}
+    # every factorization is one point's thin (3, 16) SVD; each penalty
+    # Hessian reads its iterate's and adds m + 2 = 5 hess_h products
+    assert vt_shapes and set(vt_shapes) == {(3, 16)}
     assert len(per_gradient) > trace.iteration_counts()[0]
     assert max(per_gradient) <= 2
-    assert len(per_stencil_row) == 32 * vt_shapes.count((32, 3, 16))
-    assert max(per_stencil_row) <= 2
+    assert per_hessian and set(per_hessian) == {(5, 0)}
 
 
 def test_max_iters_termination():
@@ -577,3 +574,13 @@ def test_restore_rejects_non_finite_step_and_horizon(step, t_end):
     p = make_sphere(4, w)
     with pytest.raises(ValueError, match="finite"):
         restore_feasibility(p, 1.1 * w, step, t_end)
+
+
+def test_restore_rejects_a_step_whose_violation_energy_is_not_finite():
+    # a step of 1e30 overflows h; NaN > phi is False, so a NaN phi must not pass as a decrease
+    p = builtin_problem("stiefel", n=8, p=2, seed=0)
+    x0 = random_point_in_region(p, 0, scale=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSizeError, match="keeps increasing or is not finite"):
+            restore_feasibility(p, x0, 1e30, 1e200)
