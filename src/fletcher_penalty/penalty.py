@@ -90,15 +90,19 @@ def _finite(arr, label, x):
     return arr
 
 
-def _point_data(problem, x):
+def _point_data(problem, x, h_val=None):
     """Shared per-point bundle: h, Dh, its thin SVD, grad f, and multipliers.
 
     x may be a PenaltyEval, whose bundle is returned without new evaluations.
+    h_val, when given, is h(x) as the caller already evaluated it: it is
+    checked and used in place of a new call to h.
     """
     if isinstance(x, PenaltyEval):
         return x.x, x.h_val, x.jac, x.jac_svd, x.grad_f, x.lambda_val
     x = np.asarray(x, dtype=float)
-    h_val = _finite(np.asarray(problem.h(x), dtype=float).ravel(), "h", x)
+    if h_val is None:
+        h_val = problem.h(x)
+    h_val = _finite(np.asarray(h_val, dtype=float).ravel(), "h", x)
     jac = _finite(np.asarray(problem.jac_h(x), dtype=float), "jac_h", x)
     grad_f = _finite(np.asarray(problem.grad_f(x), dtype=float).ravel(), "grad_f", x)
     res = svd(jac)
@@ -174,12 +178,14 @@ def dlambda_jacobian(problem, x):
     return _dlambda(problem, x)[0]
 
 
-def evaluate(problem, x, beta, with_grad=True):
+def evaluate(problem, x, beta, with_grad=True, h_val=None):
     """Build a PenaltyEval at x; the Dh SVD is computed once and shared.
 
     x may also be a value-only PenaltyEval built with the same beta (as the
     backtracking searches return): its point data is reused and only the
-    gradient is added. Raises EvaluationError when an evaluator returns a
+    gradient is added. h_val, when given with a point x, is h(x) as the
+    caller already evaluated it (the searches' region test), so h is not
+    called again. Raises EvaluationError when an evaluator returns a
     non-finite value (hess_h is caught through the assembled gradient).
     """
     if beta < 0:
@@ -189,7 +195,7 @@ def evaluate(problem, x, beta, with_grad=True):
             raise ValueError("PenaltyEval has beta=%r, not %r" % (x.beta, beta))
         ev = x
     else:
-        x, h_val, jac, res, grad_f, lam = _point_data(problem, x)
+        x, h_val, jac, res, grad_f, lam = _point_data(problem, x, h_val)
         f_val = float(problem.f(x))
         if not math.isfinite(f_val):
             raise EvaluationError("f returned a non-finite value at %s" % (x,))

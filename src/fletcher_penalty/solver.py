@@ -175,8 +175,10 @@ def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what):
     alpha = alpha0
     for j in range(cfg.max_backtracks + 1):
         x_next = ev.x + alpha * d
-        if np.linalg.norm(problem.h(x_next)) <= radius:
-            trial = evaluate(problem, x_next, ev.beta, with_grad=False)
+        h_next = np.asarray(problem.h(x_next), dtype=float).ravel()
+        if np.linalg.norm(h_next) <= radius:
+            # the trial's evaluation takes this h rather than calling h again
+            trial = evaluate(problem, x_next, ev.beta, with_grad=False, h_val=h_next)
             if ev.g_val - trial.g_val >= required_decrease(alpha):
                 return alpha, trial, j
         alpha *= tau

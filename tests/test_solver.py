@@ -256,9 +256,9 @@ def test_solve_takes_thin_svds_and_two_hess_h_per_gradient(monkeypatch):
         vt_shapes.append(res.vt.shape)
         return res
 
-    def spy_evaluate(problem, x, beta, with_grad=True):
+    def spy_evaluate(problem, x, beta, with_grad=True, **kwargs):
         before = len(hess_h_points)
-        ev = real_evaluate(problem, x, beta, with_grad)
+        ev = real_evaluate(problem, x, beta, with_grad, **kwargs)
         if with_grad:
             per_gradient.append(len(hess_h_points) - before)
         return ev
@@ -281,6 +281,25 @@ def test_solve_takes_thin_svds_and_two_hess_h_per_gradient(monkeypatch):
     assert len(per_gradient) > trace.iteration_counts()[0]
     assert max(per_gradient) <= 2
     assert per_hessian and set(per_hessian) == {(5, 0)}
+
+
+def test_each_search_trial_evaluates_h_once():
+    # St(8, 2), first order: h runs twice at x0 (the region check and the
+    # evaluation) and once per search trial, whose evaluation takes the h of
+    # its region test
+    base = builtin_problem("stiefel", n=8, p=2, seed=3)
+    calls = []
+
+    def counted_h(x):
+        calls.append(1)
+        return base.h(x)
+
+    p = replace(base, h=counted_h)
+    trace = gradient_eigenstep(p, p.init_point(3), SolverConfig(eps1=1e-4, beta=5.0))
+    assert trace.termination == "converged"
+    assert any(r.backtracks for r in trace.records)
+    trials = sum(r.backtracks + 1 for r in trace.records if r.kind != "terminal")
+    assert len(calls) == 2 + trials
 
 
 def test_max_iters_termination():
