@@ -83,8 +83,10 @@ def svd(a):
 def sym_eig_min(h):
     """Smallest eigenvalue and a unit eigenvector of the symmetrized matrix.
 
-    The input is symmetrized as (H + H^T)/2 first; finite-difference
-    Hessians carry O(step^2) asymmetry that must not reach the eigensolver.
+    The input is symmetrized as (H + H^T)/2 first. The library's own
+    callers (penalty_hess and the certificate's reduced Hessian) already
+    pass symmetric matrices; the symmetrization is there for callers outside
+    the library, whose asymmetry must not reach the eigensolver.
     """
     h = _as_matrix(h)
     if h.shape[0] != h.shape[1]:

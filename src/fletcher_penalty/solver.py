@@ -190,15 +190,16 @@ def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what):
 def gradient_backtrack(problem, ev, cfg, alpha0=None):
     """First member of {alpha0 * tau1^j} passing Armijo decrease and the region test.
 
-    alpha0 defaults to cfg.alpha01; the solver passes min(alpha01,
-    alpha_prev / tau1), alpha_prev being the last gradient step accepted in
-    the same loop. ev is the current point's PenaltyEval with its gradient;
-    its point, beta, value and gradient are read, never recomputed. Returns
-    (alpha, trial, backtracks), where trial is the accepted point's
-    value-only PenaltyEval (trial.x is the point); evaluate() completes it
-    with its gradient. Raises BacktrackFailureError once the trial budget
-    is exhausted, which signals that beta is likely below the pointwise
-    exactness threshold (or numerical trouble).
+    alpha0 defaults to cfg.alpha01. The solver passes alpha_prev, the last
+    gradient step accepted in the same loop, when that search backtracked,
+    and min(alpha01, alpha_prev / tau1) otherwise. ev is the current
+    point's PenaltyEval with its gradient; its point, beta, value and
+    gradient are read, never recomputed. Returns (alpha, trial,
+    backtracks), where trial is the accepted point's value-only PenaltyEval
+    (trial.x is the point); evaluate() completes it with its gradient.
+    Raises BacktrackFailureError once the trial budget is exhausted, which
+    signals that beta is likely below the pointwise exactness threshold (or
+    numerical trouble).
     """
     d = -ev.grad_g
     gnorm_sq = float(d @ d)
@@ -281,14 +282,17 @@ def _descend(problem, x0, cfg, records, stop=None):
     termination tag. Each iterate is decided once, in this order: the
     budget (k >= max_iters gives "max_iters"); convergence; stop(k, ev),
     whose non-None tag ends the loop with that tag; and finally a step.
-    Gradient searches start at min(alpha01, alpha_prev / tau1), alpha_prev
-    being the last gradient step this call accepted; eigensteps keep alpha02.
+    A gradient search starts at alpha_prev, the last gradient step this call
+    accepted, when the search that accepted it backtracked, and otherwise at
+    min(alpha01, alpha_prev / tau1) (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., section 3.5). Eigensteps keep alpha02 and change
+    neither alpha_prev nor whether its search backtracked.
     """
     try:
         ev = evaluate(problem, x0, cfg.beta, with_grad=True)
     except RankDeficiencyError:
         return None, "rank_deficient"
-    k, alpha_prev = 0, math.inf
+    k, alpha_prev, backtracked = 0, math.inf, False
     while True:
         if k >= cfg.max_iters:
             return _terminal(records, ev, "max_iters", k)
@@ -304,9 +308,9 @@ def _descend(problem, x0, cfg, records, stop=None):
             if tag is not None:
                 return _terminal(records, ev, tag, k)
             if curvature is None:
-                start = min(cfg.alpha01, alpha_prev / cfg.tau1)
+                start = alpha_prev if backtracked else min(cfg.alpha01, alpha_prev / cfg.tau1)
                 alpha, trial, bts = gradient_backtrack(problem, ev, cfg, start)
-                alpha_prev = alpha
+                alpha_prev, backtracked = alpha, bts > 0
             else:
                 if float(d @ ev.grad_g) > 0.0:
                     d = -d
@@ -366,10 +370,13 @@ def gradient_eigenstep(problem, x0, cfg):
     which a step provably keeps ||h|| <= radius once beta exceeds the
     pointwise thresholds (it scales with 1/(beta sigma_max(Dh)^2) and with
     the radius over c_h).
-    Gradient searches start at min(alpha01, alpha_prev / tau1), so by
-    induction every start is at least min(alpha01, floor) and every
-    accepted gradient step at least tau1 * min(alpha01, floor), as with a
-    fixed start.
+    A gradient search starts at alpha01 or at no less than alpha_prev, the
+    last accepted gradient step (alpha_prev itself after a backtracked
+    search, min(alpha01, alpha_prev / tau1) otherwise), and a search from
+    start s accepts at least min(s, tau1 * floor). So by induction every
+    start is at least tau1 * min(alpha01, floor) and every accepted
+    gradient step at least tau1 * min(alpha01, floor), as with a fixed
+    start.
     Dividing the initial gap g(x0) - inf g by those decreases gives
     iteration counts scaling like eps1^-2 and eps2^-3; the curvature bounds
     are unobservable suprema, so the library never evaluates the count and

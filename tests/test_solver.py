@@ -67,9 +67,11 @@ def test_gradient_backtrack_decrease_predicate_replay():
 
 @pytest.mark.parametrize("driver", ["solve", "plateau"])
 def test_gradient_search_starts_from_the_previous_step(driver):
-    # step memory: each gradient search starts at min(alpha01, alpha_prev / tau1),
-    # alpha_prev the last accepted gradient step of the same loop; eigensteps do
-    # not reset it, and each plateau (whose k restarts at 0) starts at alpha01
+    # step memory: a gradient search starts at alpha_prev, the last accepted
+    # gradient step of the same loop, when that step's search backtracked, and
+    # at min(alpha01, alpha_prev / tau1) otherwise, so no start falls below
+    # alpha_prev (the premise of the step-bound induction); eigensteps do not
+    # reset it, and each plateau (whose k restarts at 0) starts at alpha01
     cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
     if driver == "solve":
         p = diag_rayleigh(n=12)
@@ -78,15 +80,18 @@ def test_gradient_search_starts_from_the_previous_step(driver):
         p = builtin_problem("stiefel", n=8, p=2, seed=5)
         trace = plateau(p, p.init_point(5), replace(cfg, eps2=1e-3), beta0=1e-3, lp0=50)
     assert trace.termination == "converged"
-    starts, prev = [], math.inf
+    starts, restarts, prev, backtracked = [], 0, math.inf, False
     for r in trace.records:
         if r.k == 0:
-            prev = math.inf
+            prev, backtracked = math.inf, False
         if r.kind == "gradient":
-            starts.append(min(cfg.alpha01, prev / cfg.tau1))
-            assert r.step_len == starts[-1] * cfg.tau1**r.backtracks
-            prev = r.step_len
-    assert min(starts) < cfg.alpha01
+            start = prev if backtracked else min(cfg.alpha01, prev / cfg.tau1)
+            assert r.step_len == start * cfg.tau1**r.backtracks
+            assert start >= min(prev, cfg.alpha01)
+            starts.append(start)
+            restarts += backtracked
+            prev, backtracked = r.step_len, r.backtracks > 0
+    assert min(starts) < cfg.alpha01 and restarts
     if driver == "plateau":
         assert len(trace.plateaus) > 1
         assert [r.k for r in trace.records].count(0) >= len(trace.plateaus)
