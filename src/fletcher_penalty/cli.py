@@ -45,6 +45,7 @@ _TERMINATION_EXIT = {
     "rank_deficient": EXIT_NUMERICAL,
     "beta_too_small": EXIT_NUMERICAL,
     "max_plateaus": EXIT_NOT_REACHED,
+    "trial_budget": EXIT_NUMERICAL,
 }
 
 _TEXT_FLAGS = ("--problem", "--diag", "--matrix", "--output-path", "--eps-list")

@@ -7,6 +7,7 @@ All functions are pure and deterministic within one build: identical
 inputs give bitwise-identical outputs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .exceptions import EvaluationError, NumericalFailureError
 __all__ = [
     "FIRST_ORDER_STEP",
     "SvdResult",
+    "vector_norm",
     "default_rank_tol",
     "svd",
     "sym_eig_min",
@@ -47,6 +49,15 @@ class SvdResult:
     @property
     def sigma_min(self):
         return float(self.s[-1]) if self.s.size else 0.0
+
+
+def vector_norm(v):
+    """Euclidean norm of a real 1-D array, as a float.
+
+    Bitwise equal to float(np.linalg.norm(v)), which also takes the square
+    root of v . v, without that function's dispatch cost.
+    """
+    return math.sqrt(float(v @ v))
 
 
 def default_rank_tol(rows, cols):

@@ -14,13 +14,14 @@ the n-by-n identity.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import EvaluationError, RankDeficiencyError
-from .linalg import SvdResult, default_rank_tol, svd
+from .linalg import SvdResult, default_rank_tol, svd, vector_norm
 
 __all__ = [
     "PenaltyEval",
@@ -44,7 +45,8 @@ class PenaltyEval:
     concurrently. grad_g is None when the evaluation was value-only;
     evaluate() can complete such an evaluation without redoing the point.
     lag_block is the n-by-m Lagrangian-Hessian block (hess f - H(lambda)) Dh^T
-    that the gradient computed; None without a gradient.
+    that the gradient computed; None without a gradient. h_norm and
+    grad_norm are computed on first read and then kept.
     """
 
     x: np.ndarray
@@ -58,13 +60,13 @@ class PenaltyEval:
     grad_g: Optional[np.ndarray]
     lag_block: Optional[np.ndarray] = None
 
-    @property
+    @cached_property
     def h_norm(self):
-        return float(np.linalg.norm(self.h_val))
+        return vector_norm(self.h_val)
 
-    @property
+    @cached_property
     def grad_norm(self):
-        return float(np.linalg.norm(self.grad_g))
+        return vector_norm(self.grad_g)
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def _point_data(problem, x, h_val=None):
     tol = default_rank_tol(m, n)
     if res.sigma_min <= tol * res.sigma_max:
         raise RankDeficiencyError(x, res.sigma_min, res.sigma_max)
-    h_norm = float(np.linalg.norm(h_val))
+    h_norm = vector_norm(h_val)
     reg = problem.region
     if h_norm <= reg.radius and res.sigma_min < reg.sigma_lb * (1.0 - 1e-9):
         warnings.warn(
@@ -190,30 +192,31 @@ def evaluate(problem, x, beta, with_grad=True, h_val=None):
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
+    g_val = None
     if isinstance(x, PenaltyEval):
         if x.beta != beta:
             raise ValueError("PenaltyEval has beta=%r, not %r" % (x.beta, beta))
-        ev = x
-    else:
-        x, h_val, jac, res, grad_f, lam = _point_data(problem, x, h_val)
+        if not with_grad or x.grad_g is not None:
+            return x
+        g_val = x.g_val
+    x, h_val, jac, res, grad_f, lam = _point_data(problem, x, h_val)
+    if g_val is None:
         f_val = float(problem.f(x))
         if not math.isfinite(f_val):
             raise EvaluationError("f returned a non-finite value at %s" % (x,))
         g_val = f_val - float(h_val @ lam) + beta * float(h_val @ h_val)
-        ev = PenaltyEval(x=x, beta=float(beta), h_val=h_val, jac=jac, jac_svd=res, grad_f=grad_f,
-                         lambda_val=lam, g_val=g_val, grad_g=None)
-    if not with_grad or ev.grad_g is not None:
-        return ev
-    x, h_val, jac, res, grad_f, lam = _point_data(problem, ev)
-    rg = _riem_grad(grad_f, jac, lam)
-    # (Dlam)^T h = H(w) grad_M f + B w, w = (Dh Dh^T)^{-1} h: _dlambda's formula transposed
-    block = _lagrangian_hess(problem, x, lam, jac.T)
-    w = _gram_inverse(res, h_val)
-    adjoint = problem.hess_h(x, w, rg) + block @ w
-    grad_g = rg + 2.0 * beta * (jac.T @ h_val) - adjoint
-    # Every other input is checked where it is read; hess_h output is checked
-    # here, once per gradient, rather than on each of its products.
-    return replace(ev, grad_g=_finite(grad_g, "hess_h", x), lag_block=block)
+    grad_g = block = None
+    if with_grad:
+        rg = _riem_grad(grad_f, jac, lam)
+        # (Dlam)^T h = H(w) grad_M f + B w, w = (Dh Dh^T)^{-1} h: _dlambda's formula transposed
+        block = _lagrangian_hess(problem, x, lam, jac.T)
+        w = _gram_inverse(res, h_val)
+        adjoint = problem.hess_h(x, w, rg) + block @ w
+        # Every other input is checked where it is read; hess_h output is checked
+        # here, once per gradient, rather than on each of its products.
+        grad_g = _finite(rg + 2.0 * beta * (jac.T @ h_val) - adjoint, "hess_h", x)
+    return PenaltyEval(x=x, beta=float(beta), h_val=h_val, jac=jac, jac_svd=res, grad_f=grad_f,
+                       lambda_val=lam, g_val=g_val, grad_g=grad_g, lag_block=block)
 
 
 def penalty_value(problem, x, beta):

@@ -244,12 +244,12 @@ def make_stiefel(n, p, cost, radius=0.5):
 
     def h(x):
         xm = x.reshape(n, p)
-        s = xm.T @ xm - eye_p
-        return np.einsum("kij,ij->k", basis, s)
+        return basis_flat @ (xm.T @ xm - eye_p).ravel()
 
     def jac(x):
         xm = x.reshape(n, p)
-        return 2.0 * np.einsum("ai,kij->kaj", xm, basis).reshape(m, dim)
+        # row k is vec(2 X B_k), the gradient of <B_k, X^T X - I>
+        return 2.0 * (xm @ basis).reshape(m, dim)
 
     def hess(x, w, v):
         # 2 kron(I_n, S(w)) v: S(w) times the n-by-p reshape of each column of v

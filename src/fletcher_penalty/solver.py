@@ -24,7 +24,7 @@ from .exceptions import (
     RankDeficiencyError,
     StepSizeError,
 )
-from .linalg import sym_eig_min
+from .linalg import sym_eig_min, vector_norm
 from .penalty import beta_thresholds, evaluate, in_region, penalty_hess
 
 __all__ = [
@@ -135,7 +135,8 @@ class RunTrace:
     schedule; their records concatenate all plateaus (the k index
     restarts at each plateau). A plateau run stopped by its plateau cap,
     or by a schedule that cannot grow any further, has termination
-    "max_plateaus".
+    "max_plateaus"; one whose backtracking failed at a beta for which the
+    trial budget, not beta, is too short has termination "trial_budget".
     """
 
     config: SolverConfig
@@ -176,7 +177,7 @@ def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what):
     for j in range(cfg.max_backtracks + 1):
         x_next = ev.x + alpha * d
         h_next = np.asarray(problem.h(x_next), dtype=float).ravel()
-        if np.linalg.norm(h_next) <= radius:
+        if vector_norm(h_next) <= radius:
             # the trial's evaluation takes this h rather than calling h again
             trial = evaluate(problem, x_next, ev.beta, with_grad=False, h_val=h_next)
             if ev.g_val - trial.g_val >= required_decrease(alpha):
@@ -397,11 +398,14 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
     iterate. On a B-trigger the budget grows by (gamma*B/beta_l)^4 and beta
     jumps to gamma*B; otherwise both grow geometrically (gamma^4 and
     gamma). Backtracking failure is treated as a B-trigger at the current
-    beta, forcing growth. Any other end of a plateau (converged, max_iters,
-    rank_deficient) ends the scheme with that termination. After
-    max_plateaus plateaus without such an end (a negative cap raises
-    ValueError), or once the next beta or budget would overflow to inf,
-    the termination is "max_plateaus".
+    beta, forcing growth, unless the region floor 1/(2 beta sigma_max(Dh)^2)
+    at the last iterate is already below the smallest trial
+    alpha01 * tau1^max_backtracks: a larger beta only lowers that floor, so
+    the scheme ends as "trial_budget". Any other end of a plateau
+    (converged, max_iters, rank_deficient) ends the scheme with that
+    termination. After max_plateaus plateaus without such an end (a
+    negative cap raises ValueError), or once the next beta or budget would
+    overflow to inf, the termination is "max_plateaus".
 
     The returned trace holds the records of every plateau, the per-plateau
     stages, the config of the last plateau, and the last point with its
@@ -440,6 +444,11 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
         stages.append(PlateauStage(ell, beta_l, lp_l, iters, stop_reason, b_value))
         if reason not in ("b_trigger", "budget", "beta_too_small"):
             break
+        if reason == "beta_too_small":
+            floor = 1.0 / (2.0 * beta_l * ev.jac_svd.sigma_max**2)
+            if floor < cfg.alpha01 * cfg.tau1**cfg.max_backtracks:
+                reason = "trial_budget"
+                break
         x = ev.x
         if reason == "b_trigger":
             ratio, beta_l = gamma * b_max / beta_l, gamma * b_max
@@ -473,27 +482,31 @@ def restore_feasibility(problem, x0, step, t_end):
     if not in_region(problem, x):
         raise ValueError("x0 lies outside the region ||h|| <= %g" % problem.region.radius)
 
-    def rhs(y):
-        return -(problem.jac_h(y).T @ np.asarray(problem.h(y), dtype=float).ravel())
+    def h_at(y):
+        return np.asarray(problem.h(y), dtype=float).ravel()
 
-    def phi_at(y):
-        hv = np.asarray(problem.h(y), dtype=float).ravel()
-        return 0.5 * float(hv @ hv)
+    def rhs(y, hv=None):
+        return -(problem.jac_h(y).T @ (h_at(y) if hv is None else hv))
 
-    phi = phi_at(x)
+    h_x = h_at(x)
+    phi = 0.5 * float(h_x @ h_x)
     log = [(0.0, phi)]
     t = 0.0
     dt = float(step)
+    # k1 is the flow at x: built from x's kept h, and kept across rejected steps.
+    k1 = None
     # An overshooting step may overflow; its non-finite phi is rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end - 1e-15 and phi > 1e-16:
             dt_eff = min(dt, t_end - t)
-            k1 = rhs(x)
+            if k1 is None:
+                k1 = rhs(x, h_x)
             k2 = rhs(x + 0.5 * dt_eff * k1)
             k3 = rhs(x + 0.5 * dt_eff * k2)
             k4 = rhs(x + dt_eff * k3)
             x_new = x + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            phi_new = phi_at(x_new)
+            h_new = h_at(x_new)
+            phi_new = 0.5 * float(h_new @ h_new)
             if not phi_new <= phi:
                 dt *= 0.5
                 if dt < step * 2.0**-40:
@@ -502,7 +515,7 @@ def restore_feasibility(problem, x0, step, t_end):
                         "step could not be salvaged by halving"
                     )
                 continue
-            x = x_new
+            x, h_x, k1 = x_new, h_new, None
             t += dt_eff
             phi = phi_new
             log.append((t, phi))

@@ -159,21 +159,22 @@ def test_non_finite_hess_h_exits_three(tmp_path, monkeypatch, capsys):
 
 
 def test_plateau_cap_writes_trace_and_exits_two(tmp_path, capsys):
+    # at beta = 1e9 the steps are tiny, so each plateau ends on its budget
     out = tmp_path / "p.json"
     code = run_cli(
         [
             "plateau", "--problem", "rayleigh", "--n", "10", "--seed", "0", "--eps1", "1e-5",
-            "--alpha01", "1e9", "--max-backtracks", "0", "--beta0", "1e9",
-            "--gamma", "2", "--lp0", "10", "--max-plateaus", "3", "--output-path", str(out),
+            "--beta0", "1e9", "--gamma", "2", "--lp0", "1", "--max-plateaus", "3",
+            "--output-path", str(out),
         ]
     )
     assert code == 2
-    assert capsys.readouterr().err == (
-        "plateau: termination=max_plateaus plateaus=3 final_beta=4.000000e+09 "
-        "h_norm=0.000000e+00 grad_M_norm=2.040232e+00\n")
+    # the final point is reached by 276 steps, so its measures are not pinned here
+    assert capsys.readouterr().err.startswith(
+        "plateau: termination=max_plateaus plateaus=3 final_beta=4.000000e+09 h_norm=")
     payload = json.loads(out.read_text())
     assert payload["termination"] == "max_plateaus"
-    assert len(payload["plateaus"]) == 3
+    assert [s["stop_reason"] for s in payload["plateaus"]] == ["budget"] * 3
 
 
 def test_negative_max_plateaus_exits_64_before_any_output(tmp_path, capsys):
@@ -186,7 +187,6 @@ def test_negative_max_plateaus_exits_64_before_any_output(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--gamma", "1e200", "--beta0", "1e-3"],
-    ["--gamma", "1e70", "--beta0", "1", "--lp0", "1"],
 ])
 def test_plateau_growth_overflow_ends_as_max_plateaus(tmp_path, capsys, flags):
     # a schedule whose next beta or budget overflows cannot grow any further:
@@ -200,6 +200,31 @@ def test_plateau_growth_overflow_ends_as_max_plateaus(tmp_path, capsys, flags):
     assert all(math.isfinite(s["beta"]) and math.isfinite(s["lp"]) for s in stages)
     err = capsys.readouterr().err
     assert err.startswith("plateau: termination=max_plateaus plateaus=%d " % len(stages))
+
+
+@pytest.mark.parametrize("flags", [
+    ["--gamma", "1e70", "--beta0", "1", "--lp0", "1"],
+    ["--alpha01", "1e9", "--max-backtracks", "0", "--beta0", "1e9", "--gamma", "2"],
+])
+def test_plateau_trial_budget_too_short_for_beta_ends_as_trial_budget(tmp_path, capsys, flags):
+    # the region floor 1/(2 beta sigma_max^2) lies below the smallest trial
+    # alpha01 tau1^max_backtracks: at beta = 1e70 reached by a gamma = 1e70
+    # jump, or with a one-trial budget at alpha01 = 1e9. The failed search
+    # names the trial budget, since a larger beta would only lower the floor.
+    out = tmp_path / "p.json"
+    args = ["plateau", "--problem", "rayleigh", "--n", "10", *flags, "--output-path", str(out)]
+    assert run_cli(args) == 3
+    payload = json.loads(out.read_text())
+    assert payload["termination"] == "trial_budget"
+    last = payload["plateaus"][-1]
+    assert last["stop_reason"] == "backtrack_failure"
+    cfg = payload["config"]
+    x = np.asarray(payload["final_x"])
+    sigma_max = np.linalg.svd(cli.builtin_problem("rayleigh", n=10).jac_h(x), compute_uv=False)[0]
+    floor = 1.0 / (2.0 * last["beta"] * sigma_max**2)
+    assert floor < cfg["alpha01"] * cfg["tau1"] ** cfg["max_backtracks"]
+    err = capsys.readouterr().err
+    assert err.startswith("plateau: termination=trial_budget plateaus=%d " % len(payload["plateaus"]))
 
 
 @pytest.mark.parametrize("args, solves", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fletcher_penalty import kernel_basis, svd, sym_eig_min
-from fletcher_penalty.linalg import default_rank_tol
+from fletcher_penalty.linalg import default_rank_tol, vector_norm
 
 
 def test_svd_identity():
@@ -39,6 +39,15 @@ def test_svd_takes_one_matrix(shape):
 def test_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         svd(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+
+
+def test_vector_norm_equals_numpy_norm_bitwise():
+    rng = np.random.default_rng(12)
+    for size in (1, 2, 3, 6, 30, 90, 257):
+        for scale in (1e-200, 1e-8, 1.0, 1e8, 1e150):
+            v = scale * rng.standard_normal(size)
+            assert vector_norm(v) == float(np.linalg.norm(v))
+    assert vector_norm(np.zeros(4)) == 0.0
 
 
 def test_sym_eig_min_diagonal():

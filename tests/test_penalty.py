@@ -5,14 +5,16 @@ lambda(x) = <x, w> / (2 ||x||^2) and grad lambda = w/(2||x||^2) - <x,w> x/||x||^
 which this file uses as the independent oracle for the SVD-based code paths.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from fletcher_penalty import (
     EvaluationError,
+    PenaltyEval,
     RankDeficiencyError,
+    SvdResult,
     beta_thresholds,
     builtin_problem,
     certify,
@@ -218,9 +220,25 @@ def test_evaluate_completes_a_value_only_evaluation(builtins):
         assert value_only.grad_g is None
         done = evaluate(p, value_only, 3.0)
         assert done.g_val == value_only.g_val and done.jac_svd is value_only.jac_svd
-        np.testing.assert_array_equal(done.grad_g, evaluate(p, x, 3.0).grad_g)
+        # field by field, the completed evaluation is the direct one
+        direct = evaluate(p, x, 3.0)
+        for f in fields(PenaltyEval):
+            a, b = getattr(done, f.name), getattr(direct, f.name)
+            if isinstance(a, SvdResult):
+                assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("u", "s", "vt"))
+            else:
+                assert np.array_equal(a, b), f.name
+        assert (done.h_norm, done.grad_norm) == (direct.h_norm, direct.grad_norm)
         with pytest.raises(ValueError):
             evaluate(p, value_only, 4.0)
+
+
+def test_evaluation_norms_equal_numpy_norm_bitwise(builtins):
+    for p in builtins.values():
+        for seed in range(5):
+            ev = evaluate(p, random_point_in_region(p, seed, scale=0.4), 3.0)
+            assert ev.h_norm == float(np.linalg.norm(ev.h_val))
+            assert ev.grad_norm == float(np.linalg.norm(ev.grad_g))
 
 
 def test_dlambda_closed_form_at_w(sphere_w):

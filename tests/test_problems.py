@@ -215,6 +215,7 @@ def test_evaluators_hand_out_fresh_arrays(problem_id):
     w = np.arange(1.0, p.dim_h + 1.0)
     v = np.linspace(-1.0, 2.0, p.dim_x)
     calls = {
+        "h": lambda: p.h(x),
         "grad_f": lambda: p.grad_f(x),
         "hess_f": lambda: p.hess_f(x, v),
         "jac_h": lambda: p.jac_h(x),
@@ -285,6 +286,27 @@ def test_stiefel_weighted_hessian_equals_kron_form():
         prob.hess_h(prob.init_point(0), w, np.eye(n * p_)), 2.0 * np.kron(np.eye(n), s),
         rtol=0, atol=1e-14,
     )
+
+
+@pytest.mark.parametrize("n, p_", [(5, 1), (8, 2), (8, 3), (30, 3), (4, 4)])
+def test_stiefel_h_and_jacobian_equal_the_einsum_formulas(n, p_):
+    # h and Dh are matrix products over the symmetric basis; they must equal,
+    # bit for bit, the index sums they replaced, kept here as the oracle
+    from fletcher_penalty.problems import _sym_basis
+
+    basis = _sym_basis(p_)
+    m = basis.shape[0]
+    prob = make_stiefel(n, p_, zero_cost(n * p_))
+    rng = np.random.default_rng([29, n, p_])
+    points = [prob.init_point(s) for s in range(5)]
+    points += [scale * rng.standard_normal(n * p_)
+               for scale in (1e-3, 0.3, 1.0, 1e3) for _ in range(50)]
+    for x in points:
+        xm = x.reshape(n, p_)
+        h_ref = np.einsum("kij,ij->k", basis, xm.T @ xm - np.eye(p_))
+        jac_ref = 2.0 * np.einsum("ai,kij->kaj", xm, basis).reshape(m, n * p_)
+        assert np.array_equal(prob.h(x), h_ref)
+        assert np.array_equal(prob.jac_h(x), jac_ref)
 
 
 @pytest.mark.parametrize("problem_id", ALL_BUILTIN_IDS)

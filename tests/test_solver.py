@@ -408,9 +408,13 @@ def test_plateau_rejects_non_finite_parameters(kwargs, what):
 
 
 def test_plateau_cap_returns_trace():
+    # f pays 1e6 ||x - x0|| that grad_f does not show, so every trial from x0
+    # raises the penalty and each search fails with the full trial budget
     p = diag_rayleigh()
-    cfg = SolverConfig(eps1=1e-5, eps2=math.inf, beta=1.0, alpha01=1e9, max_backtracks=0)
-    trace = plateau(p, p.init_point(0), cfg, gamma=2.0, beta0=1e9, lp0=10, max_plateaus=3)
+    x0 = p.init_point(0)
+    p = replace(p, f=lambda x, f=p.f: f(x) + 1e6 * np.linalg.norm(x - x0))
+    cfg = SolverConfig(eps1=1e-5, eps2=math.inf, beta=1.0)
+    trace = plateau(p, x0, cfg, gamma=2.0, beta0=1e9, lp0=10, max_plateaus=3)
     assert trace.termination == "max_plateaus"
     assert [s.stop_reason for s in trace.plateaus] == ["backtrack_failure"] * 3
     assert trace.config.beta == trace.plateaus[-1].beta
@@ -580,6 +584,63 @@ def test_restore_monotone_log():
     _, log = restore_feasibility(p, x0, 1e-2, 1.0)
     phis = [phi for _, phi in log]
     assert all(b <= a for a, b in zip(phis, phis[1:]))
+
+
+def _restore_reference(problem, x, step, t_end):
+    """The RK4 loop with h and k1 evaluated afresh at every use; (x, log, trials)."""
+
+    def rhs(y):
+        return -(problem.jac_h(y).T @ problem.h(y))
+
+    def phi_at(y):
+        hv = problem.h(y)
+        return 0.5 * float(hv @ hv)
+
+    phi, t, dt, trials = phi_at(x), 0.0, step, 0
+    log = [(0.0, phi)]
+    while t < t_end - 1e-15 and phi > 1e-16:
+        dt_eff = min(dt, t_end - t)
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * dt_eff * k1)
+        k3 = rhs(x + 0.5 * dt_eff * k2)
+        k4 = rhs(x + dt_eff * k3)
+        x_new = x + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        phi_new = phi_at(x_new)
+        trials += 1
+        if not phi_new <= phi:
+            dt *= 0.5
+            continue
+        x, t, phi = x_new, t + dt_eff, phi_new
+        log.append((t, phi))
+    return x, log, trials
+
+
+@pytest.mark.parametrize("step", [0.3, 2.0])
+def test_restore_evaluates_h_once_per_point_and_k1_once_per_iterate(step):
+    # at step 2.0 some RK4 steps overshoot and are rejected; the flow at the
+    # unchanged iterate (k1) is kept for the halved retry
+    p = builtin_problem("stiefel", n=5, p=2, seed=1)
+    x0 = random_point_in_region(p, 3, scale=0.4)
+    x_ref, log_ref, trials = _restore_reference(p, x0, step, 3.0)
+    calls = {"h": 0, "jac_h": 0}
+
+    def counted(name):
+        fn = getattr(p, name)
+
+        def call(y):
+            calls[name] += 1
+            return fn(y)
+
+        return call
+
+    x, log = restore_feasibility(replace(p, h=counted("h"), jac_h=counted("jac_h")), x0, step, 3.0)
+    assert np.array_equal(x, x_ref) and log == log_ref
+    steps = len(log) - 1
+    assert (trials > steps) == (step == 2.0)
+    # h: the region guard and the start, then k2, k3, k4 and the new point per trial
+    assert calls["h"] == 2 + 4 * trials
+    # jac_h: k1 once per iterate a trial starts from, then k2, k3, k4 per trial
+    assert calls["jac_h"] == steps + 3 * trials
 
 
 def test_restore_rejects_infeasible_start():
