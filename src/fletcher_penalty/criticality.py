@@ -16,8 +16,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .linalg import kernel_basis, sym_eig_min
-from .penalty import _finite, _lagrangian_hess, _point_data, _riem_grad
+from .linalg import kernel_basis, sym_eig_min, vector_norm
+from .penalty import _finite, _lagrangian_hess, _point
 
 __all__ = [
     "LayeredQuantities",
@@ -81,8 +81,7 @@ class CriticalityCertificate:
 
 def layered_grad(problem, x):
     """Gradient of f projected onto ker Dh(x): grad f - Dh^T lambda."""
-    _, _, jac, _, grad_f, lam = _point_data(problem, x)
-    return _riem_grad(grad_f, jac, lam)
+    return _point(problem, x).riem_grad
 
 
 def _reduced_hess(problem, x, jac, lam):
@@ -100,13 +99,13 @@ def layered_hess(problem, x):
     The reduced Hessian is Q^T (hess f - sum_i lambda_i hess h_i) Q for an
     orthonormal kernel basis Q of Dh(x), one Hessian product with Q.
     """
-    x, h_val, jac, _, grad_f, lam = _point_data(problem, x)
-    rg = _riem_grad(grad_f, jac, lam)
-    q, reduced, min_eig = _reduced_hess(problem, x, jac, lam)
+    pt = _point(problem, x)
+    rg = pt.riem_grad
+    q, reduced, min_eig = _reduced_hess(problem, pt.x, pt.jac, pt.lambda_val)
     return LayeredQuantities(
-        h_norm=float(np.linalg.norm(h_val)),
+        h_norm=pt.h_norm,
         riem_grad=rg,
-        riem_grad_norm=float(np.linalg.norm(rg)),
+        riem_grad_norm=vector_norm(rg),
         tangent_basis=q,
         reduced_hess=reduced,
         min_eig=min_eig,
@@ -120,14 +119,11 @@ def certify(problem, x, eps0, eps1, eps2):
     reduces to the first-order one. x may be a PenaltyEval, whose point
     data is reused.
     """
-    if math.isinf(eps2):
-        _, h_val, jac, _, grad_f, lam = _point_data(problem, x)
-        eps0_m = float(np.linalg.norm(h_val))
-        eps1_m = float(np.linalg.norm(_riem_grad(grad_f, jac, lam)))
-        eps2_m, curvature_ok, min_eig = None, True, None
-    else:
-        lq = layered_hess(problem, x)
-        eps0_m, eps1_m, min_eig = lq.h_norm, lq.riem_grad_norm, lq.min_eig
+    pt = _point(problem, x)
+    eps0_m, eps1_m = pt.h_norm, vector_norm(pt.riem_grad)
+    eps2_m, curvature_ok, min_eig = None, True, None
+    if not math.isinf(eps2):
+        min_eig = layered_hess(problem, pt).min_eig
         eps2_m, curvature_ok = max(0.0, -min_eig), min_eig >= -eps2
     focp = eps0_m <= eps0 and eps1_m <= eps1
     return CriticalityCertificate(

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import FletcherPenaltyError
-from .linalg import FIRST_ORDER_STEP, fd_jacobian
+from .exceptions import EvaluationError, FletcherPenaltyError
 from .penalty import dlambda_jacobian, multipliers, penalty_grad, penalty_value
 
 __all__ = [
@@ -25,6 +24,9 @@ __all__ = [
     "reports_to_json",
 ]
 
+# Central-difference step for first derivatives: eps^(1/3) balances the
+# O(step^2) truncation error against the O(eps/step) rounding error.
+FIRST_ORDER_STEP = float(np.finfo(float).eps ** (1.0 / 3.0))
 SECOND_ORDER_STEP = float(np.finfo(float).eps ** 0.25)
 
 # Per target, in report order: the pass threshold and the FD step. First
@@ -56,6 +58,27 @@ class DerivativeReport:
             "step_used": self.step_used,
             "pass": self.passed,
         }
+
+
+def fd_jacobian(fun, x, step=FIRST_ORDER_STEP):
+    """Central-difference Jacobian of a vector function, one column at a time.
+
+    Uses the scaled offset step * (1 + ||x||). Raises EvaluationError on a
+    non-finite stencil value.
+    """
+    x = np.asarray(x, dtype=float)
+    delta = step * (1.0 + float(np.linalg.norm(x)))
+    cols = []
+    for e in np.diag(np.full(x.size, delta)):
+        fp = np.asarray(fun(x + e), dtype=float).ravel()
+        fm = np.asarray(fun(x - e), dtype=float).ravel()
+        cols.append((fp - fm) / (2.0 * delta))
+    jac = np.array(cols).T
+    # A non-finite stencil value always leaves a non-finite difference.
+    bad = np.flatnonzero(~np.isfinite(jac).all(axis=0))
+    if bad.size:
+        raise EvaluationError("non-finite stencil value in fd_jacobian at coordinate %d" % bad[0])
+    return jac
 
 
 def fd_grad(fun, x, step=FIRST_ORDER_STEP):

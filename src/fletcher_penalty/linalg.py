@@ -1,10 +1,8 @@
 """Dense linear-algebra primitives with explicit tolerance contracts.
 
 Everything here is a thin, contract-checked layer over LAPACK (through
-numpy.linalg), plus the one central-difference Jacobian that the
-derivative checks and the tests use as their reference.
-All functions are pure and deterministic within one build: identical
-inputs give bitwise-identical outputs.
+numpy.linalg). All functions are pure and deterministic within one build:
+identical inputs give bitwise-identical outputs.
 """
 
 import math
@@ -12,22 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import EvaluationError, NumericalFailureError
+from .exceptions import NumericalFailureError
 
 __all__ = [
-    "FIRST_ORDER_STEP",
     "SvdResult",
     "vector_norm",
     "default_rank_tol",
     "svd",
     "sym_eig_min",
     "kernel_basis",
-    "fd_jacobian",
 ]
-
-# Central-difference step for first derivatives: eps^(1/3) balances the
-# O(step^2) truncation error against the O(eps/step) rounding error.
-FIRST_ORDER_STEP = float(np.finfo(float).eps ** (1.0 / 3.0))
 
 
 @dataclass(frozen=True)
@@ -127,24 +119,3 @@ def kernel_basis(a):
     null_rows = [i for i in range(m) if s[i] <= cutoff]
     rows = null_rows + list(range(m, n))
     return vt[rows].T.copy()
-
-
-def fd_jacobian(fun, x, step=FIRST_ORDER_STEP):
-    """Central-difference Jacobian of a vector function, one column at a time.
-
-    Uses the scaled offset step * (1 + ||x||). Raises EvaluationError on a
-    non-finite stencil value.
-    """
-    x = np.asarray(x, dtype=float)
-    delta = step * (1.0 + float(np.linalg.norm(x)))
-    cols = []
-    for e in np.diag(np.full(x.size, delta)):
-        fp = np.asarray(fun(x + e), dtype=float).ravel()
-        fm = np.asarray(fun(x - e), dtype=float).ravel()
-        cols.append((fp - fm) / (2.0 * delta))
-    jac = np.array(cols).T
-    # A non-finite stencil value always leaves a non-finite difference.
-    bad = np.flatnonzero(~np.isfinite(jac).all(axis=0))
-    if bad.size:
-        raise EvaluationError("non-finite stencil value in fd_jacobian at coordinate %d" % bad[0])
-    return jac

@@ -15,7 +15,6 @@ the n-by-n identity.
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -37,36 +36,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PenaltyEval:
-    """Cached quantities of one penalty evaluation at a point.
+    """One point's record, and the penalty at one beta once evaluated.
 
-    Immutable after construction; independent points may be evaluated
-    concurrently. grad_g is None when the evaluation was value-only;
-    evaluate() can complete such an evaluation without redoing the point.
-    lag_block is the n-by-m Lagrangian-Hessian block (hess f - H(lambda)) Dh^T
-    that the gradient computed; None without a gradient. h_norm and
-    grad_norm are computed on first read and then kept.
+    The point fields (x through lambda_val) are computed once per point.
+    beta and g_val are None on a bare point record; grad_g, grad_norm and
+    lag_block, the n-by-m Lagrangian-Hessian block (hess f - H(lambda)) Dh^T
+    that does not depend on beta, are None without a gradient. Immutable
+    after construction; independent points may be evaluated concurrently.
     """
 
     x: np.ndarray
-    beta: float
     h_val: np.ndarray
+    h_norm: float
     jac: np.ndarray
     jac_svd: SvdResult
     grad_f: np.ndarray
     lambda_val: np.ndarray
-    g_val: float
-    grad_g: Optional[np.ndarray]
+    beta: Optional[float] = None
+    g_val: Optional[float] = None
+    grad_g: Optional[np.ndarray] = None
+    grad_norm: Optional[float] = None
     lag_block: Optional[np.ndarray] = None
 
-    @cached_property
-    def h_norm(self):
-        return vector_norm(self.h_val)
-
-    @cached_property
-    def grad_norm(self):
-        return vector_norm(self.grad_g)
+    @property
+    def riem_grad(self):
+        """grad f - Dh^T lambda: the gradient of f on the layer through x."""
+        return self.grad_f - self.jac.T @ self.lambda_val
 
 
 @dataclass(frozen=True)
@@ -92,15 +89,24 @@ def _finite(arr, label, x):
     return arr
 
 
-def _point_data(problem, x, h_val=None):
-    """Shared per-point bundle: h, Dh, its thin SVD, grad f, and multipliers.
+def _value(problem, x, h_val, lam, beta):
+    """g(x) at beta from x's h and multipliers: one call to f."""
+    f_val = float(problem.f(x))
+    if not math.isfinite(f_val):
+        raise EvaluationError("f returned a non-finite value at %s" % (x,))
+    return f_val - float(h_val @ lam) + beta * float(h_val @ h_val)
 
-    x may be a PenaltyEval, whose bundle is returned without new evaluations.
-    h_val, when given, is h(x) as the caller already evaluated it: it is
-    checked and used in place of a new call to h.
+
+def _point(problem, x, h_val=None, beta=None):
+    """The point record of x: h, its norm, Dh, its thin SVD, grad f and multipliers.
+
+    x may be a PenaltyEval, which is returned as it is. h_val, when given,
+    is h(x) as the caller already evaluated it: it is checked and used in
+    place of a new call to h. With beta, the new record also holds the
+    penalty value at beta, so a value-only evaluation builds one record.
     """
     if isinstance(x, PenaltyEval):
-        return x.x, x.h_val, x.jac, x.jac_svd, x.grad_f, x.lambda_val
+        return x
     x = np.asarray(x, dtype=float)
     if h_val is None:
         h_val = problem.h(x)
@@ -124,7 +130,9 @@ def _point_data(problem, x, h_val=None):
         )
     # Minimum-norm least-squares multipliers through the SVD of Dh.
     lam = res.u @ ((res.vt @ grad_f) / res.s)
-    return x, h_val, jac, res, grad_f, lam
+    g_val = None if beta is None else _value(problem, x, h_val, lam, beta)
+    return PenaltyEval(x=x, h_val=h_val, h_norm=h_norm, jac=jac, jac_svd=res, grad_f=grad_f,
+                       lambda_val=lam, beta=beta, g_val=g_val)
 
 
 def multipliers(problem, x):
@@ -133,12 +141,8 @@ def multipliers(problem, x):
     Raises RankDeficiencyError when sigma_min(Dh) falls below the numerical
     rank cutoff, naming the offending point.
     """
-    _, _, _, res, _, lam = _point_data(problem, x)
-    return lam, res
-
-
-def _riem_grad(grad_f, jac, lam):
-    return grad_f - jac.T @ lam
+    pt = _point(problem, x)
+    return pt.lambda_val, pt.jac_svd
 
 
 def _gram_inverse(res, rhs):
@@ -153,70 +157,68 @@ def _lagrangian_hess(problem, x, lam, v):
     return hess_f - problem.hess_h(x, lam, v)
 
 
-def _dlambda(problem, x):
-    """Dense multiplier Jacobian and x's point data (the _point_data tuple).
-
-    Differentiating (Dh Dh^T) lam = Dh grad f gives Dlam = (Dh Dh^T)^{-1} (R + B^T)
-    with R's rows (H(e_i) grad_M f)^T, H(w) = sum_i w_i hess h_i and the block
-    B = (hess f - H(lam)) Dh^T: x's lag_block when x is a completed PenaltyEval.
-    """
-    block = getattr(x, "lag_block", None)
-    point = _point_data(problem, x)
-    x, _, jac, res, grad_f, lam = point
-    if block is None:
-        block = _lagrangian_hess(problem, x, lam, jac.T)
-    rg = _riem_grad(grad_f, jac, lam)
-    rows = np.array([problem.hess_h(x, e, rg) for e in np.eye(jac.shape[0])])
-    return _finite(_gram_inverse(res, rows + block.T), "hess_h", x), point
-
-
 def dlambda_jacobian(problem, x):
     """Dense Jacobian of the multiplier map, one column per coordinate.
 
-    Differentiates the normal equations through the thin SVD of Dh, with
-    m hess_h products. x may be a PenaltyEval, whose point data and
-    Lagrangian-Hessian block are reused.
+    Differentiating (Dh Dh^T) lam = Dh grad f gives Dlam = (Dh Dh^T)^{-1} (R + B^T)
+    with R's rows (H(e_i) grad_M f)^T, H(w) = sum_i w_i hess h_i and the block
+    B = (hess f - H(lam)) Dh^T: m hess_h products and the thin SVD of Dh.
+    x may be a PenaltyEval, whose point data and lag_block (B) are reused.
     """
-    return _dlambda(problem, x)[0]
+    pt = _point(problem, x)
+    block = pt.lag_block
+    if block is None:
+        block = _lagrangian_hess(problem, pt.x, pt.lambda_val, pt.jac.T)
+    rg = pt.riem_grad
+    rows = np.array([problem.hess_h(pt.x, e, rg) for e in np.eye(pt.jac.shape[0])])
+    return _finite(_gram_inverse(pt.jac_svd, rows + block.T), "hess_h", pt.x)
 
 
 def evaluate(problem, x, beta, with_grad=True, h_val=None):
-    """Build a PenaltyEval at x; the Dh SVD is computed once and shared.
+    """The PenaltyEval of x at beta; the Dh SVD is computed once and shared.
 
-    x may also be a value-only PenaltyEval built with the same beta (as the
-    backtracking searches return): its point data is reused and only the
-    gradient is added. h_val, when given with a point x, is h(x) as the
-    caller already evaluated it (the searches' region test), so h is not
-    called again. Raises EvaluationError when an evaluator returns a
-    non-finite value (hess_h is caught through the assembled gradient).
+    x may also be a PenaltyEval, whose point data is reused: at its own beta
+    a value-only evaluation (as the searches return) gets its gradient; at
+    another beta the record is re-based, the value with one more call to f
+    and the gradient with one hess_h product beside the kept lag_block.
+    h_val, when given with a point x, is h(x) as the caller already
+    evaluated it (the searches' region test), so h is not called again.
+    Raises EvaluationError when an evaluator returns a non-finite value
+    (hess_h is caught through the assembled gradient) or when beta is so
+    large that 2 beta Dh^T h is not finite.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    g_val = None
-    if isinstance(x, PenaltyEval):
-        if x.beta != beta:
-            raise ValueError("PenaltyEval has beta=%r, not %r" % (x.beta, beta))
-        if not with_grad or x.grad_g is not None:
-            return x
-        g_val = x.g_val
-    x, h_val, jac, res, grad_f, lam = _point_data(problem, x, h_val)
-    if g_val is None:
-        f_val = float(problem.f(x))
-        if not math.isfinite(f_val):
-            raise EvaluationError("f returned a non-finite value at %s" % (x,))
-        g_val = f_val - float(h_val @ lam) + beta * float(h_val @ h_val)
-    grad_g = block = None
+    pt = _point(problem, x, h_val, float(beta))
+    if pt.beta == beta and (pt.grad_g is not None or not with_grad):
+        return pt
+    x, h_val, jac, lam = pt.x, pt.h_val, pt.jac, pt.lambda_val
+    g_val = pt.g_val if pt.beta == beta else _value(problem, x, h_val, lam, beta)
+    grad_g = grad_norm = None
+    block = pt.lag_block
     if with_grad:
-        rg = _riem_grad(grad_f, jac, lam)
-        # (Dlam)^T h = H(w) grad_M f + B w, w = (Dh Dh^T)^{-1} h: _dlambda's formula transposed
-        block = _lagrangian_hess(problem, x, lam, jac.T)
-        w = _gram_inverse(res, h_val)
+        rg = pt.riem_grad
+        # (Dlam)^T h = H(w) grad_M f + B w, w = (Dh Dh^T)^{-1} h: dlambda_jacobian transposed
+        if block is None:
+            block = _lagrangian_hess(problem, x, lam, jac.T)
+        w = _gram_inverse(pt.jac_svd, h_val)
         adjoint = problem.hess_h(x, w, rg) + block @ w
+        # The entries of 2 beta Dh^T h are at most 2 beta sigma_max ||h||: only a huge
+        # beta can make that term non-finite (inf * 0 for beta = 1e308), and then
+        # it is checked on its own rather than blamed on hess_h.
+        scale = 2.0 * beta
+        if not scale * pt.jac_svd.sigma_max * pt.h_norm < 1e300:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(scale * (jac.T @ h_val)).all():
+                    raise EvaluationError(
+                        "beta=%r is too large: 2 beta Dh^T h is not finite" % beta)
         # Every other input is checked where it is read; hess_h output is checked
         # here, once per gradient, rather than on each of its products.
-        grad_g = _finite(rg + 2.0 * beta * (jac.T @ h_val) - adjoint, "hess_h", x)
-    return PenaltyEval(x=x, beta=float(beta), h_val=h_val, jac=jac, jac_svd=res, grad_f=grad_f,
-                       lambda_val=lam, g_val=g_val, grad_g=grad_g, lag_block=block)
+        grad_g = _finite(rg + scale * (jac.T @ h_val) - adjoint, "hess_h", x)
+        grad_norm = vector_norm(grad_g)
+    return PenaltyEval(x=x, h_val=h_val, h_norm=pt.h_norm, jac=jac, jac_svd=pt.jac_svd,
+                       grad_f=pt.grad_f, lambda_val=lam, beta=float(beta), g_val=g_val,
+                       grad_g=grad_g, grad_norm=grad_norm, lag_block=block)
 
 
 def penalty_value(problem, x, beta):
@@ -248,11 +250,12 @@ def penalty_hess(problem, x, beta):
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    dlam, (x, h_val, jac, _, _, lam) = _dlambda(problem, x)
+    pt = _point(problem, x)
+    x, jac = pt.x, pt.jac
     eye = np.eye(x.size)
-    cross = jac.T @ dlam
-    hess = (_lagrangian_hess(problem, x, lam, eye) - cross - cross.T
-            + 2.0 * beta * (jac.T @ jac + problem.hess_h(x, h_val, eye)))
+    cross = jac.T @ dlambda_jacobian(problem, pt)
+    hess = (_lagrangian_hess(problem, x, pt.lambda_val, eye) - cross - cross.T
+            + 2.0 * beta * (jac.T @ jac + problem.hess_h(x, pt.h_val, eye)))
     return _finite(0.5 * (hess + hess.T), "hess_h", x)
 
 
@@ -262,8 +265,9 @@ def beta_thresholds(problem, x):
     x may be a PenaltyEval, whose point data and Lagrangian-Hessian block
     are reused: Dlambda then costs only m hess_h products.
     """
-    dlam, (_, _, _, res, _, _) = _dlambda(problem, x)
-    c_lambda = svd(dlam).sigma_max
+    pt = _point(problem, x)
+    c_lambda = svd(dlambda_jacobian(problem, pt)).sigma_max
+    res = pt.jac_svd
     s_min = res.sigma_min
     s_max = res.sigma_max
     beta1 = s_max * c_lambda / (2.0 * s_min**2)

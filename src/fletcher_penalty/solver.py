@@ -277,6 +277,8 @@ def _terminal(records, ev, reason, k):
 def _descend(problem, x0, cfg, records, stop=None):
     """The gradient/eigenstep loop from x0 at penalty parameter cfg.beta.
 
+    x0 is a point or a PenaltyEval (the last iterate of a plateau stage),
+    which evaluate() re-bases at cfg.beta without redoing its point.
     Appends a record per accepted step and then a terminal record (none
     when x0 itself is rank deficient). Returns (ev, reason): the last
     iterate's PenaltyEval, None when x0 is rank deficient, and the
@@ -421,8 +423,8 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
     beta_l = float(beta0)
     lp_l = float(lp0)
     stage_cfg = replace(cfg, beta=beta_l)
-    x = _check_inputs(problem, x0, stage_cfg)
-    records, stages, ev = [], [], None
+    x0 = _check_inputs(problem, x0, stage_cfg)
+    start, records, stages, ev = x0, [], [], None
     for ell in range(max_plateaus):
         b_max = None
 
@@ -437,7 +439,7 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
 
         stage_cfg = replace(cfg, beta=beta_l)
         first = len(records)
-        ev, reason = _descend(problem, x, stage_cfg, records, stop)
+        ev, reason = _descend(problem, start, stage_cfg, records, stop)
         iters = sum(r.kind != "terminal" for r in records[first:])
         stop_reason = "backtrack_failure" if reason == "beta_too_small" else reason
         b_value = {"b_trigger": b_max, "beta_too_small": beta_l}.get(reason)
@@ -449,7 +451,7 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
             if floor < cfg.alpha01 * cfg.tau1**cfg.max_backtracks:
                 reason = "trial_budget"
                 break
-        x = ev.x
+        start = ev  # the next stage re-bases this evaluation at its beta
         if reason == "b_trigger":
             ratio, beta_l = gamma * b_max / beta_l, gamma * b_max
         else:
@@ -463,7 +465,7 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
             break
     else:
         reason = "max_plateaus"
-    return _certified(problem, stage_cfg, records, ev, reason, x, stages)
+    return _certified(problem, stage_cfg, records, ev, reason, x0, stages)
 
 
 def restore_feasibility(problem, x0, step, t_end):

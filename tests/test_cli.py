@@ -158,6 +158,19 @@ def test_non_finite_hess_h_exits_three(tmp_path, monkeypatch, capsys):
     assert "hess_h returned non-finite" in capsys.readouterr().err
 
 
+def test_beta_too_large_for_the_gradient_exits_three_in_one_line(tmp_path, capsys):
+    # 2 beta = inf, and inf * 0 in 2 beta Dh^T h: the error names beta, with no RuntimeWarning
+    out = tmp_path / "s.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["solve", "--problem", "rayleigh", "--n", "10", "--beta", "1e308",
+                        "--output-path", str(out)])
+    assert code == 3 and not out.exists()
+    assert [w.message for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "beta=1e+308" in err and "hess_h" not in err
+
+
 def test_plateau_cap_writes_trace_and_exits_two(tmp_path, capsys):
     # at beta = 1e9 the steps are tiny, so each plateau ends on its budget
     out = tmp_path / "p.json"

@@ -213,24 +213,37 @@ def test_adjoint_gradient_matches_dense_and_fd(builtins):
             assert relative_error(ev.grad_g, fd) <= 1e-6
 
 
-def test_evaluate_completes_a_value_only_evaluation(builtins):
+def _assert_same_fields(a, b):
+    for f in fields(PenaltyEval):
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(u, SvdResult):
+            assert all(np.array_equal(getattr(u, k), getattr(v, k)) for k in ("u", "s", "vt"))
+        else:
+            assert np.array_equal(u, v), f.name
+
+
+def test_evaluate_completes_a_value_only_evaluation(builtins, monkeypatch):
+    from fletcher_penalty import penalty
+
+    svds = []
+    real_svd = penalty.svd
+    monkeypatch.setattr(penalty, "svd", lambda a: svds.append(a) or real_svd(a))
     for p in builtins.values():
+        p, calls = _count_calls(p)
         x = random_point_in_region(p, 2, scale=0.4)
         value_only = evaluate(p, x, 3.0, with_grad=False)
         assert value_only.grad_g is None
         done = evaluate(p, value_only, 3.0)
         assert done.g_val == value_only.g_val and done.jac_svd is value_only.jac_svd
         # field by field, the completed evaluation is the direct one
-        direct = evaluate(p, x, 3.0)
-        for f in fields(PenaltyEval):
-            a, b = getattr(done, f.name), getattr(direct, f.name)
-            if isinstance(a, SvdResult):
-                assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("u", "s", "vt"))
-            else:
-                assert np.array_equal(a, b), f.name
-        assert (done.h_norm, done.grad_norm) == (direct.h_norm, direct.grad_norm)
-        with pytest.raises(ValueError):
-            evaluate(p, value_only, 4.0)
+        _assert_same_fields(done, evaluate(p, x, 3.0))
+        # at another beta the point is re-based: one f and one hess_h product,
+        # no h, jac_h, grad_f or SVD, and the same record as a direct evaluation
+        calls.clear()
+        svds.clear()
+        rebased = evaluate(p, done, 4.0)
+        assert calls == {"f": 1, "hess_h": 1} and svds == []
+        _assert_same_fields(rebased, evaluate(p, x, 4.0))
 
 
 def test_evaluation_norms_equal_numpy_norm_bitwise(builtins):

@@ -470,6 +470,51 @@ def test_plateau_certifies_only_inside_the_solver(monkeypatch):
     assert {in_loop for name, in_loop in calls if name != "certify"} == {True}
 
 
+def test_plateau_evaluates_each_stage_start_once(monkeypatch):
+    # each stage starts from the previous stage's last evaluation, re-based at the
+    # new beta: every point's Dh and SVD are computed once in the whole run, and a
+    # stage boundary costs one f and one hess_h call
+    from fletcher_penalty import PenaltyEval, penalty, solver
+
+    calls, jac_points = {}, set()
+    base = builtin_problem("stiefel", n=8, p=2, seed=3)
+
+    def counted(name):
+        real = getattr(base, name)
+
+        def wrapper(x, *args):
+            calls[name] = calls.get(name, 0) + 1
+            if name == "jac_h":
+                jac_points.add(np.asarray(x).tobytes())
+            return real(x, *args)
+
+        return wrapper
+
+    p = replace(base, **{k: counted(k) for k in ("f", "grad_f", "hess_f", "h", "jac_h", "hess_h")})
+    svds, thresholds, rebases = [], [], []
+    real_svd, real_thresholds, real_evaluate = penalty.svd, solver.beta_thresholds, solver.evaluate
+    monkeypatch.setattr(penalty, "svd", lambda a: svds.append(a) or real_svd(a))
+    monkeypatch.setattr(solver, "beta_thresholds",
+                        lambda *a: thresholds.append(a) or real_thresholds(*a))
+
+    def evaluate_spy(problem, x, beta, *args, **kwargs):
+        if not isinstance(x, PenaltyEval) or x.beta == beta:
+            return real_evaluate(problem, x, beta, *args, **kwargs)
+        before = dict(calls)
+        ev = real_evaluate(problem, x, beta, *args, **kwargs)
+        rebases.append({k: n - before.get(k, 0) for k, n in calls.items() if n != before.get(k, 0)})
+        return ev
+
+    monkeypatch.setattr(solver, "evaluate", evaluate_spy)
+    trace = plateau(p, p.init_point(3), SolverConfig(eps1=1e-4, eps2=1e-3),
+                    gamma=2.0, beta0=1e-3, lp0=50)
+    assert trace.termination == "converged" and len(trace.plateaus) >= 2
+    assert rebases == [{"f": 1, "hess_h": 1}] * (len(trace.plateaus) - 1)
+    # one Dh and one SVD per point; beta_thresholds takes one more SVD, of Dlambda
+    assert calls["jac_h"] == len(jac_points)
+    assert len(svds) == len(jac_points) + len(thresholds)
+
+
 @pytest.mark.parametrize("driver", ["solve", "plateau"])
 def test_second_order_run_without_hess_h_fails_before_evaluating(monkeypatch, driver):
     # the certificate needs hess_h; the Problem contract refuses a run without it
