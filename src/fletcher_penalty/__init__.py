@@ -23,6 +23,7 @@ from .derivative_check import (
 )
 from .exceptions import (
     BacktrackFailureError,
+    DecreaseBelowRoundingError,
     EvaluationError,
     FletcherPenaltyError,
     NumericalFailureError,

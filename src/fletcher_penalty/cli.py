@@ -44,6 +44,7 @@ _TERMINATION_EXIT = {
     "max_iters": EXIT_NOT_REACHED,
     "rank_deficient": EXIT_NUMERICAL,
     "beta_too_small": EXIT_NUMERICAL,
+    "tolerance_unreachable": EXIT_NOT_REACHED,
     "max_plateaus": EXIT_NOT_REACHED,
     "trial_budget": EXIT_NUMERICAL,
 }
@@ -180,12 +181,15 @@ def _fmt(value):
 def _final_measures(problem, trace):
     """The certificate's h_norm, grad_M_norm and min_eig, all nan without one.
 
-    Only a first-order run's min_eig is measured here.
+    Only a first-order run's min_eig is measured here, from the run's last
+    PenaltyEval, so the final point is not evaluated again.
     """
     cert = trace.final_certificate
     if cert is None:
         return (float("nan"),) * 3
-    min_eig = layered_hess(problem, trace.final_x).min_eig if cert.min_eig is None else cert.min_eig
+    min_eig = cert.min_eig
+    if min_eig is None:
+        min_eig = layered_hess(problem, trace.final_eval).min_eig
     return cert.eps0_measured, cert.eps1_measured, min_eig
 
 

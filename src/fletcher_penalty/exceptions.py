@@ -6,6 +6,7 @@ __all__ = [
     "RankDeficiencyError",
     "EvaluationError",
     "BacktrackFailureError",
+    "DecreaseBelowRoundingError",
     "StepSizeError",
 ]
 
@@ -44,6 +45,16 @@ class BacktrackFailureError(FletcherPenaltyError):
 
     Usually a sign that the penalty parameter is below the pointwise
     threshold required for the step-size floors to exist.
+    """
+
+
+class DecreaseBelowRoundingError(BacktrackFailureError):
+    """Backtracking failed where even a step of the configured initial size
+    had to decrease the penalty by no more than its rounding.
+
+    No trial's decrease can then be told from rounding, so the failure says
+    that the tolerance is out of reach at this point, not that beta is too
+    small.
     """
 
 

@@ -2,7 +2,11 @@
 
 Everything here is a thin, contract-checked layer over LAPACK (through
 numpy.linalg). All functions are pure and deterministic within one build:
-identical inputs give bitwise-identical outputs.
+identical inputs give bitwise-identical outputs. svd has two routes: a
+wide, well-conditioned matrix A of at least GRAM_MIN_COLS columns is
+factored through the eigendecomposition of its Gram matrix A A^T, any
+other matrix by LAPACK's SVD, so every rank-deficiency decision is made on
+LAPACK's singular values.
 """
 
 import math
@@ -11,6 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalFailureError
+
+# The Gram route squares the condition number: sigma_i from eigh(A A^T) has a
+# relative error near eps * (sigma_1 / sigma_i)^2 (Golub & Van Loan, Matrix
+# Computations, 4th ed., section 8.6). It is taken only when w_min > GRAM_CUTOFF
+# * w_max, i.e. sigma_min / sigma_max > 0.1. On 200 random 6-by-90 matrices per
+# sigma ratio, the worst relative errors against LAPACK at ratio 0.1 were 3e-14
+# (multipliers, singular values and orthonormality of vt alike); at ratio 1e-4
+# they grew to 2e-8, past this module's 1e-12 orthonormality contract.
+GRAM_CUTOFF = 1e-2
+# Below this, entries of A A^T may lie near the subnormal range and lose digits.
+GRAM_FLOOR = 1e-250
+# Narrower matrices stay with LAPACK: for m >= 2 below about 64 columns, eigh's
+# fixed cost makes the Gram route no faster than LAPACK's SVD (timed for m = 2..6).
+GRAM_MIN_COLS = 64
 
 __all__ = [
     "SvdResult",
@@ -27,7 +45,8 @@ class SvdResult:
     """Thin SVD A = u @ diag(s) @ vt with s sorted nonincreasing.
 
     With k = min(m, n), u is (m, k), s has k entries and vt is (k, n).
-    Reconstruction is accurate to 1e-10 * (1 + ||A||_F) in Frobenius norm.
+    Reconstruction is accurate to 1e-10 * (1 + ||A||_F) in Frobenius norm,
+    and the rows of u^T and vt are orthonormal to 1e-12, on either route.
     """
 
     u: np.ndarray
@@ -61,6 +80,10 @@ def _as_matrix(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a 2-D array, got shape %s" % (a.shape,))
+    return a
+
+
+def _finite(a):
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
@@ -73,13 +96,47 @@ def _lapack_svd(a, full_matrices):
         raise NumericalFailureError("SVD did not converge: %s" % exc) from exc
 
 
+def _gram_svd(a):
+    """The thin SVD of a wide a from eigh(a a^T), or None where that route does
+    not apply: a non-finite a, an eigenvalue ratio at most GRAM_CUTOFF, a
+    smallest eigenvalue below GRAM_FLOOR, or a failed eigensolve."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = a @ a.T
+    # diag(g) holds the squared row norms, so their sum is finite exactly when a
+    # is finite and g does not overflow: svd's finiteness check on this route.
+    if not math.isfinite(sum(g.diagonal().tolist())):
+        return None
+    if len(g) == 1:
+        w, u = g[0], np.ones((1, 1))  # what eigh returns for a 1-by-1 matrix
+    else:
+        try:
+            w, u = np.linalg.eigh(g)
+        except np.linalg.LinAlgError:
+            return None
+    if not (w[0] > GRAM_CUTOFF * w[-1] and w[0] > GRAM_FLOOR):  # w is ascending
+        return None
+    s = np.sqrt(w[::-1])
+    u = u[:, ::-1]
+    return SvdResult(u=u, s=s, vt=(u / s).T @ a)
+
+
 def svd(a):
     """Thin singular value decomposition of a dense matrix.
 
-    Raises NumericalFailureError if the underlying iteration does not
-    converge within LAPACK's sweep budget.
+    A wide matrix (0 < m <= n, n >= GRAM_MIN_COLS) with
+    sigma_min / sigma_max > 0.1 is factored through eigh(A A^T):
+    s = sqrt(w), u its eigenvectors and vt = diag(1/s) u^T A. Every other
+    matrix goes to LAPACK. Raises ValueError on non-finite entries, and
+    NumericalFailureError if LAPACK's iteration does not converge within
+    its sweep budget.
     """
-    u, s, vt = _lapack_svd(_as_matrix(a), full_matrices=False)
+    a = _as_matrix(a)
+    m, n = a.shape
+    if n >= GRAM_MIN_COLS and 0 < m <= n:
+        res = _gram_svd(a)  # None on a non-finite a, which _finite rejects below
+        if res is not None:
+            return res
+    u, s, vt = _lapack_svd(_finite(a), full_matrices=False)
     return SvdResult(u=u, s=s, vt=vt)
 
 
@@ -91,7 +148,7 @@ def sym_eig_min(h):
     pass symmetric matrices; the symmetrization is there for callers outside
     the library, whose asymmetry must not reach the eigensolver.
     """
-    h = _as_matrix(h)
+    h = _finite(_as_matrix(h))
     if h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix, got shape %s" % (h.shape,))
     sym = 0.5 * (h + h.T)
@@ -109,7 +166,7 @@ def kernel_basis(a):
     columns span {v : ||A v|| <= default_rank_tol(m, n) * sigma_1 * ||v||};
     for full-rank A that is exactly n - m columns.
     """
-    a = _as_matrix(a)
+    a = _finite(_as_matrix(a))
     m, n = a.shape
     if m > n:
         raise ValueError("kernel_basis expects m <= n, got shape %s" % (a.shape,))

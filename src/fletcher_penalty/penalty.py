@@ -7,9 +7,13 @@ of h through x) and constraint-normal parts. The Hessian is assembled from
 the same pieces, less the term sum_i h_i hess lambda_i, which would need
 third derivatives and vanishes on the feasible set. Each point costs one
 thin SVD of Dh, which yields the multipliers,
-(Dh Dh^T)^{-1} = U diag(s^-2) U^T and the rank check. Second derivatives
-of f and h enter as Hessian products; only penalty_hess takes them with
-the n-by-n identity.
+(Dh Dh^T)^{-1} = U diag(s^-2) U^T and the rank check. Where Dh has at
+least linalg.GRAM_MIN_COLS columns and is well conditioned
+(sigma_min / sigma_max > 0.1, as the region's sigma_lb keeps it at the
+iterates of the built-in problems), linalg.svd takes it from
+eigh(Dh Dh^T); otherwise, and so for every rank decision, from LAPACK's
+SVD. Second derivatives of f and h enter as Hessian products; only
+penalty_hess takes them with the n-by-n identity.
 """
 
 import math
@@ -111,9 +115,13 @@ def _point(problem, x, h_val=None, beta=None):
     if h_val is None:
         h_val = problem.h(x)
     h_val = _finite(np.asarray(h_val, dtype=float).ravel(), "h", x)
-    jac = _finite(np.asarray(problem.jac_h(x), dtype=float), "jac_h", x)
+    jac = np.asarray(problem.jac_h(x), dtype=float)
+    try:
+        res = svd(jac)  # svd's own finiteness check is the only pass over jac
+    except ValueError:
+        _finite(jac, "jac_h", x)  # a non-finite jac is named as jac_h's
+        raise
     grad_f = _finite(np.asarray(problem.grad_f(x), dtype=float).ravel(), "grad_f", x)
-    res = svd(jac)
     m, n = jac.shape
     tol = default_rank_tol(m, n)
     if res.sigma_min <= tol * res.sigma_max:

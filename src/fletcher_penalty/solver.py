@@ -20,12 +20,13 @@ import numpy as np
 from .criticality import CriticalityCertificate, certify
 from .exceptions import (
     BacktrackFailureError,
+    DecreaseBelowRoundingError,
     NumericalFailureError,
     RankDeficiencyError,
     StepSizeError,
 )
 from .linalg import sym_eig_min, vector_norm
-from .penalty import beta_thresholds, evaluate, in_region, penalty_hess
+from .penalty import PenaltyEval, beta_thresholds, evaluate, in_region, penalty_hess
 
 __all__ = [
     "SolverConfig",
@@ -38,6 +39,11 @@ __all__ = [
     "plateau",
     "restore_feasibility",
 ]
+
+
+# The computed decrease g(x) - g(x + alpha d) carries a rounding error of a
+# few ulps of g; a required decrease below that cannot be verified.
+ROUNDING_ULPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,8 @@ class PlateauStage:
     beta: float
     lp: float
     iters: int
-    stop_reason: str  # "converged" | "b_trigger" | "budget" | "backtrack_failure"
+    # "converged" | "b_trigger" | "budget" | "backtrack_failure" | "tolerance_unreachable"
+    stop_reason: str
     b_value: Optional[float]
 
     def as_dict(self):
@@ -131,12 +138,18 @@ class RunTrace:
     """Per-iteration records plus the final point and its certificate.
 
     termination is one of "converged", "max_iters", "rank_deficient",
-    "beta_too_small". Plateau runs additionally carry the per-plateau
-    schedule; their records concatenate all plateaus (the k index
-    restarts at each plateau). A plateau run stopped by its plateau cap,
-    or by a schedule that cannot grow any further, has termination
-    "max_plateaus"; one whose backtracking failed at a beta for which the
-    trial budget, not beta, is too short has termination "trial_budget".
+    "beta_too_small", "tolerance_unreachable". The last is a failed search
+    in which even a step of alpha01 (alpha02 for an eigenstep) had to
+    decrease g by no more than its rounding: the tolerance is out of reach
+    there, whatever beta is. Plateau
+    runs additionally carry the per-plateau schedule; their records
+    concatenate all plateaus (the k index restarts at each plateau). A
+    plateau run stopped by its plateau cap, or by a schedule that cannot
+    grow any further, has termination "max_plateaus"; one whose
+    backtracking failed at a beta for which the trial budget, not beta, is
+    too short has termination "trial_budget". final_eval is the last
+    iterate's PenaltyEval (None with no certificate), kept for the
+    caller's further measures; as_dict leaves it out.
     """
 
     config: SolverConfig
@@ -145,6 +158,7 @@ class RunTrace:
     final_certificate: Optional[CriticalityCertificate]
     termination: str
     plateaus: Optional[List[PlateauStage]] = field(default=None)
+    final_eval: Optional[PenaltyEval] = field(default=None, repr=False)
 
     def iteration_counts(self):
         grad = sum(1 for r in self.records if r.kind == "gradient")
@@ -169,9 +183,15 @@ class RunTrace:
         return json.dumps(self.as_dict())
 
 
-def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what):
+def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what, alpha_top):
     """First alpha in {alpha0 * tau^j} whose trial ev.x + alpha*d stays in the region
-    and decreases g by at least required_decrease(alpha)."""
+    and decreases g by at least required_decrease(alpha).
+
+    alpha_top is the configured initial step (alpha01 or alpha02), the
+    largest start the solver gives the search. A failed search whose
+    required_decrease(alpha_top) is at most ROUNDING_ULPS ulps of g raises
+    DecreaseBelowRoundingError: no start could show a decrease above rounding.
+    """
     radius = problem.region.radius
     alpha = alpha0
     for j in range(cfg.max_backtracks + 1):
@@ -183,6 +203,11 @@ def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what):
             if ev.g_val - trial.g_val >= required_decrease(alpha):
                 return alpha, trial, j
         alpha *= tau
+    if required_decrease(alpha_top) <= ROUNDING_ULPS * math.ulp(ev.g_val):
+        raise DecreaseBelowRoundingError(
+            "no acceptable %s: a step of %g had to decrease g=%r by %.3e, below "
+            "rounding" % (what, alpha_top, ev.g_val, required_decrease(alpha_top))
+        )
     raise BacktrackFailureError(
         "no acceptable %s within %d backtracks" % (what, cfg.max_backtracks)
     )
@@ -200,12 +225,13 @@ def gradient_backtrack(problem, ev, cfg, alpha0=None):
     (trial.x is the point); evaluate() completes it with its gradient.
     Raises BacktrackFailureError once the trial budget is exhausted, which
     signals that beta is likely below the pointwise exactness threshold (or
-    numerical trouble).
+    numerical trouble); its subclass DecreaseBelowRoundingError when even a
+    step of alpha01 had to decrease g by no more than its rounding.
     """
     d = -ev.grad_g
     gnorm_sq = float(d @ d)
     return _backtrack(problem, ev, d, cfg.alpha01 if alpha0 is None else alpha0, cfg.tau1,
-                      lambda a: cfg.c1 * a * gnorm_sq, cfg, "gradient step")
+                      lambda a: cfg.c1 * a * gnorm_sq, cfg, "gradient step", cfg.alpha01)
 
 
 def eigen_backtrack(problem, ev, d, hess_quad, cfg):
@@ -219,7 +245,7 @@ def eigen_backtrack(problem, ev, d, hess_quad, cfg):
     backtracks) as gradient_backtrack does.
     """
     return _backtrack(problem, ev, np.asarray(d, dtype=float), cfg.alpha02, cfg.tau2,
-                      lambda a: -cfg.c2 * a * a * hess_quad, cfg, "eigenstep")
+                      lambda a: -cfg.c2 * a * a * hess_quad, cfg, "eigenstep", cfg.alpha02)
 
 
 def _assert_first_order_bounds(problem, ev, cert, cfg):
@@ -321,6 +347,8 @@ def _descend(problem, x0, cfg, records, stop=None):
             ev_next = evaluate(problem, trial, cfg.beta, with_grad=True)
         except RankDeficiencyError:
             return _terminal(records, ev, "rank_deficient", k)
+        except DecreaseBelowRoundingError:
+            return _terminal(records, ev, "tolerance_unreachable", k)
         except BacktrackFailureError:
             return _terminal(records, ev, "beta_too_small", k)
         records.append(
@@ -351,7 +379,7 @@ def _certified(problem, cfg, records, ev, reason, x0, plateaus=None):
     cert = certify(problem, ev, cfg.eps1, 2.0 * cfg.eps1, cfg.eps2)
     if reason == "converged":
         _assert_first_order_bounds(problem, ev, cert, cfg)
-    return RunTrace(cfg, records, ev.x, cert, reason, plateaus)
+    return RunTrace(cfg, records, ev.x, cert, reason, plateaus, final_eval=ev)
 
 
 def gradient_eigenstep(problem, x0, cfg):
@@ -404,10 +432,10 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
     at the last iterate is already below the smallest trial
     alpha01 * tau1^max_backtracks: a larger beta only lowers that floor, so
     the scheme ends as "trial_budget". Any other end of a plateau
-    (converged, max_iters, rank_deficient) ends the scheme with that
-    termination. After max_plateaus plateaus without such an end (a
-    negative cap raises ValueError), or once the next beta or budget would
-    overflow to inf, the termination is "max_plateaus".
+    (converged, max_iters, rank_deficient, tolerance_unreachable) ends the
+    scheme with that termination. After max_plateaus plateaus without such
+    an end (a negative cap raises ValueError), or once the next beta or
+    budget would overflow to inf, the termination is "max_plateaus".
 
     The returned trace holds the records of every plateau, the per-plateau
     stages, the config of the last plateau, and the last point with its

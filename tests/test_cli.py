@@ -171,6 +171,18 @@ def test_beta_too_large_for_the_gradient_exits_three_in_one_line(tmp_path, capsy
     assert err.count("\n") == 1 and "beta=1e+308" in err and "hess_h" not in err
 
 
+def test_unreachable_tolerance_exits_two_in_one_line(tmp_path, capsys):
+    # eps1 = 1e-300 is below what the rounding of g can resolve: the failed search
+    # is named for that (tolerance not reached), not read as beta too small
+    out = tmp_path / "s.json"
+    code = run_cli(["solve", "--problem", "rayleigh", "--n", "10", "--eps1", "1e-300",
+                    "--output-path", str(out)])
+    assert code == 2
+    assert json.loads(out.read_text())["termination"] == "tolerance_unreachable"
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("solve: termination=tolerance_unreachable ")
+
+
 def test_plateau_cap_writes_trace_and_exits_two(tmp_path, capsys):
     # at beta = 1e9 the steps are tiny, so each plateau ends on its budget
     out = tmp_path / "p.json"
@@ -262,6 +274,34 @@ def test_cli_run_measures_min_eig_once_per_solve(tmp_path, monkeypatch, capsys, 
     monkeypatch.setattr(cli, "layered_hess", spy)
     assert run_cli(args + ["--output-path", str(tmp_path / "out")]) == 0
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--problem", "stiefel", "--n", "8", "--p", "2"],
+    ["sweep", "--problem", "stiefel", "--n", "8", "--p", "2", "--eps-list", "1e-4"],
+])
+def test_first_order_run_evaluates_its_final_point_once(tmp_path, monkeypatch, args):
+    # the CLI measures a first-order run's min_eig from the run's last PenaltyEval,
+    # so the final point's h, jac_h, grad_f and SVD are not computed again
+    base = cli.builtin_problem("stiefel", n=8, p=2)
+    points, finals = [], []
+
+    def jac_h(x):
+        points.append(np.array(x, copy=True))
+        return base.jac_h(x)
+
+    def solve(*a):
+        trace = real_solve(*a)
+        finals.append(trace.final_x)
+        return trace
+
+    real_solve = cli.gradient_eigenstep
+    monkeypatch.setattr(cli, "builtin_problem", lambda *a, **k: replace(base, jac_h=jac_h))
+    monkeypatch.setattr(cli, "gradient_eigenstep", solve)
+    assert run_cli(args + ["--output-path", str(tmp_path / "out")]) == 0
+    assert finals
+    for x in finals:
+        assert sum(np.array_equal(y, x) for y in points) == 1
 
 
 def test_restore_command(tmp_path):

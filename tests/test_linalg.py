@@ -1,10 +1,44 @@
 """Contracts of the dense linear-algebra layer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from fletcher_penalty import kernel_basis, svd, sym_eig_min
-from fletcher_penalty.linalg import default_rank_tol, vector_norm
+from fletcher_penalty import kernel_basis, linalg, svd, sym_eig_min
+from fletcher_penalty.linalg import GRAM_CUTOFF, GRAM_MIN_COLS, default_rank_tol, vector_norm
+
+# sigma_min / sigma_max at the Gram route's cutoff
+GRAM_RATIO = np.sqrt(GRAM_CUTOFF)
+
+
+def with_singular_values(s, n, seed):
+    """A len(s)-by-n matrix with singular values s and random singular vectors."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((len(s), len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((n, len(s))))
+    return (u * np.asarray(s, dtype=float)) @ v.T
+
+
+def svd_route(monkeypatch, a):
+    """svd(a) and the route it took: "lapack" when it called LAPACK's SVD, else "gram"."""
+    lapack_calls = []
+    real = linalg._lapack_svd
+    monkeypatch.setattr(linalg, "_lapack_svd",
+                        lambda *args, **kwargs: lapack_calls.append(1) or real(*args, **kwargs))
+    res = svd(a)
+    monkeypatch.setattr(linalg, "_lapack_svd", real)
+    return res, "lapack" if lapack_calls else "gram"
+
+
+def assert_svd_contract(a, res):
+    k = min(a.shape)
+    c = np.abs(a).max()  # norms taken of a / c, which cannot overflow
+    err = np.linalg.norm((a - res.u @ np.diag(res.s) @ res.vt) / c)
+    assert err <= 1e-10 * (1.0 / c + np.linalg.norm(a / c))
+    assert np.all(np.diff(res.s) <= 0)
+    np.testing.assert_allclose(res.u.T @ res.u, np.eye(k), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.vt @ res.vt.T, np.eye(k), rtol=0, atol=1e-12)
 
 
 def test_svd_identity():
@@ -39,6 +73,72 @@ def test_svd_takes_one_matrix(shape):
 def test_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         svd(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+
+
+# Each wide case: (singular values, n, the route svd must take).
+SVD_ROUTE_CASES = {
+    "random": ([3.0, 2.2, 1.7, 1.1, 0.9, 0.4], 90, "gram"),
+    "clustered": ([1.0 + 1e-9, 1.0, 1.0, 1.0 - 1e-9, 0.5, 0.5], 90, "gram"),
+    "equal": ([2.0] * 4, GRAM_MIN_COLS, "gram"),
+    "square": (np.linspace(2.0, 1.0, GRAM_MIN_COLS), GRAM_MIN_COLS, "gram"),
+    "one row": ([7.5], 120, "gram"),
+    "just above the cutoff": ([1.0, 0.6, GRAM_RATIO * (1 + 1e-3)], 70, "gram"),
+    "just below the cutoff": ([1.0, 0.6, GRAM_RATIO * (1 - 1e-3)], 70, "lapack"),
+    "narrow": ([3.0, 2.0, 1.0], GRAM_MIN_COLS - 1, "lapack"),
+    "ill conditioned": ([1.0, 1e-3, 1e-9], 70, "lapack"),
+    "rank deficient": ([1.0, 0.5, 0.0], 70, "lapack"),
+    "huge": ([3e200, 2e200], 70, "lapack"),  # A A^T overflows
+    "tiny": ([3e-160, 2e-160], 70, "lapack"),  # A A^T is subnormal
+}
+
+
+@pytest.mark.parametrize("case", sorted(SVD_ROUTE_CASES))
+def test_svd_routes_keep_the_contract(monkeypatch, case):
+    s_true, n, route = SVD_ROUTE_CASES[case]
+    for seed in range(5):
+        a = with_singular_values(s_true, n, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or underflow warning on any route
+            res, taken = svd_route(monkeypatch, a)
+        assert taken == route
+        assert_svd_contract(a, res)
+        s_ref = np.linalg.svd(a, full_matrices=False)[1]
+        if route == "gram":
+            np.testing.assert_allclose(res.s, s_ref, rtol=1e-12, atol=0)
+        else:
+            np.testing.assert_array_equal(res.s, s_ref)
+
+
+def test_svd_gram_route_across_random_wide_matrices(monkeypatch):
+    # Gaussian rows are well conditioned when m << n; 6-by-90 is the Dh of St(30, 3)
+    rng = np.random.default_rng(3)
+    for m, n in ((1, 64), (2, 100), (3, 120), (6, 90)):
+        for _ in range(10):
+            a = rng.standard_normal((m, n))
+            res, taken = svd_route(monkeypatch, a)
+            assert taken == "gram"
+            assert_svd_contract(a, res)
+            np.testing.assert_allclose(res.s, np.linalg.svd(a, compute_uv=False),
+                                       rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_svd_rejects_nonfinite_on_the_gram_side(monkeypatch, bad):
+    # a well-conditioned wide matrix but for one entry: ValueError and no RuntimeWarning,
+    # and no eigensolve of a non-finite Gram matrix on the way
+    a = with_singular_values([2.0, 1.0], GRAM_MIN_COLS, 0)
+    a[1, 4] = bad
+    eigh = np.linalg.eigh
+
+    def finite_eigh(g):
+        assert np.isfinite(g).all(), "eigh of a non-finite Gram matrix"
+        return eigh(g)
+
+    monkeypatch.setattr(np.linalg, "eigh", finite_eigh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            svd(a)
 
 
 def test_vector_norm_equals_numpy_norm_bitwise():
@@ -125,11 +225,14 @@ def test_kernel_basis_zero_matrix_full_kernel():
     assert q.shape == (4, 4)
 
 
-def test_bitwise_determinism():
+def test_bitwise_determinism(monkeypatch):
     rng = np.random.default_rng(13)
     a = rng.standard_normal((5, 8))
-    r1, r2 = svd(a), svd(a)
-    assert np.array_equal(r1.u, r2.u) and np.array_equal(r1.s, r2.s) and np.array_equal(r1.vt, r2.vt)
+    for b, route in ((a, "lapack"), (rng.standard_normal((3, GRAM_MIN_COLS)), "gram")):
+        r1, taken = svd_route(monkeypatch, b)
+        r2 = svd(b)
+        assert taken == route
+        assert np.array_equal(r1.u, r2.u) and np.array_equal(r1.s, r2.s) and np.array_equal(r1.vt, r2.vt)
     sym = a[:, :5] + a[:, :5].T
     assert sym_eig_min(sym)[0] == sym_eig_min(sym)[0]
     v1, v2 = sym_eig_min(sym)[1], sym_eig_min(sym)[1]

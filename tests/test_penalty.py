@@ -304,6 +304,21 @@ def test_non_finite_hess_h_raises_evaluation_error(entry):
         calls[entry]()
 
 
+@pytest.mark.parametrize("n", [5, 100])  # Dh factored by LAPACK's SVD, and by its Gram matrix
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_jac_h_raises_evaluation_error(n, bad):
+    # jac_h's output is scanned once, by svd, and a non-finite entry is named as jac_h's
+    p = builtin_problem("rayleigh", n=n)
+
+    def jac_h(x):
+        jac = p.jac_h(x)
+        jac[0, 1] = bad
+        return jac
+
+    with pytest.raises(EvaluationError, match="^jac_h returned non-finite"):
+        evaluate(replace(p, jac_h=jac_h), p.init_point(0), 1.0)
+
+
 def test_penalty_hess_symmetric(sphere_w):
     p, w = sphere_w
     h = penalty_hess(p, 1.05 * w, 2.0)

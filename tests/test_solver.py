@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from fletcher_penalty import (
+    BacktrackFailureError,
+    DecreaseBelowRoundingError,
     EvaluationError,
     SolverConfig,
     StepSizeError,
@@ -320,6 +322,33 @@ def test_backtrack_exhaustion_maps_to_beta_too_small():
     cfg = SolverConfig(eps1=1e-5, beta=10.0, alpha01=1e6, max_backtracks=0)
     trace = gradient_eigenstep(p, p.init_point(0), cfg)
     assert trace.termination == "beta_too_small"
+
+
+def test_unreachable_tolerance_ends_as_tolerance_unreachable():
+    # eps1 = 1e-300: the run stalls at ||grad g|| ~ 2e-8, where even a step of alpha01
+    # had to decrease g = 0.5 by c1 ||grad g||^2 ~ 3e-20, far below the rounding of g
+    p = builtin_problem("rayleigh", n=10)
+    cfg = SolverConfig(eps1=1e-300)
+    trace = gradient_eigenstep(p, p.init_point(0), cfg)
+    assert trace.termination == "tolerance_unreachable"
+    ev = trace.final_eval
+    assert ev.x is trace.final_x and ev.grad_norm > cfg.eps1
+    assert cfg.c1 * cfg.alpha01 * ev.grad_norm**2 <= 4.0 * math.ulp(ev.g_val)
+    assert issubclass(DecreaseBelowRoundingError, BacktrackFailureError)
+    # the same search with a measurable decrease still fails as a backtrack failure
+    with pytest.raises(DecreaseBelowRoundingError):
+        gradient_backtrack(p, ev, replace(cfg, max_backtracks=0), alpha0=1e-300)
+    with pytest.raises(BacktrackFailureError) as exc:
+        gradient_backtrack(p, ev, replace(cfg, max_backtracks=0, alpha01=1e30), alpha0=1e-300)
+    assert type(exc.value) is BacktrackFailureError
+
+
+def test_run_trace_keeps_its_last_evaluation_out_of_the_json():
+    p = diag_rayleigh()
+    trace = gradient_eigenstep(p, p.init_point(0), SolverConfig(eps1=1e-5, beta=10.0))
+    assert trace.final_eval.x is trace.final_x
+    assert trace.final_eval.g_val == trace.records[-1].g_after
+    assert "final_eval" not in trace.as_dict()
 
 
 @pytest.mark.parametrize("evaluator", ["f", "hess_h"])
