@@ -89,7 +89,7 @@ def _reduced_hess(problem, x, jac, lam):
     q = kernel_basis(jac)
     reduced = _finite(q.T @ _lagrangian_hess(problem, x, lam, q), "hess_h", x)
     reduced = 0.5 * (reduced + reduced.T)
-    min_eig, _ = sym_eig_min(reduced)
+    min_eig, _ = sym_eig_min(reduced, vector=False)
     return q, reduced, min_eig
 
 

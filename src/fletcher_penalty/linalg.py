@@ -140,23 +140,52 @@ def svd(a):
     return SvdResult(u=u, s=s, vt=vt)
 
 
-def sym_eig_min(h):
+def _symmetrized(h):
+    """(H + H^T)/2 as a new array; ValueError unless h is finite and square."""
+    h = _finite(_as_matrix(h))
+    if h.shape[0] != h.shape[1]:
+        raise ValueError("expected a square matrix, got shape %s" % (h.shape,))
+    return 0.5 * (h + h.T)
+
+
+def sym_eig_min(h, vector=True):
     """Smallest eigenvalue and a unit eigenvector of the symmetrized matrix.
 
     The input is symmetrized as (H + H^T)/2 first. The library's own
     callers (penalty_hess and the certificate's reduced Hessian) already
     pass symmetric matrices; the symmetrization is there for callers outside
-    the library, whose asymmetry must not reach the eigensolver.
+    the library, whose asymmetry must not reach the eigensolver. With
+    vector=False only the eigenvalues are computed (eigvalsh, about half the
+    cost of eigh) and the vector returned is None: the certificate reads the
+    value alone, and only the solver's eigenstep reads a direction.
     """
-    h = _finite(_as_matrix(h))
-    if h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix, got shape %s" % (h.shape,))
-    sym = 0.5 * (h + h.T)
+    sym = _symmetrized(h)
     try:
+        if not vector:
+            return float(np.linalg.eigvalsh(sym)[0]), None
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("symmetric eigensolve did not converge: %s" % exc) from exc
     return float(w[0]), v[:, 0].copy()
+
+
+def min_eig_above(h, floor):
+    """Whether the symmetrized matrix has its smallest eigenvalue above floor.
+
+    A Cholesky factorization of (H + H^T)/2 - floor I succeeds exactly when
+    that matrix is positive definite (Golub & Van Loan, Matrix Computations,
+    4th ed., section 4.2), so this answers the solver's convergence test
+    without an eigensolve; at n = 120 it costs a small fraction of eigh.
+    A smallest eigenvalue within rounding of floor may go either way. Raises
+    ValueError on non-finite entries or a non-square matrix, as sym_eig_min.
+    """
+    shifted = _symmetrized(h)
+    shifted[np.diag_indices_from(shifted)] -= floor
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def kernel_basis(a):

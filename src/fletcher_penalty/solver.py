@@ -25,7 +25,7 @@ from .exceptions import (
     RankDeficiencyError,
     StepSizeError,
 )
-from .linalg import sym_eig_min, vector_norm
+from .linalg import min_eig_above, sym_eig_min, vector_norm
 from .penalty import PenaltyEval, beta_thresholds, evaluate, in_region, penalty_hess
 
 __all__ = [
@@ -311,6 +311,11 @@ def _descend(problem, x0, cfg, records, stop=None):
     termination tag. Each iterate is decided once, in this order: the
     budget (k >= max_iters gives "max_iters"); convergence; stop(k, ev),
     whose non-None tag ends the loop with that tag; and finally a step.
+    With finite eps2, convergence at ||grad g|| <= eps1 is tested by a
+    Cholesky factorization of penalty_hess + eps2 I (min_eig_above). Only
+    when it fails is the smallest eigenpair computed, for the eigenstep's
+    direction, and a smallest eigenvalue of at least -eps2 (a tie, or
+    rounding) still converges.
     A gradient search starts at alpha_prev, the last gradient step this call
     accepted, when the search that accepted it backtracked, and otherwise at
     min(alpha01, alpha_prev / tau1) (Nocedal & Wright, Numerical
@@ -330,8 +335,11 @@ def _descend(problem, x0, cfg, records, stop=None):
             if not ev.grad_norm > cfg.eps1:
                 if math.isinf(cfg.eps2):
                     return _terminal(records, ev, "converged", k)
-                curvature, d = sym_eig_min(penalty_hess(problem, ev, cfg.beta))
-                if not curvature < -cfg.eps2:
+                hess = penalty_hess(problem, ev, cfg.beta)
+                if min_eig_above(hess, -cfg.eps2):
+                    return _terminal(records, ev, "converged", k)
+                curvature, d = sym_eig_min(hess)
+                if not curvature < -cfg.eps2:  # a tie, or rounding near -eps2
                     return _terminal(records, ev, "converged", k)
             tag = None if stop is None else stop(k, ev)
             if tag is not None:
@@ -388,9 +396,12 @@ def gradient_eigenstep(problem, x0, cfg):
     Each accepted iterate is decided once, in this order: the iteration
     budget (k >= max_iters ends the run as "max_iters"); convergence,
     i.e. ||grad g|| <= eps1 and, with finite eps2, a smallest eigenvalue of
-    penalty_hess >= -eps2; and otherwise a step. The step is a gradient step
-    while ||grad g|| > eps1, otherwise an eigenstep along the measured
-    eigenvector (sign-flipped so it is non-ascending). The final point
+    penalty_hess >= -eps2; and otherwise a step. The curvature test is a
+    Cholesky factorization of penalty_hess + eps2 I, which succeeds exactly
+    when that matrix is positive definite; no eigenvalue is computed for it.
+    The step is a gradient step while ||grad g|| > eps1, otherwise an
+    eigenstep along the eigenvector of the smallest eigenvalue, computed only
+    for that step (sign-flipped so it is non-ascending). The final point
     carries a layered criticality certificate with targets
     (eps1, 2*eps1, eps2).
 

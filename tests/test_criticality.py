@@ -96,6 +96,19 @@ def test_min_eig_invariant_under_basis_rotation(builtins):
         assert np.linalg.eigvalsh(rotated)[0] == pytest.approx(lq.min_eig, abs=1e-9)
 
 
+def test_certificate_curvature_matches_an_eigh_oracle(builtins):
+    # the certificate reads eigvalsh; the full eigh of the same matrix agrees with it
+    for p in builtins.values():
+        for seed in range(5):
+            x = random_point_in_region(p, seed, scale=0.4)
+            lq = layered_hess(p, x)
+            oracle = float(np.linalg.eigh(lq.reduced_hess)[0][0])
+            assert abs(lq.min_eig - oracle) <= 1e-12
+            cert = certify(p, x, 1.0, 1.0, 1.0)
+            assert abs(cert.min_eig - oracle) <= 1e-12
+            assert abs(cert.eps2_measured - max(0.0, -oracle)) <= 1e-12
+
+
 def test_certify_second_order_point():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((7, 7))

@@ -171,12 +171,38 @@ def test_sym_eig_min_full_spectrum_oracle():
     assert abs(val - w[0]) <= 1e-10
     # residual contract
     assert np.linalg.norm(a @ vec - val * vec) <= 1e-9 * (1.0 + np.linalg.norm(a))
+    # without a vector the value is eigvalsh's own
+    assert sym_eig_min(a, vector=False) == (float(w[0]), None)
 
 
 def test_sym_eig_min_symmetrizes():
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
     val, _ = sym_eig_min(a)
     assert val == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 30, 120])
+def test_min_eig_above_agrees_with_eigh_at_the_tie(n):
+    # lambda_min(h) = -eps2 (1 +- 1e-3): the Cholesky test must fall on eigh's side
+    eps2 = 1e-4
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        a = rng.standard_normal((n, n))
+        a = 0.5 * (a + a.T)
+        for side in (1.0 + 1e-3, 1.0 - 1e-3):
+            h = a - (np.linalg.eigvalsh(a)[0] + side * eps2) * np.eye(n)
+            before = h.copy()
+            above = np.linalg.eigh(h)[0][0] > -eps2
+            assert above == (side < 1.0)
+            assert linalg.min_eig_above(h, -eps2) == above
+            assert np.array_equal(h, before)
+
+
+def test_min_eig_above_rejects_non_finite_entries():
+    h = np.eye(3)
+    h[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.min_eig_above(h, 0.0)
 
 
 def test_kernel_basis_single_row():

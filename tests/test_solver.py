@@ -564,6 +564,34 @@ def test_second_order_run_without_hess_h_fails_before_evaluating(monkeypatch, dr
     assert calls == []
 
 
+@pytest.mark.parametrize("start", ["saddle", 1, 2])
+def test_cholesky_convergence_test_keeps_the_records(monkeypatch, start):
+    # the Cholesky test decides as an eigh-based one would, and only an eigenstep
+    # computes an eigenvector
+    from fletcher_penalty import criticality, solver
+
+    p = diag_rayleigh(n=30)
+    x0 = np.eye(30)[5] if start == "saddle" else p.init_point(start)
+    cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
+    with_vector = []
+    for module in (solver, criticality):
+        def spy(h, vector=True, real=module.sym_eig_min):
+            with_vector.append(vector)
+            return real(h, vector)
+
+        monkeypatch.setattr(module, "sym_eig_min", spy)
+    shipped = gradient_eigenstep(p, x0, cfg)
+    eigen = sum(r.kind == "eigen" for r in shipped.records)
+    assert with_vector.count(True) == eigen
+    if start == "saddle":
+        assert eigen >= 1
+    monkeypatch.setattr(solver, "min_eig_above",
+                        lambda h, floor: bool(np.linalg.eigh(h)[0][0] > floor))
+    oracle = gradient_eigenstep(p, x0, cfg)
+    assert [r.as_dict() for r in shipped.records] == [r.as_dict() for r in oracle.records]
+    assert shipped.termination == oracle.termination == "converged"
+
+
 @pytest.mark.parametrize("eps2", [math.inf, 1e-3])
 def test_converged_point_takes_one_svd(monkeypatch, eps2):
     # the final point's Dh is factorized once; the certificate reuses that SVD
