@@ -367,6 +367,8 @@ def random_point_in_region(problem, seed, scale=0.5):
 def _range_or_list(spec_str):
     if ".." in spec_str:
         lo, hi = spec_str.split("..")
+        if not float(lo) <= float(hi):
+            raise ValueError("diag range %r is empty: it needs start <= end" % spec_str)
         return np.arange(float(lo), float(hi) + 1.0)
     return np.array([float(v) for v in spec_str.split(",")])
 

@@ -217,8 +217,9 @@ def gradient_backtrack(problem, ev, cfg, alpha0=None):
     """First member of {alpha0 * tau1^j} passing Armijo decrease and the region test.
 
     alpha0 defaults to cfg.alpha01. The solver passes alpha_prev, the last
-    gradient step accepted in the same loop, when that search backtracked,
-    and min(alpha01, alpha_prev / tau1) otherwise. ev is the current
+    gradient step accepted in the same loop, or min(alpha01, alpha_prev /
+    tau1) when a quadratic model says that longer step will pass (see
+    _descend); never less than alpha_prev. ev is the current
     point's PenaltyEval with its gradient; its point, beta, value and
     gradient are read, never recomputed. Returns (alpha, trial,
     backtracks), where trial is the accepted point's value-only PenaltyEval
@@ -317,16 +318,28 @@ def _descend(problem, x0, cfg, records, stop=None):
     direction, and a smallest eigenvalue of at least -eps2 (a tie, or
     rounding) still converges.
     A gradient search starts at alpha_prev, the last gradient step this call
-    accepted, when the search that accepted it backtracked, and otherwise at
-    min(alpha01, alpha_prev / tau1) (Nocedal & Wright, Numerical
-    Optimization, 2nd ed., section 3.5). Eigensteps keep alpha02 and change
-    neither alpha_prev nor whether its search backtracked.
+    accepted, or grows to min(alpha01, alpha_prev / tau1) (Nocedal & Wright,
+    Numerical Optimization, 2nd ed., section 3.5) when both the last search
+    and the one before it accepted their first trial and the decrease ratio
+    r = (g_before - g_after) / (alpha grad_norm^2) of the last is at least
+    1 - tau1 (1 - c1). That threshold is not tuned: the quadratic through
+    g(0), g'(0) = -grad_norm^2 and g(alpha) passes the Armijo test at
+    alpha / tau1 exactly when r >= 1 - tau1 (1 - c1). Growing after every
+    unbacktracked search instead made the steps on St(30, 3) cycle through
+    0.0625, 0.125, 0.125, 0.0625 with a rejected trial every other search;
+    on that problem (eps1 = 1e-4, beta = 3) the model's rule takes 258 value
+    evaluations per solve instead of 313 and 178 iterations instead of 203.
+    Either start is at least alpha_prev, as before. Eigensteps keep alpha02 and change neither alpha_prev nor whether the
+    last gradient search accepted its first trial.
     """
     try:
         ev = evaluate(problem, x0, cfg.beta, with_grad=True)
     except RankDeficiencyError:
         return None, "rank_deficient"
-    k, alpha_prev, backtracked = 0, math.inf, False
+    # first_prev: the last gradient search accepted its first trial. With
+    # alpha_prev = alpha01 the first start is alpha01 whether or not it grows.
+    k, alpha_prev, first_prev, grow = 0, cfg.alpha01, True, False
+    grow_ratio = 1.0 - cfg.tau1 * (1.0 - cfg.c1)
     while True:
         if k >= cfg.max_iters:
             return _terminal(records, ev, "max_iters", k)
@@ -345,9 +358,12 @@ def _descend(problem, x0, cfg, records, stop=None):
             if tag is not None:
                 return _terminal(records, ev, tag, k)
             if curvature is None:
-                start = alpha_prev if backtracked else min(cfg.alpha01, alpha_prev / cfg.tau1)
+                start = min(cfg.alpha01, alpha_prev / cfg.tau1) if grow else alpha_prev
                 alpha, trial, bts = gradient_backtrack(problem, ev, cfg, start)
-                alpha_prev, backtracked = alpha, bts > 0
+                scale = alpha * ev.grad_norm**2  # 0.0 only if grad_norm**2 underflows
+                grow = (first_prev and bts == 0 and scale > 0.0
+                        and (ev.g_val - trial.g_val) / scale >= grow_ratio)
+                alpha_prev, first_prev = alpha, bts == 0
             else:
                 if float(d @ ev.grad_g) > 0.0:
                     d = -d
@@ -413,9 +429,12 @@ def gradient_eigenstep(problem, x0, cfg):
     pointwise thresholds (it scales with 1/(beta sigma_max(Dh)^2) and with
     the radius over c_h).
     A gradient search starts at alpha01 or at no less than alpha_prev, the
-    last accepted gradient step (alpha_prev itself after a backtracked
-    search, min(alpha01, alpha_prev / tau1) otherwise), and a search from
-    start s accepts at least min(s, tau1 * floor). So by induction every
+    last accepted gradient step (alpha_prev itself, or min(alpha01,
+    alpha_prev / tau1) when a quadratic model of the last search predicts
+    that step passes Armijo; see _descend), and a search from
+    start s accepts at least min(s, tau1 * floor). Which of the two starts
+    is taken does not matter to the bound: no start falls below alpha_prev,
+    the premise of the induction. So by induction every
     start is at least tau1 * min(alpha01, floor) and every accepted
     gradient step at least tau1 * min(alpha01, floor), as with a fixed
     start.

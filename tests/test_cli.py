@@ -452,11 +452,20 @@ def test_bad_flag_exits_64_in_one_line(tmp_path, capsys, args, message):
     ["--problem", "sphere", "--n", "0"],
     ["--problem", "product:sphere,stiefel", "--n", "0"],
     ["--problem", "rayleigh", "--n", "0"],
-    ["--problem", "rayleigh", "--diag", "3..1"],
+    ["--problem", "rayleigh", "--diag", "3..3"],
 ])
 def test_sphere_below_two_dimensions_exits_64(tmp_path, capsys, flags):
     assert run_cli(["solve", *flags, "--output-path", str(tmp_path / "x.json")]) == 64
     assert capsys.readouterr().err == "fletcher-penalty: sphere needs n >= 2\n"
+
+
+@pytest.mark.parametrize("spec", ["5..1", "3..2.5", "1..nan"])
+def test_empty_diag_range_exits_64_naming_the_range(tmp_path, capsys, spec):
+    out = tmp_path / "x.json"
+    assert run_cli(["solve", "--problem", "rayleigh", "--diag", spec, "--output-path", str(out)]) == 64
+    assert capsys.readouterr().err == (
+        "fletcher-penalty: diag range %r is empty: it needs start <= end\n" % spec)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("perturb", ["nan", "inf", "-1"])

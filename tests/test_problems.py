@@ -333,6 +333,10 @@ def test_registry_ids():
         with pytest.raises(ValueError) as info:
             builtin_problem(problem_id)
         assert str(info.value) == message
+    # a descending range is empty: it is named, not read as a one-dimensional sphere
+    with pytest.raises(ValueError) as info:
+        builtin_problem("rayleigh", diag="5..1")
+    assert str(info.value) == "diag range '5..1' is empty: it needs start <= end"
 
 
 @pytest.mark.parametrize("problem_id, params", [

@@ -69,36 +69,70 @@ def test_gradient_backtrack_decrease_predicate_replay():
 
 @pytest.mark.parametrize("driver", ["solve", "plateau"])
 def test_gradient_search_starts_from_the_previous_step(driver):
-    # step memory: a gradient search starts at alpha_prev, the last accepted
-    # gradient step of the same loop, when that step's search backtracked, and
-    # at min(alpha01, alpha_prev / tau1) otherwise, so no start falls below
-    # alpha_prev (the premise of the step-bound induction); eigensteps do not
-    # reset it, and each plateau (whose k restarts at 0) starts at alpha01
+    # step memory: a gradient search starts at min(alpha01, alpha_prev / tau1)
+    # only when it and the previous gradient search of the same loop accepted
+    # their first trial and the quadratic model through g(0), g'(0) and
+    # g(alpha_prev) passes Armijo at alpha_prev / tau1, i.e. the decrease ratio
+    # r = (g_before - g_after) / (alpha grad_norm^2) is >= 1 - tau1 (1 - c1);
+    # otherwise at alpha_prev. No start falls below alpha_prev (the premise of
+    # the step-bound induction); eigensteps change neither alpha_prev nor the
+    # first-trial count, and each plateau (whose k restarts at 0) starts at alpha01
     cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
     if driver == "solve":
         p = diag_rayleigh(n=12)
         trace = gradient_eigenstep(p, np.eye(12)[3] + 1e-6 * np.linspace(-1.0, 1.0, 12), cfg)
     else:
-        p = builtin_problem("stiefel", n=8, p=2, seed=5)
-        trace = plateau(p, p.init_point(5), replace(cfg, eps2=1e-3), beta0=1e-3, lp0=50)
+        # seed 1: at seed 5 every search holds (r stays near 0.34), so none grows
+        p = builtin_problem("stiefel", n=8, p=2, seed=1)
+        trace = plateau(p, p.init_point(1), replace(cfg, eps2=1e-3), beta0=1e-3, lp0=50)
     assert trace.termination == "converged"
-    starts, restarts, prev, backtracked = [], 0, math.inf, False
+    threshold = 1.0 - cfg.tau1 * (1.0 - cfg.c1)
+    grows = holds = model_holds = 0
     for r in trace.records:
         if r.k == 0:
-            prev, backtracked = math.inf, False
+            prev, first_prev, grow, searches = cfg.alpha01, True, False, 0
         if r.kind == "gradient":
-            start = prev if backtracked else min(cfg.alpha01, prev / cfg.tau1)
+            start = min(cfg.alpha01, prev / cfg.tau1) if grow else prev
             assert r.step_len == start * cfg.tau1**r.backtracks
             assert start >= min(prev, cfg.alpha01)
-            starts.append(start)
-            restarts += backtracked
-            prev, backtracked = r.step_len, r.backtracks > 0
-    assert min(starts) < cfg.alpha01 and restarts
+            if searches == 0:
+                assert start == cfg.alpha01
+            elif grow:
+                grows += start > prev
+            else:
+                holds += 1
+            scale = r.step_len * r.grad_norm**2
+            ratio_ok = scale > 0.0 and (r.g_before - r.g_after) / scale >= threshold
+            model_holds += first_prev and r.backtracks == 0 and not ratio_ok
+            grow = first_prev and r.backtracks == 0 and ratio_ok
+            prev, first_prev, searches = r.step_len, r.backtracks == 0, searches + 1
+    assert grows and holds and model_holds
     if driver == "plateau":
         assert len(trace.plateaus) > 1
         assert [r.k for r in trace.records].count(0) >= len(trace.plateaus)
     else:
         assert "gradient eigen gradient" in " ".join(r.kind for r in trace.records)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7919])
+def test_grown_gradient_steps_keep_the_guarantees(seed):
+    # the grown starts reach steps of 0.25 and more on St(30, 3); every accepted
+    # gradient step, long ones included, still passes Armijo and keeps ||h|| <= R,
+    # and the run ends converged inside the first-order certificate bounds
+    p = builtin_problem("stiefel", n=30, p=3, seed=seed)
+    cfg = SolverConfig(eps1=1e-4, beta=3.0)
+    trace = gradient_eigenstep(p, p.init_point(seed), cfg)
+    assert trace.termination == "converged"
+    grads = [r for r in trace.records if r.kind == "gradient"]
+    assert max(r.step_len for r in grads) >= 0.25
+    for r in grads:
+        assert r.g_before - r.g_after >= cfg.c1 * r.step_len * r.grad_norm**2
+        assert r.h_norm <= p.region.radius
+    th = beta_thresholds(p, trace.final_eval)
+    assert cfg.beta > max(th.beta2, th.beta3)
+    cert = trace.final_certificate
+    assert cert.eps0_measured <= cfg.eps1 / (cfg.beta * th.sigma_min)
+    assert cert.eps1_measured <= (1.0 + th.c_lambda / (cfg.beta * th.sigma_min)) * cfg.eps1
 
 
 def test_eigen_backtrack_accepts_small_initial_step():
