@@ -19,6 +19,7 @@ reached, 3 numerical failure, 64 usage error (no usage block).
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -62,8 +63,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser():
-    """The top-level parser, and the parser of each mode by name."""
+    """The top-level parser, and the parser of each mode by name.
+
+    Built on the first main call, not at import, and shared by the later
+    calls of the process: parsing leaves a parser as it was, and building
+    one (its formatters query the terminal) costs more than a parse.
+    """
     parser = _Parser(prog="fletcher-penalty", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
     modes = {}

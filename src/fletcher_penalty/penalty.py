@@ -36,6 +36,7 @@ __all__ = [
     "penalty_hess",
     "dlambda_jacobian",
     "beta_thresholds",
+    "beta_thresholds_unless_below",
     "in_region",
 ]
 
@@ -267,15 +268,8 @@ def penalty_hess(problem, x, beta):
     return _finite(0.5 * (hess + hess.T), "hess_h", x)
 
 
-def beta_thresholds(problem, x):
-    """Pointwise beta thresholds from the Jacobian SVD and the multiplier map.
-
-    x may be a PenaltyEval, whose point data and Lagrangian-Hessian block
-    are reused: Dlambda then costs only m hess_h products.
-    """
-    pt = _point(problem, x)
-    c_lambda = svd(dlambda_jacobian(problem, pt)).sigma_max
-    res = pt.jac_svd
+def _thresholds(c_lambda, res):
+    """The thresholds for a Dlambda of norm (or norm bound) c_lambda and Dh's SVD res."""
     s_min = res.sigma_min
     s_max = res.sigma_max
     beta1 = s_max * c_lambda / (2.0 * s_min**2)
@@ -290,6 +284,42 @@ def beta_thresholds(problem, x):
         sigma_min=s_min,
         sigma_max=s_max,
     )
+
+
+def beta_thresholds(problem, x):
+    """Pointwise beta thresholds from the Jacobian SVD and the multiplier map.
+
+    c_lambda = ||Dlambda||_2 is read from an SVD of the dense Dlambda. x may
+    be a PenaltyEval, whose point data and Lagrangian-Hessian block are
+    reused: Dlambda then costs only m hess_h products. The plateau scheme's
+    stop check calls beta_thresholds_unless_below instead, which takes this
+    SVD only when a cheaper bound cannot rule the trigger out.
+    """
+    pt = _point(problem, x)
+    return _thresholds(svd(dlambda_jacobian(problem, pt)).sigma_max, pt.jac_svd)
+
+
+# Relative margin on the Frobenius bound: a LAPACK sigma_max of a rank-one
+# Dlambda (m = 1) equals ||Dlambda||_F up to rounding and may exceed the computed F.
+_BOUND_MARGIN = 1e-8
+
+
+def beta_thresholds_unless_below(problem, x, beta):
+    """The exact beta_thresholds of x, or None when their b_max is provably below beta.
+
+    Dlambda is formed once (m hess_h products from a PenaltyEval with its
+    gradient). Its Frobenius norm F is at least c_lambda = ||Dlambda||_2,
+    so the thresholds taken with F in place of c_lambda bound every exact
+    threshold from above. When that bound, raised by a relative 1e-8
+    against rounding, is below beta, no SVD is taken and None is returned.
+    Otherwise c_lambda comes from the SVD of the same Dlambda, and the
+    result equals beta_thresholds(problem, x) bit for bit.
+    """
+    pt = _point(problem, x)
+    dlam = dlambda_jacobian(problem, pt)
+    if _thresholds(vector_norm(dlam.ravel()), pt.jac_svd).b_max * (1.0 + _BOUND_MARGIN) < beta:
+        return None
+    return _thresholds(svd(dlam).sigma_max, pt.jac_svd)
 
 
 def in_region(problem, x):

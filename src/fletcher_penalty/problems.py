@@ -199,6 +199,8 @@ def make_rayleigh_sphere(a, radius=0.5):
     n = a.shape[0]
     if n < 2:
         raise ValueError("sphere needs n >= 2")
+    if not np.isfinite(a).all():  # a NaN would also pass the symmetry test below
+        raise ValueError("matrix must be finite")
     if np.max(np.abs(a - a.T)) > 1e-12:
         raise ValueError("matrix must be symmetric (within 1e-12)")
     return _sphere_problem("rayleigh", n, quadratic_cost(a), radius)
@@ -365,12 +367,20 @@ def random_point_in_region(problem, seed, scale=0.5):
 
 
 def _range_or_list(spec_str):
-    if ".." in spec_str:
-        lo, hi = spec_str.split("..")
-        if not float(lo) <= float(hi):
-            raise ValueError("diag range %r is empty: it needs start <= end" % spec_str)
-        return np.arange(float(lo), float(hi) + 1.0)
-    return np.array([float(v) for v in spec_str.split(",")])
+    """The diagonal a --diag spec names: "start..end" steps by 1 from start, "a,b,c" lists it."""
+    parts = spec_str.split("..")
+    try:  # with two or more "..", each comma-separated item that holds ".." is no number
+        values = [float(v) for v in (parts if len(parts) == 2 else spec_str.split(","))]
+    except ValueError:
+        raise ValueError("--diag %r is neither a range start..end nor a comma-separated list "
+                         "of numbers" % spec_str) from None
+    if len(parts) == 2 and not values[0] <= values[1]:
+        raise ValueError("diag range %r is empty: it needs start <= end" % spec_str)
+    if not all(map(math.isfinite, values)):
+        raise ValueError("--diag %r holds a value that is not finite" % spec_str)
+    if len(parts) == 2:
+        return np.arange(values[0], values[1] + 1.0)
+    return np.array(values)
 
 
 def _seeded_linear_cost(n, seed):

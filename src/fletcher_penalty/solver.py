@@ -26,7 +26,14 @@ from .exceptions import (
     StepSizeError,
 )
 from .linalg import min_eig_above, sym_eig_min, vector_norm
-from .penalty import PenaltyEval, beta_thresholds, evaluate, in_region, penalty_hess
+from .penalty import (
+    PenaltyEval,
+    beta_thresholds,
+    beta_thresholds_unless_below,
+    evaluate,
+    in_region,
+    penalty_hess,
+)
 
 __all__ = [
     "SolverConfig",
@@ -455,13 +462,19 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
     Each plateau runs the gradient_eigenstep loop at constant beta with the
     extra stopping criterion "B(x_k) >= beta_l or k > LP_l", where B is the
     maximum of the pointwise beta thresholds, checked at every non-converged
-    iterate. On a B-trigger the budget grows by (gamma*B/beta_l)^4 and beta
-    jumps to gamma*B; otherwise both grow geometrically (gamma^4 and
-    gamma). Backtracking failure is treated as a B-trigger at the current
-    beta, forcing growth, unless the region floor 1/(2 beta sigma_max(Dh)^2)
-    at the last iterate is already below the smallest trial
-    alpha01 * tau1^max_backtracks: a larger beta only lowers that floor, so
-    the scheme ends as "trial_budget". Any other end of a plateau
+    iterate. The check forms Dlambda (m hess_h products) and first compares
+    the thresholds taken with ||Dlambda||_F, an upper bound on c_lambda =
+    ||Dlambda||_2, against beta_l; only when that bound, with a relative
+    margin of 1e-8, does not rule the trigger out is Dlambda's SVD taken for
+    the exact B (beta_thresholds_unless_below). B, and so the stage's
+    b_value and the next beta, is thus always the exact one. On a B-trigger
+    the budget grows by (gamma*B/beta_l)^4 and beta jumps to gamma*B;
+    otherwise both grow geometrically (gamma^4 and gamma). Backtracking
+    failure is treated as a B-trigger at the current beta, forcing growth,
+    unless the region floor 1/(2 beta sigma_max(Dh)^2) at the last iterate
+    is already below the smallest trial alpha01 * tau1^max_backtracks: a
+    larger beta only lowers that floor, so the scheme ends as
+    "trial_budget". Any other end of a plateau
     (converged, max_iters, rank_deficient, tolerance_unreachable) ends the
     scheme with that termination. After max_plateaus plateaus without such
     an end (a negative cap raises ValueError), or once the next beta or
@@ -488,8 +501,9 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
 
         def stop(k, ev):
             nonlocal b_max
-            b_max = beta_thresholds(problem, ev).b_max
-            if b_max >= beta_l:
+            th = beta_thresholds_unless_below(problem, ev, beta_l)
+            if th is not None and th.b_max >= beta_l:
+                b_max = th.b_max
                 return "b_trigger"
             if k > lp_l:
                 return "budget"

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -348,6 +352,51 @@ def test_byte_determinism_same_runspec(tmp_path):
     assert csv1.read_bytes() == csv2.read_bytes()
 
 
+def test_one_process_runs_as_fresh_processes_with_one_parser(tmp_path, monkeypatch, capsys):
+    # main builds its parser on the first call and reuses it: every later run,
+    # a usage error and a spec file included, writes the bytes a new process writes
+    plateau_argv = ["plateau", "--problem", "stiefel", "--seed", "3", "--eps1", "1e-4",
+                    "--eps2", "1e-3", "--beta0", "1e-3", "--lp0", "50", "--output-path", "p.json"]
+    argvs = [
+        plateau_argv,
+        ["restore", "--problem", "stiefel", "--n", "8", "--p", "3", "--seed", "3",
+         "--perturb", "0.3", "--output-path", "r.json"],
+        ["solve", "--problem", "sphere", "--n", "abc", "--output-path", "u.json"],
+        ["plateau", "--spec", "spec.json", "--seed", "5", "--output-path", "s.json"],
+        plateau_argv,
+    ]
+    spec = {"problem_id": "stiefel", "problem_params": {"n": 8, "p": 2},
+            "solver": {"eps1": 1e-4, "eps2": 1e-3}, "beta0": 1e-3, "lp0": 50}
+
+    def run_dir(name):
+        path = tmp_path / name
+        path.mkdir()
+        (path / "spec.json").write_text(json.dumps(spec))
+        return path
+
+    def output(path):
+        return path.read_bytes() if path.exists() else None
+
+    here, fresh = run_dir("here"), run_dir("fresh")
+    monkeypatch.chdir(here)
+    cli._build_parser.cache_clear()
+    in_process = []
+    for argv in argvs:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().err, output(here / argv[-1])))
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(argvs) - 1)
+    assert [code for code, _, _ in in_process] == [0, 0, 64, 0, 0]
+
+    env = dict(os.environ)
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv, expected in zip(argvs, in_process):
+        done = subprocess.run([sys.executable, "-m", "fletcher_penalty.cli", *argv], cwd=fresh,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr, output(fresh / argv[-1])) == expected, argv
+
+
 def test_spec_file_with_flag_override(tmp_path):
     spec = {
         "problem_id": "rayleigh",
@@ -465,6 +514,29 @@ def test_empty_diag_range_exits_64_naming_the_range(tmp_path, capsys, spec):
     assert run_cli(["solve", "--problem", "rayleigh", "--diag", spec, "--output-path", str(out)]) == 64
     assert capsys.readouterr().err == (
         "fletcher-penalty: diag range %r is empty: it needs start <= end\n" % spec)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("1..2..3", "is neither a range start..end nor a comma-separated list of numbers"),
+    ("1,,2", "is neither a range start..end nor a comma-separated list of numbers"),
+    ("1..x", "is neither a range start..end nor a comma-separated list of numbers"),
+    ("1..inf", "holds a value that is not finite"),
+    ("nan,1,2", "holds a value that is not finite"),
+])
+def test_malformed_diag_exits_64_naming_the_flag_and_spec(tmp_path, capsys, spec, message):
+    out = tmp_path / "x.json"
+    assert run_cli(["solve", "--problem", "rayleigh", "--diag", spec, "--output-path", str(out)]) == 64
+    assert capsys.readouterr().err == "fletcher-penalty: --diag %r %s\n" % (spec, message)
+    assert not out.exists()
+
+
+def test_non_finite_matrix_csv_exits_64(tmp_path, capsys):
+    mat = tmp_path / "mat.csv"
+    mat.write_text("1,0\n0,nan\n")
+    out = tmp_path / "m.json"
+    assert run_cli(["solve", "--problem", "rayleigh", "--matrix", str(mat), "--output-path", str(out)]) == 64
+    assert capsys.readouterr().err == "fletcher-penalty: matrix must be finite\n"
     assert not out.exists()
 
 

@@ -34,6 +34,7 @@ from fletcher_penalty import (
     random_point_in_region,
 )
 from fletcher_penalty.derivative_check import fd_grad, fd_jacobian, relative_error
+from fletcher_penalty.penalty import beta_thresholds_unless_below
 
 from conftest import ALL_BUILTIN_IDS, make_affine_toy
 
@@ -480,6 +481,21 @@ def test_beta_thresholds_of_a_completed_evaluation_add_m_hess_h_products():
     th = beta_thresholds(p, ev)
     assert calls == {"hess_f": 0, "hess_h": p.dim_h}
     assert th == beta_thresholds(base, ev.x)
+
+
+@pytest.mark.parametrize("name", ["sphere", "rayleigh", "stiefel", "product"])
+def test_beta_thresholds_unless_below_rules_out_only_what_lies_below_b_max(builtins, name):
+    # ||Dlambda||_2 <= ||Dlambda||_F <= sqrt(m) ||Dlambda||_2, so the bound lies in
+    # [b_max, sqrt(m) b_max]: it never rules out beta = b_max itself (on the m = 1
+    # problems F equals c_lambda, a tie up to rounding), and it rules out a beta
+    # past sqrt(m) b_max without an SVD
+    p = builtins[name]
+    for seed in range(20):
+        ev = evaluate(p, random_point_in_region(p, seed), 1.0)
+        exact = beta_thresholds(p, ev)
+        for beta in (exact.b_max, np.nextafter(exact.b_max, 0.0)):
+            assert beta_thresholds_unless_below(p, ev, beta) == exact
+        assert beta_thresholds_unless_below(p, ev, 1.01 * np.sqrt(p.dim_h) * exact.b_max) is None
 
 
 def test_b_max_is_max(builtins):

@@ -83,6 +83,15 @@ def test_rayleigh_rejects_asymmetric():
         make_rayleigh_sphere(a)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rayleigh_rejects_a_non_finite_matrix(bad):
+    # a NaN passes the symmetry test (nan > 1e-12 is False), so finiteness is its own check
+    a = np.eye(3)
+    a[1, 1] = bad
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        make_rayleigh_sphere(a)
+
+
 def test_stiefel_feasible_h_zero():
     p = builtin_problem("stiefel", n=8, p=3, seed=0)
     x = p.init_point(5)

@@ -554,11 +554,20 @@ def test_plateau_evaluates_each_stage_start_once(monkeypatch):
         return wrapper
 
     p = replace(base, **{k: counted(k) for k in ("f", "grad_f", "hess_f", "h", "jac_h", "hess_h")})
-    svds, thresholds, rebases = [], [], []
+    svds, thresholds, exact_checks, rebases = [], [], [], []
     real_svd, real_thresholds, real_evaluate = penalty.svd, solver.beta_thresholds, solver.evaluate
+    real_check = solver.beta_thresholds_unless_below
     monkeypatch.setattr(penalty, "svd", lambda a: svds.append(a) or real_svd(a))
     monkeypatch.setattr(solver, "beta_thresholds",
                         lambda *a: thresholds.append(a) or real_thresholds(*a))
+
+    def check_spy(*a):
+        th = real_check(*a)
+        if th is not None:
+            exact_checks.append(th)
+        return th
+
+    monkeypatch.setattr(solver, "beta_thresholds_unless_below", check_spy)
 
     def evaluate_spy(problem, x, beta, *args, **kwargs):
         if not isinstance(x, PenaltyEval) or x.beta == beta:
@@ -573,9 +582,89 @@ def test_plateau_evaluates_each_stage_start_once(monkeypatch):
                     gamma=2.0, beta0=1e-3, lp0=50)
     assert trace.termination == "converged" and len(trace.plateaus) >= 2
     assert rebases == [{"f": 1, "hess_h": 1}] * (len(trace.plateaus) - 1)
-    # one Dh and one SVD per point; beta_thresholds takes one more SVD, of Dlambda
+    # one Dh and one SVD per point; beta_thresholds, and a stop check whose bound
+    # cannot rule out a trigger, take one more SVD, of Dlambda
     assert calls["jac_h"] == len(jac_points)
-    assert len(svds) == len(jac_points) + len(thresholds)
+    assert exact_checks
+    assert len(svds) == len(jac_points) + len(thresholds) + len(exact_checks)
+
+
+# St(8, 2) (m = 3) and Rayleigh (m = 1), whose rank-one Dlambda has a Frobenius
+# norm equal to its 2-norm: the bound then ties b_max up to rounding
+_STOP_CHECK_RUNS = [
+    *[pytest.param("stiefel", seed, id="stiefel-%d" % seed) for seed in (1, 3, 5, 8)],
+    pytest.param("rayleigh", 1, id="rayleigh-1"),
+]
+
+
+def _stop_check_run(problem_id, seed):
+    p = builtin_problem(problem_id, n=8 if problem_id == "stiefel" else 12, seed=seed)
+    return p, lambda q: plateau(q, q.init_point(seed), SolverConfig(eps1=1e-4, eps2=1e-3),
+                                gamma=2.0, beta0=1e-3, lp0=50)
+
+
+@pytest.mark.parametrize("problem_id, seed", _STOP_CHECK_RUNS)
+def test_plateau_stop_bound_decides_as_the_exact_thresholds(monkeypatch, problem_id, seed):
+    # every check the Frobenius bound decides has an exact b_max below beta_l, and
+    # the run is the one whose stop check takes the exact thresholds every time
+    from fletcher_penalty import solver
+
+    p, run = _stop_check_run(problem_id, seed)
+    real_check, ruled_out = solver.beta_thresholds_unless_below, []
+
+    def check_spy(problem, ev, beta):
+        th = real_check(problem, ev, beta)
+        if th is None:
+            ruled_out.append((ev, beta))
+        return th
+
+    monkeypatch.setattr(solver, "beta_thresholds_unless_below", check_spy)
+    trace = run(p)
+    assert trace.termination == "converged"
+    assert any(s.stop_reason == "b_trigger" for s in trace.plateaus)
+    assert ruled_out
+    assert all(beta_thresholds(p, ev).b_max < beta for ev, beta in ruled_out)
+    monkeypatch.setattr(solver, "beta_thresholds_unless_below",
+                        lambda problem, ev, beta: beta_thresholds(problem, ev))
+    assert trace.as_dict() == run(p).as_dict()
+
+
+@pytest.mark.parametrize("problem_id, seed", _STOP_CHECK_RUNS)
+def test_plateau_stop_check_takes_an_svd_only_at_a_trigger(monkeypatch, problem_id, seed):
+    # each stop check forms Dlambda with m hess_h products; a check that does not
+    # trigger takes no SVD, and a trigger takes one, of that Dlambda
+    from fletcher_penalty import dlambda_jacobian, penalty, solver
+
+    base, run = _stop_check_run(problem_id, seed)
+    hess_h_calls, svds, checks = [0], [], []
+
+    def hess_h(*a):
+        hess_h_calls[0] += 1
+        return base.hess_h(*a)
+
+    p = replace(base, hess_h=hess_h)
+    real_svd, real_check = penalty.svd, solver.beta_thresholds_unless_below
+    monkeypatch.setattr(penalty, "svd", lambda a: svds.append(a) or real_svd(a))
+
+    def check_spy(problem, ev, beta):
+        calls_before, svds_before = hess_h_calls[0], len(svds)
+        th = real_check(problem, ev, beta)
+        checks.append((ev, beta, th, hess_h_calls[0] - calls_before, svds[svds_before:]))
+        return th
+
+    monkeypatch.setattr(solver, "beta_thresholds_unless_below", check_spy)
+    trace = run(p)
+    triggers = sum(s.stop_reason == "b_trigger" for s in trace.plateaus)
+    assert triggers and len(checks) > triggers
+    for ev, beta, th, products, taken in checks:
+        assert products == p.dim_h
+        if th is None:
+            assert taken == []
+        else:
+            assert th.b_max >= beta  # every check the bound leaves open is a trigger here
+            assert len(taken) == 1
+            np.testing.assert_array_equal(taken[0], dlambda_jacobian(base, ev))
+    assert sum(th is not None for _, _, th, _, _ in checks) == triggers
 
 
 @pytest.mark.parametrize("driver", ["solve", "plateau"])
