@@ -366,6 +366,12 @@ def random_point_in_region(problem, seed, scale=0.5):
     raise ValueError("no halving of scale %r reaches the region ||h(x)|| <= %r" % (scale, radius))
 
 
+# The largest n for which a built-in Rayleigh problem forms its dense n-by-n
+# matrix (800 MB of float64). A --diag spec and the rayleigh --n are checked
+# against it before anything of that size is allocated.
+MAX_DENSE_N = 10_000
+
+
 def _range_or_list(spec_str):
     """The diagonal a --diag spec names: "start..end" steps by 1 from start, "a,b,c" lists it."""
     parts = spec_str.split("..")
@@ -378,6 +384,10 @@ def _range_or_list(spec_str):
         raise ValueError("diag range %r is empty: it needs start <= end" % spec_str)
     if not all(map(math.isfinite, values)):
         raise ValueError("--diag %r holds a value that is not finite" % spec_str)
+    size = values[1] + 1.0 - values[0] if len(parts) == 2 else len(values)
+    if size > MAX_DENSE_N:  # np.arange would hold ceil(size) entries
+        raise ValueError("--diag %r holds more than %d entries, the cap on the dense "
+                         "n-by-n matrix" % (spec_str, MAX_DENSE_N))
     if len(parts) == 2:
         return np.arange(values[0], values[1] + 1.0)
     return np.array(values)
@@ -423,6 +433,9 @@ def builtin_problem(problem_id, n=None, p=None, radius=0.5, seed=0, diag=None, m
             a = np.diag(_range_or_list(diag))
         else:
             n = 10 if n is None else n
+            if n > MAX_DENSE_N:
+                raise ValueError("--n %d is more than %d, the cap on the dense n-by-n matrix"
+                                 % (n, MAX_DENSE_N))
             a = np.diag(np.arange(1.0, n + 1.0))
         return make_rayleigh_sphere(a, radius=radius)
     if problem_id == "stiefel":

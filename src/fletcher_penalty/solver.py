@@ -223,10 +223,8 @@ def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what, alpha_
 def gradient_backtrack(problem, ev, cfg, alpha0=None):
     """First member of {alpha0 * tau1^j} passing Armijo decrease and the region test.
 
-    alpha0 defaults to cfg.alpha01. The solver passes alpha_prev, the last
-    gradient step accepted in the same loop, or min(alpha01, alpha_prev /
-    tau1) when a quadratic model says that longer step will pass (see
-    _descend); never less than alpha_prev. ev is the current
+    alpha0 defaults to cfg.alpha01; the solver's start, and the bound on the
+    accepted step, are stated in _descend. ev is the current
     point's PenaltyEval with its gradient; its point, beta, value and
     gradient are read, never recomputed. Returns (alpha, trial,
     backtracks), where trial is the accepted point's value-only PenaltyEval
@@ -308,6 +306,15 @@ def _terminal(records, ev, reason, k):
     return ev, reason
 
 
+def _gradient_start(prev, ev, alpha_prev, alpha01):
+    """The start of the gradient search at ev after a search from prev, or None (see _descend)."""
+    if prev is None:
+        return alpha_prev
+    s = ev.x - prev.x
+    sy = float(s @ (ev.grad_g - prev.grad_g))
+    return min(alpha01, float(s @ s) / sy) if sy > 0.0 else alpha_prev
+
+
 def _descend(problem, x0, cfg, records, stop=None):
     """The gradient/eigenstep loop from x0 at penalty parameter cfg.beta.
 
@@ -324,29 +331,33 @@ def _descend(problem, x0, cfg, records, stop=None):
     when it fails is the smallest eigenpair computed, for the eigenstep's
     direction, and a smallest eigenvalue of at least -eps2 (a tie, or
     rounding) still converges.
-    A gradient search starts at alpha_prev, the last gradient step this call
-    accepted, or grows to min(alpha01, alpha_prev / tau1) (Nocedal & Wright,
-    Numerical Optimization, 2nd ed., section 3.5) when both the last search
-    and the one before it accepted their first trial and the decrease ratio
-    r = (g_before - g_after) / (alpha grad_norm^2) of the last is at least
-    1 - tau1 (1 - c1). That threshold is not tuned: the quadratic through
-    g(0), g'(0) = -grad_norm^2 and g(alpha) passes the Armijo test at
-    alpha / tau1 exactly when r >= 1 - tau1 (1 - c1). Growing after every
-    unbacktracked search instead made the steps on St(30, 3) cycle through
-    0.0625, 0.125, 0.125, 0.0625 with a rejected trial every other search;
-    on that problem (eps1 = 1e-4, beta = 3) the model's rule takes 258 value
-    evaluations per solve instead of 313 and 178 iterations instead of 203.
-    Either start is at least alpha_prev, as before. Eigensteps keep alpha02 and change neither alpha_prev nor whether the
-    last gradient search accepted its first trial.
+    A gradient search starts at the spectral step of Barzilai and Borwein
+    (IMA J. Numer. Anal. 8, 1988), as a start of a monotone Armijo search
+    (Raydan, SIAM J. Optim. 7, 1997): with prev the last iterate, kept only
+    when the last step was a gradient step, s = x - prev.x and y = grad g -
+    prev.grad g, it starts at min(alpha01, s.s / s.y) when s.y > 0 and at
+    alpha_prev, the last gradient step this call accepted, otherwise
+    (_gradient_start). Both gradients are in hand, so the start costs no
+    evaluation. The first search of the call starts at alpha01, the first
+    after an eigenstep at alpha_prev; eigensteps keep alpha02.
+
+    The step bound. Let floor be the step length up to which a trial
+    provably passes its decrease test and keeps ||h|| <= radius, through
+    regionwide curvature bounds once beta exceeds the pointwise thresholds
+    (it scales with 1/(beta sigma_max(Dh)^2) and with the radius over c_h);
+    a search from start a accepts at least min(a, tau floor). If grad g is
+    L-Lipschitz on the step, s.y <= L s.s, so a spectral start is at least
+    min(alpha01, 1/L); any other start is alpha01 or an accepted step. By
+    induction every accepted gradient step is at least tau1 min(alpha01,
+    1/L, floor), as with a fixed start, and every eigenstep at least
+    tau2 min(alpha02, floor).
     """
     try:
         ev = evaluate(problem, x0, cfg.beta, with_grad=True)
     except RankDeficiencyError:
         return None, "rank_deficient"
-    # first_prev: the last gradient search accepted its first trial. With
-    # alpha_prev = alpha01 the first start is alpha01 whether or not it grows.
-    k, alpha_prev, first_prev, grow = 0, cfg.alpha01, True, False
-    grow_ratio = 1.0 - cfg.tau1 * (1.0 - cfg.c1)
+    # prev: the last iterate, kept only when the last step was a gradient step
+    k, alpha_prev, prev = 0, cfg.alpha01, None
     while True:
         if k >= cfg.max_iters:
             return _terminal(records, ev, "max_iters", k)
@@ -365,13 +376,11 @@ def _descend(problem, x0, cfg, records, stop=None):
             if tag is not None:
                 return _terminal(records, ev, tag, k)
             if curvature is None:
-                start = min(cfg.alpha01, alpha_prev / cfg.tau1) if grow else alpha_prev
+                start = _gradient_start(prev, ev, alpha_prev, cfg.alpha01)
                 alpha, trial, bts = gradient_backtrack(problem, ev, cfg, start)
-                scale = alpha * ev.grad_norm**2  # 0.0 only if grad_norm**2 underflows
-                grow = (first_prev and bts == 0 and scale > 0.0
-                        and (ev.g_val - trial.g_val) / scale >= grow_ratio)
-                alpha_prev, first_prev = alpha, bts == 0
+                alpha_prev, prev = alpha, ev
             else:
+                prev = None
                 if float(d @ ev.grad_g) > 0.0:
                     d = -d
                 alpha, trial, bts = eigen_backtrack(problem, ev, d, curvature, cfg)
@@ -430,21 +439,8 @@ def gradient_eigenstep(problem, x0, cfg):
 
     Worst-case accounting (documentation only): every accepted gradient
     step decreases g by at least c1 * alpha * eps1^2 and every eigenstep by
-    at least c2 * alpha^2 * eps2, with alpha bounded below through
-    regionwide curvature bounds and the region floor: the step length up to
-    which a step provably keeps ||h|| <= radius once beta exceeds the
-    pointwise thresholds (it scales with 1/(beta sigma_max(Dh)^2) and with
-    the radius over c_h).
-    A gradient search starts at alpha01 or at no less than alpha_prev, the
-    last accepted gradient step (alpha_prev itself, or min(alpha01,
-    alpha_prev / tau1) when a quadratic model of the last search predicts
-    that step passes Armijo; see _descend), and a search from
-    start s accepts at least min(s, tau1 * floor). Which of the two starts
-    is taken does not matter to the bound: no start falls below alpha_prev,
-    the premise of the induction. So by induction every
-    start is at least tau1 * min(alpha01, floor) and every accepted
-    gradient step at least tau1 * min(alpha01, floor), as with a fixed
-    start.
+    at least c2 * alpha^2 * eps2, with alpha bounded below (the bound is
+    stated in _descend; an eigenstep's start is always alpha02).
     Dividing the initial gap g(x0) - inf g by those decreases gives
     iteration counts scaling like eps1^-2 and eps2^-3; the curvature bounds
     are unobservable suprema, so the library never evaluates the count and

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from fletcher_penalty import cli
 from fletcher_penalty.cli import main
+from fletcher_penalty.problems import MAX_DENSE_N
 from fletcher_penalty.solver import SolverConfig
 
 from conftest import make_rank_crossing_toy
@@ -528,6 +529,36 @@ def test_malformed_diag_exits_64_naming_the_flag_and_spec(tmp_path, capsys, spec
     out = tmp_path / "x.json"
     assert run_cli(["solve", "--problem", "rayleigh", "--diag", spec, "--output-path", str(out)]) == 64
     assert capsys.readouterr().err == "fletcher-penalty: --diag %r %s\n" % (spec, message)
+    assert not out.exists()
+
+
+@pytest.fixture
+def bounded_arange(monkeypatch):
+    # np.arange that fails on a huge size instead of allocating it, so a missing
+    # cap fails the test rather than exhausting the memory
+    real = np.arange
+
+    def arange(*args, **kwargs):
+        start, stop = (0, args[0]) if len(args) == 1 else args[:2]
+        assert stop - start <= MAX_DENSE_N, "np.arange(%r, %r)" % (start, stop)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", arange)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--diag", "1..1e300"], "--diag '1..1e300' holds more than %d entries"),
+    (["--diag", "0.5..1e9"], "--diag '0.5..1e9' holds more than %d entries"),
+    (["--diag", "1..10001"], "--diag '1..10001' holds more than %d entries"),
+    (["--n", "10001"], "--n 10001 is more than %d"),
+    (["--n", "1000000000"], "--n 1000000000 is more than %d"),
+], ids=["diag-1e300", "diag-1e9", "diag-10001", "n-10001", "n-1e9"])
+def test_dense_matrix_above_the_cap_exits_64_naming_the_flag(tmp_path, capsys, bounded_arange,
+                                                             flags, message):
+    out = tmp_path / "x.json"
+    assert run_cli(["solve", "--problem", "rayleigh", *flags, "--output-path", str(out)]) == 64
+    assert capsys.readouterr().err == (
+        "fletcher-penalty: %s, the cap on the dense n-by-n matrix\n" % (message % MAX_DENSE_N))
     assert not out.exists()
 
 

@@ -22,6 +22,7 @@ from fletcher_penalty.derivative_check import (
     fd_jacobian,
     relative_error,
 )
+from fletcher_penalty.problems import MAX_DENSE_N, _range_or_list
 
 from conftest import ALL_BUILTIN_IDS
 
@@ -346,6 +347,16 @@ def test_registry_ids():
     with pytest.raises(ValueError) as info:
         builtin_problem("rayleigh", diag="5..1")
     assert str(info.value) == "diag range '5..1' is empty: it needs start <= end"
+
+
+def test_diag_spec_is_capped_at_the_dense_matrix_size():
+    # a range holds ceil(end + 1 - start) entries; only the diagonal is built here
+    assert MAX_DENSE_N == 10_000
+    assert _range_or_list("1..10000").size == _range_or_list("0.5..9999.5").size == MAX_DENSE_N
+    assert _range_or_list(",".join(["1"] * MAX_DENSE_N)).size == MAX_DENSE_N
+    for spec in ("0.5..10000.4", "1..10001", ",".join(["1"] * (MAX_DENSE_N + 1))):
+        with pytest.raises(ValueError, match="holds more than 10000 entries"):
+            _range_or_list(spec)
 
 
 @pytest.mark.parametrize("problem_id, params", [

@@ -3,6 +3,7 @@
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,9 @@ from fletcher_penalty import (
     random_point_in_region,
     restore_feasibility,
 )
+
+from fletcher_penalty import solver
+from fletcher_penalty.solver import _gradient_start
 
 from conftest import ALL_BUILTIN_IDS, make_affine_toy, make_rank_crossing_toy, make_saddle_toy
 
@@ -67,72 +71,105 @@ def test_gradient_backtrack_decrease_predicate_replay():
         assert r.g_before - r.g_after >= cfg.c1 * r.step_len * r.grad_norm**2 - 1e-15
 
 
+def test_gradient_start_branches():
+    prev = SimpleNamespace(x=np.zeros(2), grad_g=np.array([1.0, 0.0]))
+
+    def start(grad, alpha_prev=0.125):
+        ev = SimpleNamespace(x=np.array([0.5, 0.0]), grad_g=np.array(grad))
+        return _gradient_start(prev, ev, alpha_prev, 1.0)
+
+    # no previous point: the run's first search, or the first after an eigenstep
+    assert _gradient_start(None, prev, 0.25, 1.0) == 0.25
+    # s = (0.5, 0), y = (1, 0): s.s / s.y = 0.25 / 0.5
+    assert start([2.0, 0.0]) == 0.5
+    # s.y < 0 and s.y == 0: no curvature to read, so the last accepted step
+    assert start([0.5, 0.0]) == start([1.0, 3.0]) == 0.125
+    # a large s.s / s.y (a nearly constant gradient) is clipped to alpha01
+    assert start([1.0 + 1e-9, 0.0]) == 1.0
+
+
 @pytest.mark.parametrize("driver", ["solve", "plateau"])
-def test_gradient_search_starts_from_the_previous_step(driver):
-    # step memory: a gradient search starts at min(alpha01, alpha_prev / tau1)
-    # only when it and the previous gradient search of the same loop accepted
-    # their first trial and the quadratic model through g(0), g'(0) and
-    # g(alpha_prev) passes Armijo at alpha_prev / tau1, i.e. the decrease ratio
-    # r = (g_before - g_after) / (alpha grad_norm^2) is >= 1 - tau1 (1 - c1);
-    # otherwise at alpha_prev. No start falls below alpha_prev (the premise of
-    # the step-bound induction); eigensteps change neither alpha_prev nor the
-    # first-trial count, and each plateau (whose k restarts at 0) starts at alpha01
+def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch):
+    # an exact replay of every gradient search's start: the search at ev starts at
+    # _gradient_start(prev, ev, alpha_prev, alpha01), where prev is the point of the
+    # last search when the last step was a gradient step of the same loop (else
+    # None) and alpha_prev the step it accepted; each loop (a plateau stage, whose
+    # k restarts at 0) starts from prev = None and alpha_prev = alpha01
+    calls = []
+    real = solver.gradient_backtrack
+
+    def spy(problem, ev, cfg, alpha0=None):
+        out = real(problem, ev, cfg, alpha0)
+        calls.append((ev, alpha0, out[0]))
+        return out
+
+    monkeypatch.setattr(solver, "gradient_backtrack", spy)
     cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
     if driver == "solve":
         p = diag_rayleigh(n=12)
         trace = gradient_eigenstep(p, np.eye(12)[3] + 1e-6 * np.linspace(-1.0, 1.0, 12), cfg)
     else:
-        # seed 1: at seed 5 every search holds (r stays near 0.34), so none grows
         p = builtin_problem("stiefel", n=8, p=2, seed=1)
         trace = plateau(p, p.init_point(1), replace(cfg, eps2=1e-3), beta0=1e-3, lp0=50)
     assert trace.termination == "converged"
-    threshold = 1.0 - cfg.tau1 * (1.0 - cfg.c1)
-    grows = holds = model_holds = 0
+    spectral = clipped = held = 0
+    pending = iter(calls)
     for r in trace.records:
         if r.k == 0:
-            prev, first_prev, grow, searches = cfg.alpha01, True, False, 0
+            prev, alpha_prev = None, cfg.alpha01
         if r.kind == "gradient":
-            start = min(cfg.alpha01, prev / cfg.tau1) if grow else prev
-            assert r.step_len == start * cfg.tau1**r.backtracks
-            assert start >= min(prev, cfg.alpha01)
-            if searches == 0:
-                assert start == cfg.alpha01
-            elif grow:
-                grows += start > prev
-            else:
-                holds += 1
-            scale = r.step_len * r.grad_norm**2
-            ratio_ok = scale > 0.0 and (r.g_before - r.g_after) / scale >= threshold
-            model_holds += first_prev and r.backtracks == 0 and not ratio_ok
-            grow = first_prev and r.backtracks == 0 and ratio_ok
-            prev, first_prev, searches = r.step_len, r.backtracks == 0, searches + 1
-    assert grows and holds and model_holds
+            ev, alpha0, alpha = next(pending)
+            assert (ev.g_val, alpha) == (r.g_before, r.step_len)
+            assert alpha0 == _gradient_start(prev, ev, alpha_prev, cfg.alpha01)
+            assert r.step_len == alpha0 * cfg.tau1**r.backtracks <= cfg.alpha01
+            if prev is not None and float((ev.x - prev.x) @ (ev.grad_g - prev.grad_g)) > 0.0:
+                spectral += alpha0 < cfg.alpha01
+                clipped += alpha0 == cfg.alpha01
+            held += prev is None and r.k > 0
+            prev, alpha_prev = ev, alpha
+        elif r.kind == "eigen":
+            prev = None
+    assert next(pending, None) is None
+    assert spectral and clipped
     if driver == "plateau":
         assert len(trace.plateaus) > 1
         assert [r.k for r in trace.records].count(0) >= len(trace.plateaus)
     else:
-        assert "gradient eigen gradient" in " ".join(r.kind for r in trace.records)
+        assert held and "gradient eigen gradient" in " ".join(r.kind for r in trace.records)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7919])
 def test_grown_gradient_steps_keep_the_guarantees(seed):
-    # the grown starts reach steps of 0.25 and more on St(30, 3); every accepted
-    # gradient step, long ones included, still passes Armijo and keeps ||h|| <= R,
-    # and the run ends converged inside the first-order certificate bounds
+    # spectral starts reach alpha01 on St(30, 3); every accepted gradient step,
+    # long ones included, stays at most alpha01, passes Armijo and keeps
+    # ||h|| <= R, and the run ends converged inside the first-order certificate bounds
     p = builtin_problem("stiefel", n=30, p=3, seed=seed)
     cfg = SolverConfig(eps1=1e-4, beta=3.0)
     trace = gradient_eigenstep(p, p.init_point(seed), cfg)
     assert trace.termination == "converged"
-    grads = [r for r in trace.records if r.kind == "gradient"]
-    assert max(r.step_len for r in grads) >= 0.25
-    for r in grads:
-        assert r.g_before - r.g_after >= cfg.c1 * r.step_len * r.grad_norm**2
-        assert r.h_norm <= p.region.radius
+    assert all(r.h_norm <= p.region.radius for r in trace.records)
+    for r in trace.records:
+        if r.kind == "gradient":
+            assert r.step_len <= cfg.alpha01
+            assert r.g_before - r.g_after >= cfg.c1 * r.step_len * r.grad_norm**2
     th = beta_thresholds(p, trace.final_eval)
     assert cfg.beta > max(th.beta2, th.beta3)
     cert = trace.final_certificate
     assert cert.eps0_measured <= cfg.eps1 / (cfg.beta * th.sigma_min)
     assert cert.eps1_measured <= (1.0 + th.c_lambda / (cfg.beta * th.sigma_min)) * cfg.eps1
+
+
+def test_spectral_start_keeps_stiefel_solves_short():
+    # St(30, 3), eps1 = 1e-4, beta = 3: the spectral start takes a median of about
+    # 66 iterations here, where holding or doubling the last step took about 175
+    cfg = SolverConfig(eps1=1e-4, beta=3.0)
+    iters = []
+    for seed in range(6):
+        p = builtin_problem("stiefel", n=30, p=3, seed=seed)
+        trace = gradient_eigenstep(p, p.init_point(seed), cfg)
+        assert trace.termination == "converged"
+        iters.append(trace.iteration_counts()[0])
+    assert np.median(iters) <= 100
 
 
 def test_eigen_backtrack_accepts_small_initial_step():
