@@ -36,7 +36,6 @@ __all__ = [
     "penalty_hess",
     "dlambda_jacobian",
     "beta_thresholds",
-    "beta_thresholds_unless_below",
     "in_region",
 ]
 
@@ -94,12 +93,21 @@ def _finite(arr, label, x):
     return arr
 
 
-def _value(problem, x, h_val, lam, beta):
-    """g(x) at beta from x's h and multipliers: one call to f."""
+def _value(problem, x, h_val, lam, beta, grad_f=None):
+    """g(x) at beta from x's h and multipliers: one call to f.
+
+    A NaN or +-inf entry of grad_f (given while it is still unchecked) makes
+    lam, and so g, non-finite, as a non-finite f does; only a non-finite g
+    scans them, grad_f first, to name the evaluator at fault.
+    """
     f_val = float(problem.f(x))
-    if not math.isfinite(f_val):
-        raise EvaluationError("f returned a non-finite value at %s" % (x,))
-    return f_val - float(h_val @ lam) + beta * float(h_val @ h_val)
+    g_val = f_val - float(h_val @ lam) + beta * float(h_val @ h_val)
+    if not math.isfinite(g_val):
+        if grad_f is not None:
+            _finite(grad_f, "grad_f", x)
+        if not math.isfinite(f_val):
+            raise EvaluationError("f returned a non-finite value at %s" % (x,))
+    return g_val
 
 
 def _point(problem, x, h_val=None, beta=None):
@@ -109,25 +117,42 @@ def _point(problem, x, h_val=None, beta=None):
     is h(x) as the caller already evaluated it: it is checked and used in
     place of a new call to h. With beta, the new record also holds the
     penalty value at beta, so a value-only evaluation builds one record.
+    Each evaluator's output is checked once, in the order h, jac_h, grad_f,
+    f, and through a scalar the point computes anyway: a NaN or +-inf entry
+    makes that scalar non-finite (IEEE: 0 * inf is NaN). The scalars are
+    ||h||, svd's own check for jac_h, and g (lam . lam without beta) for
+    grad_f; the full scan runs only when the scalar is not finite, so a
+    finite h whose norm overflows passes.
     """
     if isinstance(x, PenaltyEval):
         return x
     x = np.asarray(x, dtype=float)
     if h_val is None:
         h_val = problem.h(x)
-    h_val = _finite(np.asarray(h_val, dtype=float).ravel(), "h", x)
+    h_val = np.asarray(h_val, dtype=float).ravel()
+    h_norm = vector_norm(h_val)
+    if not math.isfinite(h_norm):
+        _finite(h_val, "h", x)
     jac = np.asarray(problem.jac_h(x), dtype=float)
     try:
         res = svd(jac)  # svd's own finiteness check is the only pass over jac
     except ValueError:
         _finite(jac, "jac_h", x)  # a non-finite jac is named as jac_h's
         raise
-    grad_f = _finite(np.asarray(problem.grad_f(x), dtype=float).ravel(), "grad_f", x)
+    grad_f = np.asarray(problem.grad_f(x), dtype=float).ravel()
     m, n = jac.shape
     tol = default_rank_tol(m, n)
     if res.sigma_min <= tol * res.sigma_max:
+        _finite(grad_f, "grad_f", x)
         raise RankDeficiencyError(x, res.sigma_min, res.sigma_max)
-    h_norm = vector_norm(h_val)
+    # Minimum-norm least-squares multipliers through the SVD of Dh.
+    lam = res.u @ ((res.vt @ grad_f) / res.s)
+    if beta is None:
+        g_val = None
+        if not math.isfinite(float(lam @ lam)):
+            _finite(grad_f, "grad_f", x)
+    else:
+        g_val = _value(problem, x, h_val, lam, beta, grad_f)
     reg = problem.region
     if h_norm <= reg.radius and res.sigma_min < reg.sigma_lb * (1.0 - 1e-9):
         warnings.warn(
@@ -137,9 +162,6 @@ def _point(problem, x, h_val=None, beta=None):
             RuntimeWarning,
             stacklevel=3,
         )
-    # Minimum-norm least-squares multipliers through the SVD of Dh.
-    lam = res.u @ ((res.vt @ grad_f) / res.s)
-    g_val = None if beta is None else _value(problem, x, h_val, lam, beta)
     return PenaltyEval(x=x, h_val=h_val, h_norm=h_norm, jac=jac, jac_svd=res, grad_f=grad_f,
                        lambda_val=lam, beta=beta, g_val=g_val)
 
@@ -183,6 +205,26 @@ def dlambda_jacobian(problem, x):
     return _finite(_gram_inverse(pt.jac_svd, rows + block.T), "hess_h", pt.x)
 
 
+def _checked_gradient(x, beta, jac, h_val, rg, adjoint, hess_f):
+    """grad g and its norm with every input scanned: evaluate's path for a gradient
+    that may not be finite.
+
+    The scans name the cause in the order the inputs were read: hess_f (None
+    when the block was kept from an earlier evaluation), then a beta so large
+    that 2 beta Dh^T h is not finite, then hess_h, whose products are read
+    only through the assembled gradient. A finite gradient whose norm
+    overflows passes.
+    """
+    if hess_f is not None:
+        _finite(hess_f, "hess_f", x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        normal = 2.0 * beta * (jac.T @ h_val)
+    if not np.isfinite(normal).all():
+        raise EvaluationError("beta=%r is too large: 2 beta Dh^T h is not finite" % beta)
+    grad_g = _finite(rg + normal - adjoint, "hess_h", x)
+    return grad_g, vector_norm(grad_g)
+
+
 def evaluate(problem, x, beta, with_grad=True, h_val=None):
     """The PenaltyEval of x at beta; the Dh SVD is computed once and shared.
 
@@ -208,23 +250,24 @@ def evaluate(problem, x, beta, with_grad=True, h_val=None):
     if with_grad:
         rg = pt.riem_grad
         # (Dlam)^T h = H(w) grad_M f + B w, w = (Dh Dh^T)^{-1} h: dlambda_jacobian transposed
+        hess_f = None
         if block is None:
-            block = _lagrangian_hess(problem, x, lam, jac.T)
+            hess_f = np.asarray(problem.hess_f(x, jac.T), dtype=float)
+            block = hess_f - problem.hess_h(x, lam, jac.T)
         w = _gram_inverse(pt.jac_svd, h_val)
         adjoint = problem.hess_h(x, w, rg) + block @ w
-        # The entries of 2 beta Dh^T h are at most 2 beta sigma_max ||h||: only a huge
-        # beta can make that term non-finite (inf * 0 for beta = 1e308), and then
-        # it is checked on its own rather than blamed on hess_h.
+        # The entries of 2 beta Dh^T h are at most 2 beta sigma_max ||h||: only past this
+        # bound can that term overflow (inf * 0 for beta = 1e308), and only there is it
+        # formed under _checked_gradient's scans. A NaN or +-inf entry of hess_f's block
+        # or of a hess_h product makes ||grad g|| non-finite, so a finite norm is the
+        # check of both.
         scale = 2.0 * beta
-        if not scale * pt.jac_svd.sigma_max * pt.h_norm < 1e300:
-            with np.errstate(over="ignore", invalid="ignore"):
-                if not np.isfinite(scale * (jac.T @ h_val)).all():
-                    raise EvaluationError(
-                        "beta=%r is too large: 2 beta Dh^T h is not finite" % beta)
-        # Every other input is checked where it is read; hess_h output is checked
-        # here, once per gradient, rather than on each of its products.
-        grad_g = _finite(rg + scale * (jac.T @ h_val) - adjoint, "hess_h", x)
-        grad_norm = vector_norm(grad_g)
+        fits = scale * pt.jac_svd.sigma_max * pt.h_norm < 1e300
+        if fits:
+            grad_g = rg + scale * (jac.T @ h_val) - adjoint
+            grad_norm = vector_norm(grad_g)
+        if not (fits and math.isfinite(grad_norm)):
+            grad_g, grad_norm = _checked_gradient(x, beta, jac, h_val, rg, adjoint, hess_f)
     return PenaltyEval(x=x, h_val=h_val, h_norm=pt.h_norm, jac=jac, jac_svd=pt.jac_svd,
                        grad_f=pt.grad_f, lambda_val=lam, beta=float(beta), g_val=g_val,
                        grad_g=grad_g, grad_norm=grad_norm, lag_block=block)
@@ -286,38 +329,28 @@ def _thresholds(c_lambda, res):
     )
 
 
-def beta_thresholds(problem, x):
-    """Pointwise beta thresholds from the Jacobian SVD and the multiplier map.
-
-    c_lambda = ||Dlambda||_2 is read from an SVD of the dense Dlambda. x may
-    be a PenaltyEval, whose point data and Lagrangian-Hessian block are
-    reused: Dlambda then costs only m hess_h products. The plateau scheme's
-    stop check calls beta_thresholds_unless_below instead, which takes this
-    SVD only when a cheaper bound cannot rule the trigger out.
-    """
-    pt = _point(problem, x)
-    return _thresholds(svd(dlambda_jacobian(problem, pt)).sigma_max, pt.jac_svd)
-
-
 # Relative margin on the Frobenius bound: a LAPACK sigma_max of a rank-one
 # Dlambda (m = 1) equals ||Dlambda||_F up to rounding and may exceed the computed F.
 _BOUND_MARGIN = 1e-8
 
 
-def beta_thresholds_unless_below(problem, x, beta):
-    """The exact beta_thresholds of x, or None when their b_max is provably below beta.
+def beta_thresholds(problem, x, below=None):
+    """Pointwise beta thresholds from the Jacobian SVD and the multiplier map.
 
-    Dlambda is formed once (m hess_h products from a PenaltyEval with its
-    gradient). Its Frobenius norm F is at least c_lambda = ||Dlambda||_2,
-    so the thresholds taken with F in place of c_lambda bound every exact
-    threshold from above. When that bound, raised by a relative 1e-8
-    against rounding, is below beta, no SVD is taken and None is returned.
-    Otherwise c_lambda comes from the SVD of the same Dlambda, and the
-    result equals beta_thresholds(problem, x) bit for bit.
+    c_lambda = ||Dlambda||_2 is read from an SVD of the dense Dlambda. x may
+    be a PenaltyEval, whose point data and Lagrangian-Hessian block are
+    reused: Dlambda then costs only m hess_h products. With below (the
+    plateau scheme's stop check passes its beta), None is returned when
+    b_max is provably below it, without that SVD: Dlambda's Frobenius norm
+    F is at least c_lambda, so the thresholds taken with F bound every exact
+    threshold from above, and the SVD is skipped when that bound, raised by
+    a relative 1e-8 against rounding, is below `below`. Any thresholds
+    returned are the exact ones, bit for bit.
     """
     pt = _point(problem, x)
     dlam = dlambda_jacobian(problem, pt)
-    if _thresholds(vector_norm(dlam.ravel()), pt.jac_svd).b_max * (1.0 + _BOUND_MARGIN) < beta:
+    if below is not None and (_thresholds(vector_norm(dlam.ravel()), pt.jac_svd).b_max
+                              * (1.0 + _BOUND_MARGIN) < below):
         return None
     return _thresholds(svd(dlam).sigma_max, pt.jac_svd)
 

@@ -384,12 +384,13 @@ def _range_or_list(spec_str):
         raise ValueError("diag range %r is empty: it needs start <= end" % spec_str)
     if not all(map(math.isfinite, values)):
         raise ValueError("--diag %r holds a value that is not finite" % spec_str)
+    # A range's span end + 1 - start bounds its floor(end - start) + 1 entries.
     size = values[1] + 1.0 - values[0] if len(parts) == 2 else len(values)
-    if size > MAX_DENSE_N:  # np.arange would hold ceil(size) entries
+    if size > MAX_DENSE_N:
         raise ValueError("--diag %r holds more than %d entries, the cap on the dense "
                          "n-by-n matrix" % (spec_str, MAX_DENSE_N))
-    if len(parts) == 2:
-        return np.arange(values[0], values[1] + 1.0)
+    if len(parts) == 2:  # start, start + 1, ..., up to the last start + k <= end
+        return values[0] + np.arange(math.floor(values[1] - values[0]) + 1.0)
     return np.array(values)
 
 

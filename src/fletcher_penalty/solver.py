@@ -29,7 +29,6 @@ from .linalg import min_eig_above, sym_eig_min, vector_norm
 from .penalty import (
     PenaltyEval,
     beta_thresholds,
-    beta_thresholds_unless_below,
     evaluate,
     in_region,
     penalty_hess,
@@ -307,12 +306,11 @@ def _terminal(records, ev, reason, k):
 
 
 def _gradient_start(prev, ev, alpha_prev, alpha01):
-    """The start of the gradient search at ev after a search from prev, or None (see _descend)."""
+    """The start of the gradient search at ev after a search from prev (see _descend)."""
     if prev is None:
         return alpha_prev
-    s = ev.x - prev.x
-    sy = float(s @ (ev.grad_g - prev.grad_g))
-    return min(alpha01, float(s @ s) / sy) if sy > 0.0 else alpha_prev
+    y_norm = vector_norm(ev.grad_g - prev.grad_g)
+    return min(alpha01, vector_norm(ev.x - prev.x) / y_norm) if y_norm > 0.0 else alpha_prev
 
 
 def _descend(problem, x0, cfg, records, stop=None):
@@ -331,26 +329,29 @@ def _descend(problem, x0, cfg, records, stop=None):
     when it fails is the smallest eigenpair computed, for the eigenstep's
     direction, and a smallest eigenvalue of at least -eps2 (a tie, or
     rounding) still converges.
-    A gradient search starts at the spectral step of Barzilai and Borwein
-    (IMA J. Numer. Anal. 8, 1988), as a start of a monotone Armijo search
-    (Raydan, SIAM J. Optim. 7, 1997): with prev the last iterate, kept only
-    when the last step was a gradient step, s = x - prev.x and y = grad g -
-    prev.grad g, it starts at min(alpha01, s.s / s.y) when s.y > 0 and at
-    alpha_prev, the last gradient step this call accepted, otherwise
-    (_gradient_start). Both gradients are in hand, so the start costs no
-    evaluation. The first search of the call starts at alpha01, the first
-    after an eigenstep at alpha_prev; eigensteps keep alpha02.
+    A gradient search starts at a spectral step: with prev the last
+    iterate, kept only when the last step was a gradient step, s = x -
+    prev.x and y = grad g - prev.grad g, it starts at min(alpha01,
+    ||s|| / ||y||) when y != 0 and at alpha_prev, the last gradient step this
+    call accepted, otherwise (_gradient_start). ||s|| / ||y|| is the
+    geometric mean of the two Barzilai-Borwein steps s.s / s.y and s.y / y.y
+    (Barzilai and Borwein, IMA J. Numer. Anal. 8, 1988), the positive step of
+    Dai, Al-Baali and Yang (Springer Proc. Math. Stat. 134, 2015); unlike
+    either, it needs no sign condition on s.y. Both gradients are in hand,
+    so the start costs no evaluation. The first search of the call starts at
+    alpha01, the first after an eigenstep at alpha_prev; eigensteps keep
+    alpha02.
 
     The step bound. Let floor be the step length up to which a trial
     provably passes its decrease test and keeps ||h|| <= radius, through
     regionwide curvature bounds once beta exceeds the pointwise thresholds
     (it scales with 1/(beta sigma_max(Dh)^2) and with the radius over c_h);
     a search from start a accepts at least min(a, tau floor). If grad g is
-    L-Lipschitz on the step, s.y <= L s.s, so a spectral start is at least
-    min(alpha01, 1/L); any other start is alpha01 or an accepted step. By
-    induction every accepted gradient step is at least tau1 min(alpha01,
-    1/L, floor), as with a fixed start, and every eigenstep at least
-    tau2 min(alpha02, floor).
+    L-Lipschitz on the step, ||y|| <= L ||s||, so a spectral start is at
+    least min(alpha01, 1/L), whatever the sign of s.y; any other start is
+    alpha01 or an accepted step. By induction every accepted gradient step
+    is at least tau1 min(alpha01, 1/L, floor), as with a fixed start, and
+    every eigenstep at least tau2 min(alpha02, floor).
     """
     try:
         ev = evaluate(problem, x0, cfg.beta, with_grad=True)
@@ -462,7 +463,7 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
     the thresholds taken with ||Dlambda||_F, an upper bound on c_lambda =
     ||Dlambda||_2, against beta_l; only when that bound, with a relative
     margin of 1e-8, does not rule the trigger out is Dlambda's SVD taken for
-    the exact B (beta_thresholds_unless_below). B, and so the stage's
+    the exact B (beta_thresholds with below=beta_l). B, and so the stage's
     b_value and the next beta, is thus always the exact one. On a B-trigger
     the budget grows by (gamma*B/beta_l)^4 and beta jumps to gamma*B;
     otherwise both grow geometrically (gamma^4 and gamma). Backtracking
@@ -497,7 +498,7 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
 
         def stop(k, ev):
             nonlocal b_max
-            th = beta_thresholds_unless_below(problem, ev, beta_l)
+            th = beta_thresholds(problem, ev, below=beta_l)
             if th is not None and th.b_max >= beta_l:
                 b_max = th.b_max
                 return "b_trigger"

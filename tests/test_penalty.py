@@ -5,6 +5,7 @@ lambda(x) = <x, w> / (2 ||x||^2) and grad lambda = w/(2||x||^2) - <x,w> x/||x||^
 which this file uses as the independent oracle for the SVD-based code paths.
 """
 
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -34,7 +35,6 @@ from fletcher_penalty import (
     random_point_in_region,
 )
 from fletcher_penalty.derivative_check import fd_grad, fd_jacobian, relative_error
-from fletcher_penalty.penalty import beta_thresholds_unless_below
 
 from conftest import ALL_BUILTIN_IDS, make_affine_toy
 
@@ -320,6 +320,50 @@ def test_non_finite_jac_h_raises_evaluation_error(n, bad):
         evaluate(replace(p, jac_h=jac_h), p.init_point(0), 1.0)
 
 
+def _one_entry_set(evaluator, value):
+    """evaluator with the first entry of its output (f's value itself) replaced by value."""
+    def wrapped(*args):
+        out = np.array(evaluator(*args), dtype=float)
+        if out.ndim == 0:
+            return value
+        out.flat[0] = value
+        return out
+
+    return wrapped
+
+
+@pytest.mark.parametrize("n", [5, 100])  # Dh factored by LAPACK's SVD, and by its Gram matrix
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["h", "grad_f", "f", "jac_h", "hess_f", "hess_h"])
+def test_non_finite_evaluator_output_is_named_by_evaluate(n, bad, name):
+    # each check reads a scalar the point computes anyway and scans the output only
+    # when that scalar is not finite; the error names the evaluator at fault
+    p = builtin_problem("rayleigh", n=n)
+    x = p.init_point(0)
+    bad_p = replace(p, **{name: _one_entry_set(getattr(p, name), bad)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EvaluationError) as info:
+            evaluate(bad_p, x, 1.0)
+    form = "f returned a non-finite value at %s" if name == "f" else (
+        name + " returned non-finite values at %s")
+    assert str(info.value) == form % (x,)
+    if np.isnan(bad):  # NaN propagates quietly: nothing is printed before the error
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("n", [5, 100])
+def test_finite_h_whose_norm_overflows_is_not_called_non_finite(n):
+    # ||h|| = inf here, but every entry of h is finite: the full scan that follows a
+    # non-finite norm passes, and the point is evaluated
+    p = builtin_problem("rayleigh", n=n)
+    bad = replace(p, h=lambda x: np.full(p.dim_h, 1e200))
+    with np.errstate(over="ignore"):
+        ev = evaluate(bad, p.init_point(0), 1.0)
+    assert ev.h_norm == np.inf and np.isfinite(ev.h_val).all()
+    assert ev.grad_g is not None
+
+
 def test_penalty_hess_symmetric(sphere_w):
     p, w = sphere_w
     h = penalty_hess(p, 1.05 * w, 2.0)
@@ -494,8 +538,8 @@ def test_beta_thresholds_unless_below_rules_out_only_what_lies_below_b_max(built
         ev = evaluate(p, random_point_in_region(p, seed), 1.0)
         exact = beta_thresholds(p, ev)
         for beta in (exact.b_max, np.nextafter(exact.b_max, 0.0)):
-            assert beta_thresholds_unless_below(p, ev, beta) == exact
-        assert beta_thresholds_unless_below(p, ev, 1.01 * np.sqrt(p.dim_h) * exact.b_max) is None
+            assert beta_thresholds(p, ev, below=beta) == exact
+        assert beta_thresholds(p, ev, below=1.01 * np.sqrt(p.dim_h) * exact.b_max) is None
 
 
 def test_b_max_is_max(builtins):

@@ -359,6 +359,17 @@ def test_diag_spec_is_capped_at_the_dense_matrix_size():
             _range_or_list(spec)
 
 
+def test_diag_range_ends_at_the_last_entry_within_its_end():
+    # start, start + 1, ... up to the last start + k <= end: a fractional span does
+    # not round the end up to an entry past it
+    assert _range_or_list("1..2.5").tolist() == [1.0, 2.0]
+    assert _range_or_list("0..0.7").tolist() == [0.0]
+    assert _range_or_list("-2.5..1").tolist() == [-2.5, -1.5, -0.5, 0.5]
+    assert _range_or_list("1..4").tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert _range_or_list("3..3").tolist() == [3.0]
+    assert builtin_problem("rayleigh", diag="1..2.5").dim_x == 2
+
+
 @pytest.mark.parametrize("problem_id, params", [
     ("sphere", {"p": 3}),
     ("rayleigh", {"p": 2}),

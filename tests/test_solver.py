@@ -80,11 +80,14 @@ def test_gradient_start_branches():
 
     # no previous point: the run's first search, or the first after an eigenstep
     assert _gradient_start(None, prev, 0.25, 1.0) == 0.25
-    # s = (0.5, 0), y = (1, 0): s.s / s.y = 0.25 / 0.5
+    # y = 0: no curvature to read, so the last accepted step
+    assert start([1.0, 0.0]) == 0.125
+    # s = (0.5, 0), y = (1, 0): ||s|| / ||y|| = 0.5
     assert start([2.0, 0.0]) == 0.5
-    # s.y < 0 and s.y == 0: no curvature to read, so the last accepted step
-    assert start([0.5, 0.0]) == start([1.0, 3.0]) == 0.125
-    # a large s.s / s.y (a nearly constant gradient) is clipped to alpha01
+    # s.y < 0 and s.y == 0 still give ||s|| / ||y||: the rule needs no sign condition
+    assert start([-1.0, 0.0]) == 0.25
+    assert start([1.0, 2.5]) == 0.2
+    # a large ||s|| / ||y|| (a nearly constant gradient) is clipped to alpha01
     assert start([1.0 + 1e-9, 0.0]) == 1.0
 
 
@@ -112,7 +115,7 @@ def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch):
         p = builtin_problem("stiefel", n=8, p=2, seed=1)
         trace = plateau(p, p.init_point(1), replace(cfg, eps2=1e-3), beta0=1e-3, lp0=50)
     assert trace.termination == "converged"
-    spectral = clipped = held = 0
+    spectral = clipped = unsigned = held = 0
     pending = iter(calls)
     for r in trace.records:
         if r.k == 0:
@@ -122,20 +125,23 @@ def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch):
             assert (ev.g_val, alpha) == (r.g_before, r.step_len)
             assert alpha0 == _gradient_start(prev, ev, alpha_prev, cfg.alpha01)
             assert r.step_len == alpha0 * cfg.tau1**r.backtracks <= cfg.alpha01
-            if prev is not None and float((ev.x - prev.x) @ (ev.grad_g - prev.grad_g)) > 0.0:
+            if prev is not None and np.any(ev.grad_g != prev.grad_g):
                 spectral += alpha0 < cfg.alpha01
                 clipped += alpha0 == cfg.alpha01
+                # a start read across s.y <= 0, where s.s / s.y has no meaning
+                unsigned += float((ev.x - prev.x) @ (ev.grad_g - prev.grad_g)) <= 0.0
             held += prev is None and r.k > 0
             prev, alpha_prev = ev, alpha
         elif r.kind == "eigen":
             prev = None
     assert next(pending, None) is None
-    assert spectral and clipped
+    assert spectral
     if driver == "plateau":
-        assert len(trace.plateaus) > 1
+        assert clipped and len(trace.plateaus) > 1
         assert [r.k for r in trace.records].count(0) >= len(trace.plateaus)
     else:
-        assert held and "gradient eigen gradient" in " ".join(r.kind for r in trace.records)
+        assert unsigned and held
+        assert "gradient eigen gradient" in " ".join(r.kind for r in trace.records)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7919])
@@ -593,18 +599,17 @@ def test_plateau_evaluates_each_stage_start_once(monkeypatch):
     p = replace(base, **{k: counted(k) for k in ("f", "grad_f", "hess_f", "h", "jac_h", "hess_h")})
     svds, thresholds, exact_checks, rebases = [], [], [], []
     real_svd, real_thresholds, real_evaluate = penalty.svd, solver.beta_thresholds, solver.evaluate
-    real_check = solver.beta_thresholds_unless_below
     monkeypatch.setattr(penalty, "svd", lambda a: svds.append(a) or real_svd(a))
-    monkeypatch.setattr(solver, "beta_thresholds",
-                        lambda *a: thresholds.append(a) or real_thresholds(*a))
 
-    def check_spy(*a):
-        th = real_check(*a)
-        if th is not None:
+    def thresholds_spy(*a, below=None):
+        th = real_thresholds(*a, below=below)
+        if below is None:
+            thresholds.append(a)
+        elif th is not None:  # a stop check whose bound left the trigger open
             exact_checks.append(th)
         return th
 
-    monkeypatch.setattr(solver, "beta_thresholds_unless_below", check_spy)
+    monkeypatch.setattr(solver, "beta_thresholds", thresholds_spy)
 
     def evaluate_spy(problem, x, beta, *args, **kwargs):
         if not isinstance(x, PenaltyEval) or x.beta == beta:
@@ -647,22 +652,22 @@ def test_plateau_stop_bound_decides_as_the_exact_thresholds(monkeypatch, problem
     from fletcher_penalty import solver
 
     p, run = _stop_check_run(problem_id, seed)
-    real_check, ruled_out = solver.beta_thresholds_unless_below, []
+    real_thresholds, ruled_out = solver.beta_thresholds, []
 
-    def check_spy(problem, ev, beta):
-        th = real_check(problem, ev, beta)
-        if th is None:
-            ruled_out.append((ev, beta))
+    def check_spy(problem, ev, below=None):
+        th = real_thresholds(problem, ev, below=below)
+        if below is not None and th is None:
+            ruled_out.append((ev, below))
         return th
 
-    monkeypatch.setattr(solver, "beta_thresholds_unless_below", check_spy)
+    monkeypatch.setattr(solver, "beta_thresholds", check_spy)
     trace = run(p)
     assert trace.termination == "converged"
     assert any(s.stop_reason == "b_trigger" for s in trace.plateaus)
     assert ruled_out
     assert all(beta_thresholds(p, ev).b_max < beta for ev, beta in ruled_out)
-    monkeypatch.setattr(solver, "beta_thresholds_unless_below",
-                        lambda problem, ev, beta: beta_thresholds(problem, ev))
+    monkeypatch.setattr(solver, "beta_thresholds",
+                        lambda problem, ev, below=None: real_thresholds(problem, ev))
     assert trace.as_dict() == run(p).as_dict()
 
 
@@ -680,16 +685,17 @@ def test_plateau_stop_check_takes_an_svd_only_at_a_trigger(monkeypatch, problem_
         return base.hess_h(*a)
 
     p = replace(base, hess_h=hess_h)
-    real_svd, real_check = penalty.svd, solver.beta_thresholds_unless_below
+    real_svd, real_thresholds = penalty.svd, solver.beta_thresholds
     monkeypatch.setattr(penalty, "svd", lambda a: svds.append(a) or real_svd(a))
 
-    def check_spy(problem, ev, beta):
+    def check_spy(problem, ev, below=None):
         calls_before, svds_before = hess_h_calls[0], len(svds)
-        th = real_check(problem, ev, beta)
-        checks.append((ev, beta, th, hess_h_calls[0] - calls_before, svds[svds_before:]))
+        th = real_thresholds(problem, ev, below=below)
+        if below is not None:  # a stop check, not the final certificate's bounds
+            checks.append((ev, below, th, hess_h_calls[0] - calls_before, svds[svds_before:]))
         return th
 
-    monkeypatch.setattr(solver, "beta_thresholds_unless_below", check_spy)
+    monkeypatch.setattr(solver, "beta_thresholds", check_spy)
     trace = run(p)
     triggers = sum(s.stop_reason == "b_trigger" for s in trace.plateaus)
     assert triggers and len(checks) > triggers
