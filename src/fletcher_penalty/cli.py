@@ -277,21 +277,8 @@ def cmd_sweep(args):
         g_final = trace.records[-1].g_after if trace.records else float("nan")
         flag = "" if trace.termination == "converged" else trace.termination
         all_converged = all_converged and trace.termination == "converged"
-        lines.append(
-            ",".join(
-                [
-                    _fmt(eps),
-                    str(total),
-                    str(grad_iters),
-                    str(eigen_iters),
-                    _fmt(h_norm),
-                    _fmt(grad_norm),
-                    _fmt(min_eig),
-                    _fmt(g_final),
-                    flag,
-                ]
-            )
-        )
+        lines.append(",".join([_fmt(eps), str(total), str(grad_iters), str(eigen_iters),
+                               _fmt(h_norm), _fmt(grad_norm), _fmt(min_eig), _fmt(g_final), flag]))
     summary = "sweep: %d runs, %s" % (
         len(eps_values), "all converged" if all_converged else "some did not converge")
     return "\r\n".join(lines) + "\r\n", summary, EXIT_OK if all_converged else EXIT_NOT_REACHED
@@ -300,7 +287,10 @@ def cmd_sweep(args):
 def main(argv=None):
     try:
         args = _parse(argv)
-        text, summary, code = args.run(args)
+        # main alone writes to stderr: an overflow or NaN a run meets is reported,
+        # if at all, by the run's one error line, not by NumPy's warnings
+        with np.errstate(all="ignore"):
+            text, summary, code = args.run(args)
         with open(args.output_path, "w", newline="") as fh:
             fh.write(text)
         print(summary, file=sys.stderr)

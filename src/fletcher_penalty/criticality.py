@@ -9,7 +9,6 @@ tolerances; the competing Lagrangian-based check is provided for
 comparison with user-supplied multipliers.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -17,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .linalg import kernel_basis, sym_eig_min, vector_norm
-from .penalty import _finite, _lagrangian_hess, _point
+from .penalty import _finite, _lagrangian_hess, _point, _read_h
 
 __all__ = [
     "LayeredQuantities",
@@ -75,9 +74,6 @@ class CriticalityCertificate:
             "socp_pass": self.socp_pass,
         }
 
-    def to_json(self):
-        return json.dumps(self.as_dict())
-
 
 def layered_grad(problem, x):
     """Gradient of f projected onto ker Dh(x): grad f - Dh^T lambda."""
@@ -102,14 +98,8 @@ def layered_hess(problem, x):
     pt = _point(problem, x)
     rg = pt.riem_grad
     q, reduced, min_eig = _reduced_hess(problem, pt.x, pt.jac, pt.lambda_val)
-    return LayeredQuantities(
-        h_norm=pt.h_norm,
-        riem_grad=rg,
-        riem_grad_norm=vector_norm(rg),
-        tangent_basis=q,
-        reduced_hess=reduced,
-        min_eig=min_eig,
-    )
+    return LayeredQuantities(h_norm=pt.h_norm, riem_grad=rg, riem_grad_norm=vector_norm(rg),
+                             tangent_basis=q, reduced_hess=reduced, min_eig=min_eig)
 
 
 def certify(problem, x, eps0, eps1, eps2):
@@ -126,15 +116,9 @@ def certify(problem, x, eps0, eps1, eps2):
         min_eig = layered_hess(problem, pt).min_eig
         eps2_m, curvature_ok = max(0.0, -min_eig), min_eig >= -eps2
     focp = eps0_m <= eps0 and eps1_m <= eps1
-    return CriticalityCertificate(
-        eps0_measured=eps0_m,
-        eps1_measured=eps1_m,
-        eps2_measured=eps2_m,
-        targets=(eps0, eps1, eps2),
-        focp_pass=focp,
-        socp_pass=focp and curvature_ok,
-        min_eig=min_eig,
-    )
+    return CriticalityCertificate(eps0_measured=eps0_m, eps1_measured=eps1_m,
+                                  eps2_measured=eps2_m, targets=(eps0, eps1, eps2),
+                                  focp_pass=focp, socp_pass=focp and curvature_ok, min_eig=min_eig)
 
 
 def lagrangian_check(problem, x, lam, eps0, eps1, eps2):
@@ -143,14 +127,15 @@ def lagrangian_check(problem, x, lam, eps0, eps1, eps2):
     First flag: ||h|| <= eps0 and ||grad f - Dh^T lam|| <= eps1. Second
     flag: additionally the Lagrangian Hessian restricted to ker Dh(x) is
     bounded below by -eps2. Works for any lam; no rank requirement beyond
-    what the kernel basis tolerates.
+    what the kernel basis tolerates. A non-finite h, jac_h or grad_f raises
+    EvaluationError naming it, in that order.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float).ravel()
-    h_val = np.asarray(problem.h(x), dtype=float).ravel()
-    jac = np.asarray(problem.jac_h(x), dtype=float)
-    grad_l = np.asarray(problem.grad_f(x), dtype=float).ravel() - jac.T @ lam
-    first = bool(np.linalg.norm(h_val) <= eps0 and np.linalg.norm(grad_l) <= eps1)
+    h_norm = _read_h(problem, x)[1]
+    jac = _finite(np.asarray(problem.jac_h(x), dtype=float), "jac_h", x)
+    grad_l = _finite(np.asarray(problem.grad_f(x), dtype=float).ravel(), "grad_f", x) - jac.T @ lam
+    first = bool(h_norm <= eps0 and vector_norm(grad_l) <= eps1)
     if not first:
         return False, False
     if math.isinf(eps2):

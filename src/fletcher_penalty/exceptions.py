@@ -49,12 +49,11 @@ class BacktrackFailureError(FletcherPenaltyError):
 
 
 class DecreaseBelowRoundingError(BacktrackFailureError):
-    """Backtracking failed where even a step of the configured initial size
-    had to decrease the penalty by no more than its rounding.
+    """Backtracking failed where no trial's decrease can be told from rounding
+    (the rule is stated in solver._backtrack).
 
-    No trial's decrease can then be told from rounding, so the failure says
-    that the tolerance is out of reach at this point, not that beta is too
-    small.
+    The failure says that the tolerance is out of reach at this point, not
+    that beta is too small.
     """
 
 

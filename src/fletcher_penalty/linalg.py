@@ -2,11 +2,8 @@
 
 Everything here is a thin, contract-checked layer over LAPACK (through
 numpy.linalg). All functions are pure and deterministic within one build:
-identical inputs give bitwise-identical outputs. svd has two routes: a
-wide, well-conditioned matrix A of at least GRAM_MIN_COLS columns is
-factored through the eigendecomposition of its Gram matrix A A^T, any
-other matrix by LAPACK's SVD, so every rank-deficiency decision is made on
-LAPACK's singular values.
+identical inputs give bitwise-identical outputs. svd has two routes, the
+Gram route and LAPACK's SVD; its docstring states when each is taken.
 """
 
 import math
@@ -126,7 +123,8 @@ def svd(a):
     A wide matrix (0 < m <= n, n >= GRAM_MIN_COLS) with
     sigma_min / sigma_max > 0.1 is factored through eigh(A A^T):
     s = sqrt(w), u its eigenvectors and vt = diag(1/s) u^T A. Every other
-    matrix goes to LAPACK. Raises ValueError on non-finite entries, and
+    matrix goes to LAPACK, so every rank-deficiency decision is made on
+    LAPACK's singular values. Raises ValueError on non-finite entries, and
     NumericalFailureError if LAPACK's iteration does not converge within
     its sweep budget.
     """

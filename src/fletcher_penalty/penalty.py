@@ -6,14 +6,10 @@ splits into a tangent part (the Riemannian gradient of f on the level set
 of h through x) and constraint-normal parts. The Hessian is assembled from
 the same pieces, less the term sum_i h_i hess lambda_i, which would need
 third derivatives and vanishes on the feasible set. Each point costs one
-thin SVD of Dh, which yields the multipliers,
-(Dh Dh^T)^{-1} = U diag(s^-2) U^T and the rank check. Where Dh has at
-least linalg.GRAM_MIN_COLS columns and is well conditioned
-(sigma_min / sigma_max > 0.1, as the region's sigma_lb keeps it at the
-iterates of the built-in problems), linalg.svd takes it from
-eigh(Dh Dh^T); otherwise, and so for every rank decision, from LAPACK's
-SVD. Second derivatives of f and h enter as Hessian products; only
-penalty_hess takes them with the n-by-n identity.
+thin SVD of Dh (linalg.svd, whose docstring says when it takes the Gram
+route), which yields the multipliers, (Dh Dh^T)^{-1} = U diag(s^-2) U^T and
+the rank check. Second derivatives of f and h enter as Hessian products;
+only penalty_hess takes them with the n-by-n identity.
 """
 
 import math
@@ -110,29 +106,41 @@ def _value(problem, x, h_val, lam, beta, grad_f=None):
     return g_val
 
 
-def _point(problem, x, h_val=None, beta=None):
-    """The point record of x: h, its norm, Dh, its thin SVD, grad f and multipliers.
+def _read_h(problem, x, h_val=None):
+    """(h, ||h||, ||h|| <= radius) at the array x: the one reader of h and region test.
 
-    x may be a PenaltyEval, which is returned as it is. h_val, when given,
-    is h(x) as the caller already evaluated it: it is checked and used in
-    place of a new call to h. With beta, the new record also holds the
-    penalty value at beta, so a value-only evaluation builds one record.
-    Each evaluator's output is checked once, in the order h, jac_h, grad_f,
-    f, and through a scalar the point computes anyway: a NaN or +-inf entry
-    makes that scalar non-finite (IEEE: 0 * inf is NaN). The scalars are
-    ||h||, svd's own check for jac_h, and g (lam . lam without beta) for
-    grad_f; the full scan runs only when the scalar is not finite, so a
-    finite h whose norm overflows passes.
+    h comes back as a raveled float vector with its norm from vector_norm;
+    the region includes its boundary. h_val, when given, is h(x) as the
+    caller already evaluated it, used in place of a new call to h. Only a
+    non-finite norm scans h: a NaN or +-inf entry raises EvaluationError
+    naming h, while a finite h whose norm overflows lies outside the region.
     """
-    if isinstance(x, PenaltyEval):
-        return x
-    x = np.asarray(x, dtype=float)
     if h_val is None:
         h_val = problem.h(x)
     h_val = np.asarray(h_val, dtype=float).ravel()
     h_norm = vector_norm(h_val)
     if not math.isfinite(h_norm):
         _finite(h_val, "h", x)
+    return h_val, h_norm, h_norm <= problem.region.radius
+
+
+def _point(problem, x, h_val=None, beta=None):
+    """The point record of x: h, its norm, Dh, its thin SVD, grad f and multipliers.
+
+    x may be a PenaltyEval, which is returned as it is. h_val, when given,
+    is h(x) as the caller already evaluated it (see _read_h). With beta,
+    the new record also holds the penalty value at beta, so a value-only
+    evaluation builds one record. Each evaluator's output is checked once,
+    in the order h, jac_h, grad_f, f, and through a scalar the point
+    computes anyway: a NaN or +-inf entry makes that scalar non-finite
+    (IEEE: 0 * inf is NaN). The scalars are ||h|| (_read_h), svd's own
+    check for jac_h, and g (lam . lam without beta) for grad_f; the full
+    scan runs only when the scalar is not finite.
+    """
+    if isinstance(x, PenaltyEval):
+        return x
+    x = np.asarray(x, dtype=float)
+    h_val, h_norm, inside = _read_h(problem, x, h_val)
     jac = np.asarray(problem.jac_h(x), dtype=float)
     try:
         res = svd(jac)  # svd's own finiteness check is the only pass over jac
@@ -154,7 +162,7 @@ def _point(problem, x, h_val=None, beta=None):
     else:
         g_val = _value(problem, x, h_val, lam, beta, grad_f)
     reg = problem.region
-    if h_norm <= reg.radius and res.sigma_min < reg.sigma_lb * (1.0 - 1e-9):
+    if inside and res.sigma_min < reg.sigma_lb * (1.0 - 1e-9):
         warnings.warn(
             "sigma_min(Dh)=%.3e dips below the declared lower bound %.3e inside "
             "the region; the supplied region constants look inconsistent"
@@ -297,8 +305,9 @@ def penalty_hess(problem, x, beta):
     and is O(||h||): zero on the feasible set and small at the
     eps1-stationary iterates where the solver reads curvature. x may be a
     PenaltyEval, whose point data and Lagrangian-Hessian block are reused:
-    the Hessian then costs one hess_f and m + 2 hess_h products with the
-    identity, and no further evaluation or SVD.
+    the Hessian then costs one hess_f and two hess_h products with the
+    identity (H(lam) and H(h)), the m hess_h vector products of Dlam's rows,
+    and no further evaluation or SVD.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
@@ -318,15 +327,8 @@ def _thresholds(c_lambda, res):
     beta1 = s_max * c_lambda / (2.0 * s_min**2)
     beta2 = c_lambda / s_min
     beta3 = 1.0 / s_min
-    return BetaThresholds(
-        beta1=beta1,
-        beta2=beta2,
-        beta3=beta3,
-        b_max=max(beta1, beta2, beta3),
-        c_lambda=c_lambda,
-        sigma_min=s_min,
-        sigma_max=s_max,
-    )
+    return BetaThresholds(beta1=beta1, beta2=beta2, beta3=beta3, b_max=max(beta1, beta2, beta3),
+                          c_lambda=c_lambda, sigma_min=s_min, sigma_max=s_max)
 
 
 # Relative margin on the Frobenius bound: a LAPACK sigma_max of a rank-one
@@ -356,6 +358,5 @@ def beta_thresholds(problem, x, below=None):
 
 
 def in_region(problem, x):
-    """True iff ||h(x)|| <= radius (boundary included)."""
-    h_val = np.asarray(problem.h(np.asarray(x, dtype=float)), dtype=float)
-    return bool(np.linalg.norm(h_val) <= problem.region.radius)
+    """True iff ||h(x)|| <= radius (boundary included); a non-finite h raises (_read_h)."""
+    return bool(_read_h(problem, np.asarray(x, dtype=float))[2])

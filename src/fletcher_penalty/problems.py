@@ -357,7 +357,8 @@ def random_point_in_region(problem, seed, scale=0.5):
     t = scale
     for _ in range(80):
         cand = x0 + t * v
-        # a huge scale may overflow h; a non-finite norm fails the test and halving goes on
+        # read raw, not through penalty's reader: an overflowing probe is a point outside,
+        # and halving goes on
         with np.errstate(over="ignore", invalid="ignore"):
             inside = np.linalg.norm(problem.h(cand)) <= radius
         if inside:
@@ -384,13 +385,13 @@ def _range_or_list(spec_str):
         raise ValueError("diag range %r is empty: it needs start <= end" % spec_str)
     if not all(map(math.isfinite, values)):
         raise ValueError("--diag %r holds a value that is not finite" % spec_str)
-    # A range's span end + 1 - start bounds its floor(end - start) + 1 entries.
-    size = values[1] + 1.0 - values[0] if len(parts) == 2 else len(values)
+    # A range holds floor(end - start) + 1 entries.
+    size = math.floor(values[1] - values[0]) + 1 if len(parts) == 2 else len(values)
     if size > MAX_DENSE_N:
         raise ValueError("--diag %r holds more than %d entries, the cap on the dense "
                          "n-by-n matrix" % (spec_str, MAX_DENSE_N))
     if len(parts) == 2:  # start, start + 1, ..., up to the last start + k <= end
-        return values[0] + np.arange(math.floor(values[1] - values[0]) + 1.0)
+        return values[0] + np.arange(float(size))
     return np.array(values)
 
 

@@ -28,6 +28,7 @@ from .exceptions import (
 from .linalg import min_eig_above, sym_eig_min, vector_norm
 from .penalty import (
     PenaltyEval,
+    _read_h,
     beta_thresholds,
     evaluate,
     in_region,
@@ -145,10 +146,8 @@ class RunTrace:
 
     termination is one of "converged", "max_iters", "rank_deficient",
     "beta_too_small", "tolerance_unreachable". The last is a failed search
-    in which even a step of alpha01 (alpha02 for an eigenstep) had to
-    decrease g by no more than its rounding: the tolerance is out of reach
-    there, whatever beta is. Plateau
-    runs additionally carry the per-plateau schedule; their records
+    that _backtrack's rounding rule puts out of reach, whatever beta is.
+    Plateau runs additionally carry the per-plateau schedule; their records
     concatenate all plateaus (the k index restarts at each plateau). A
     plateau run stopped by its plateau cap, or by a schedule that cannot
     grow any further, has termination "max_plateaus"; one whose
@@ -193,17 +192,17 @@ def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what, alpha_
     """First alpha in {alpha0 * tau^j} whose trial ev.x + alpha*d stays in the region
     and decreases g by at least required_decrease(alpha).
 
-    alpha_top is the configured initial step (alpha01 or alpha02), the
-    largest start the solver gives the search. A failed search whose
-    required_decrease(alpha_top) is at most ROUNDING_ULPS ulps of g raises
-    DecreaseBelowRoundingError: no start could show a decrease above rounding.
+    The rounding rule: alpha_top is the configured initial step (alpha01
+    or alpha02), the largest start the solver gives the search. A failed
+    search whose required_decrease(alpha_top) is at most ROUNDING_ULPS ulps
+    of g raises DecreaseBelowRoundingError: no start could show a decrease
+    above rounding.
     """
-    radius = problem.region.radius
     alpha = alpha0
     for j in range(cfg.max_backtracks + 1):
         x_next = ev.x + alpha * d
-        h_next = np.asarray(problem.h(x_next), dtype=float).ravel()
-        if vector_norm(h_next) <= radius:
+        h_next, _, inside = _read_h(problem, x_next)
+        if inside:
             # the trial's evaluation takes this h rather than calling h again
             trial = evaluate(problem, x_next, ev.beta, with_grad=False, h_val=h_next)
             if ev.g_val - trial.g_val >= required_decrease(alpha):
@@ -230,8 +229,8 @@ def gradient_backtrack(problem, ev, cfg, alpha0=None):
     (trial.x is the point); evaluate() completes it with its gradient.
     Raises BacktrackFailureError once the trial budget is exhausted, which
     signals that beta is likely below the pointwise exactness threshold (or
-    numerical trouble); its subclass DecreaseBelowRoundingError when even a
-    step of alpha01 had to decrease g by no more than its rounding.
+    numerical trouble); its subclass DecreaseBelowRoundingError under
+    _backtrack's rounding rule.
     """
     d = -ev.grad_g
     gnorm_sq = float(d @ d)
@@ -282,6 +281,11 @@ def _check_inputs(problem, x0, cfg):
             "eps1=%g violates the requirement eps1 <= R/2 (R=%g)"
             % (cfg.eps1, problem.region.radius)
         )
+    return _check_start(problem, x0)
+
+
+def _check_start(problem, x0):
+    """x0 as an array; ValueError unless it lies in the region (in_region)."""
     x0 = np.asarray(x0, dtype=float)
     if not in_region(problem, x0):
         raise ValueError("x0 lies outside the region ||h|| <= %g" % problem.region.radius)
@@ -289,19 +293,9 @@ def _check_inputs(problem, x0, cfg):
 
 
 def _terminal(records, ev, reason, k):
-    records.append(
-        IterationRecord(
-            k=k,
-            kind="terminal",
-            step_len=0.0,
-            g_before=ev.g_val,
-            g_after=ev.g_val,
-            grad_norm=ev.grad_norm,
-            h_norm=ev.h_norm,
-            curvature=None,
-            backtracks=0,
-        )
-    )
+    records.append(IterationRecord(k=k, kind="terminal", step_len=0.0, g_before=ev.g_val,
+                                   g_after=ev.g_val, grad_norm=ev.grad_norm, h_norm=ev.h_norm,
+                                   curvature=None, backtracks=0))
     return ev, reason
 
 
@@ -426,16 +420,12 @@ def _certified(problem, cfg, records, ev, reason, x0, plateaus=None):
 def gradient_eigenstep(problem, x0, cfg):
     """Minimize the penalty until its gradient and (optionally) curvature tolerances hold.
 
-    Each accepted iterate is decided once, in this order: the iteration
-    budget (k >= max_iters ends the run as "max_iters"); convergence,
-    i.e. ||grad g|| <= eps1 and, with finite eps2, a smallest eigenvalue of
-    penalty_hess >= -eps2; and otherwise a step. The curvature test is a
-    Cholesky factorization of penalty_hess + eps2 I, which succeeds exactly
-    when that matrix is positive definite; no eigenvalue is computed for it.
-    The step is a gradient step while ||grad g|| > eps1, otherwise an
-    eigenstep along the eigenvector of the smallest eigenvalue, computed only
-    for that step (sign-flipped so it is non-ascending). The final point
-    carries a layered criticality certificate with targets
+    Convergence is ||grad g|| <= eps1 and, with finite eps2, a smallest
+    eigenvalue of penalty_hess >= -eps2; _descend states the order in which
+    each iterate is decided and how. The step is a gradient step while
+    ||grad g|| > eps1, otherwise an eigenstep along the eigenvector of the
+    smallest eigenvalue (sign-flipped so it is non-ascending). The final
+    point carries a layered criticality certificate with targets
     (eps1, 2*eps1, eps2).
 
     Worst-case accounting (documentation only): every accepted gradient
@@ -459,12 +449,9 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
     Each plateau runs the gradient_eigenstep loop at constant beta with the
     extra stopping criterion "B(x_k) >= beta_l or k > LP_l", where B is the
     maximum of the pointwise beta thresholds, checked at every non-converged
-    iterate. The check forms Dlambda (m hess_h products) and first compares
-    the thresholds taken with ||Dlambda||_F, an upper bound on c_lambda =
-    ||Dlambda||_2, against beta_l; only when that bound, with a relative
-    margin of 1e-8, does not rule the trigger out is Dlambda's SVD taken for
-    the exact B (beta_thresholds with below=beta_l). B, and so the stage's
-    b_value and the next beta, is thus always the exact one. On a B-trigger
+    iterate by beta_thresholds(below=beta_l), whose docstring states the
+    bound that skips Dlambda's SVD; B, and so the stage's b_value and the
+    next beta, is always the exact one. On a B-trigger
     the budget grows by (gamma*B/beta_l)^4 and beta jumps to gamma*B;
     otherwise both grow geometrically (gamma^4 and gamma). Backtracking
     failure is treated as a B-trigger at the current beta, forcing growth,
@@ -549,11 +536,10 @@ def restore_feasibility(problem, x0, step, t_end):
     """
     if not (0 < step < math.inf and 0 < t_end < math.inf):
         raise ValueError("step and t_end must be positive and finite")
-    x = np.asarray(x0, dtype=float)
-    if not in_region(problem, x):
-        raise ValueError("x0 lies outside the region ||h|| <= %g" % problem.region.radius)
+    x = _check_start(problem, x0)
 
     def h_at(y):
+        # read raw, not through _read_h: a non-finite h at a trial is a rejected step
         return np.asarray(problem.h(y), dtype=float).ravel()
 
     def rhs(y, hv=None):

@@ -176,6 +176,22 @@ def test_beta_too_large_for_the_gradient_exits_three_in_one_line(tmp_path, capsy
     assert err.count("\n") == 1 and "beta=1e+308" in err and "hess_h" not in err
 
 
+def test_overflowing_matrix_exits_three_in_one_line(tmp_path, capsys):
+    # 1e308 + 1e308 overflows in the cost's symmetrization and the penalty's
+    # products: main prints the run's one error line, and NumPy no warning
+    path = tmp_path / "a.csv"
+    np.savetxt(path, np.diag([1e308, 1e308, 3.0, 4.0, 5.0]), delimiter=",")
+    out = tmp_path / "s.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["solve", "--problem", "rayleigh", "--matrix", str(path),
+                        "--output-path", str(out)])
+    assert code == 3 and not out.exists()
+    assert [w.message for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("fletcher-penalty: grad_f returned non-finite")
+
+
 def test_unreachable_tolerance_exits_two_in_one_line(tmp_path, capsys):
     # eps1 = 1e-300 is below what the rounding of g can resolve: the failed search
     # is named for that (tolerance not reached), not read as beta too small

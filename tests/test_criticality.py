@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fletcher_penalty import (
+    EvaluationError,
     certify,
     kernel_basis,
     lagrangian_check,
@@ -171,6 +173,18 @@ def test_lagrangian_check_strict_minimizer():
     assert lagrangian_check(p, e1, lam, 1e-10, 1e-10, 1e-10) == (True, True)
 
 
+@pytest.mark.parametrize("evaluator", ["h", "jac_h", "grad_f"])
+def test_lagrangian_check_names_a_non_finite_evaluator(evaluator):
+    # as certify does: a NaN is an evaluator fault, not a failed check
+    p = make_sphere(5, np.eye(1, 5))
+    x = p.init_point(0)
+    lam, _ = multipliers(p, x)
+    real = getattr(p, evaluator)
+    bad = replace(p, **{evaluator: lambda y: np.full(np.shape(real(y)), np.nan)})
+    with pytest.raises(EvaluationError, match="^%s returned non-finite values" % evaluator):
+        lagrangian_check(bad, x, lam, 1.0, 1.0, 1.0)
+
+
 def test_certify_implies_lagrangian(builtins):
     rng = np.random.default_rng(30)
     for p in builtins.values():
@@ -240,7 +254,7 @@ def test_second_order_transfer_inequality():
 
 def test_certificate_json_shape(sphere_w):
     p, w = sphere_w
-    payload = json.loads(certify(p, w, 0.5, 0.5, 0.5).to_json())
+    payload = json.loads(json.dumps(certify(p, w, 0.5, 0.5, 0.5).as_dict()))
     assert set(payload) == {
         "eps0_measured",
         "eps1_measured",
@@ -250,6 +264,6 @@ def test_certificate_json_shape(sphere_w):
         "socp_pass",
     }
     assert payload["targets"] == [0.5, 0.5, 0.5]
-    payload_inf = json.loads(certify(p, w, 0.5, 0.5, math.inf).to_json())
+    payload_inf = json.loads(json.dumps(certify(p, w, 0.5, 0.5, math.inf).as_dict()))
     assert payload_inf["targets"][2] is None
     assert payload_inf["eps2_measured"] is None

@@ -350,11 +350,12 @@ def test_registry_ids():
 
 
 def test_diag_spec_is_capped_at_the_dense_matrix_size():
-    # a range holds ceil(end + 1 - start) entries; only the diagonal is built here
+    # a range holds floor(end - start) + 1 entries; only the diagonal is built here
     assert MAX_DENSE_N == 10_000
-    assert _range_or_list("1..10000").size == _range_or_list("0.5..9999.5").size == MAX_DENSE_N
-    assert _range_or_list(",".join(["1"] * MAX_DENSE_N)).size == MAX_DENSE_N
-    for spec in ("0.5..10000.4", "1..10001", ",".join(["1"] * (MAX_DENSE_N + 1))):
+    for spec in ("1..10000", "0.5..9999.5", "1..10000.5", "0.5..10000.4",
+                 ",".join(["1"] * MAX_DENSE_N)):
+        assert _range_or_list(spec).size == MAX_DENSE_N
+    for spec in ("0.5..10000.5", "1..10001", ",".join(["1"] * (MAX_DENSE_N + 1))):
         with pytest.raises(ValueError, match="holds more than 10000 entries"):
             _range_or_list(spec)
 

@@ -1,5 +1,6 @@
 """Solver loop, backtracking procedures, plateau scheme, restoration flow."""
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -23,12 +24,14 @@ from fletcher_penalty import (
     make_rayleigh_sphere,
     make_sphere,
     penalty_grad,
+    penalty_hess,
     plateau,
     random_point_in_region,
     restore_feasibility,
 )
 
 from fletcher_penalty import solver
+from fletcher_penalty.cli import main
 from fletcher_penalty.solver import _gradient_start
 
 from conftest import ALL_BUILTIN_IDS, make_affine_toy, make_rank_crossing_toy, make_saddle_toy
@@ -92,7 +95,7 @@ def test_gradient_start_branches():
 
 
 @pytest.mark.parametrize("driver", ["solve", "plateau"])
-def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch):
+def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch, tmp_path):
     # an exact replay of every gradient search's start: the search at ev starts at
     # _gradient_start(prev, ev, alpha_prev, alpha01), where prev is the point of the
     # last search when the last step was a gradient step of the same loop (else
@@ -139,6 +142,12 @@ def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch):
     if driver == "plateau":
         assert clipped and len(trace.plateaus) > 1
         assert [r.k for r in trace.records].count(0) >= len(trace.plateaus)
+        # the command line writes the records of this run, so the replay covers it too
+        out = tmp_path / "p.json"
+        assert main(["plateau", "--problem", "stiefel", "--n", "8", "--p", "2", "--seed", "1",
+                     "--eps1", "1e-5", "--eps2", "1e-3", "--beta0", "1e-3", "--lp0", "50",
+                     "--output-path", str(out)]) == 0
+        assert json.loads(out.read_text())["records"] == [r.as_dict() for r in trace.records]
     else:
         assert unsigned and held
         assert "gradient eigen gradient" in " ".join(r.kind for r in trace.records)
@@ -436,6 +445,35 @@ def test_non_finite_evaluator_output_raises_evaluation_error(evaluator):
     bad = replace(p, **{evaluator: nan[evaluator]})
     with pytest.raises(EvaluationError, match="^%s returned (a )?non-finite" % evaluator):
         gradient_eigenstep(bad, p.init_point(0), SolverConfig(eps1=1e-5, beta=10.0))
+
+
+def _nan_h_off(p, x0):
+    """p with an h that returns NaN everywhere except at x0."""
+    return replace(p, h=lambda x: p.h(x) if np.array_equal(x, x0) else np.full(p.dim_h, math.nan))
+
+
+def test_nan_h_at_a_trial_raises_evaluation_error():
+    # a NaN from h at a search trial is an h fault, not a trial outside the region
+    # (which would end the run as beta_too_small)
+    p = diag_rayleigh()
+    x0 = p.init_point(0)
+    with pytest.raises(EvaluationError, match="^h returned non-finite values"):
+        gradient_eigenstep(_nan_h_off(p, x0), x0, SolverConfig(beta=10.0))
+
+
+def test_nan_h_at_a_trial_ends_the_plateau_scheme():
+    # not a backtrack_failure that raises beta stage after stage
+    p = diag_rayleigh()
+    x0 = p.init_point(0)
+    with pytest.raises(EvaluationError, match="^h returned non-finite values"):
+        plateau(_nan_h_off(p, x0), x0, SolverConfig(), beta0=1.0, lp0=10, max_plateaus=5)
+
+
+def test_restoration_from_a_nan_h_point_raises_evaluation_error():
+    # the start-point check names h, instead of calling x0 outside the region
+    p = diag_rayleigh()
+    with pytest.raises(EvaluationError, match="^h returned non-finite values"):
+        restore_feasibility(_nan_h_off(p, p.init_point(0)), p.init_point(1), 1e-3, 1.0)
 
 
 def test_rank_deficiency_terminates_cleanly():
@@ -751,6 +789,12 @@ def test_cholesky_convergence_test_keeps_the_records(monkeypatch, start):
     assert with_vector.count(True) == eigen
     if start == "saddle":
         assert eigen >= 1
+    assert all(r.curvature < -cfg.eps2 for r in shipped.records if r.kind == "eigen")
+    assert shipped.records[-1].kind == "terminal" and shipped.records[-1].curvature is None
+    assert shipped.final_certificate.socp_pass
+    # an oracle independent of the Cholesky test that ended the run
+    final_hess = penalty_hess(p, shipped.final_eval, cfg.beta)
+    assert np.linalg.eigvalsh(final_hess)[0] >= -cfg.eps2
     monkeypatch.setattr(solver, "min_eig_above",
                         lambda h, floor: bool(np.linalg.eigh(h)[0][0] > floor))
     oracle = gradient_eigenstep(p, x0, cfg)
