@@ -14,13 +14,6 @@ from .criticality import (
     layered_grad,
     layered_hess,
 )
-from .derivative_check import (
-    DerivativeReport,
-    check_problem,
-    fd_grad,
-    fd_jacobian,
-    relative_error,
-)
 from .exceptions import (
     BacktrackFailureError,
     DecreaseBelowRoundingError,
@@ -70,3 +63,22 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+# derivative_check is a diagnostic that no solve uses (the CLI runs it only in
+# `check`), so it is not loaded at import: its names resolve on first access
+# (PEP 562), and __all__ and __dir__ still list them
+_LAZY = ("DerivativeReport", "check_problem", "fd_grad", "fd_jacobian", "relative_error")
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name):
+    if name in _LAZY or name == "derivative_check":
+        import importlib
+
+        module = importlib.import_module(".derivative_check", __name__)
+        return module if name == "derivative_check" else getattr(module, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -28,7 +28,6 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .criticality import layered_hess
-from .derivative_check import check_problem, reports_to_json
 from .exceptions import FletcherPenaltyError
 from .problems import builtin_problem, random_point_in_region
 from .solver import SolverConfig, gradient_eigenstep, plateau, restore_feasibility
@@ -248,6 +247,9 @@ def cmd_restore(args):
 
 
 def cmd_check(args):
+    # loaded here, not at import: no other mode uses it
+    from .derivative_check import check_problem, reports_to_json
+
     problem = _make_problem(args)
     reports = check_problem(problem, list(range(args.seeds)))
     failed = [r.target for r in reports if not r.passed]

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayeredQuantities:
     """Riemannian gradient/Hessian data of f on the layer through x."""
 

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdResult:
     """Thin SVD A = u @ diag(s) @ vt with s sorted nonincreasing.
 

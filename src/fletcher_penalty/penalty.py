@@ -13,6 +13,7 @@ only penalty_hess takes them with the n-by-n identity.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class PenaltyEval:
     """One point's record, and the penalty at one beta once evaluated.
 
@@ -83,9 +84,14 @@ class BetaThresholds:
     sigma_max: float
 
 
+def _at(x):
+    """x on one line, as an error message names it: the CLI prints one line per error."""
+    return np.array2string(np.asarray(x), max_line_width=sys.maxsize)
+
+
 def _finite(arr, label, x):
     if not np.isfinite(arr).all():
-        raise EvaluationError("%s returned non-finite values at %s" % (label, x))
+        raise EvaluationError("%s returned non-finite values at %s" % (label, _at(x)))
     return arr
 
 
@@ -102,7 +108,7 @@ def _value(problem, x, h_val, lam, beta, grad_f=None):
         if grad_f is not None:
             _finite(grad_f, "grad_f", x)
         if not math.isfinite(f_val):
-            raise EvaluationError("f returned a non-finite value at %s" % (x,))
+            raise EvaluationError("f returned a non-finite value at %s" % _at(x))
     return g_val
 
 

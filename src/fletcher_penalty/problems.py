@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .penalty import _read_h
+
 __all__ = [
     "RegionParams",
     "Cost",
@@ -345,12 +347,14 @@ def random_point_in_region(problem, seed, scale=0.5):
     Perturbs the initial point by `scale` (finite, >= 0) along a random
     direction, halving the perturbation until the result lies in the region.
     Raises ValueError when no halving of `scale` lands in the region, e.g.
-    when the initial point itself lies outside it.
+    when the initial point itself lies outside it, and EvaluationError when
+    h at the initial point is not finite.
     """
     if not 0.0 <= scale < math.inf:
         raise ValueError("perturbation scale must be nonnegative and finite, got %r" % (scale,))
     rng = np.random.default_rng([int(seed), 0x5EED])
     x0 = problem.init_point(seed)
+    _read_h(problem, x0)  # a non-finite h at the start is an h fault, not a point outside
     v = rng.standard_normal(problem.dim_x)
     v /= np.linalg.norm(v)
     radius = problem.region.radius

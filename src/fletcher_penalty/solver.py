@@ -140,7 +140,7 @@ class PlateauStage:
         return asdict(self)
 
 
-@dataclass
+@dataclass(eq=False)
 class RunTrace:
     """Per-iteration records plus the final point and its certificate.
 
@@ -530,7 +530,9 @@ def restore_feasibility(problem, x0, step, t_end):
     Fixed-size fourth-order (classical Runge-Kutta) steps, halved whenever
     the violation energy phi = 0.5 ||h||^2 fails to decrease or is not
     finite; stops at t_end or once phi <= 1e-16. Returns the final point and
-    the list of (t, phi) samples including t = 0.
+    the list of (t, phi) samples including t = 0. A run that reaches t_end
+    samples it exactly; with no halving and t_end a multiple of step, it
+    takes t_end / step steps.
 
     Raises StepSizeError when halving cannot restore monotone decrease.
     """
@@ -549,13 +551,18 @@ def restore_feasibility(problem, x0, step, t_end):
     phi = 0.5 * float(h_x @ h_x)
     log = [(0.0, phi)]
     t = 0.0
-    dt = float(step)
+    dt, t_end = float(step), float(t_end)
+    # each accepted step rounds t by at most eps * t_end
+    t_rounding = float(np.finfo(float).eps) * t_end
     # k1 is the flow at x: built from x's kept h, and kept across rejected steps.
     k1 = None
     # An overshooting step may overflow; its non-finite phi is rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < t_end - 1e-15 and phi > 1e-16:
-            dt_eff = min(dt, t_end - t)
+        while t < t_end and phi > 1e-16:
+            # a remainder within the rounding t has gathered of one step is
+            # folded into the last step, which ends at t_end
+            last = t_end - t <= dt + len(log) * t_rounding
+            dt_eff = t_end - t if last else dt
             if k1 is None:
                 k1 = rhs(x, h_x)
             k2 = rhs(x + 0.5 * dt_eff * k1)
@@ -573,7 +580,7 @@ def restore_feasibility(problem, x0, step, t_end):
                     )
                 continue
             x, h_x, k1 = x_new, h_new, None
-            t += dt_eff
+            t = t_end if last else t + dt_eff
             phi = phi_new
             log.append((t, phi))
     return x, log

@@ -160,7 +160,9 @@ def test_non_finite_hess_h_exits_three(tmp_path, monkeypatch, capsys):
     bad = replace(base, hess_h=lambda x, w, v: np.full(np.shape(v), np.nan))
     monkeypatch.setattr(cli, "builtin_problem", lambda *args, **kwargs: bad)
     assert run_cli(["solve", "--problem", "rayleigh", "--output-path", str(tmp_path / "s.json")]) == 3
-    assert "hess_h returned non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the message names x on one line, however long x is
+    assert "hess_h returned non-finite" in err and err.count("\n") == 1
 
 
 def test_beta_too_large_for_the_gradient_exits_three_in_one_line(tmp_path, capsys):
@@ -626,6 +628,19 @@ def test_restore_halves_a_step_too_large(tmp_path, capsys):
     decay = json.loads(out.read_text())["decay_log"]
     assert 0.0 < decay[1][0] < 3.0
     assert all(b[1] <= a[1] for a, b in zip(decay, decay[1:]))
+
+
+def test_restore_from_an_all_nan_h_exits_three_naming_h(tmp_path, monkeypatch, capsys):
+    # h is read at the unperturbed start before any probe: a NaN there is an h fault
+    # (exit 3), not a perturbation that no halving brings into the region (exit 64)
+    base = cli.builtin_problem("stiefel", n=8, p=3, seed=3)
+    bad = replace(base, h=lambda x: np.full(base.dim_h, np.nan))
+    monkeypatch.setattr(cli, "builtin_problem", lambda *args, **kwargs: bad)
+    out = tmp_path / "r.json"
+    assert run_cli(_RESTORE + ["--output-path", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fletcher-penalty: h returned non-finite values") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_restore_step_halving_cannot_salvage_exits_three(tmp_path, capsys):

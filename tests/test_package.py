@@ -2,12 +2,35 @@
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
+
+import pytest
 
 import fletcher_penalty
+from fletcher_penalty import (
+    SolverConfig,
+    builtin_problem,
+    evaluate,
+    gradient_eigenstep,
+    layered_hess,
+)
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fletcher_penalty.__path__))
+# the names the package root resolves on first access, from derivative_check
+LAZY = {"DerivativeReport", "check_problem", "fd_grad", "fd_jacobian", "relative_error"}
+
+
+def _package_imports():
+    """(module, names) of each `from .module import names` at the package root."""
+    tree = ast.parse(pathlib.Path(fletcher_penalty.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    assert all(node.level == 1 for node in imports), "the package imports only its own modules"
+    return [(node.module, [a.name for a in node.names]) for node in imports]
 
 
 def test_every_module_all_name_resolves():
@@ -18,11 +41,73 @@ def test_every_module_all_name_resolves():
 
 
 def test_every_package_import_is_in_its_module_all():
-    tree = ast.parse(pathlib.Path(fletcher_penalty.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        assert node.level == 1, "the package imports only its own modules"
-        module = importlib.import_module("fletcher_penalty." + node.module)
-        undeclared = [a.name for a in node.names if a.name not in module.__all__]
-        assert undeclared == [], (node.module, undeclared)
+    assert set(fletcher_penalty._LAZY) == LAZY
+    for module_name, names in _package_imports() + [("derivative_check", sorted(LAZY))]:
+        module = importlib.import_module("fletcher_penalty." + module_name)
+        undeclared = [name for name in names if name not in module.__all__]
+        assert undeclared == [], (module_name, undeclared)
+
+
+def test_every_export_resolves_by_import_and_by_attribute():
+    exports = [(m, name) for m, names in _package_imports() for name in names]
+    exports += [("derivative_check", name) for name in sorted(LAZY)]
+    for module_name, name in exports:
+        module = importlib.import_module("fletcher_penalty." + module_name)
+        namespace = {}
+        exec("from fletcher_penalty import %s" % name, namespace)
+        assert namespace[name] is getattr(fletcher_penalty, name) is getattr(module, name), name
+    star = {}
+    exec("from fletcher_penalty import *", star)
+    assert {name for _, name in exports} <= set(star)
+    assert LAZY <= set(dir(fletcher_penalty))
+
+
+def test_an_unknown_name_is_still_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        fletcher_penalty.no_such_name
+    with pytest.raises(ImportError):
+        exec("from fletcher_penalty import no_such_name", {})
+
+
+def test_derivative_check_loads_on_first_use():
+    # a fresh process: this one has loaded derivative_check through the tests' imports
+    code = "\n".join([
+        "import os, sys, tempfile",
+        "import fletcher_penalty, fletcher_penalty.cli",
+        "loaded = lambda: 'fletcher_penalty.derivative_check' in sys.modules",
+        "assert not loaded()",
+        "out = os.path.join(tempfile.mkdtemp(), 'out')",
+        "for argv in (['solve', '--problem', 'rayleigh', '--n', '4'],",
+        "             ['restore', '--problem', 'stiefel', '--n', '3', '--t-end', '0.05']):",
+        "    assert fletcher_penalty.cli.main(argv + ['--output-path', out]) == 0, argv",
+        "assert not loaded()",
+        "fletcher_penalty.check_problem",
+        "assert loaded()",
+    ])
+    env = dict(os.environ)
+    src = str(pathlib.Path(fletcher_penalty.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def _two_runs():
+    p = builtin_problem("rayleigh", n=6)
+    x = p.init_point(0)
+    return {
+        "PenaltyEval": lambda: evaluate(p, x, 1.0),
+        "SvdResult": lambda: evaluate(p, x, 1.0).jac_svd,
+        "LayeredQuantities": lambda: layered_hess(p, x),
+        "RunTrace": lambda: gradient_eigenstep(p, x, SolverConfig(eps1=1e-3)),
+    }
+
+
+@pytest.mark.parametrize("record", ["LayeredQuantities", "PenaltyEval", "RunTrace", "SvdResult"])
+def test_records_of_arrays_compare_and_hash_by_identity(record):
+    # a field-wise == of ndarray fields could only raise; two equal runs are two records
+    make = _two_runs()[record]
+    a, b = make(), make()
+    assert type(a).__name__ == record
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

@@ -5,6 +5,7 @@ lambda(x) = <x, w> / (2 ||x||^2) and grad lambda = w/(2||x||^2) - <x,w> x/||x||^
 which this file uses as the independent oracle for the SVD-based code paths.
 """
 
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -347,7 +348,8 @@ def test_non_finite_evaluator_output_is_named_by_evaluate(n, bad, name):
             evaluate(bad_p, x, 1.0)
     form = "f returned a non-finite value at %s" if name == "f" else (
         name + " returned non-finite values at %s")
-    assert str(info.value) == form % (x,)
+    # x is named on one line, which the CLI prints as its one error line
+    assert str(info.value) == form % np.array2string(x, max_line_width=sys.maxsize)
     if np.isnan(bad):  # NaN propagates quietly: nothing is printed before the error
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fletcher_penalty import (
+    EvaluationError,
     Problem,
     RegionParams,
     builtin_problem,
@@ -114,6 +115,18 @@ def test_stiefel_sigma_lower_bound_in_region():
         assert np.linalg.norm(p.h(x)) <= 0.5
         s = np.linalg.svd(p.jac_h(x), compute_uv=False)
         assert s[-1] >= 2.0 * SQRT_HALF - 1e-9
+
+
+def test_random_point_reads_h_at_the_start_before_probing():
+    # a NaN h at the start is an h fault, not a perturbation that never reaches the region
+    p = builtin_problem("stiefel", n=8, p=3, seed=0)
+    with pytest.raises(EvaluationError, match="^h returned non-finite values"):
+        random_point_in_region(replace(p, h=lambda x: np.full(p.dim_h, np.nan)), 3, scale=0.3)
+    # a probe whose h overflows (here every probe 0.1 or more off the start) lies outside,
+    # and the perturbation is halved
+    x0 = p.init_point(3)
+    far = replace(p, h=lambda x: p.h(x) if np.linalg.norm(x - x0) < 0.1 else np.full(p.dim_h, np.inf))
+    assert 0.0 < np.linalg.norm(random_point_in_region(far, 3, scale=0.3) - x0) < 0.1
 
 
 def test_stiefel_taylor_remainder_constant_one():

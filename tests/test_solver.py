@@ -898,6 +898,20 @@ def test_restore_monotone_log():
     assert all(b <= a for a, b in zip(phis, phis[1:]))
 
 
+@pytest.mark.parametrize("step, t_end", [(1e-2, 3.0), (1e-3, 3.0), (0.1, 1.0)])
+def test_restore_ends_exactly_at_t_end_on_the_step_grid(step, t_end):
+    # t gathers rounding step by step; a remainder within that of one step is
+    # folded into the last step, not taken as one more step of length ~1e-14
+    p = builtin_problem("stiefel", n=8, p=3, seed=3)
+    x0 = random_point_in_region(p, 3, scale=0.4)
+    _, log = restore_feasibility(p, x0, step, t_end)
+    times = [t for t, _ in log]
+    assert len(times) - 1 == round(t_end / step)
+    assert times[-1] == t_end
+    gaps = np.diff(times)
+    assert np.allclose(gaps, step, rtol=1e-9, atol=0), (gaps.min(), gaps.max())
+
+
 def _restore_reference(problem, x, step, t_end):
     """The RK4 loop with h and k1 evaluated afresh at every use; (x, log, trials)."""
 
@@ -910,8 +924,9 @@ def _restore_reference(problem, x, step, t_end):
 
     phi, t, dt, trials = phi_at(x), 0.0, step, 0
     log = [(0.0, phi)]
-    while t < t_end - 1e-15 and phi > 1e-16:
-        dt_eff = min(dt, t_end - t)
+    while t < t_end and phi > 1e-16:
+        last = t_end - t <= dt + len(log) * np.finfo(float).eps * t_end
+        dt_eff = t_end - t if last else dt
         k1 = rhs(x)
         k2 = rhs(x + 0.5 * dt_eff * k1)
         k3 = rhs(x + 0.5 * dt_eff * k2)
@@ -922,7 +937,7 @@ def _restore_reference(problem, x, step, t_end):
         if not phi_new <= phi:
             dt *= 0.5
             continue
-        x, t, phi = x_new, t + dt_eff, phi_new
+        x, t, phi = x_new, t_end if last else t + dt_eff, phi_new
         log.append((t, phi))
     return x, log, trials
 
