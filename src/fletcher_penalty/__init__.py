@@ -55,6 +55,8 @@ from .solver import (
     PlateauStage,
     RunTrace,
     SolverConfig,
+    audit,
+    audit_restore,
     eigen_backtrack,
     gradient_backtrack,
     gradient_eigenstep,

@@ -348,13 +348,12 @@ def random_point_in_region(problem, seed, scale=0.5):
     direction, halving the perturbation until the result lies in the region.
     Raises ValueError when no halving of `scale` lands in the region, e.g.
     when the initial point itself lies outside it, and EvaluationError when
-    h at the initial point is not finite.
+    no probe lands and h at the initial point is not finite.
     """
     if not 0.0 <= scale < math.inf:
         raise ValueError("perturbation scale must be nonnegative and finite, got %r" % (scale,))
     rng = np.random.default_rng([int(seed), 0x5EED])
     x0 = problem.init_point(seed)
-    _read_h(problem, x0)  # a non-finite h at the start is an h fault, not a point outside
     v = rng.standard_normal(problem.dim_x)
     v /= np.linalg.norm(v)
     radius = problem.region.radius
@@ -368,6 +367,7 @@ def random_point_in_region(problem, seed, scale=0.5):
         if inside:
             return cand
         t *= 0.5
+    _read_h(problem, x0)  # a non-finite h at the start is an h fault, not a point outside
     raise ValueError("no halving of scale %r reaches the region ||h(x)|| <= %r" % (scale, radius))
 
 

@@ -45,12 +45,18 @@ __all__ = [
     "gradient_eigenstep",
     "plateau",
     "restore_feasibility",
+    "audit",
+    "audit_restore",
 ]
 
 
 # The computed decrease g(x) - g(x + alpha d) carries a rounding error of a
 # few ulps of g; a required decrease below that cannot be verified.
 ROUNDING_ULPS = 4.0
+
+# The relative slack of every bound checked after the fact: a record holds
+# sqrt(d.d) where the search tested d.d, so a replay can miss by rounding.
+BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -252,6 +258,13 @@ def eigen_backtrack(problem, ev, d, hess_quad, cfg):
                       lambda a: -cfg.c2 * a * a * hess_quad, cfg, "eigenstep", cfg.alpha02)
 
 
+def _violations(where, checks):
+    """A "where: clause: value > bound" line per (clause, value, bound) whose value
+    exceeds bound by more than BOUND_SLACK of it; a NaN exceeds every bound."""
+    return ["%s: %s: %r > %r" % (where, c, v, b) for c, v, b in checks
+            if not v <= b + BOUND_SLACK * abs(b)]
+
+
 def _assert_first_order_bounds(problem, ev, cert, cfg):
     """Termination sanity: first-order certificate inequalities at the final point.
 
@@ -264,13 +277,11 @@ def _assert_first_order_bounds(problem, ev, cert, cfg):
         return
     bound_h = cfg.eps1 / (cfg.beta * th.sigma_min)
     bound_g = (1.0 + th.c_lambda / (cfg.beta * th.sigma_min)) * cfg.eps1
-    slack = 1e-9 * (1.0 + cfg.eps1)
-    if cert.eps0_measured > bound_h + slack or cert.eps1_measured > bound_g + slack:
-        raise NumericalFailureError(
-            "first-order certificate bounds violated at termination: "
-            "||h||=%.3e (bound %.3e), ||grad_M f||=%.3e (bound %.3e)"
-            % (cert.eps0_measured, bound_h, cert.eps1_measured, bound_g)
-        )
+    bad = _violations("first-order certificate bounds violated at termination",
+                      [("||h||", cert.eps0_measured, bound_h),
+                       ("||grad_M f||", cert.eps1_measured, bound_g)])
+    if bad:
+        raise NumericalFailureError("; ".join(bad))
 
 
 def _check_inputs(problem, x0, cfg):
@@ -428,14 +439,9 @@ def gradient_eigenstep(problem, x0, cfg):
     point carries a layered criticality certificate with targets
     (eps1, 2*eps1, eps2).
 
-    Worst-case accounting (documentation only): every accepted gradient
-    step decreases g by at least c1 * alpha * eps1^2 and every eigenstep by
-    at least c2 * alpha^2 * eps2, with alpha bounded below (the bound is
-    stated in _descend; an eigenstep's start is always alpha02).
-    Dividing the initial gap g(x0) - inf g by those decreases gives
-    iteration counts scaling like eps1^-2 and eps2^-3; the curvature bounds
-    are unobservable suprema, so the library never evaluates the count and
-    instead records each step's decrease in the trace for replay.
+    Worst-case accounting (documentation only): dividing g(x0) - inf g by
+    the per-step decreases that audit checks, with alpha bounded below
+    (_descend), gives counts scaling like eps1^-2 and eps2^-3.
     """
     x0 = _check_inputs(problem, x0, cfg)
     records = []
@@ -584,3 +590,40 @@ def restore_feasibility(problem, x0, step, t_end):
             phi = phi_new
             log.append((t, phi))
     return x, log
+
+
+def audit(problem, trace):
+    """The paper's guarantees checked on a trace in the JSON layout; a list of violations.
+
+    Clauses: region (h_norm <= R); armijo (decrease >= c1 step_len grad_norm^2);
+    at eigensteps eigen_curvature (< -eps2), eigen_grad_norm (<= eps1) and
+    eigen_decrease (>= -c2 step_len^2 curvature); converged_grad_norm (a converged
+    run's last grad_norm <= eps1). Each bound takes BOUND_SLACK. The plateau
+    schedule is left out: a trace holds no gamma, beta0 or lp0.
+    """
+    c, records, out = trace["config"], trace["records"], []
+    for k, r in enumerate(records):
+        decrease = r["g_before"] - r["g_after"]
+        checks = [("region", r["h_norm"], problem.region.radius)]
+        if r["kind"] == "gradient":
+            checks.append(("armijo", c["c1"] * r["step_len"] * r["grad_norm"]**2, decrease))
+        elif r["kind"] == "eigen":  # eps2 is None (inf) in a first-order trace
+            checks += [("eigen_curvature", r["curvature"], -(c["eps2"] or math.inf)),
+                       ("eigen_grad_norm", r["grad_norm"], c["eps1"]),
+                       ("eigen_decrease", -c["c2"] * r["step_len"]**2 * r["curvature"], decrease)]
+        if k == len(records) - 1 and trace["termination"] == "converged":
+            checks.append(("converged_grad_norm", r["grad_norm"], c["eps1"]))
+        out += _violations("record %d" % k, checks)
+    return out
+
+
+def audit_restore(problem, log):
+    """The restoration's guarantees checked on its (t, phi) log; a list of violations.
+
+    Clauses: phi_increase, and envelope, Gronwall's phi(t) <= phi(0) exp(-2
+    sigma_lb^2 t), as d phi/dt = -||Dh^T h||^2 <= -2 sigma_lb^2 phi on the flow.
+    """
+    rate = 2.0 * problem.region.sigma_lb**2
+    return [v for i, (t, phi) in enumerate(log) for v in _violations("sample %d" % i, [
+        ("phi_increase", phi, log[max(i - 1, 0)][1]),
+        ("envelope", phi, log[0][1] * math.exp(-rate * t))])]

@@ -43,6 +43,23 @@ def builtins(sphere5, rayleigh10, stiefel83, product_spheres):
     }
 
 
+def replay_plateau_rules(stages, gamma):
+    """Whether each plateau stage's beta and budget follow from the stage before it.
+
+    The audit leaves the schedule out: a trace holds no gamma, beta0 or lp0.
+    """
+    for prev, nxt in zip(stages, stages[1:]):
+        if prev.stop_reason == "b_trigger":
+            beta, ratio = gamma * prev.b_value, gamma * prev.b_value / prev.beta
+        elif prev.stop_reason in ("budget", "backtrack_failure"):
+            beta, ratio = gamma * prev.beta, gamma
+        else:
+            return False
+        if (nxt.beta, nxt.lp) != (beta, ratio**4 * prev.lp):
+            return False
+    return True
+
+
 def make_affine_toy(n=5, m=2, seed=0, radius=2.0, definite=True):
     """Quadratic cost with a full-rank affine constraint h(x) = A(x - base).
 

@@ -9,7 +9,8 @@ import numpy as np
 
 from fletcher_penalty import (
     SolverConfig,
-    beta_thresholds,
+    audit,
+    audit_restore,
     builtin_problem,
     certify,
     check_problem,
@@ -25,6 +26,8 @@ from fletcher_penalty import (
     random_point_in_region,
     restore_feasibility,
 )
+
+from conftest import replay_plateau_rules
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -125,39 +128,14 @@ def test_criterion_4_feasible_identities():
 
 
 def test_criterion_5_rayleigh_solver():
+    # a converged run has passed the solver's check of the first-order certificate bounds
     p, cfg, trace = _criterion5_trace()
-    steps = [r for r in trace.records if r.kind != "terminal"]
-    th = beta_thresholds(p, trace.final_x)
-    cert = trace.final_certificate
-    prop21 = (
-        cfg.beta > max(th.beta2, th.beta3)
-        and cert.eps0_measured <= cfg.eps1 / (cfg.beta * th.sigma_min) + 1e-12
-        and cert.eps1_measured
-        <= (1.0 + th.c_lambda / (cfg.beta * th.sigma_min)) * cfg.eps1 + 1e-12
-    )
     ok = (
         trace.termination == "converged"
         and p.f(trace.final_x) <= 0.5 + 1e-3
-        and all(r.h_norm <= p.region.radius for r in trace.records)
-        and all(r.g_after < r.g_before for r in steps)
-        and prop21
+        and audit(p, trace.as_dict()) == []
     )
     _verdict(5, "solver reaches the Rayleigh global optimum with certificates", ok)
-
-
-def _replay_plateau_rules(stages, gamma):
-    for prev, nxt in zip(stages, stages[1:]):
-        if prev.stop_reason == "b_trigger":
-            if nxt.beta != gamma * prev.b_value:
-                return False
-            if nxt.lp != (gamma * prev.b_value / prev.beta) ** 4 * prev.lp:
-                return False
-        elif prev.stop_reason in ("budget", "backtrack_failure"):
-            if nxt.beta != gamma * prev.beta or nxt.lp != gamma**4 * prev.lp:
-                return False
-        else:
-            return False
-    return True
 
 
 def test_criterion_6_plateau_termination():
@@ -179,24 +157,19 @@ def test_criterion_6_plateau_termination():
         and len(t2.plateaus) <= 60
         and t1.final_certificate.focp_pass
         and t2.final_certificate.focp_pass
-        and _replay_plateau_rules(t1.plateaus, gamma)
-        and _replay_plateau_rules(t2.plateaus, gamma)
+        and replay_plateau_rules(t1.plateaus, gamma)
+        and replay_plateau_rules(t2.plateaus, gamma)
     )
     _verdict(6, "plateau scheme terminates and replays its update rules", ok)
 
 
 def test_criterion_7_gronwall_decay():
     p = builtin_problem("stiefel", n=8, p=3, seed=0)
-    sigma_lb = 2.0 * SQRT_HALF
+    assert p.region.sigma_lb == 2.0 * SQRT_HALF
     ok = True
     for seed in range(5):
-        x0 = random_point_in_region(p, seed, scale=0.4)
-        assert np.linalg.norm(p.h(x0)) <= 0.5
-        _, log = restore_feasibility(p, x0, 1e-3, 3.0)
-        phi0 = log[0][1]
-        ok = ok and all(
-            phi <= phi0 * math.exp(-2.0 * sigma_lb**2 * t) * 1.05 for t, phi in log
-        )
+        _, log = restore_feasibility(p, random_point_in_region(p, seed, scale=0.4), 1e-3, 3.0)
+        ok = ok and audit_restore(p, log) == []
     _verdict(7, "restoration flow obeys the exponential decay envelope", ok)
 
 
@@ -206,15 +179,10 @@ def test_criterion_8_complexity_trend():
     counts = []
     decrease_ok = True
     for eps in (1e-2, 1e-3, 1e-4):
-        cfg = SolverConfig(eps1=eps, eps2=math.inf, beta=10.0)
-        trace = gradient_eigenstep(p, x0, cfg)
+        trace = gradient_eigenstep(p, x0, SolverConfig(eps1=eps, eps2=math.inf, beta=10.0))
         assert trace.termination == "converged"
         counts.append(trace.iteration_counts()[0])
-        for r in trace.records:
-            if r.kind == "gradient":
-                decrease_ok = decrease_ok and (
-                    r.g_before - r.g_after >= cfg.c1 * r.step_len * eps**2 - 1e-15
-                )
+        decrease_ok = decrease_ok and audit(p, trace.as_dict()) == []
     monotone = all(a <= b for a, b in zip(counts, counts[1:]))
     _verdict(
         8,

@@ -580,20 +580,3 @@ def test_in_region_boundary_inclusive():
     )
     assert in_region(p, np.array([1.0, 0.0, 0.0]))
     assert not in_region(p, np.array([np.nextafter(1.0, 2.0), 0.0, 0.0]))
-
-
-def test_prop_21_inequalities_at_small_gradient(sphere_w):
-    # small penalty gradient with beta above the thresholds pins down
-    # feasibility and the layered gradient
-    from fletcher_penalty import make_rayleigh_sphere
-
-    p = make_rayleigh_sphere(np.diag(np.arange(1.0, 7.0)))
-    x = np.eye(6)[0] + 1e-7 * np.ones(6)
-    beta = 10.0
-    th = beta_thresholds(p, x)
-    assert beta > max(th.beta2, th.beta3)
-    eps1 = np.linalg.norm(penalty_grad(p, x, beta))
-    hn = np.linalg.norm(p.h(x))
-    rgn = np.linalg.norm(layered_grad(p, x))
-    assert hn <= eps1 / (beta * th.sigma_min) + 1e-12
-    assert rgn <= (1.0 + th.c_lambda / (beta * th.sigma_min)) * eps1 + 1e-12

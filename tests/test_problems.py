@@ -118,7 +118,8 @@ def test_stiefel_sigma_lower_bound_in_region():
 
 
 def test_random_point_reads_h_at_the_start_before_probing():
-    # a NaN h at the start is an h fault, not a perturbation that never reaches the region
+    # a NaN h at the start, read once no probe lands, is an h fault, not a perturbation
+    # that never reaches the region
     p = builtin_problem("stiefel", n=8, p=3, seed=0)
     with pytest.raises(EvaluationError, match="^h returned non-finite values"):
         random_point_in_region(replace(p, h=lambda x: np.full(p.dim_h, np.nan)), 3, scale=0.3)
@@ -127,6 +128,15 @@ def test_random_point_reads_h_at_the_start_before_probing():
     x0 = p.init_point(3)
     far = replace(p, h=lambda x: p.h(x) if np.linalg.norm(x - x0) < 0.1 else np.full(p.dim_h, np.inf))
     assert 0.0 < np.linalg.norm(random_point_in_region(far, 3, scale=0.3) - x0) < 0.1
+
+
+def test_random_point_at_scale_zero_reads_h_once():
+    # the probe at scale 0 is the start itself, and it lands: no second read of h there
+    p = builtin_problem("stiefel", n=8, p=3, seed=0)
+    calls = []
+    counted = replace(p, h=lambda x: calls.append(1) or p.h(x))
+    np.testing.assert_array_equal(random_point_in_region(counted, 3, scale=0.0), p.init_point(3))
+    assert len(calls) == 1
 
 
 def test_stiefel_taylor_remainder_constant_one():

@@ -13,8 +13,11 @@ from fletcher_penalty import (
     BacktrackFailureError,
     DecreaseBelowRoundingError,
     EvaluationError,
+    NumericalFailureError,
     SolverConfig,
     StepSizeError,
+    audit,
+    audit_restore,
     beta_thresholds,
     builtin_problem,
     eigen_backtrack,
@@ -34,7 +37,8 @@ from fletcher_penalty import solver
 from fletcher_penalty.cli import main
 from fletcher_penalty.solver import _gradient_start
 
-from conftest import ALL_BUILTIN_IDS, make_affine_toy, make_rank_crossing_toy, make_saddle_toy
+from conftest import (ALL_BUILTIN_IDS, make_affine_toy, make_rank_crossing_toy, make_saddle_toy,
+                      replay_plateau_rules)
 
 
 def diag_rayleigh(n=10, radius=0.5):
@@ -57,21 +61,12 @@ def test_gradient_backtrack_accepts_first_trial():
 
 def test_gradient_backtrack_keeps_region_near_boundary():
     p = diag_rayleigh()
-    # radial point with ||h|| = 0.49
+    # radial point with ||h|| = 0.49; at beta = 1e-2 the searches end within 1e-3 of R,
+    # where a region test loosened by 1% would let them out
     x = np.sqrt(1.49) * (np.ones(10) / np.sqrt(10.0))
     assert np.linalg.norm(p.h(x)) <= 0.4900001
-    _, trial, _ = gradient_backtrack(p, evaluate(p, x, 10.0), SolverConfig())
-    assert np.linalg.norm(p.h(trial.x)) <= 0.5
-
-
-def test_gradient_backtrack_decrease_predicate_replay():
-    p = diag_rayleigh()
-    cfg = SolverConfig(eps1=1e-3, eps2=math.inf, beta=10.0)
-    trace = gradient_eigenstep(p, p.init_point(2), cfg)
-    grads = [r for r in trace.records if r.kind == "gradient"]
-    assert grads
-    for r in grads:
-        assert r.g_before - r.g_after >= cfg.c1 * r.step_len * r.grad_norm**2 - 1e-15
+    trace = gradient_eigenstep(p, x, SolverConfig(beta=1e-2, max_iters=5))
+    assert audit(p, trace.as_dict()) == [] and max(r.h_norm for r in trace.records) > 0.499
 
 
 def test_gradient_start_branches():
@@ -155,23 +150,17 @@ def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch, tmp_pa
 
 @pytest.mark.parametrize("seed", [0, 3, 7919])
 def test_grown_gradient_steps_keep_the_guarantees(seed):
-    # spectral starts reach alpha01 on St(30, 3); every accepted gradient step,
-    # long ones included, stays at most alpha01, passes Armijo and keeps
-    # ||h|| <= R, and the run ends converged inside the first-order certificate bounds
+    # spectral starts reach alpha01 on St(30, 3); every accepted gradient step, long
+    # ones included, stays at most alpha01 and keeps the guarantees, and beta ends above
+    # the thresholds, so that the runtime check of the first-order bounds applies
     p = builtin_problem("stiefel", n=30, p=3, seed=seed)
     cfg = SolverConfig(eps1=1e-4, beta=3.0)
     trace = gradient_eigenstep(p, p.init_point(seed), cfg)
     assert trace.termination == "converged"
-    assert all(r.h_norm <= p.region.radius for r in trace.records)
-    for r in trace.records:
-        if r.kind == "gradient":
-            assert r.step_len <= cfg.alpha01
-            assert r.g_before - r.g_after >= cfg.c1 * r.step_len * r.grad_norm**2
+    assert all(r.step_len <= cfg.alpha01 for r in trace.records if r.kind == "gradient")
+    assert audit(p, trace.as_dict()) == []
     th = beta_thresholds(p, trace.final_eval)
     assert cfg.beta > max(th.beta2, th.beta3)
-    cert = trace.final_certificate
-    assert cert.eps0_measured <= cfg.eps1 / (cfg.beta * th.sigma_min)
-    assert cert.eps1_measured <= (1.0 + th.c_lambda / (cfg.beta * th.sigma_min)) * cfg.eps1
 
 
 def test_spectral_start_keeps_stiefel_solves_short():
@@ -197,18 +186,33 @@ def test_eigen_backtrack_accepts_small_initial_step():
     np.testing.assert_allclose(trial.x, 0.1 * d)
 
 
+# (clause, kind of the record broken, key, its broken value from the record and config)
+_BROKEN_RECORDS = [
+    ("region", "gradient", "h_norm", lambda r, c: 0.5 * (1.0 + 1e-11)),
+    ("armijo", "gradient", "g_after", lambda r, c: r["g_before"]),
+    ("eigen_curvature", "eigen", "curvature", lambda r, c: -c["eps2"] * (1.0 - 1e-11)),
+    ("eigen_grad_norm", "eigen", "grad_norm", lambda r, c: c["eps1"] * (1.0 + 1e-11)),
+    ("eigen_decrease", "eigen", "g_after", lambda r, c: r["g_before"]),
+    ("converged_grad_norm", "terminal", "grad_norm", lambda r, c: c["eps1"] * (1.0 + 1e-11)),
+]
+
+
 def test_eigen_records_obey_direction_contract():
     p = diag_rayleigh()
     cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
     x0 = np.eye(10)[1]  # saddle of the layered Hessian: eigensteps must fire
     trace = gradient_eigenstep(p, x0, cfg)
-    eigs = [r for r in trace.records if r.kind == "eigen"]
-    assert eigs
-    for r in eigs:
-        assert r.curvature < -cfg.eps2
-        assert r.g_before - r.g_after >= -cfg.c2 * r.step_len**2 * r.curvature - 1e-15
+    assert any(r.kind == "eigen" for r in trace.records)
+    assert audit(p, trace.as_dict()) == []
     assert trace.termination == "converged"
     assert p.f(trace.final_x) <= 0.5 + 1e-3
+    # the audit itself: a copy read back from the JSON whose record misses one bound
+    # (R = 0.5 here) by 1e-11 of it or more is reported under that clause alone
+    for clause, kind, key, broken in _BROKEN_RECORDS:
+        copy = json.loads(trace.to_json())
+        record = next(r for r in copy["records"] if r["kind"] == kind)
+        record[key] = broken(record, copy["config"])
+        assert [v.split(": ")[1] for v in audit(p, copy)] == [clause], clause
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +236,7 @@ def test_rayleigh_solve_reaches_global_optimum():
     # oracle: global optimum value is half the smallest eigenvalue
     target = 0.5 * np.linalg.eigvalsh(np.diag(np.arange(1.0, 11.0)))[0]
     assert p.f(trace.final_x) <= target + 1e-3
-    steps = [r for r in trace.records if r.kind != "terminal"]
-    assert all(r.g_after < r.g_before for r in steps)
-    assert all(r.h_norm <= p.region.radius for r in trace.records)
+    assert audit(p, trace.as_dict()) == []
 
 
 def test_stiefel_linear_cost_solve():
@@ -242,9 +244,7 @@ def test_stiefel_linear_cost_solve():
     cfg = SolverConfig(eps1=1e-4, eps2=1e-3, beta=5.0)
     trace = gradient_eigenstep(p, p.init_point(3), cfg)
     assert trace.termination == "converged"
-    steps = [r for r in trace.records if r.kind != "terminal"]
-    assert all(r.g_after < r.g_before for r in steps)
-    assert all(r.h_norm <= p.region.radius for r in trace.records)
+    assert audit(p, trace.as_dict()) == []
 
 
 def test_converged_trace_invariant():
@@ -255,16 +255,15 @@ def test_converged_trace_invariant():
     assert np.linalg.norm(penalty_grad(p, trace.final_x, 10.0)) <= cfg.eps1
 
 
-def test_termination_certificate_first_order_bounds():
+def test_first_order_termination_check_fires(monkeypatch):
+    # ||h|| ends at 5e-8 here against eps1 / (beta sigma_min) = 5e-7: with sigma_min
+    # scaled up 1000 times, ||h|| exceeds its bound and the runtime check raises
+    real = solver.beta_thresholds
+    monkeypatch.setattr(solver, "beta_thresholds", lambda problem, ev: replace(
+        real(problem, ev), sigma_min=1e3 * real(problem, ev).sigma_min))
     p = diag_rayleigh()
-    cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
-    trace = gradient_eigenstep(p, p.init_point(1), cfg)
-    th = beta_thresholds(p, trace.final_x)
-    assert cfg.beta > max(th.beta2, th.beta3)
-    cert = trace.final_certificate
-    assert cert.eps0_measured <= cfg.eps1 / (cfg.beta * th.sigma_min) + 1e-12
-    bound = (1.0 + th.c_lambda / (cfg.beta * th.sigma_min)) * cfg.eps1
-    assert cert.eps1_measured <= bound + 1e-12
+    with pytest.raises(NumericalFailureError, match="first-order certificate bounds violated"):
+        gradient_eigenstep(p, p.init_point(3), SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0))
 
 
 def test_budget_sanity_from_trace():
@@ -276,9 +275,7 @@ def test_budget_sanity_from_trace():
     g0 = steps[0].g_before
     g_min = min(r.g_after for r in steps)
     assert total_decrease <= g0 - g_min + 1e-10
-    for r in steps:
-        if r.kind == "gradient":
-            assert r.g_before - r.g_after >= cfg.c1 * r.step_len * cfg.eps1**2 - 1e-15
+    assert audit(p, trace.as_dict()) == []
 
 
 def test_solver_determinism():
@@ -517,9 +514,7 @@ def test_plateau_budget_growth_replay():
     stages = trace.plateaus
     assert len(stages) >= 2
     assert all(s.stop_reason == "budget" for s in stages[:-1])
-    for prev, nxt in zip(stages, stages[1:]):
-        assert nxt.lp == gamma**4 * prev.lp
-        assert nxt.beta == gamma * prev.beta
+    assert replay_plateau_rules(stages, gamma)
 
 
 def test_plateau_b_trigger_replay():
@@ -528,13 +523,7 @@ def test_plateau_b_trigger_replay():
     gamma = 2.0
     trace = plateau(p, p.init_point(1), cfg, gamma=gamma, beta0=1e-3, lp0=50)
     stages = trace.plateaus
-    for prev, nxt in zip(stages, stages[1:]):
-        if prev.stop_reason == "b_trigger":
-            assert nxt.beta == gamma * prev.b_value
-            assert nxt.lp == (gamma * prev.b_value / prev.beta) ** 4 * prev.lp
-        elif prev.stop_reason in ("budget", "backtrack_failure"):
-            assert nxt.beta == gamma * prev.beta
-            assert nxt.lp == gamma**4 * prev.lp
+    assert replay_plateau_rules(stages, gamma)
     assert any(s.stop_reason == "b_trigger" for s in stages)
 
 
@@ -789,7 +778,7 @@ def test_cholesky_convergence_test_keeps_the_records(monkeypatch, start):
     assert with_vector.count(True) == eigen
     if start == "saddle":
         assert eigen >= 1
-    assert all(r.curvature < -cfg.eps2 for r in shipped.records if r.kind == "eigen")
+    assert audit(p, shipped.as_dict()) == []
     assert shipped.records[-1].kind == "terminal" and shipped.records[-1].curvature is None
     assert shipped.final_certificate.socp_pass
     # an oracle independent of the Cholesky test that ended the run
@@ -826,7 +815,7 @@ def test_converged_point_takes_one_svd(monkeypatch, eps2):
 @pytest.mark.parametrize("driver", ["solve", "plateau"])
 @pytest.mark.parametrize("problem_id", ALL_BUILTIN_IDS)
 def test_trace_invariants_across_builtins(problem_id, driver, eps2):
-    # the paper's guarantees replayed from the trace: region, decrease, certificate
+    # the paper's guarantees checked on the trace (audit) and the certificate;
     # second-order runs start near a maximizer of f, so eigensteps must fire
     rng = np.random.default_rng([7, ALL_BUILTIN_IDS.index(problem_id)])
     cfg = SolverConfig(eps1=1e-4, eps2=eps2, beta=3.0)
@@ -845,15 +834,8 @@ def test_trace_invariants_across_builtins(problem_id, driver, eps2):
             trace = plateau(p, x0, cfg, gamma=2.0, beta0=1e-2, lp0=20)
         assert trace.termination == "converged"
         assert trace.final_certificate.focp_pass
-        assert all(r.h_norm <= p.region.radius for r in trace.records)
-        for r in trace.records:
-            decrease = r.g_before - r.g_after
-            if r.kind == "gradient":
-                assert decrease >= cfg.c1 * r.step_len * r.grad_norm**2 * (1 - 1e-12) - 1e-15
-            elif r.kind == "eigen":
-                eigensteps += 1
-                assert r.curvature < -cfg.eps2
-                assert decrease >= -cfg.c2 * r.step_len**2 * r.curvature * (1 - 1e-12) - 1e-15
+        assert audit(p, trace.as_dict()) == []
+        eigensteps += trace.iteration_counts()[2]
     assert (eigensteps > 0) == math.isfinite(eps2)
 
 
@@ -882,20 +864,21 @@ def test_restore_sphere_closed_form_limit():
 
 def test_restore_gronwall_decay():
     p = builtin_problem("stiefel", n=8, p=3, seed=0)
-    sigma_lb = p.region.sigma_lb
     x0 = random_point_in_region(p, 5, scale=0.4)
     x, log = restore_feasibility(p, x0, 1e-3, 3.0)
-    phi0 = log[0][1]
-    for t, phi in log:
-        assert phi <= phi0 * math.exp(-2.0 * sigma_lb**2 * t) * 1.05
+    assert audit_restore(p, log) == []
+    # the audit itself: a last sample above the one before it, and a phi that never decays
+    rises = log[:-1] + [(log[-1][0], log[-2][1] * (1.0 + 1e-11))]
+    flat = [(t, log[0][1]) for t, _ in log]
+    assert [v.split(": ")[1] for v in audit_restore(p, rises)] == ["phi_increase"]
+    assert [v.split(": ")[1] for v in audit_restore(p, flat)] == ["envelope"] * (len(log) - 1)
 
 
 def test_restore_monotone_log():
     p = builtin_problem("stiefel", n=8, p=2, seed=1)
     x0 = random_point_in_region(p, 3, scale=0.3)
     _, log = restore_feasibility(p, x0, 1e-2, 1.0)
-    phis = [phi for _, phi in log]
-    assert all(b <= a for a, b in zip(phis, phis[1:]))
+    assert audit_restore(p, log) == []
 
 
 @pytest.mark.parametrize("step, t_end", [(1e-2, 3.0), (1e-3, 3.0), (0.1, 1.0)])
