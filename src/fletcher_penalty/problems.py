@@ -358,7 +358,7 @@ def random_point_in_region(problem, seed, scale=0.5):
     v /= np.linalg.norm(v)
     radius = problem.region.radius
     t = scale
-    for _ in range(80):
+    for _ in range(80 if scale > 0 else 1):  # at scale 0 every probe is x0
         cand = x0 + t * v
         # read raw, not through penalty's reader: an overflowing probe is a point outside,
         # and halving goes on

@@ -12,6 +12,7 @@ flow provides feasibility restoration.
 
 import json
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List, Optional
 
@@ -57,6 +58,10 @@ ROUNDING_ULPS = 4.0
 # The relative slack of every bound checked after the fact: a record holds
 # sqrt(d.d) where the search tested d.d, so a replay can miss by rounding.
 BOUND_SLACK = 1e-12
+
+# L-BFGS in _descend: pairs kept, a pair's curvature test, the safeguards kappa and M.
+LBFGS_PAIRS, PAIR_CURVATURE = 5, 1e-12
+DESCENT_KAPPA, DIRECTION_BOUND = 1e-4, 1e4
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One accepted step (or the terminal point) of a solve."""
+    """One accepted step (or the terminal point) of a solve; step_len is alpha along d."""
 
     k: int
     kind: str  # "gradient" | "eigen" | "terminal"
@@ -121,13 +126,13 @@ class IterationRecord:
     h_norm: float
     curvature: Optional[float]
     backtracks: int
+    slope: Optional[float] = None  # -grad g . d, at gradient steps only, as is d_norm = ||d||
+    d_norm: Optional[float] = None
 
     def as_dict(self):
         # shallow: asdict's deep copy cost ~5% of a plateau CLI run on a 2-CPU VM
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.curvature is None:
-            del out["curvature"]
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
 
 @dataclass(frozen=True)
@@ -224,24 +229,25 @@ def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what, alpha_
     )
 
 
-def gradient_backtrack(problem, ev, cfg, alpha0=None):
+def gradient_backtrack(problem, ev, cfg, alpha0=None, d=None):
     """First member of {alpha0 * tau1^j} passing Armijo decrease and the region test.
 
-    alpha0 defaults to cfg.alpha01; the solver's start, and the bound on the
-    accepted step, are stated in _descend. ev is the current
-    point's PenaltyEval with its gradient; its point, beta, value and
-    gradient are read, never recomputed. Returns (alpha, trial,
-    backtracks), where trial is the accepted point's value-only PenaltyEval
-    (trial.x is the point); evaluate() completes it with its gradient.
-    Raises BacktrackFailureError once the trial budget is exhausted, which
-    signals that beta is likely below the pointwise exactness threshold (or
-    numerical trouble); its subclass DecreaseBelowRoundingError under
-    _backtrack's rounding rule.
+    Trials are ev.x + alpha d, d = -grad g by default, and Armijo reads g(x) -
+    g(x + alpha d) >= c1 alpha slope; slope = -grad g . d must be positive.
+    alpha0 defaults to cfg.alpha01; _descend states the solver's d and start
+    and the bound on the accepted step. ev is the current point's PenaltyEval with its
+    gradient; its point, beta, value and gradient are read, never
+    recomputed. Returns (alpha, trial, backtracks), where trial is the
+    accepted point's value-only PenaltyEval (trial.x is the point);
+    evaluate() completes it with its gradient. Raises BacktrackFailureError
+    once the trial budget is exhausted, which signals that beta is likely
+    below the pointwise exactness threshold (or numerical trouble); its
+    subclass DecreaseBelowRoundingError under _backtrack's rounding rule.
     """
-    d = -ev.grad_g
-    gnorm_sq = float(d @ d)
+    d = -ev.grad_g if d is None else d
+    slope = -float(ev.grad_g.dot(d))
     return _backtrack(problem, ev, d, cfg.alpha01 if alpha0 is None else alpha0, cfg.tau1,
-                      lambda a: cfg.c1 * a * gnorm_sq, cfg, "gradient step", cfg.alpha01)
+                      lambda a: cfg.c1 * a * slope, cfg, "gradient step", cfg.alpha01)
 
 
 def eigen_backtrack(problem, ev, d, hess_quad, cfg):
@@ -318,6 +324,33 @@ def _gradient_start(prev, ev, alpha_prev, alpha01):
     return min(alpha01, vector_norm(ev.x - prev.x) / y_norm) if y_norm > 0.0 else alpha_prev
 
 
+def _two_loop(pairs, grad):
+    """-H grad by L-BFGS's two-loop recursion over pairs (s, y, s.y), H0 from the newest."""
+    q, coefs = -grad, []
+    for s, y, sy in reversed(pairs):
+        coefs.append(s.dot(q) / sy)
+        q -= coefs[-1] * y
+    s, y, sy = pairs[-1]
+    q *= sy / y.dot(y)
+    for (s, y, sy), a in zip(pairs, reversed(coefs)):
+        q += (a - y.dot(q) / sy) * s
+    return q
+
+
+def _gradient_step(pairs, prev, ev, alpha_prev, alpha01):
+    """(d, start, slope, ||d||) of the gradient search at ev after a step from prev (_descend)."""
+    if prev is not None:
+        s, y = ev.x - prev.x, ev.grad_g - prev.grad_g
+        if (sy := float(s.dot(y))) > PAIR_CURVATURE * vector_norm(s) * vector_norm(y):
+            pairs.append((s, y, sy))
+    if pairs:
+        d = _two_loop(pairs, ev.grad_g)
+        slope, d_norm = -float(ev.grad_g.dot(d)), vector_norm(d)
+        if slope >= DESCENT_KAPPA * ev.grad_norm**2 and d_norm <= DIRECTION_BOUND * ev.grad_norm:
+            return d, alpha01, slope, d_norm
+    return -ev.grad_g, _gradient_start(prev, ev, alpha_prev, alpha01), ev.grad_norm**2, ev.grad_norm
+
+
 def _descend(problem, x0, cfg, records, stop=None):
     """The gradient/eigenstep loop from x0 at penalty parameter cfg.beta.
 
@@ -334,36 +367,35 @@ def _descend(problem, x0, cfg, records, stop=None):
     when it fails is the smallest eigenpair computed, for the eigenstep's
     direction, and a smallest eigenvalue of at least -eps2 (a tie, or
     rounding) still converges.
-    A gradient search starts at a spectral step: with prev the last
-    iterate, kept only when the last step was a gradient step, s = x -
-    prev.x and y = grad g - prev.grad g, it starts at min(alpha01,
-    ||s|| / ||y||) when y != 0 and at alpha_prev, the last gradient step this
-    call accepted, otherwise (_gradient_start). ||s|| / ||y|| is the
-    geometric mean of the two Barzilai-Borwein steps s.s / s.y and s.y / y.y
-    (Barzilai and Borwein, IMA J. Numer. Anal. 8, 1988), the positive step of
-    Dai, Al-Baali and Yang (Springer Proc. Math. Stat. 134, 2015); unlike
-    either, it needs no sign condition on s.y. Both gradients are in hand,
-    so the start costs no evaluation. The first search of the call starts at
-    alpha01, the first after an eigenstep at alpha_prev; eigensteps keep
-    alpha02.
+    A gradient step searches d = -H grad g from alpha01, H by the L-BFGS
+    two-loop recursion (_two_loop) over the pairs s = x - prev.x, y = grad g -
+    prev.grad g of the last LBFGS_PAIRS gradient steps; a pair enters if s.y >
+    PAIR_CURVATURE ||s|| ||y||, an eigenstep clears them and each call starts
+    with none. Without a pair, or unless slope = -grad g . d >= kappa ||grad
+    g||^2 and ||d|| <= M ||grad g|| (DESCENT_KAPPA, DIRECTION_BOUND), d = -grad
+    g is searched from _gradient_start: min(alpha01, ||s|| / ||y||) if y != 0,
+    the geometric mean of the two Barzilai-Borwein steps (Dai, Al-Baali and
+    Yang, Springer Proc. Math. Stat. 134, 2015), else alpha_prev, the last
+    gradient step this call accepted (alpha01 at first). Eigensteps keep alpha02.
 
-    The step bound. Let floor be the step length up to which a trial
-    provably passes its decrease test and keeps ||h|| <= radius, through
-    regionwide curvature bounds once beta exceeds the pointwise thresholds
-    (it scales with 1/(beta sigma_max(Dh)^2) and with the radius over c_h);
-    a search from start a accepts at least min(a, tau floor). If grad g is
-    L-Lipschitz on the step, ||y|| <= L ||s||, so a spectral start is at
-    least min(alpha01, 1/L), whatever the sign of s.y; any other start is
-    alpha01 or an accepted step. By induction every accepted gradient step
-    is at least tau1 min(alpha01, 1/L, floor), as with a fixed start, and
-    every eigenstep at least tau2 min(alpha02, floor).
+    The step bound. Let floor be the step length along -grad g up to which a
+    trial provably passes its decrease test and keeps ||h|| <= radius,
+    through regionwide curvature bounds once beta exceeds the pointwise
+    thresholds (it scales with 1/(beta sigma_max(Dh)^2) and with the radius
+    over c_h); a search from start a accepts at least min(a, tau floor). With
+    grad g L-Lipschitz, ||y|| <= L ||s|| puts a spectral start at least
+    min(alpha01, 1/L); any other start is alpha01 or an accepted step. A
+    safeguarded d, kappa ||grad g|| <= ||d|| <= M ||grad g||, scales floor by
+    at least kappa / M^2, so by induction each accepted gradient step has alpha
+    >= tau1 min(alpha01, 1/L, kappa floor / M^2) and decreases g by at least c1
+    kappa alpha ||grad g||^2; each eigenstep has alpha >= tau2 min(alpha02, floor).
     """
     try:
         ev = evaluate(problem, x0, cfg.beta, with_grad=True)
     except RankDeficiencyError:
         return None, "rank_deficient"
     # prev: the last iterate, kept only when the last step was a gradient step
-    k, alpha_prev, prev = 0, cfg.alpha01, None
+    k, alpha_prev, prev, pairs = 0, cfg.alpha01, None, deque(maxlen=LBFGS_PAIRS)
     while True:
         if k >= cfg.max_iters:
             return _terminal(records, ev, "max_iters", k)
@@ -382,11 +414,12 @@ def _descend(problem, x0, cfg, records, stop=None):
             if tag is not None:
                 return _terminal(records, ev, tag, k)
             if curvature is None:
-                start = _gradient_start(prev, ev, alpha_prev, cfg.alpha01)
-                alpha, trial, bts = gradient_backtrack(problem, ev, cfg, start)
+                d, start, slope, d_norm = _gradient_step(pairs, prev, ev, alpha_prev, cfg.alpha01)
+                alpha, trial, bts = gradient_backtrack(problem, ev, cfg, start, d)
                 alpha_prev, prev = alpha, ev
             else:
-                prev = None
+                prev = slope = d_norm = None
+                pairs.clear()
                 if float(d @ ev.grad_g) > 0.0:
                     d = -d
                 alpha, trial, bts = eigen_backtrack(problem, ev, d, curvature, cfg)
@@ -397,19 +430,10 @@ def _descend(problem, x0, cfg, records, stop=None):
             return _terminal(records, ev, "tolerance_unreachable", k)
         except BacktrackFailureError:
             return _terminal(records, ev, "beta_too_small", k)
-        records.append(
-            IterationRecord(
-                k=k,
-                kind="gradient" if curvature is None else "eigen",
-                step_len=alpha,
-                g_before=ev.g_val,
-                g_after=ev_next.g_val,
-                grad_norm=ev.grad_norm,
-                h_norm=ev_next.h_norm,
-                curvature=curvature,
-                backtracks=bts,
-            )
-        )
+        records.append(IterationRecord(
+            k=k, kind="gradient" if curvature is None else "eigen", step_len=alpha,
+            g_before=ev.g_val, g_after=ev_next.g_val, grad_norm=ev.grad_norm, h_norm=ev_next.h_norm,
+            curvature=curvature, backtracks=bts, slope=slope, d_norm=d_norm))
         ev = ev_next
         k += 1
 
@@ -428,6 +452,7 @@ def _certified(problem, cfg, records, ev, reason, x0, plateaus=None):
     return RunTrace(cfg, records, ev.x, cert, reason, plateaus, final_eval=ev)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an evaluator's inf raises, and warns nothing
 def gradient_eigenstep(problem, x0, cfg):
     """Minimize the penalty until its gradient and (optionally) curvature tolerances hold.
 
@@ -449,6 +474,7 @@ def gradient_eigenstep(problem, x0, cfg):
     return _certified(problem, cfg, records, ev, reason, x0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
     """Rerun the solver's loop with growing beta until it converges on its own.
 
@@ -595,10 +621,12 @@ def restore_feasibility(problem, x0, step, t_end):
 def audit(problem, trace):
     """The paper's guarantees checked on a trace in the JSON layout; a list of violations.
 
-    Clauses: region (h_norm <= R); armijo (decrease >= c1 step_len grad_norm^2);
-    at eigensteps eigen_curvature (< -eps2), eigen_grad_norm (<= eps1) and
-    eigen_decrease (>= -c2 step_len^2 curvature); converged_grad_norm (a converged
-    run's last grad_norm <= eps1). Each bound takes BOUND_SLACK. The plateau
+    Clauses: region (h_norm <= R); at gradient steps armijo (decrease >= c1
+    step_len slope) and gradient_related, _descend's safeguards (slope >=
+    DESCENT_KAPPA grad_norm^2, d_norm <= DIRECTION_BOUND grad_norm); at
+    eigensteps eigen_curvature (< -eps2), eigen_grad_norm (<= eps1) and
+    eigen_decrease (>= -c2 step_len^2 curvature); converged_grad_norm (a
+    converged run's last grad_norm <= eps1). Each bound takes BOUND_SLACK. The plateau
     schedule is left out: a trace holds no gamma, beta0 or lp0.
     """
     c, records, out = trace["config"], trace["records"], []
@@ -606,7 +634,9 @@ def audit(problem, trace):
         decrease = r["g_before"] - r["g_after"]
         checks = [("region", r["h_norm"], problem.region.radius)]
         if r["kind"] == "gradient":
-            checks.append(("armijo", c["c1"] * r["step_len"] * r["grad_norm"]**2, decrease))
+            checks += [("armijo", c["c1"] * r["step_len"] * r["slope"], decrease),
+                       ("gradient_related", DESCENT_KAPPA * r["grad_norm"]**2, r["slope"]),
+                       ("gradient_related", r["d_norm"], DIRECTION_BOUND * r["grad_norm"])]
         elif r["kind"] == "eigen":  # eps2 is None (inf) in a first-order trace
             checks += [("eigen_curvature", r["curvature"], -(c["eps2"] or math.inf)),
                        ("eigen_grad_norm", r["grad_norm"], c["eps1"]),

@@ -427,6 +427,12 @@ def test_random_point_rejects_an_initial_point_outside_the_region():
     for scale in (0.0, 0.4):
         with pytest.raises(ValueError, match="reaches the region"):
             random_point_in_region(p, 0, scale=scale)
+    # at scale 0 every probe is the start: one probe and the read of h at the start
+    calls = []
+    counted = replace(p, h=lambda x: calls.append(1) or p.h(x))
+    with pytest.raises(ValueError, match="reaches the region"):
+        random_point_in_region(counted, 0, scale=0.0)
+    assert len(calls) <= 2
 
 
 def test_random_point_at_scale_zero_is_the_initial_point():

@@ -35,7 +35,7 @@ from fletcher_penalty import (
 
 from fletcher_penalty import solver
 from fletcher_penalty.cli import main
-from fletcher_penalty.solver import _gradient_start
+from fletcher_penalty.solver import _gradient_start, _two_loop
 
 from conftest import (ALL_BUILTIN_IDS, make_affine_toy, make_rank_crossing_toy, make_saddle_toy,
                       replay_plateau_rules)
@@ -91,61 +91,129 @@ def test_gradient_start_branches():
 
 @pytest.mark.parametrize("driver", ["solve", "plateau"])
 def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch, tmp_path):
-    # an exact replay of every gradient search's start: the search at ev starts at
-    # _gradient_start(prev, ev, alpha_prev, alpha01), where prev is the point of the
-    # last search when the last step was a gradient step of the same loop (else
-    # None) and alpha_prev the step it accepted; each loop (a plateau stage, whose
-    # k restarts at 0) starts from prev = None and alpha_prev = alpha01
+    # an exact replay of every gradient search's direction and start. prev is the point
+    # of the last search when the last step was a gradient step of the same loop (else
+    # None) and alpha_prev the step it accepted; the pair (x - prev.x, grad g - prev.grad
+    # g) enters the last LBFGS_PAIRS pairs when its curvature passes. With a pair and a
+    # d = _two_loop(pairs, grad g) that passes both safeguards, the search takes d from
+    # alpha01; otherwise -grad g from _gradient_start(prev, ev, alpha_prev, alpha01).
+    # Each loop (a plateau stage, whose k restarts at 0) and each eigenstep starts anew.
     calls = []
     real = solver.gradient_backtrack
 
-    def spy(problem, ev, cfg, alpha0=None):
-        out = real(problem, ev, cfg, alpha0)
-        calls.append((ev, alpha0, out[0]))
+    def spy(problem, ev, cfg, alpha0=None, d=None):
+        out = real(problem, ev, cfg, alpha0, d)
+        calls.append((ev, alpha0, d, out[0]))
         return out
 
     monkeypatch.setattr(solver, "gradient_backtrack", spy)
     cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
+    # 0.01 off the saddle e_5 along e_2, the first steps follow negative curvature, where
+    # s.y < 0 keeps a pair out and the fallback reads a spectral start
+    x0 = np.eye(12)[5] + 0.01 * np.eye(12)[2]
     if driver == "solve":
-        p = diag_rayleigh(n=12)
-        trace = gradient_eigenstep(p, np.eye(12)[3] + 1e-6 * np.linspace(-1.0, 1.0, 12), cfg)
+        traces = [gradient_eigenstep(diag_rayleigh(n=12), x0, cfg)]
     else:
-        p = builtin_problem("stiefel", n=8, p=2, seed=1)
-        trace = plateau(p, p.init_point(1), replace(cfg, eps2=1e-3), beta0=1e-3, lp0=50)
-    assert trace.termination == "converged"
-    spectral = clipped = unsigned = held = 0
+        # a fifth of the curvature: spectral starts of at least alpha01, clipped to it
+        p = make_rayleigh_sphere(0.2 * np.diag(np.arange(1.0, 13.0)), radius=0.5)
+        stiefel = builtin_problem("stiefel", n=8, p=2, seed=1)
+        traces = [plateau(p, x0, cfg, beta0=1e-2, lp0=50),
+                  plateau(stiefel, stiefel.init_point(1), replace(cfg, eps2=1e-3), beta0=1e-3, lp0=50)]
+    starts = dict.fromkeys(["quasi_newton", "spectral", "clipped", "unsigned", "held"], 0)
     pending = iter(calls)
-    for r in trace.records:
-        if r.k == 0:
-            prev, alpha_prev = None, cfg.alpha01
-        if r.kind == "gradient":
-            ev, alpha0, alpha = next(pending)
+    for trace in traces:
+        assert trace.termination == "converged"
+        for r in trace.records:
+            if r.k == 0:
+                prev, alpha_prev, pairs = None, cfg.alpha01, []
+            if r.kind == "eigen":
+                prev, pairs = None, []
+            if r.kind != "gradient":
+                continue
+            ev, alpha0, d, alpha = next(pending)
             assert (ev.g_val, alpha) == (r.g_before, r.step_len)
-            assert alpha0 == _gradient_start(prev, ev, alpha_prev, cfg.alpha01)
+            if prev is not None:
+                s, y = ev.x - prev.x, ev.grad_g - prev.grad_g
+                if s @ y > solver.PAIR_CURVATURE * np.linalg.norm(s) * np.linalg.norm(y):
+                    pairs = (pairs + [(s, y, float(s @ y))])[-solver.LBFGS_PAIRS:]
+            qn = _two_loop(pairs, ev.grad_g) if pairs else None
+            if qn is not None and (-float(ev.grad_g @ qn) >= solver.DESCENT_KAPPA * ev.grad_norm**2
+                                   and np.linalg.norm(qn) <= solver.DIRECTION_BOUND * ev.grad_norm):
+                assert alpha0 == cfg.alpha01 and np.array_equal(d, qn)
+                assert (r.slope, r.d_norm) == (-float(ev.grad_g @ qn), np.linalg.norm(qn))
+                starts["quasi_newton"] += 1
+            else:
+                assert alpha0 == _gradient_start(prev, ev, alpha_prev, cfg.alpha01)
+                assert np.array_equal(d, -ev.grad_g)
+                assert (r.slope, r.d_norm) == (ev.grad_norm**2, ev.grad_norm)
+                if prev is not None and np.any(y != 0.0):
+                    starts["spectral"] += alpha0 < cfg.alpha01
+                    starts["clipped"] += alpha0 == cfg.alpha01
+                    # a start read across s.y <= 0, where s.s / s.y has no meaning
+                    starts["unsigned"] += float(s @ y) <= 0.0
+                starts["held"] += prev is None and r.k > 0
             assert r.step_len == alpha0 * cfg.tau1**r.backtracks <= cfg.alpha01
-            if prev is not None and np.any(ev.grad_g != prev.grad_g):
-                spectral += alpha0 < cfg.alpha01
-                clipped += alpha0 == cfg.alpha01
-                # a start read across s.y <= 0, where s.s / s.y has no meaning
-                unsigned += float((ev.x - prev.x) @ (ev.grad_g - prev.grad_g)) <= 0.0
-            held += prev is None and r.k > 0
             prev, alpha_prev = ev, alpha
-        elif r.kind == "eigen":
-            prev = None
     assert next(pending, None) is None
-    assert spectral
+    assert starts["quasi_newton"] and starts["spectral"] and starts["unsigned"]
     if driver == "plateau":
-        assert clipped and len(trace.plateaus) > 1
-        assert [r.k for r in trace.records].count(0) >= len(trace.plateaus)
-        # the command line writes the records of this run, so the replay covers it too
+        assert starts["clipped"] and all(len(t.plateaus) > 1 for t in traces)
+        assert all([r.k for r in t.records].count(0) >= len(t.plateaus) for t in traces)
+        # the command line writes the records of the Stiefel run, so the replay covers it too
         out = tmp_path / "p.json"
         assert main(["plateau", "--problem", "stiefel", "--n", "8", "--p", "2", "--seed", "1",
                      "--eps1", "1e-5", "--eps2", "1e-3", "--beta0", "1e-3", "--lp0", "50",
                      "--output-path", str(out)]) == 0
-        assert json.loads(out.read_text())["records"] == [r.as_dict() for r in trace.records]
+        assert json.loads(out.read_text())["records"] == [r.as_dict() for r in traces[1].records]
     else:
-        assert unsigned and held
-        assert "gradient eigen gradient" in " ".join(r.kind for r in trace.records)
+        assert starts["held"]
+        assert "gradient eigen gradient" in " ".join(r.kind for r in traces[0].records)
+
+
+@pytest.mark.parametrize("count", [1, 3, 5])
+def test_two_loop_matches_the_dense_bfgs_inverse_update(count):
+    # on a strictly convex quadratic (y = A s), the recursion is the BFGS update of
+    # H0 = (s.y / y.y) I of the newest pair, applied to the pairs oldest first
+    rng = np.random.default_rng(count)
+    q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+    a = q @ np.diag(np.linspace(0.5, 20.0, 8)) @ q.T
+    pairs = [(s, a @ s, float(s @ a @ s)) for s in rng.standard_normal((count, 8))]
+    s, y, sy = pairs[-1]
+    h = sy / float(y @ y) * np.eye(8)
+    for s, y, sy in pairs:
+        v = np.eye(8) - np.outer(y, s) / sy
+        h = v.T @ h @ v + np.outer(s, s) / sy
+    grad = rng.standard_normal(8)
+    d = _two_loop(pairs, grad)
+    np.testing.assert_allclose(d, -h @ grad, rtol=1e-12, atol=1e-12 * np.linalg.norm(h @ grad))
+
+
+@pytest.mark.parametrize("direction, taken", [
+    (lambda grad: -2.0 * grad, True),  # gradient-related: searched from alpha01
+    (lambda grad: -0.5e-4 * grad, False),  # slope = 0.5 kappa ||grad g||^2
+    (lambda grad: grad, False),  # an ascent direction
+    (lambda grad: -2e4 * grad, False),  # ||d|| = 2 M ||grad g||
+    (lambda grad: np.full_like(grad, math.nan), False),
+], ids=["related", "shallow", "ascent", "long", "nan"])
+def test_a_direction_failing_a_safeguard_falls_back_to_the_gradient(direction, taken, monkeypatch):
+    calls, searches = [], []
+    real = solver.gradient_backtrack
+
+    def spy(problem, ev, cfg, alpha0=None, d=None):
+        searches.append((ev, alpha0, d))
+        return real(problem, ev, cfg, alpha0, d)
+
+    monkeypatch.setattr(solver, "_two_loop", lambda pairs, grad: calls.append(1) or direction(grad))
+    monkeypatch.setattr(solver, "gradient_backtrack", spy)
+    p = diag_rayleigh()
+    trace = gradient_eigenstep(p, p.init_point(1), SolverConfig(eps1=1e-4, beta=10.0, max_iters=8))
+    assert len(calls) == len(searches) - 1 > 0  # every search after the first has a pair
+    for (ev, alpha0, d), r in zip(searches[1:], trace.records[1:]):
+        if taken:
+            assert alpha0 == 1.0 and np.array_equal(d, direction(ev.grad_g))
+        else:
+            assert np.array_equal(d, -ev.grad_g) and (r.slope, r.d_norm) == (ev.grad_norm**2, ev.grad_norm)
+    assert audit(p, trace.as_dict()) == []
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7919])
@@ -190,6 +258,10 @@ def test_eigen_backtrack_accepts_small_initial_step():
 _BROKEN_RECORDS = [
     ("region", "gradient", "h_norm", lambda r, c: 0.5 * (1.0 + 1e-11)),
     ("armijo", "gradient", "g_after", lambda r, c: r["g_before"]),
+    ("gradient_related", "gradient", "slope",
+     lambda r, c: solver.DESCENT_KAPPA * r["grad_norm"]**2 * (1.0 - 1e-11)),
+    ("gradient_related", "gradient", "d_norm",
+     lambda r, c: solver.DIRECTION_BOUND * r["grad_norm"] * (1.0 + 1e-11)),
     ("eigen_curvature", "eigen", "curvature", lambda r, c: -c["eps2"] * (1.0 - 1e-11)),
     ("eigen_grad_norm", "eigen", "grad_norm", lambda r, c: c["eps1"] * (1.0 + 1e-11)),
     ("eigen_decrease", "eigen", "g_after", lambda r, c: r["g_before"]),
@@ -442,6 +514,23 @@ def test_non_finite_evaluator_output_raises_evaluation_error(evaluator):
     bad = replace(p, **{evaluator: nan[evaluator]})
     with pytest.raises(EvaluationError, match="^%s returned (a )?non-finite" % evaluator):
         gradient_eigenstep(bad, p.init_point(0), SolverConfig(eps1=1e-5, beta=10.0))
+
+
+@pytest.mark.parametrize("evaluator", ["grad_f", "hess_f", "hess_h"])
+def test_an_inf_from_an_evaluator_raises_with_no_runtime_warning(evaluator):
+    # gradient_eigenstep and plateau, not only the command line, keep NumPy's overflow and
+    # invalid-value warnings from reaching the caller before the EvaluationError
+    p = diag_rayleigh()
+    inf = {"grad_f": lambda x: np.full(10, math.inf),
+           "hess_f": lambda x, v: np.full(np.shape(v), math.inf),
+           "hess_h": lambda x, w, v: np.full(np.shape(v), math.inf)}
+    bad = replace(p, **{evaluator: inf[evaluator]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="^%s returned non-finite" % evaluator):
+            gradient_eigenstep(bad, p.init_point(0), SolverConfig(beta=10.0))
+        with pytest.raises(EvaluationError, match="^%s returned non-finite" % evaluator):
+            plateau(bad, p.init_point(0), SolverConfig(), beta0=1e-3)
 
 
 def _nan_h_off(p, x0):
