@@ -95,20 +95,15 @@ def _finite(arr, label, x):
     return arr
 
 
-def _value(problem, x, h_val, lam, beta, grad_f=None):
+def _value(problem, x, h_val, lam, beta):
     """g(x) at beta from x's h and multipliers: one call to f.
 
-    A NaN or +-inf entry of grad_f (given while it is still unchecked) makes
-    lam, and so g, non-finite, as a non-finite f does; only a non-finite g
-    scans them, grad_f first, to name the evaluator at fault.
+    Only a non-finite g reads f_val, to name f when f is at fault.
     """
     f_val = float(problem.f(x))
     g_val = f_val - float(h_val @ lam) + beta * float(h_val @ h_val)
-    if not math.isfinite(g_val):
-        if grad_f is not None:
-            _finite(grad_f, "grad_f", x)
-        if not math.isfinite(f_val):
-            raise EvaluationError("f returned a non-finite value at %s" % _at(x))
+    if not math.isfinite(g_val) and not math.isfinite(f_val):
+        raise EvaluationError("f returned a non-finite value at %s" % _at(x))
     return g_val
 
 
@@ -137,11 +132,10 @@ def _point(problem, x, h_val=None, beta=None):
     is h(x) as the caller already evaluated it (see _read_h). With beta,
     the new record also holds the penalty value at beta, so a value-only
     evaluation builds one record. Each evaluator's output is checked once,
-    in the order h, jac_h, grad_f, f, and through a scalar the point
-    computes anyway: a NaN or +-inf entry makes that scalar non-finite
-    (IEEE: 0 * inf is NaN). The scalars are ||h|| (_read_h), svd's own
-    check for jac_h, and g (lam . lam without beta) for grad_f; the full
-    scan runs only when the scalar is not finite.
+    in the order h, jac_h, grad_f, f, and through one scalar: a NaN or
+    +-inf entry makes that scalar non-finite. The scalars are ||h||
+    (_read_h), svd's own check for jac_h, grad_f . grad_f, and g for f; the
+    full scan runs only when the scalar is not finite.
     """
     if isinstance(x, PenaltyEval):
         return x
@@ -154,19 +148,15 @@ def _point(problem, x, h_val=None, beta=None):
         _finite(jac, "jac_h", x)  # a non-finite jac is named as jac_h's
         raise
     grad_f = np.asarray(problem.grad_f(x), dtype=float).ravel()
+    if not math.isfinite(float(grad_f.dot(grad_f))):
+        _finite(grad_f, "grad_f", x)  # a finite grad_f whose square overflows passes
     m, n = jac.shape
     tol = default_rank_tol(m, n)
     if res.sigma_min <= tol * res.sigma_max:
-        _finite(grad_f, "grad_f", x)
         raise RankDeficiencyError(x, res.sigma_min, res.sigma_max)
     # Minimum-norm least-squares multipliers through the SVD of Dh.
     lam = res.u @ ((res.vt @ grad_f) / res.s)
-    if beta is None:
-        g_val = None
-        if not math.isfinite(float(lam @ lam)):
-            _finite(grad_f, "grad_f", x)
-    else:
-        g_val = _value(problem, x, h_val, lam, beta, grad_f)
+    g_val = None if beta is None else _value(problem, x, h_val, lam, beta)
     reg = problem.region
     if inside and res.sigma_min < reg.sigma_lb * (1.0 - 1e-9):
         warnings.warn(

@@ -199,15 +199,13 @@ class RunTrace:
         return json.dumps(self.as_dict())
 
 
-def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what, alpha_top):
+def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what):
     """First alpha in {alpha0 * tau^j} whose trial ev.x + alpha*d stays in the region
     and decreases g by at least required_decrease(alpha).
 
-    The rounding rule: alpha_top is the configured initial step (alpha01
-    or alpha02), the largest start the solver gives the search. A failed
-    search whose required_decrease(alpha_top) is at most ROUNDING_ULPS ulps
-    of g raises DecreaseBelowRoundingError: no start could show a decrease
-    above rounding.
+    The rounding rule: a failed search whose required_decrease(alpha0), at its
+    one start, is at most ROUNDING_ULPS ulps of g raises
+    DecreaseBelowRoundingError: no trial could show a decrease above rounding.
     """
     alpha = alpha0
     for j in range(cfg.max_backtracks + 1):
@@ -219,35 +217,34 @@ def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what, alpha_
             if ev.g_val - trial.g_val >= required_decrease(alpha):
                 return alpha, trial, j
         alpha *= tau
-    if required_decrease(alpha_top) <= ROUNDING_ULPS * math.ulp(ev.g_val):
+    if required_decrease(alpha0) <= ROUNDING_ULPS * math.ulp(ev.g_val):
         raise DecreaseBelowRoundingError(
             "no acceptable %s: a step of %g had to decrease g=%r by %.3e, below "
-            "rounding" % (what, alpha_top, ev.g_val, required_decrease(alpha_top))
+            "rounding" % (what, alpha0, ev.g_val, required_decrease(alpha0))
         )
     raise BacktrackFailureError(
         "no acceptable %s within %d backtracks" % (what, cfg.max_backtracks)
     )
 
 
-def gradient_backtrack(problem, ev, cfg, alpha0=None, d=None):
-    """First member of {alpha0 * tau1^j} passing Armijo decrease and the region test.
+def gradient_backtrack(problem, ev, cfg, d=None):
+    """First member of {alpha01 * tau1^j} passing Armijo decrease and the region test.
 
     Trials are ev.x + alpha d, d = -grad g by default, and Armijo reads g(x) -
     g(x + alpha d) >= c1 alpha slope; slope = -grad g . d must be positive.
-    alpha0 defaults to cfg.alpha01; _descend states the solver's d and start
-    and the bound on the accepted step. ev is the current point's PenaltyEval with its
-    gradient; its point, beta, value and gradient are read, never
-    recomputed. Returns (alpha, trial, backtracks), where trial is the
-    accepted point's value-only PenaltyEval (trial.x is the point);
-    evaluate() completes it with its gradient. Raises BacktrackFailureError
-    once the trial budget is exhausted, which signals that beta is likely
-    below the pointwise exactness threshold (or numerical trouble); its
-    subclass DecreaseBelowRoundingError under _backtrack's rounding rule.
+    ev is the current point's PenaltyEval with its gradient; its point, beta,
+    value and gradient are read, never recomputed. Returns (alpha, trial,
+    backtracks), where trial is the accepted point's value-only PenaltyEval
+    (trial.x is the point); evaluate() completes it with its gradient. Raises
+    BacktrackFailureError once the trial budget is exhausted, which signals
+    that beta is likely below the pointwise exactness threshold (or
+    numerical trouble); its subclass DecreaseBelowRoundingError under
+    _backtrack's rounding rule.
     """
     d = -ev.grad_g if d is None else d
     slope = -float(ev.grad_g.dot(d))
-    return _backtrack(problem, ev, d, cfg.alpha01 if alpha0 is None else alpha0, cfg.tau1,
-                      lambda a: cfg.c1 * a * slope, cfg, "gradient step", cfg.alpha01)
+    return _backtrack(problem, ev, d, cfg.alpha01, cfg.tau1,
+                      lambda a: cfg.c1 * a * slope, cfg, "gradient step")
 
 
 def eigen_backtrack(problem, ev, d, hess_quad, cfg):
@@ -261,7 +258,7 @@ def eigen_backtrack(problem, ev, d, hess_quad, cfg):
     backtracks) as gradient_backtrack does.
     """
     return _backtrack(problem, ev, np.asarray(d, dtype=float), cfg.alpha02, cfg.tau2,
-                      lambda a: -cfg.c2 * a * a * hess_quad, cfg, "eigenstep", cfg.alpha02)
+                      lambda a: -cfg.c2 * a * a * hess_quad, cfg, "eigenstep")
 
 
 def _violations(where, checks):
@@ -316,14 +313,6 @@ def _terminal(records, ev, reason, k):
     return ev, reason
 
 
-def _gradient_start(prev, ev, alpha_prev, alpha01):
-    """The start of the gradient search at ev after a search from prev (see _descend)."""
-    if prev is None:
-        return alpha_prev
-    y_norm = vector_norm(ev.grad_g - prev.grad_g)
-    return min(alpha01, vector_norm(ev.x - prev.x) / y_norm) if y_norm > 0.0 else alpha_prev
-
-
 def _two_loop(pairs, grad):
     """-H grad by L-BFGS's two-loop recursion over pairs (s, y, s.y), H0 from the newest."""
     q, coefs = -grad, []
@@ -337,18 +326,22 @@ def _two_loop(pairs, grad):
     return q
 
 
-def _gradient_step(pairs, prev, ev, alpha_prev, alpha01):
-    """(d, start, slope, ||d||) of the gradient search at ev after a step from prev (_descend)."""
+def _gradient_step(pairs, prev, ev, alpha01):
+    """(d, slope, ||d||) of the gradient search at ev after a step from prev (see _descend)."""
     if prev is not None:
         s, y = ev.x - prev.x, ev.grad_g - prev.grad_g
-        if (sy := float(s.dot(y))) > PAIR_CURVATURE * vector_norm(s) * vector_norm(y):
+        s_norm, y_norm = vector_norm(s), vector_norm(y)
+        if (sy := float(s.dot(y))) > PAIR_CURVATURE * s_norm * y_norm:
             pairs.append((s, y, sy))
     if pairs:
         d = _two_loop(pairs, ev.grad_g)
         slope, d_norm = -float(ev.grad_g.dot(d)), vector_norm(d)
         if slope >= DESCENT_KAPPA * ev.grad_norm**2 and d_norm <= DIRECTION_BOUND * ev.grad_norm:
-            return d, alpha01, slope, d_norm
-    return -ev.grad_g, _gradient_start(prev, ev, alpha_prev, alpha01), ev.grad_norm**2, ev.grad_norm
+            return d, slope, d_norm
+    scale = 1.0
+    if prev is not None and y_norm > 0.0:
+        scale = min(1.0, max(DESCENT_KAPPA, s_norm / (alpha01 * y_norm)))
+    return -scale * ev.grad_g, scale * ev.grad_norm**2, scale * ev.grad_norm
 
 
 def _descend(problem, x0, cfg, records, stop=None):
@@ -367,35 +360,35 @@ def _descend(problem, x0, cfg, records, stop=None):
     when it fails is the smallest eigenpair computed, for the eigenstep's
     direction, and a smallest eigenvalue of at least -eps2 (a tie, or
     rounding) still converges.
-    A gradient step searches d = -H grad g from alpha01, H by the L-BFGS
-    two-loop recursion (_two_loop) over the pairs s = x - prev.x, y = grad g -
-    prev.grad g of the last LBFGS_PAIRS gradient steps; a pair enters if s.y >
-    PAIR_CURVATURE ||s|| ||y||, an eigenstep clears them and each call starts
-    with none. Without a pair, or unless slope = -grad g . d >= kappa ||grad
-    g||^2 and ||d|| <= M ||grad g|| (DESCENT_KAPPA, DIRECTION_BOUND), d = -grad
-    g is searched from _gradient_start: min(alpha01, ||s|| / ||y||) if y != 0,
-    the geometric mean of the two Barzilai-Borwein steps (Dai, Al-Baali and
-    Yang, Springer Proc. Math. Stat. 134, 2015), else alpha_prev, the last
-    gradient step this call accepted (alpha01 at first). Eigensteps keep alpha02.
+    A gradient step searches its d from alpha01 and an eigenstep from
+    alpha02. d = -H grad g, H by the L-BFGS two-loop recursion (_two_loop)
+    over the pairs s = x - prev.x, y = grad g - prev.grad g of the last
+    LBFGS_PAIRS gradient steps; a pair enters if s.y > PAIR_CURVATURE ||s||
+    ||y||, an eigenstep clears them and each call starts with none. Without
+    a pair, or unless slope = -grad g . d >= kappa ||grad g||^2 and ||d|| <=
+    M ||grad g|| (DESCENT_KAPPA, DIRECTION_BOUND), d = -scale grad g with
+    scale = ||s|| / (alpha01 ||y||) clipped to [kappa, 1], and 1 without prev
+    or with y = 0. Its first trial alpha01 scale = ||s|| / ||y|| is the
+    geometric mean of the two Barzilai-Borwein steps (Dai, Al-Baali and
+    Yang, Springer Proc. Math. Stat. 134, 2015).
 
     The step bound. Let floor be the step length along -grad g up to which a
     trial provably passes its decrease test and keeps ||h|| <= radius,
     through regionwide curvature bounds once beta exceeds the pointwise
     thresholds (it scales with 1/(beta sigma_max(Dh)^2) and with the radius
-    over c_h); a search from start a accepts at least min(a, tau floor). With
-    grad g L-Lipschitz, ||y|| <= L ||s|| puts a spectral start at least
-    min(alpha01, 1/L); any other start is alpha01 or an accepted step. A
-    safeguarded d, kappa ||grad g|| <= ||d|| <= M ||grad g||, scales floor by
-    at least kappa / M^2, so by induction each accepted gradient step has alpha
-    >= tau1 min(alpha01, 1/L, kappa floor / M^2) and decreases g by at least c1
-    kappa alpha ||grad g||^2; each eigenstep has alpha >= tau2 min(alpha02, floor).
+    over c_h). Every gradient d passes both safeguards (the clip puts the
+    fallback's scale in [kappa, 1]), so kappa ||grad g|| <= ||d|| <= M ||grad
+    g|| scales floor by at least kappa / M^2: each accepted gradient step has
+    alpha >= tau1 min(alpha01, kappa floor / M^2) and decreases g by at least
+    c1 kappa alpha ||grad g||^2; each eigenstep has alpha >= tau2 min(alpha02,
+    floor).
     """
     try:
         ev = evaluate(problem, x0, cfg.beta, with_grad=True)
     except RankDeficiencyError:
         return None, "rank_deficient"
     # prev: the last iterate, kept only when the last step was a gradient step
-    k, alpha_prev, prev, pairs = 0, cfg.alpha01, None, deque(maxlen=LBFGS_PAIRS)
+    k, prev, pairs = 0, None, deque(maxlen=LBFGS_PAIRS)
     while True:
         if k >= cfg.max_iters:
             return _terminal(records, ev, "max_iters", k)
@@ -414,10 +407,12 @@ def _descend(problem, x0, cfg, records, stop=None):
             if tag is not None:
                 return _terminal(records, ev, tag, k)
             if curvature is None:
-                d, start, slope, d_norm = _gradient_step(pairs, prev, ev, alpha_prev, cfg.alpha01)
-                alpha, trial, bts = gradient_backtrack(problem, ev, cfg, start, d)
-                alpha_prev, prev = alpha, ev
+                d, slope, d_norm = _gradient_step(pairs, prev, ev, cfg.alpha01)
+                alpha, trial, bts = gradient_backtrack(problem, ev, cfg, d)
+                prev = ev
             else:
+                # no prev after an eigenstep: a scale read across it saves so-saddle
+                # gradient backtracks but costs it more iterations
                 prev = slope = d_norm = None
                 pairs.clear()
                 if float(d @ ev.grad_g) > 0.0:

@@ -154,6 +154,16 @@ def test_plateau_rank_deficient_end_exits_three(tmp_path, monkeypatch, capsys):
     assert "h_norm=nan" in capsys.readouterr().err
 
 
+def test_solve_without_a_certificate_prints_nan_measures(tmp_path, monkeypatch, capsys):
+    # a start with Dh = 0 ends the solve as rank_deficient: no certificate, nothing to measure
+    toy = replace(make_rank_crossing_toy(), init_point=lambda seed: np.array([0.5, 0.2, 0.2]))
+    monkeypatch.setattr(cli, "builtin_problem", lambda *args, **kwargs: toy)
+    out = tmp_path / "s.json"
+    assert run_cli(["solve", "--problem", "sphere", "--output-path", str(out)]) == 3
+    assert json.loads(out.read_text())["certificate"] is None
+    assert "h_norm=nan grad_M_norm=nan min_eig=nan" in capsys.readouterr().err
+
+
 def test_non_finite_hess_h_exits_three(tmp_path, monkeypatch, capsys):
     # a NaN penalty gradient is a numerical failure, not convergence or a usage error
     base = cli.builtin_problem("rayleigh", n=10)

@@ -354,6 +354,29 @@ def test_non_finite_evaluator_output_is_named_by_evaluate(n, bad, name):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("entry", ["evaluate", "penalty_grad", "multipliers"])
+def test_non_finite_grad_f_raises_before_any_warning(entry, bad):
+    # grad_f . grad_f is read as soon as grad_f returns, so an inf raises before the
+    # multipliers' matmul can print "invalid value encountered", as a NaN does
+    p = builtin_problem("rayleigh", n=5)
+    bad_p = replace(p, grad_f=lambda x: np.full(np.shape(x), bad))
+    calls = {"evaluate": lambda x: evaluate(bad_p, x, 1.0),
+             "penalty_grad": lambda x: penalty_grad(bad_p, x, 1.0),
+             "multipliers": lambda x: multipliers(bad_p, x)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="^grad_f returned non-finite"):
+            calls[entry](p.init_point(0))
+
+
+@pytest.mark.parametrize("entry", [evaluate, penalty_hess], ids=["evaluate", "penalty_hess"])
+def test_negative_beta_raises_value_error(entry):
+    p = builtin_problem("rayleigh", n=5)
+    with pytest.raises(ValueError, match="^beta must be nonnegative$"):
+        entry(p, p.init_point(0), -1.0)
+
+
 @pytest.mark.parametrize("n", [5, 100])
 def test_finite_h_whose_norm_overflows_is_not_called_non_finite(n):
     # ||h|| = inf here, but every entry of h is finite: the full scan that follows a

@@ -35,7 +35,8 @@ from fletcher_penalty import (
 
 from fletcher_penalty import solver
 from fletcher_penalty.cli import main
-from fletcher_penalty.solver import _gradient_start, _two_loop
+from fletcher_penalty.linalg import min_eig_above, sym_eig_min
+from fletcher_penalty.solver import _two_loop
 
 from conftest import (ALL_BUILTIN_IDS, make_affine_toy, make_rank_crossing_toy, make_saddle_toy,
                       replay_plateau_rules)
@@ -69,91 +70,108 @@ def test_gradient_backtrack_keeps_region_near_boundary():
     assert audit(p, trace.as_dict()) == [] and max(r.h_norm for r in trace.records) > 0.499
 
 
-def test_gradient_start_branches():
+def test_fallback_scale_branches():
+    # the fallback d = -scale grad g, scale = ||s|| / (alpha01 ||y||) clipped to [kappa, 1];
+    # each s.y <= 0 keeps the pair out, so no quasi-Newton d is tried
     prev = SimpleNamespace(x=np.zeros(2), grad_g=np.array([1.0, 0.0]))
 
-    def start(grad, alpha_prev=0.125):
-        ev = SimpleNamespace(x=np.array([0.5, 0.0]), grad_g=np.array(grad))
-        return _gradient_start(prev, ev, alpha_prev, 1.0)
+    def scale(grad, alpha01=1.0, last=prev):
+        ev = SimpleNamespace(x=np.array([0.5, 0.0]), grad_g=np.array(grad), grad_norm=np.linalg.norm(grad))
+        pairs = []
+        d, slope, d_norm = solver._gradient_step(pairs, last, ev, alpha01)
+        out = d_norm / ev.grad_norm
+        assert not pairs and np.array_equal(d, -out * ev.grad_g)
+        assert (slope, d_norm) == (out * ev.grad_norm**2, out * ev.grad_norm)
+        return out
 
     # no previous point: the run's first search, or the first after an eigenstep
-    assert _gradient_start(None, prev, 0.25, 1.0) == 0.25
-    # y = 0: no curvature to read, so the last accepted step
-    assert start([1.0, 0.0]) == 0.125
-    # s = (0.5, 0), y = (1, 0): ||s|| / ||y|| = 0.5
-    assert start([2.0, 0.0]) == 0.5
-    # s.y < 0 and s.y == 0 still give ||s|| / ||y||: the rule needs no sign condition
-    assert start([-1.0, 0.0]) == 0.25
-    assert start([1.0, 2.5]) == 0.2
-    # a large ||s|| / ||y|| (a nearly constant gradient) is clipped to alpha01
-    assert start([1.0 + 1e-9, 0.0]) == 1.0
+    assert scale([1.0, 0.0], last=None) == 1.0
+    # y = 0: no curvature to read
+    assert scale([1.0, 0.0]) == 1.0
+    # s = (0.5, 0), y = (-2, 0): ||s|| / ||y|| = 0.25, over alpha01
+    assert scale([-1.0, 0.0]) == 0.25
+    assert scale([-1.0, 0.0], alpha01=0.5) == 0.5
+    # s.y == 0 still gives ||s|| / ||y||: the rule needs no sign condition
+    assert scale([1.0, 2.5]) == 0.2
+    # a nearly constant gradient is clipped to 1, a fast-changing one to kappa
+    assert scale([1.0, 1e-9]) == 1.0
+    assert scale([-1e5, 0.0]) == solver.DESCENT_KAPPA
+
+
+def _searched_from_the_configured_starts(records, cfg):
+    # every search starts once, at alpha01 (gradient) or alpha02 (eigen)
+    starts = {"gradient": (cfg.alpha01, cfg.tau1), "eigen": (cfg.alpha02, cfg.tau2)}
+    for r in records:
+        if r.kind in starts:
+            alpha0, tau = starts[r.kind]
+            assert r.step_len == alpha0 * tau**r.backtracks
 
 
 @pytest.mark.parametrize("driver", ["solve", "plateau"])
 def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch, tmp_path):
-    # an exact replay of every gradient search's direction and start. prev is the point
-    # of the last search when the last step was a gradient step of the same loop (else
-    # None) and alpha_prev the step it accepted; the pair (x - prev.x, grad g - prev.grad
-    # g) enters the last LBFGS_PAIRS pairs when its curvature passes. With a pair and a
-    # d = _two_loop(pairs, grad g) that passes both safeguards, the search takes d from
-    # alpha01; otherwise -grad g from _gradient_start(prev, ev, alpha_prev, alpha01).
-    # Each loop (a plateau stage, whose k restarts at 0) and each eigenstep starts anew.
+    # an exact replay of every gradient search's direction. prev is the point of the last
+    # search when the last step was a gradient step of the same loop (else None); the
+    # pair (x - prev.x, grad g - prev.grad g) enters the last LBFGS_PAIRS pairs when its
+    # curvature passes. With a pair and a d = _two_loop(pairs, grad g) that passes both
+    # safeguards, the search takes d; otherwise -scale grad g, whose first trial alpha01
+    # scale is the spectral step. Each loop (a plateau stage, whose k restarts at 0) and
+    # each eigenstep starts anew.
     calls = []
     real = solver.gradient_backtrack
 
-    def spy(problem, ev, cfg, alpha0=None, d=None):
-        out = real(problem, ev, cfg, alpha0, d)
-        calls.append((ev, alpha0, d, out[0]))
+    def spy(problem, ev, cfg, d=None):
+        out = real(problem, ev, cfg, d)
+        calls.append((ev, d, out[0]))
         return out
 
     monkeypatch.setattr(solver, "gradient_backtrack", spy)
     cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
     # 0.01 off the saddle e_5 along e_2, the first steps follow negative curvature, where
-    # s.y < 0 keeps a pair out and the fallback reads a spectral start
+    # s.y < 0 keeps a pair out and the fallback reads a spectral scale
     x0 = np.eye(12)[5] + 0.01 * np.eye(12)[2]
     if driver == "solve":
         traces = [gradient_eigenstep(diag_rayleigh(n=12), x0, cfg)]
     else:
-        # a fifth of the curvature: spectral starts of at least alpha01, clipped to it
+        # a fifth of the curvature: spectral scales of at least 1, clipped to it
         p = make_rayleigh_sphere(0.2 * np.diag(np.arange(1.0, 13.0)), radius=0.5)
         stiefel = builtin_problem("stiefel", n=8, p=2, seed=1)
         traces = [plateau(p, x0, cfg, beta0=1e-2, lp0=50),
                   plateau(stiefel, stiefel.init_point(1), replace(cfg, eps2=1e-3), beta0=1e-3, lp0=50)]
-    starts = dict.fromkeys(["quasi_newton", "spectral", "clipped", "unsigned", "held"], 0)
+    starts = dict.fromkeys(["quasi_newton", "spectral", "clipped", "unsigned"], 0)
     pending = iter(calls)
     for trace in traces:
         assert trace.termination == "converged"
+        _searched_from_the_configured_starts(trace.records, cfg)
         for r in trace.records:
-            if r.k == 0:
-                prev, alpha_prev, pairs = None, cfg.alpha01, []
-            if r.kind == "eigen":
+            if r.k == 0 or r.kind == "eigen":
                 prev, pairs = None, []
             if r.kind != "gradient":
                 continue
-            ev, alpha0, d, alpha = next(pending)
+            ev, d, alpha = next(pending)
             assert (ev.g_val, alpha) == (r.g_before, r.step_len)
+            scale = 1.0
             if prev is not None:
                 s, y = ev.x - prev.x, ev.grad_g - prev.grad_g
                 if s @ y > solver.PAIR_CURVATURE * np.linalg.norm(s) * np.linalg.norm(y):
                     pairs = (pairs + [(s, y, float(s @ y))])[-solver.LBFGS_PAIRS:]
+                if np.any(y != 0.0):
+                    scale = min(1.0, max(solver.DESCENT_KAPPA,
+                                         np.linalg.norm(s) / (cfg.alpha01 * np.linalg.norm(y))))
             qn = _two_loop(pairs, ev.grad_g) if pairs else None
             if qn is not None and (-float(ev.grad_g @ qn) >= solver.DESCENT_KAPPA * ev.grad_norm**2
                                    and np.linalg.norm(qn) <= solver.DIRECTION_BOUND * ev.grad_norm):
-                assert alpha0 == cfg.alpha01 and np.array_equal(d, qn)
+                assert np.array_equal(d, qn)
                 assert (r.slope, r.d_norm) == (-float(ev.grad_g @ qn), np.linalg.norm(qn))
                 starts["quasi_newton"] += 1
             else:
-                assert alpha0 == _gradient_start(prev, ev, alpha_prev, cfg.alpha01)
-                assert np.array_equal(d, -ev.grad_g)
-                assert (r.slope, r.d_norm) == (ev.grad_norm**2, ev.grad_norm)
+                assert np.array_equal(d, -scale * ev.grad_g)
+                assert (r.slope, r.d_norm) == (scale * ev.grad_norm**2, scale * ev.grad_norm)
                 if prev is not None and np.any(y != 0.0):
-                    starts["spectral"] += alpha0 < cfg.alpha01
-                    starts["clipped"] += alpha0 == cfg.alpha01
-                    # a start read across s.y <= 0, where s.s / s.y has no meaning
+                    starts["spectral"] += scale < 1.0
+                    starts["clipped"] += scale == 1.0
+                    # a scale read across s.y <= 0, where s.s / s.y has no meaning
                     starts["unsigned"] += float(s @ y) <= 0.0
-                starts["held"] += prev is None and r.k > 0
-            assert r.step_len == alpha0 * cfg.tau1**r.backtracks <= cfg.alpha01
-            prev, alpha_prev = ev, alpha
+            prev = ev
     assert next(pending, None) is None
     assert starts["quasi_newton"] and starts["spectral"] and starts["unsigned"]
     if driver == "plateau":
@@ -166,7 +184,6 @@ def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch, tmp_pa
                      "--output-path", str(out)]) == 0
         assert json.loads(out.read_text())["records"] == [r.as_dict() for r in traces[1].records]
     else:
-        assert starts["held"]
         assert "gradient eigen gradient" in " ".join(r.kind for r in traces[0].records)
 
 
@@ -199,20 +216,25 @@ def test_a_direction_failing_a_safeguard_falls_back_to_the_gradient(direction, t
     calls, searches = [], []
     real = solver.gradient_backtrack
 
-    def spy(problem, ev, cfg, alpha0=None, d=None):
-        searches.append((ev, alpha0, d))
-        return real(problem, ev, cfg, alpha0, d)
+    def spy(problem, ev, cfg, d=None):
+        searches.append((ev, d))
+        return real(problem, ev, cfg, d)
 
     monkeypatch.setattr(solver, "_two_loop", lambda pairs, grad: calls.append(1) or direction(grad))
     monkeypatch.setattr(solver, "gradient_backtrack", spy)
     p = diag_rayleigh()
-    trace = gradient_eigenstep(p, p.init_point(1), SolverConfig(eps1=1e-4, beta=10.0, max_iters=8))
+    cfg = SolverConfig(eps1=1e-4, beta=10.0, max_iters=8)
+    trace = gradient_eigenstep(p, p.init_point(1), cfg)
     assert len(calls) == len(searches) - 1 > 0  # every search after the first has a pair
-    for (ev, alpha0, d), r in zip(searches[1:], trace.records[1:]):
+    for (prev, _), (ev, d), r in zip(searches, searches[1:], trace.records[1:]):
         if taken:
-            assert alpha0 == 1.0 and np.array_equal(d, direction(ev.grad_g))
+            assert np.array_equal(d, direction(ev.grad_g))
         else:
-            assert np.array_equal(d, -ev.grad_g) and (r.slope, r.d_norm) == (ev.grad_norm**2, ev.grad_norm)
+            ratio = np.linalg.norm(ev.x - prev.x) / np.linalg.norm(ev.grad_g - prev.grad_g)
+            scale = min(1.0, max(solver.DESCENT_KAPPA, ratio))
+            assert np.array_equal(d, -scale * ev.grad_g)
+            assert (r.slope, r.d_norm) == (scale * ev.grad_norm**2, scale * ev.grad_norm)
+    _searched_from_the_configured_starts(trace.records, cfg)
     assert audit(p, trace.as_dict()) == []
 
 
@@ -242,6 +264,32 @@ def test_spectral_start_keeps_stiefel_solves_short():
         assert trace.termination == "converged"
         iters.append(trace.iteration_counts()[0])
     assert np.median(iters) <= 100
+
+
+def test_first_order_bounds_are_checked_only_above_the_thresholds():
+    # at beta <= max(beta2, beta3) the certificate's bounds need not hold, so a measure
+    # past them is not checked; above, it raises
+    p = diag_rayleigh()
+    ev = evaluate(p, p.init_point(0), 1.0)
+    th = beta_thresholds(p, ev)
+    broken = SimpleNamespace(eps0_measured=1.0, eps1_measured=1.0)
+    low = max(th.beta2, th.beta3)
+    assert solver._assert_first_order_bounds(p, ev, broken, SolverConfig(beta=low)) is None
+    with pytest.raises(NumericalFailureError, match="^first-order certificate bounds violated"):
+        solver._assert_first_order_bounds(p, ev, broken, SolverConfig(beta=2.0 * low))
+
+
+def test_a_curvature_tie_at_minus_eps2_converges():
+    # at the saddle e_0 of diag(1, 1 - eps2, 2) the penalty Hessian is diagonal with its
+    # smallest eigenvalue exactly -eps2: the Cholesky test of H + eps2 I fails on a zero
+    # pivot, and the eigenvalue, not below -eps2, ends the run as converged
+    eps2 = 2.0**-10
+    p = make_rayleigh_sphere(np.diag([1.0, 1.0 - eps2, 2.0]))
+    x0 = np.eye(3)[0]
+    hess = penalty_hess(p, evaluate(p, x0, 10.0), 10.0)
+    assert not min_eig_above(hess, -eps2) and sym_eig_min(hess)[0] == -eps2
+    trace = gradient_eigenstep(p, x0, SolverConfig(eps1=1e-5, eps2=eps2, beta=10.0))
+    assert trace.termination == "converged" and [r.kind for r in trace.records] == ["terminal"]
 
 
 def test_eigen_backtrack_accepts_small_initial_step():
@@ -492,9 +540,9 @@ def test_unreachable_tolerance_ends_as_tolerance_unreachable():
     assert issubclass(DecreaseBelowRoundingError, BacktrackFailureError)
     # the same search with a measurable decrease still fails as a backtrack failure
     with pytest.raises(DecreaseBelowRoundingError):
-        gradient_backtrack(p, ev, replace(cfg, max_backtracks=0), alpha0=1e-300)
+        gradient_backtrack(p, ev, replace(cfg, max_backtracks=0, alpha01=1e-300))
     with pytest.raises(BacktrackFailureError) as exc:
-        gradient_backtrack(p, ev, replace(cfg, max_backtracks=0, alpha01=1e30), alpha0=1e-300)
+        gradient_backtrack(p, ev, replace(cfg, max_backtracks=0, alpha01=1e30))
     assert type(exc.value) is BacktrackFailureError
 
 
