@@ -27,7 +27,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .criticality import layered_hess
+from .criticality import _layer_min_eig
 from .exceptions import FletcherPenaltyError
 from .problems import builtin_problem, random_point_in_region
 from .solver import SolverConfig, gradient_eigenstep, plateau, restore_feasibility
@@ -195,7 +195,7 @@ def _final_measures(problem, trace):
         return (float("nan"),) * 3
     min_eig = cert.min_eig
     if min_eig is None:
-        min_eig = layered_hess(problem, trace.final_eval).min_eig
+        min_eig = _layer_min_eig(problem, trace.final_eval)
     return cert.eps0_measured, cert.eps1_measured, min_eig
 
 

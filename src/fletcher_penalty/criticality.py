@@ -3,10 +3,10 @@
 Every point x with full-rank constraint Jacobian sits on the level set
 {y : h(y) = h(x)}, a smooth submanifold. Criticality of f is measured on
 that layer: gradient projected to ker Dh(x), Hessian of f minus the
-multiplier-weighted constraint Hessians reduced to an orthonormal kernel
-basis. A certificate compares the measured quantities against target
-tolerances; the competing Lagrangian-based check is provided for
-comparison with user-supplied multipliers.
+multiplier-weighted constraint Hessians reduced to ker Dh(x): through an
+orthonormal kernel basis (layered_hess), or for the certificate's least
+eigenvalue through Dh's right singular vectors alone. A certificate compares
+them against target tolerances; lagrangian_check takes user multipliers.
 """
 
 import math
@@ -85,8 +85,7 @@ def _reduced_hess(problem, x, jac, lam):
     q = kernel_basis(jac)
     reduced = _finite(q.T @ _lagrangian_hess(problem, x, lam, q), "hess_h", x)
     reduced = 0.5 * (reduced + reduced.T)
-    min_eig, _ = sym_eig_min(reduced, vector=False)
-    return q, reduced, min_eig
+    return q, reduced, sym_eig_min(reduced, vector=False)[0]
 
 
 def layered_hess(problem, x):
@@ -102,18 +101,34 @@ def layered_hess(problem, x):
                              tangent_basis=q, reduced_hess=reduced, min_eig=min_eig)
 
 
-def certify(problem, x, eps0, eps1, eps2):
+def _layer_min_eig(problem, pt, lag=None):
+    """Least eigenvalue of Q^T M Q, Q a kernel basis of Dh and M = hess f - H(lambda), without Q.
+
+    K = (I - V V^T) M (I - V V^T) + c V V^T with V = jac_svd.vt^T has the eigenvalues of Q^T M Q
+    and m more equal to c = ||M||_inf + 1, above them all. With W = M V and E = V V^T W + c V - W,
+    K = M + [V W] [E -V]^T: one rank-2m product. lag is M if given, else formed by one I product.
+    """
+    if lag is None:
+        lag = _lagrangian_hess(problem, pt.x, pt.lambda_val, np.eye(pt.x.size))
+    v = pt.jac_svd.vt.T
+    w = lag @ v
+    e = v @ (v.T @ w) + (float(np.abs(lag).sum(axis=1).max()) + 1.0) * v - w
+    k = _finite(lag + np.hstack((v, w)) @ np.hstack((e, -v)).T, "hess_h", pt.x)
+    return sym_eig_min(k, vector=False)[0]  # K is symmetric up to rounding
+
+
+def certify(problem, x, eps0, eps1, eps2, *, lag_hess=None):
     """Measure layered criticality at x and compare against the targets.
 
-    eps2 = inf skips the Hessian measurement; the second-order flag then
-    reduces to the first-order one. x may be a PenaltyEval, whose point
-    data is reused.
+    eps2 = inf skips the Hessian measurement; the second-order flag then reduces to the
+    first-order one. x may be a PenaltyEval, whose point data is reused; lag_hess may be
+    hess f - H(lambda) at x as penalty_hess formed it, and then no SVD or product is taken.
     """
     pt = _point(problem, x)
     eps0_m, eps1_m = pt.h_norm, vector_norm(pt.riem_grad)
     eps2_m, curvature_ok, min_eig = None, True, None
     if not math.isinf(eps2):
-        min_eig = layered_hess(problem, pt).min_eig
+        min_eig = _layer_min_eig(problem, pt, lag_hess)
         eps2_m, curvature_ok = max(0.0, -min_eig), min_eig >= -eps2
     focp = eps0_m <= eps0 and eps1_m <= eps1
     return CriticalityCertificate(eps0_measured=eps0_m, eps1_measured=eps1_m,

@@ -149,10 +149,10 @@ def _symmetrized(h):
 def sym_eig_min(h, vector=True):
     """Smallest eigenvalue and a unit eigenvector of the symmetrized matrix.
 
-    The input is symmetrized as (H + H^T)/2 first. The library's own
-    callers (penalty_hess and the certificate's reduced Hessian) already
-    pass symmetric matrices; the symmetrization is there for callers outside
-    the library, whose asymmetry must not reach the eigensolver. With
+    The input is symmetrized as (H + H^T)/2 first. Of the library's own
+    callers, the eigenstep (penalty_hess) and layered_hess pass symmetric
+    matrices and certify one symmetric up to rounding; for callers outside
+    the library, too, asymmetry must not reach the eigensolver. With
     vector=False only the eigenvalues are computed (eigvalsh, about half the
     cost of eigh) and the vector returned is None: the certificate reads the
     value alone, and only the solver's eigenstep reads a direction.

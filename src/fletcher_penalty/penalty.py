@@ -134,7 +134,7 @@ def _point(problem, x, h_val=None, beta=None):
     evaluation builds one record. Each evaluator's output is checked once,
     in the order h, jac_h, grad_f, f, and through one scalar: a NaN or
     +-inf entry makes that scalar non-finite. The scalars are ||h||
-    (_read_h), svd's own check for jac_h, grad_f . grad_f, and g for f; the
+    (_read_h), svd's own check for jac_h, vdot(grad_f, grad_f), and g for f; the
     full scan runs only when the scalar is not finite.
     """
     if isinstance(x, PenaltyEval):
@@ -148,7 +148,7 @@ def _point(problem, x, h_val=None, beta=None):
         _finite(jac, "jac_h", x)  # a non-finite jac is named as jac_h's
         raise
     grad_f = np.asarray(problem.grad_f(x), dtype=float).ravel()
-    if not math.isfinite(float(grad_f.dot(grad_f))):
+    if not math.isfinite(float(np.vdot(grad_f, grad_f))):  # vdot, unlike dot, warns of no overflow
         _finite(grad_f, "grad_f", x)  # a finite grad_f whose square overflows passes
     m, n = jac.shape
     tol = default_rank_tol(m, n)
@@ -305,15 +305,20 @@ def penalty_hess(problem, x, beta):
     identity (H(lam) and H(h)), the m hess_h vector products of Dlam's rows,
     and no further evaluation or SVD.
     """
+    return _penalty_hess(problem, x, beta)[0]
+
+
+def _penalty_hess(problem, x, beta):
+    """penalty_hess at x and the block hess f - H(lam) it was assembled from."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     pt = _point(problem, x)
     x, jac = pt.x, pt.jac
     eye = np.eye(x.size)
     cross = jac.T @ dlambda_jacobian(problem, pt)
-    hess = (_lagrangian_hess(problem, x, pt.lambda_val, eye) - cross - cross.T
-            + 2.0 * beta * (jac.T @ jac + problem.hess_h(x, pt.h_val, eye)))
-    return _finite(0.5 * (hess + hess.T), "hess_h", x)
+    lag = _lagrangian_hess(problem, x, pt.lambda_val, eye)
+    hess = lag - cross - cross.T + 2.0 * beta * (jac.T @ jac + problem.hess_h(x, pt.h_val, eye))
+    return _finite(0.5 * (hess + hess.T), "hess_h", x), lag
 
 
 def _thresholds(c_lambda, res):

@@ -107,7 +107,7 @@ def linear_cost(c):
 def quadratic_cost(a):
     """f(x) = 0.5 <x, A x> for symmetric A."""
     a = np.asarray(a, dtype=float)
-    a = 0.5 * (a + a.T)
+    a = 0.5 * a + 0.5 * a.T  # (a + a^T)/2, bit for bit in the normal range, with no overflow
     return Cost(
         value=lambda x: float(0.5 * x @ (a @ x)),
         grad=lambda x: a @ x,

@@ -189,8 +189,8 @@ def test_beta_too_large_for_the_gradient_exits_three_in_one_line(tmp_path, capsy
 
 
 def test_overflowing_matrix_exits_three_in_one_line(tmp_path, capsys):
-    # 1e308 + 1e308 overflows in the cost's symmetrization and the penalty's
-    # products: main prints the run's one error line, and NumPy no warning
+    # the cost keeps the entries 1e308 (its symmetrization halves before it adds), and the
+    # first trial's h overflows: main prints the run's one error line, and NumPy no warning
     path = tmp_path / "a.csv"
     np.savetxt(path, np.diag([1e308, 1e308, 3.0, 4.0, 5.0]), delimiter=",")
     out = tmp_path / "s.json"
@@ -201,7 +201,7 @@ def test_overflowing_matrix_exits_three_in_one_line(tmp_path, capsys):
     assert code == 3 and not out.exists()
     assert [w.message for w in caught] == []
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("fletcher-penalty: grad_f returned non-finite")
+    assert err.count("\n") == 1 and err.startswith("fletcher-penalty: h returned non-finite")
 
 
 def test_unreachable_tolerance_exits_two_in_one_line(tmp_path, capsys):
@@ -294,17 +294,17 @@ def test_plateau_trial_budget_too_short_for_beta_ends_as_trial_budget(tmp_path, 
 ])
 def test_cli_run_measures_min_eig_once_per_solve(tmp_path, monkeypatch, capsys, args, solves):
     # a second-order certificate carries the min_eig it measured, so the CLI
-    # does not run layered_hess again; a first-order run measures it in the CLI
+    # does not measure it again; a first-order run measures it in the CLI
     from fletcher_penalty import criticality
 
-    real, calls = criticality.layered_hess, []
+    real, calls = criticality._layer_min_eig, []
 
     def spy(*a):
         calls.append(a)
         return real(*a)
 
-    monkeypatch.setattr(criticality, "layered_hess", spy)
-    monkeypatch.setattr(cli, "layered_hess", spy)
+    monkeypatch.setattr(criticality, "_layer_min_eig", spy)
+    monkeypatch.setattr(cli, "_layer_min_eig", spy)
     assert run_cli(args + ["--output-path", str(tmp_path / "out")]) == 0
     assert len(calls) == solves
 

@@ -9,7 +9,9 @@ import pytest
 
 from fletcher_penalty import (
     EvaluationError,
+    builtin_problem,
     certify,
+    evaluate,
     kernel_basis,
     lagrangian_check,
     layered_grad,
@@ -19,6 +21,7 @@ from fletcher_penalty import (
     multipliers,
     random_point_in_region,
 )
+from fletcher_penalty import criticality, linalg, penalty
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +112,40 @@ def test_certificate_curvature_matches_an_eigh_oracle(builtins):
             cert = certify(p, x, 1.0, 1.0, 1.0)
             assert abs(cert.min_eig - oracle) <= 1e-12
             assert abs(cert.eps2_measured - max(0.0, -oracle)) <= 1e-12
+
+
+def test_certificate_curvature_matches_the_kernel_route(builtins):
+    # certify reads the least eigenvalue of P M P + c V V^T, layered_hess that of Q^T M Q;
+    # also for m = 6 with Dh factored on the Gram route, and for M = 0, where c = 1
+    stiefel = builtin_problem("stiefel", n=30, p=3, seed=0)
+    sphere = builtins["sphere"]
+    zero = replace(sphere, f=lambda y: 0.0, grad_f=lambda y: np.zeros(5),
+                   hess_f=lambda y, v: np.zeros(np.shape(v)))
+    assert linalg._gram_svd(stiefel.jac_h(stiefel.init_point(0))) is not None
+    for p in [*builtins.values(), stiefel, zero]:
+        for seed in range(5):
+            x = random_point_in_region(p, seed, scale=0.4)
+            cert = certify(p, x, 1.0, 1.0, 1.0)
+            assert abs(cert.min_eig - layered_hess(p, x).min_eig) <= 1e-12
+    # there K = V V^T, with eigenvalue 1 on range V and, to rounding, 0 on the kernel
+    assert abs(certify(zero, zero.init_point(1), 1.0, 1.0, 1.0).min_eig) <= 1e-15
+
+
+def test_certify_from_a_kept_hessian_takes_no_svd_and_no_product(monkeypatch):
+    # given hess f - H(lambda) as penalty_hess formed it, the certificate of a
+    # PenaltyEval evaluates nothing, and equals the one that forms the matrix itself
+    p = builtin_problem("rayleigh", n=12)
+    ev = evaluate(p, p.init_point(0), 10.0)
+    _, lag = penalty._penalty_hess(p, ev, 10.0)
+    bare = certify(p, ev, 1.0, 1.0, 1.0)
+
+    def called(*args, **kwargs):
+        raise AssertionError("called")
+
+    for module, name in [(criticality, "kernel_basis"), (penalty, "svd"), (np.linalg, "svd")]:
+        monkeypatch.setattr(module, name, called)
+    silent = replace(p, hess_f=called, hess_h=called)
+    assert certify(silent, ev, 1.0, 1.0, 1.0, lag_hess=lag) == bare
 
 
 def test_certify_second_order_point():

@@ -357,8 +357,8 @@ def test_non_finite_evaluator_output_is_named_by_evaluate(n, bad, name):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("entry", ["evaluate", "penalty_grad", "multipliers"])
 def test_non_finite_grad_f_raises_before_any_warning(entry, bad):
-    # grad_f . grad_f is read as soon as grad_f returns, so an inf raises before the
-    # multipliers' matmul can print "invalid value encountered", as a NaN does
+    # vdot(grad_f, grad_f) is read as soon as grad_f returns, so an inf raises before
+    # the multipliers' matmul can print "invalid value encountered", as a NaN does
     p = builtin_problem("rayleigh", n=5)
     bad_p = replace(p, grad_f=lambda x: np.full(np.shape(x), bad))
     calls = {"evaluate": lambda x: evaluate(bad_p, x, 1.0),
@@ -368,6 +368,19 @@ def test_non_finite_grad_f_raises_before_any_warning(entry, bad):
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match="^grad_f returned non-finite"):
             calls[entry](p.init_point(0))
+
+
+@pytest.mark.parametrize("entry", ["evaluate", "penalty_value"])
+def test_finite_grad_f_whose_square_overflows_warns_of_nothing(entry):
+    # ||grad f||^2 = 1e401 overflows in the finiteness check, which therefore reads it
+    # through vdot and prints no overflow; every entry is finite, so the point evaluates
+    p = builtin_problem("rayleigh", n=10)
+    big = replace(p, grad_f=lambda x: np.full(10, 1e200))
+    calls = {"evaluate": lambda x: evaluate(big, x, 1.0, with_grad=False).g_val,
+             "penalty_value": lambda x: penalty_value(big, x, 1.0)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(calls[entry](p.init_point(0)))
 
 
 @pytest.mark.parametrize("entry", [evaluate, penalty_hess], ids=["evaluate", "penalty_hess"])

@@ -1,5 +1,6 @@
 """Built-in problems: closed forms, region constants, derivative consistency."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from fletcher_penalty import (
     make_rayleigh_sphere,
     make_sphere,
     make_stiefel,
+    quadratic_cost,
     random_point_in_region,
     zero_cost,
 )
@@ -76,6 +78,18 @@ def test_rayleigh_minimizer_oracle():
     p = make_rayleigh_sphere(a)
     w, v = np.linalg.eigh(a)
     assert p.f(v[:, 0]) == pytest.approx(0.5 * w[0], rel=1e-12)
+
+
+def test_quadratic_cost_symmetrizes_without_overflow():
+    # (a + a^T) / 2 is taken as a/2 + a^T/2: bit for bit the same in the normal range,
+    # and a matrix with entries near the largest float builds with no overflow warning
+    a = np.random.default_rng(8).standard_normal((7, 7))
+    np.testing.assert_array_equal(quadratic_cost(a).hess(None, np.eye(7)), 0.5 * (a + a.T))
+    big = np.diag([1e308, 1e308, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = make_rayleigh_sphere(big)
+    np.testing.assert_array_equal(p.hess_f(np.zeros(3), np.eye(3)), big)
 
 
 def test_rayleigh_rejects_asymmetric():

@@ -20,6 +20,7 @@ from fletcher_penalty import (
     audit_restore,
     beta_thresholds,
     builtin_problem,
+    certify,
     eigen_backtrack,
     evaluate,
     gradient_backtrack,
@@ -475,9 +476,9 @@ def test_solve_takes_thin_svds_and_two_hess_h_per_gradient(monkeypatch):
 
     def spy_hess(problem, ev, beta):
         before = len(hess_h_points), len(vt_shapes)
-        hess = real_hess(problem, ev, beta)
+        out = real_hess(problem, ev, beta)  # the solver's penalty_hess returns (hess, M)
         per_hessian.append((len(hess_h_points) - before[0], len(vt_shapes) - before[1]))
-        return hess
+        return out
 
     monkeypatch.setattr(penalty, "svd", spy_svd)
     monkeypatch.setattr(penalty, "evaluate", spy_evaluate)
@@ -700,6 +701,48 @@ def test_plateau_zero_cap_returns_the_start():
     assert trace.final_certificate is None
     assert trace.config.beta == 3.0
     np.testing.assert_array_equal(trace.final_x, x0)
+
+
+@pytest.mark.parametrize("driver", ["gradient_eigenstep", "plateau"])
+def test_a_second_order_run_certifies_from_its_last_penalty_hessian(monkeypatch, driver):
+    # the certificate reads hess f - H(lambda) as the run's last convergence test formed
+    # it inside penalty_hess: no kernel basis, no hess_f after that test and no product at
+    # all inside certify (the first-order termination check's Dlambda takes m hess_h rows);
+    # it equals, bit for bit, the certificate of the bare final point
+    from fletcher_penalty import criticality
+
+    events = []
+
+    def logged(name, fn):
+        def wrapped(*args, **kwargs):
+            events.append(name + "(")
+            out = fn(*args, **kwargs)
+            events.append(name)
+            return out
+        return wrapped
+
+    for module, name in [(solver, "penalty_hess"), (solver, "certify"),
+                         (criticality, "kernel_basis")]:
+        monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
+    if driver == "plateau":
+        p, cfg = builtin_problem("stiefel", n=8, p=2, seed=3), SolverConfig(eps1=1e-4, eps2=1e-3)
+        x0 = p.init_point(3)
+        run = lambda q: plateau(q, x0, cfg, gamma=2.0, beta0=1e-3, lp0=50)
+    else:
+        p, cfg = diag_rayleigh(n=30), SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
+        x0 = np.eye(30)[5]  # a strict saddle: the run takes eigensteps
+        run = lambda q: gradient_eigenstep(q, x0, cfg)
+    counted = replace(p, hess_f=logged("hess_f", p.hess_f), hess_h=logged("hess_h", p.hess_h))
+    trace = run(counted)
+    assert trace.termination == "converged"
+    assert driver == "plateau" or any(r.kind == "eigen" for r in trace.records)
+    assert "kernel_basis(" not in events
+    after = events[len(events) - events[::-1].index("penalty_hess"):]
+    assert "hess_f(" not in after and after.count("certify(") == 1
+    assert after[after.index("certify(") + 1] == "certify"
+    c = trace.config
+    bare = certify(p, trace.final_x, c.eps1, 2.0 * c.eps1, c.eps2)
+    assert trace.final_certificate == bare and bare.min_eig is not None
 
 
 def test_plateau_certifies_only_inside_the_solver(monkeypatch):
