@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .linalg import kernel_basis, sym_eig_min, vector_norm
+from .linalg import _sym_eig_min as sym_eig_min, kernel_basis, vector_norm  # traced by name
 from .penalty import _finite, _lagrangian_hess, _point, _read_h
 
 __all__ = [
@@ -83,8 +83,8 @@ def layered_grad(problem, x):
 def _reduced_hess(problem, x, jac, lam):
     """Kernel basis Q of jac, the symmetrized Q^T (hess f - H(lam)) Q and its least eigenvalue."""
     q = kernel_basis(jac)
-    reduced = _finite(q.T @ _lagrangian_hess(problem, x, lam, q), "hess_h", x)
-    reduced = 0.5 * (reduced + reduced.T)
+    reduced = q.T @ _lagrangian_hess(problem, x, lam, q)
+    reduced = _finite(0.5 * (reduced + reduced.T), "hess_h", x)  # the sum may overflow
     return q, reduced, sym_eig_min(reduced, vector=False)[0]
 
 
@@ -107,14 +107,17 @@ def _layer_min_eig(problem, pt, lag=None):
     K = (I - V V^T) M (I - V V^T) + c V V^T with V = jac_svd.vt^T has the eigenvalues of Q^T M Q
     and m more equal to c = ||M||_inf + 1, above them all. With W = M V and E = V V^T W + c V - W,
     K = M + [V W] [E -V]^T: one rank-2m product. lag is M if given, else formed by one I product.
+    K is symmetrized once in place, scanned once and handed to eigvalsh as it is.
     """
     if lag is None:
         lag = _lagrangian_hess(problem, pt.x, pt.lambda_val, np.eye(pt.x.size))
     v = pt.jac_svd.vt.T
     w = lag @ v
     e = v @ (v.T @ w) + (float(np.abs(lag).sum(axis=1).max()) + 1.0) * v - w
-    k = _finite(lag + np.hstack((v, w)) @ np.hstack((e, -v)).T, "hess_h", pt.x)
-    return sym_eig_min(k, vector=False)[0]  # K is symmetric up to rounding
+    k = lag + np.hstack((v, w)) @ np.hstack((e, -v)).T
+    k += k.T  # K is symmetric up to rounding
+    k *= 0.5
+    return sym_eig_min(_finite(k, "hess_h", pt.x), vector=False)[0]
 
 
 def certify(problem, x, eps0, eps1, eps2, *, lag_hess=None):

@@ -138,26 +138,16 @@ def svd(a):
     return SvdResult(u=u, s=s, vt=vt)
 
 
-def _symmetrized(h):
-    """(H + H^T)/2 as a new array; ValueError unless h is finite and square."""
+def _square(h):
+    """h as a float matrix; ValueError unless it is finite and square."""
     h = _finite(_as_matrix(h))
     if h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix, got shape %s" % (h.shape,))
-    return 0.5 * (h + h.T)
+    return h
 
 
-def sym_eig_min(h, vector=True):
-    """Smallest eigenvalue and a unit eigenvector of the symmetrized matrix.
-
-    The input is symmetrized as (H + H^T)/2 first. Of the library's own
-    callers, the eigenstep (penalty_hess) and layered_hess pass symmetric
-    matrices and certify one symmetric up to rounding; for callers outside
-    the library, too, asymmetry must not reach the eigensolver. With
-    vector=False only the eigenvalues are computed (eigvalsh, about half the
-    cost of eigh) and the vector returned is None: the certificate reads the
-    value alone, and only the solver's eigenstep reads a direction.
-    """
-    sym = _symmetrized(h)
+def _sym_eig_min(sym, vector=True):
+    """sym_eig_min of a symmetric matrix read as it is: eigh and eigvalsh read one triangle."""
     try:
         if not vector:
             return float(np.linalg.eigvalsh(sym)[0]), None
@@ -167,18 +157,32 @@ def sym_eig_min(h, vector=True):
     return float(w[0]), v[:, 0].copy()
 
 
-def min_eig_above(h, floor):
-    """Whether the symmetrized matrix has its smallest eigenvalue above floor.
+def sym_eig_min(h, vector=True):
+    """Smallest eigenvalue and a unit eigenvector of the symmetrized matrix.
 
-    A Cholesky factorization of (H + H^T)/2 - floor I succeeds exactly when
-    that matrix is positive definite (Golub & Van Loan, Matrix Computations,
-    4th ed., section 4.2), so this answers the solver's convergence test
-    without an eigensolve; at n = 120 it costs a small fraction of eigh.
-    A smallest eigenvalue within rounding of floor may go either way. Raises
-    ValueError on non-finite entries or a non-square matrix, as sym_eig_min.
+    The input is symmetrized as (H + H^T)/2 first, so asymmetry never reaches
+    the eigensolver. The library's callers symmetrize their matrices once and
+    call the private _sym_eig_min. With vector=False only the eigenvalues are
+    computed (eigvalsh, about half the cost of eigh) and the vector returned
+    is None: the certificate reads the value alone, and only the solver's
+    eigenstep reads a direction.
     """
-    shifted = _symmetrized(h)
-    shifted[np.diag_indices_from(shifted)] -= floor
+    h = _square(h)
+    return _sym_eig_min(0.5 * (h + h.T), vector)
+
+
+def min_eig_above(h, floor):
+    """Whether the symmetric matrix h has its smallest eigenvalue above floor.
+
+    A Cholesky factorization of H - floor I (LAPACK's, which reads the lower triangle only)
+    succeeds exactly when that matrix is positive definite (Golub & Van Loan, Matrix
+    Computations, 4th ed., section 4.2): the convergence test without an eigensolve, at
+    n = 120 a small fraction of the cost of eigh. A smallest eigenvalue within rounding of
+    floor may go either way. Raises ValueError on non-finite entries or a non-square matrix,
+    as sym_eig_min.
+    """
+    shifted = _square(h).copy()
+    shifted.flat[::len(shifted) + 1] -= floor
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

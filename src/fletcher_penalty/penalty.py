@@ -293,17 +293,16 @@ def penalty_grad(problem, x, beta):
 
 
 def penalty_hess(problem, x, beta):
-    """Symmetrized penalty Hessian, less the term sum_i h_i hess lambda_i.
+    """Penalty Hessian, exactly symmetric, less the term sum_i h_i hess lambda_i.
 
     Differentiating the gradient once more gives
     (hess f - H(lam)) - Dh^T Dlam - Dlam^T Dh + 2 beta (Dh^T Dh + H(h)),
-    with H(w) = sum_i w_i hess h_i. The dropped term needs third derivatives
-    and is O(||h||): zero on the feasible set and small at the
-    eps1-stationary iterates where the solver reads curvature. x may be a
-    PenaltyEval, whose point data and Lagrangian-Hessian block are reused:
-    the Hessian then costs one hess_f and two hess_h products with the
-    identity (H(lam) and H(h)), the m hess_h vector products of Dlam's rows,
-    and no further evaluation or SVD.
+    with H(w) = sum_i w_i hess h_i, assembled in one array and symmetrized once, in place, as
+    (H + H^T)/2. The dropped term needs third derivatives and is O(||h||): zero on the feasible
+    set and small at the eps1-stationary iterates where the solver reads curvature. x may be a
+    PenaltyEval, whose point data and Lagrangian-Hessian block are reused: the Hessian then
+    costs one hess_f and two hess_h products with the identity (H(lam) and H(h)), the m hess_h
+    vector products of Dlam's rows, and no further evaluation or SVD.
     """
     return _penalty_hess(problem, x, beta)[0]
 
@@ -315,10 +314,16 @@ def _penalty_hess(problem, x, beta):
     pt = _point(problem, x)
     x, jac = pt.x, pt.jac
     eye = np.eye(x.size)
-    cross = jac.T @ dlambda_jacobian(problem, pt)
+    cross = np.dot(jac.T, dlambda_jacobian(problem, pt))  # np.dot takes BLAS also for m = 1
     lag = _lagrangian_hess(problem, x, pt.lambda_val, eye)
-    hess = lag - cross - cross.T + 2.0 * beta * (jac.T @ jac + problem.hess_h(x, pt.h_val, eye))
-    return _finite(0.5 * (hess + hess.T), "hess_h", x), lag
+    hess = lag - cross
+    hess -= cross.T
+    normal = np.dot(jac.T, jac) + problem.hess_h(x, pt.h_val, eye)
+    normal *= 2.0 * beta
+    hess += normal
+    hess += hess.T  # the one symmetrization, (H + H^T)/2 in place
+    hess *= 0.5
+    return _finite(hess, "hess_h", x), lag
 
 
 def _thresholds(c_lambda, res):

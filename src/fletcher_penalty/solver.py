@@ -26,7 +26,7 @@ from .exceptions import (
     RankDeficiencyError,
     StepSizeError,
 )
-from .linalg import min_eig_above, sym_eig_min, vector_norm
+from .linalg import _sym_eig_min as sym_eig_min, min_eig_above, vector_norm  # traced by name
 from .penalty import (
     PenaltyEval,
     _read_h,

@@ -222,6 +222,19 @@ def test_lagrangian_check_names_a_non_finite_evaluator(evaluator):
         lagrangian_check(bad, x, lam, 1.0, 1.0, 1.0)
 
 
+def test_curvature_that_overflows_when_symmetrized_raises_instead_of_reading_nan():
+    # hess f = diag(1.2e308, 1.2e308, 3): the reduced Hessian and K are finite, but their
+    # symmetrization (M + M^T)/2 overflows; each curvature reader scans after it
+    p = make_rayleigh_sphere(np.diag([1.2e308, 1.2e308, 3.0]))
+    x = np.eye(3)[2]
+    lam, _ = multipliers(p, x)
+    with np.errstate(over="ignore"):
+        for read in (lambda: certify(p, x, 1.0, 1.0, 1.0), lambda: layered_hess(p, x),
+                     lambda: lagrangian_check(p, x, lam, 1.0, 1.0, 1.0)):
+            with pytest.raises(EvaluationError, match="^hess_h returned non-finite"):
+                read()
+
+
 def test_certify_implies_lagrangian(builtins):
     rng = np.random.default_rng(30)
     for p in builtins.values():

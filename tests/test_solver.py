@@ -971,6 +971,39 @@ def test_cholesky_convergence_test_keeps_the_records(monkeypatch, start):
     assert shipped.termination == oracle.termination == "converged"
 
 
+@pytest.mark.parametrize("case", ["saddle", 1, 2, "stiefel"])
+def test_curvature_read_unsymmetrized_matches_the_symmetrizing_route_bit_for_bit(monkeypatch, case):
+    # the solver and the certificate read the penalty Hessian and K as they were
+    # symmetrized once; an oracle that symmetrizes each again before every read
+    # (the public sym_eig_min, and a Cholesky of (H + H^T)/2 - floor I) gives the same bits
+    from fletcher_penalty import criticality, linalg
+
+    if case == "stiefel":
+        p = builtin_problem("stiefel", n=8, p=2, seed=3)
+        x0, cfg = p.init_point(3), SolverConfig(eps1=1e-4, eps2=1e-3, beta=3.0)
+    else:
+        p = diag_rayleigh(n=30)
+        x0 = np.eye(30)[5] if case == "saddle" else p.init_point(case)
+        cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
+    shipped = gradient_eigenstep(p, x0, cfg)
+    assert shipped.final_certificate.min_eig is not None
+
+    def cholesky_above(h, floor):
+        try:
+            np.linalg.cholesky(0.5 * (h + h.T) - floor * np.eye(len(h)))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    monkeypatch.setattr(solver, "sym_eig_min", linalg.sym_eig_min)
+    monkeypatch.setattr(criticality, "sym_eig_min", linalg.sym_eig_min)
+    monkeypatch.setattr(solver, "min_eig_above", cholesky_above)
+    oracle = gradient_eigenstep(p, x0, cfg)
+    assert [r.as_dict() for r in shipped.records] == [r.as_dict() for r in oracle.records]
+    assert shipped.final_x.tolist() == oracle.final_x.tolist()
+    assert shipped.final_certificate.min_eig == oracle.final_certificate.min_eig
+
+
 @pytest.mark.parametrize("eps2", [math.inf, 1e-3])
 def test_converged_point_takes_one_svd(monkeypatch, eps2):
     # the final point's Dh is factorized once; the certificate reuses that SVD
