@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .linalg import _sym_eig_min as sym_eig_min, kernel_basis, vector_norm  # traced by name
+from .linalg import _sym_eig_min as sym_eig_min, _symmetrize, kernel_basis, vector_norm  # traced by name
 from .penalty import _finite, _lagrangian_hess, _point, _read_h
 
 __all__ = [
@@ -81,10 +81,9 @@ def layered_grad(problem, x):
 
 
 def _reduced_hess(problem, x, jac, lam):
-    """Kernel basis Q of jac, the symmetrized Q^T (hess f - H(lam)) Q and its least eigenvalue."""
+    """Kernel basis Q of jac, Q^T (hess f - H(lam)) Q through _symmetrize, its least eigenvalue."""
     q = kernel_basis(jac)
-    reduced = q.T @ _lagrangian_hess(problem, x, lam, q)
-    reduced = _finite(0.5 * (reduced + reduced.T), "hess_h", x)  # the sum may overflow
+    reduced = _finite(_symmetrize(q.T @ _lagrangian_hess(problem, x, lam, q)), "hess_h", x)
     return q, reduced, sym_eig_min(reduced, vector=False)[0]
 
 
@@ -101,37 +100,36 @@ def layered_hess(problem, x):
                              tangent_basis=q, reduced_hess=reduced, min_eig=min_eig)
 
 
-def _layer_min_eig(problem, pt, lag=None):
+def _layer_min_eig(problem, pt):
     """Least eigenvalue of Q^T M Q, Q a kernel basis of Dh and M = hess f - H(lambda), without Q.
 
     K = (I - V V^T) M (I - V V^T) + c V V^T with V = jac_svd.vt^T has the eigenvalues of Q^T M Q
     and m more equal to c = ||M||_inf + 1, above them all. With W = M V and E = V V^T W + c V - W,
-    K = M + [V W] [E -V]^T: one rank-2m product. lag is M if given, else formed by one I product.
-    K is symmetrized once in place, scanned once and handed to eigvalsh as it is.
+    K = M + [V W] [E -V]^T: one rank-2m product. M is pt.lag_hess, else formed by one I product.
+    K goes through _symmetrize, is scanned once and handed to eigvalsh as it is.
     """
+    lag = pt.lag_hess
     if lag is None:
         lag = _lagrangian_hess(problem, pt.x, pt.lambda_val, np.eye(pt.x.size))
     v = pt.jac_svd.vt.T
     w = lag @ v
     e = v @ (v.T @ w) + (float(np.abs(lag).sum(axis=1).max()) + 1.0) * v - w
-    k = lag + np.hstack((v, w)) @ np.hstack((e, -v)).T
-    k += k.T  # K is symmetric up to rounding
-    k *= 0.5
+    k = _symmetrize(lag + np.hstack((v, w)) @ np.hstack((e, -v)).T)
     return sym_eig_min(_finite(k, "hess_h", pt.x), vector=False)[0]
 
 
-def certify(problem, x, eps0, eps1, eps2, *, lag_hess=None):
+def certify(problem, x, eps0, eps1, eps2):
     """Measure layered criticality at x and compare against the targets.
 
     eps2 = inf skips the Hessian measurement; the second-order flag then reduces to the
-    first-order one. x may be a PenaltyEval, whose point data is reused; lag_hess may be
-    hess f - H(lambda) at x as penalty_hess formed it, and then no SVD or product is taken.
+    first-order one. x may be a PenaltyEval, whose point data is reused; with the lag_hess
+    that penalty_hess put on it, no SVD or Hessian product is taken.
     """
     pt = _point(problem, x)
     eps0_m, eps1_m = pt.h_norm, vector_norm(pt.riem_grad)
     eps2_m, curvature_ok, min_eig = None, True, None
     if not math.isinf(eps2):
-        min_eig = _layer_min_eig(problem, pt, lag_hess)
+        min_eig = _layer_min_eig(problem, pt)
         eps2_m, curvature_ok = max(0.0, -min_eig), min_eig >= -eps2
     focp = eps0_m <= eps0 and eps1_m <= eps1
     return CriticalityCertificate(eps0_measured=eps0_m, eps1_measured=eps1_m,

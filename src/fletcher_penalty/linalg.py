@@ -138,12 +138,13 @@ def svd(a):
     return SvdResult(u=u, s=s, vt=vt)
 
 
-def _square(h):
-    """h as a float matrix; ValueError unless it is finite and square."""
-    h = _finite(_as_matrix(h))
-    if h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix, got shape %s" % (h.shape,))
-    return h
+def _symmetrize(a):
+    """(A + A^T)/2 of a square float array a, in place as A/2 + (A/2)^T; returns a. Bit for
+    bit the halved sum in the normal range and finite for any finite A: the library's one
+    statement of the rule, which each owner of a symmetric matrix applies once, then scans."""
+    a *= 0.5
+    a += a.T  # numpy buffers the overlapping transpose
+    return a
 
 
 def _sym_eig_min(sym, vector=True):
@@ -160,28 +161,28 @@ def _sym_eig_min(sym, vector=True):
 def sym_eig_min(h, vector=True):
     """Smallest eigenvalue and a unit eigenvector of the symmetrized matrix.
 
-    The input is symmetrized as (H + H^T)/2 first, so asymmetry never reaches
-    the eigensolver. The library's callers symmetrize their matrices once and
-    call the private _sym_eig_min. With vector=False only the eigenvalues are
-    computed (eigvalsh, about half the cost of eigh) and the vector returned
-    is None: the certificate reads the value alone, and only the solver's
-    eigenstep reads a direction.
+    A copy of the square input goes through _symmetrize and is scanned once (ValueError on a
+    non-square or non-finite h). The library's callers symmetrize their own matrices and
+    call the private _sym_eig_min. With vector=False only the eigenvalues are computed
+    (eigvalsh, about half the cost of eigh) and the vector returned is None.
     """
-    h = _square(h)
-    return _sym_eig_min(0.5 * (h + h.T), vector)
+    h = _as_matrix(h)
+    if h.shape[0] != h.shape[1]:
+        raise ValueError("expected a square matrix, got shape %s" % (h.shape,))
+    return _sym_eig_min(_finite(_symmetrize(h.copy())), vector)
 
 
 def min_eig_above(h, floor):
     """Whether the symmetric matrix h has its smallest eigenvalue above floor.
 
+    h is read as its owner formed it through _symmetrize and scanned it, and not modified.
     A Cholesky factorization of H - floor I (LAPACK's, which reads the lower triangle only)
     succeeds exactly when that matrix is positive definite (Golub & Van Loan, Matrix
     Computations, 4th ed., section 4.2): the convergence test without an eigensolve, at
     n = 120 a small fraction of the cost of eigh. A smallest eigenvalue within rounding of
-    floor may go either way. Raises ValueError on non-finite entries or a non-square matrix,
-    as sym_eig_min.
+    floor may go either way.
     """
-    shifted = _square(h).copy()
+    shifted = h.copy()
     shifted.flat[::len(shifted) + 1] -= floor
     try:
         np.linalg.cholesky(shifted)

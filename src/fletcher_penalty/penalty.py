@@ -15,13 +15,13 @@ only penalty_hess takes them with the n-by-n identity.
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import EvaluationError, RankDeficiencyError
-from .linalg import SvdResult, default_rank_tol, svd, vector_norm
+from .linalg import SvdResult, _symmetrize, default_rank_tol, svd, vector_norm
 
 __all__ = [
     "PenaltyEval",
@@ -41,11 +41,12 @@ __all__ = [
 class PenaltyEval:
     """One point's record, and the penalty at one beta once evaluated.
 
-    The point fields (x through lambda_val) are computed once per point.
-    beta and g_val are None on a bare point record; grad_g, grad_norm and
-    lag_block, the n-by-m Lagrangian-Hessian block (hess f - H(lambda)) Dh^T
-    that does not depend on beta, are None without a gradient. Immutable
-    after construction; independent points may be evaluated concurrently.
+    The point fields (x through lambda_val) are computed once per point. beta and g_val are
+    None on a bare point record; grad_g, grad_norm and lag_block, the n-by-m
+    Lagrangian-Hessian block (hess f - H(lambda)) Dh^T that does not depend on beta, are
+    None without a gradient; lag_hess, the n-by-n hess f - H(lambda) that certify reads,
+    until _penalty_hess forms it. Immutable; independent points may be evaluated
+    concurrently.
     """
 
     x: np.ndarray
@@ -60,6 +61,7 @@ class PenaltyEval:
     grad_g: Optional[np.ndarray] = None
     grad_norm: Optional[float] = None
     lag_block: Optional[np.ndarray] = None
+    lag_hess: Optional[np.ndarray] = None
 
     @property
     def riem_grad(self):
@@ -235,7 +237,7 @@ def evaluate(problem, x, beta, with_grad=True, h_val=None):
     x may also be a PenaltyEval, whose point data is reused: at its own beta
     a value-only evaluation (as the searches return) gets its gradient; at
     another beta the record is re-based, the value with one more call to f
-    and the gradient with one hess_h product beside the kept lag_block.
+    and the gradient with one hess_h product beside the kept lag_block (and lag_hess).
     h_val, when given with a point x, is h(x) as the caller already
     evaluated it (the searches' region test), so h is not called again.
     Raises EvaluationError when an evaluator returns a non-finite value
@@ -274,7 +276,7 @@ def evaluate(problem, x, beta, with_grad=True, h_val=None):
             grad_g, grad_norm = _checked_gradient(x, beta, jac, h_val, rg, adjoint, hess_f)
     return PenaltyEval(x=x, h_val=h_val, h_norm=pt.h_norm, jac=jac, jac_svd=pt.jac_svd,
                        grad_f=pt.grad_f, lambda_val=lam, beta=float(beta), g_val=g_val,
-                       grad_g=grad_g, grad_norm=grad_norm, lag_block=block)
+                       grad_g=grad_g, grad_norm=grad_norm, lag_block=block, lag_hess=pt.lag_hess)
 
 
 def penalty_value(problem, x, beta):
@@ -297,8 +299,8 @@ def penalty_hess(problem, x, beta):
 
     Differentiating the gradient once more gives
     (hess f - H(lam)) - Dh^T Dlam - Dlam^T Dh + 2 beta (Dh^T Dh + H(h)),
-    with H(w) = sum_i w_i hess h_i, assembled in one array and symmetrized once, in place, as
-    (H + H^T)/2. The dropped term needs third derivatives and is O(||h||): zero on the feasible
+    with H(w) = sum_i w_i hess h_i, assembled in one array, symmetrized once (_symmetrize) and
+    scanned once. The dropped term needs third derivatives and is O(||h||): zero on the feasible
     set and small at the eps1-stationary iterates where the solver reads curvature. x may be a
     PenaltyEval, whose point data and Lagrangian-Hessian block are reused: the Hessian then
     costs one hess_f and two hess_h products with the identity (H(lam) and H(h)), the m hess_h
@@ -308,7 +310,7 @@ def penalty_hess(problem, x, beta):
 
 
 def _penalty_hess(problem, x, beta):
-    """penalty_hess at x and the block hess f - H(lam) it was assembled from."""
+    """penalty_hess at x and x's record holding M = hess f - H(lam) (lag_hess), formed here."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     pt = _point(problem, x)
@@ -321,9 +323,7 @@ def _penalty_hess(problem, x, beta):
     normal = np.dot(jac.T, jac) + problem.hess_h(x, pt.h_val, eye)
     normal *= 2.0 * beta
     hess += normal
-    hess += hess.T  # the one symmetrization, (H + H^T)/2 in place
-    hess *= 0.5
-    return _finite(hess, "hess_h", x), lag
+    return _finite(_symmetrize(hess), "hess_h", x), replace(pt, lag_hess=lag)
 
 
 def _thresholds(c_lambda, res):

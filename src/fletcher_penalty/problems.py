@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .linalg import _symmetrize
 from .penalty import _read_h
 
 __all__ = [
@@ -106,8 +107,7 @@ def linear_cost(c):
 
 def quadratic_cost(a):
     """f(x) = 0.5 <x, A x> for symmetric A."""
-    a = np.asarray(a, dtype=float)
-    a = 0.5 * a + 0.5 * a.T  # (a + a^T)/2, bit for bit in the normal range, with no overflow
+    a = _symmetrize(np.array(a, dtype=float))  # its own copy: the caller's a is not changed
     return Cost(
         value=lambda x: float(0.5 * x @ (a @ x)),
         grad=lambda x: a @ x,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 
 from fletcher_penalty import (
     EvaluationError,
+    SolverConfig,
     builtin_problem,
     certify,
     evaluate,
+    gradient_eigenstep,
     kernel_basis,
     lagrangian_check,
     layered_grad,
@@ -19,6 +22,7 @@ from fletcher_penalty import (
     make_rayleigh_sphere,
     make_sphere,
     multipliers,
+    penalty_hess,
     random_point_in_region,
 )
 from fletcher_penalty import criticality, linalg, penalty
@@ -132,11 +136,13 @@ def test_certificate_curvature_matches_the_kernel_route(builtins):
 
 
 def test_certify_from_a_kept_hessian_takes_no_svd_and_no_product(monkeypatch):
-    # given hess f - H(lambda) as penalty_hess formed it, the certificate of a
-    # PenaltyEval evaluates nothing, and equals the one that forms the matrix itself
+    # the record penalty_hess returns holds hess f - H(lambda) (lag_hess): its certificate
+    # evaluates nothing, and equals the one of the bare record, which forms the matrix itself
     p = builtin_problem("rayleigh", n=12)
     ev = evaluate(p, p.init_point(0), 10.0)
-    _, lag = penalty._penalty_hess(p, ev, 10.0)
+    assert ev.lag_hess is None
+    _, kept = penalty._penalty_hess(p, ev, 10.0)
+    assert kept.lag_hess.shape == (12, 12) and kept.lag_block is ev.lag_block
     bare = certify(p, ev, 1.0, 1.0, 1.0)
 
     def called(*args, **kwargs):
@@ -145,7 +151,27 @@ def test_certify_from_a_kept_hessian_takes_no_svd_and_no_product(monkeypatch):
     for module, name in [(criticality, "kernel_basis"), (penalty, "svd"), (np.linalg, "svd")]:
         monkeypatch.setattr(module, name, called)
     silent = replace(p, hess_f=called, hess_h=called)
-    assert certify(silent, ev, 1.0, 1.0, 1.0, lag_hess=lag) == bare
+    assert certify(silent, kept, 1.0, 1.0, 1.0) == bare
+    # a re-based record keeps lag_hess, which does not depend on beta
+    monkeypatch.undo()
+    assert evaluate(p, kept, 3.0).lag_hess is kept.lag_hess
+
+
+def test_symmetrize_is_the_halved_sum_bit_for_bit_in_place():
+    rng = np.random.default_rng(31)
+    for scale in (1e-300, 1e-100, 1.0, 1e100, 1e300):
+        for n in (1, 2, 7, 40):
+            a = scale * rng.standard_normal((n, n))
+            want = (a + a.T) * 0.5
+            assert linalg._symmetrize(a) is a
+            assert np.array_equal(a, want) and np.array_equal(a, a.T)
+    big = np.diag([1e308, -1.7e308, 3.0])
+    big[0, 1] = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = linalg._symmetrize(big)
+    assert np.isfinite(out).all() and np.array_equal(out, out.T)
+    assert out[0, 0] == 1e308 and out[0, 1] == 0.85e308
 
 
 def test_certify_second_order_point():
@@ -222,17 +248,25 @@ def test_lagrangian_check_names_a_non_finite_evaluator(evaluator):
         lagrangian_check(bad, x, lam, 1.0, 1.0, 1.0)
 
 
-def test_curvature_that_overflows_when_symmetrized_raises_instead_of_reading_nan():
-    # hess f = diag(1.2e308, 1.2e308, 3): the reduced Hessian and K are finite, but their
-    # symmetrization (M + M^T)/2 overflows; each curvature reader scans after it
+def test_curvature_near_the_largest_float_reads_its_exact_value():
+    # hess f = diag(1.2e308, 1.2e308, 3): the reduced Hessian and K are finite, and so is
+    # their symmetrization, which halves before it adds; each reader gets the exact value
+    # with no warning (the sum M + M^T would overflow to inf)
     p = make_rayleigh_sphere(np.diag([1.2e308, 1.2e308, 3.0]))
     x = np.eye(3)[2]
     lam, _ = multipliers(p, x)
-    with np.errstate(over="ignore"):
-        for read in (lambda: certify(p, x, 1.0, 1.0, 1.0), lambda: layered_hess(p, x),
-                     lambda: lagrangian_check(p, x, lam, 1.0, 1.0, 1.0)):
-            with pytest.raises(EvaluationError, match="^hess_h returned non-finite"):
-                read()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert certify(p, x, 1.0, 1.0, 1.0).min_eig == 1.2e308
+        assert layered_hess(p, x).min_eig == 1.2e308
+        assert lagrangian_check(p, x, lam, 1.0, 1.0, 1.0) == (True, True)
+        for vector in (True, False):
+            val, vec = linalg.sym_eig_min(np.diag([1e308, 1.0, 2.0]), vector=vector)
+            assert val == 1.0
+            if vector:
+                assert np.array_equal(np.abs(vec), np.eye(3)[1])
+            else:
+                assert vec is None
 
 
 def test_certify_implies_lagrangian(builtins):
@@ -317,3 +351,38 @@ def test_certificate_json_shape(sphere_w):
     payload_inf = json.loads(json.dumps(certify(p, w, 0.5, 0.5, math.inf).as_dict()))
     assert payload_inf["targets"][2] is None
     assert payload_inf["eps2_measured"] is None
+
+
+def _mixed(p, seed):
+    """p with its constraints mixed by a seeded orthogonal Q: h -> Q h, Dh -> Q Dh, and
+    hess_h(x, w, v) -> hess_h(x, Q^T w, v). The layers, the multipliers' span and every
+    curvature are the same; the multipliers become Q lambda."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p.dim_h, p.dim_h)))
+    return q, replace(p, h=lambda x: q @ p.h(x), jac_h=lambda x: q @ p.jac_h(x),
+                      hess_h=lambda x, w, v: p.hess_h(x, q.T @ w, v))
+
+
+@pytest.mark.parametrize("pid, params", [("stiefel", {"n": 8, "p": 3}),
+                                         ("product:sphere,stiefel", {})])
+def test_curvature_readers_do_not_see_an_orthogonal_mixing_of_the_constraints(pid, params):
+    p = builtin_problem(pid, **params)
+    q, mixed = _mixed(p, 5)
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+    for seed in range(5):
+        x = random_point_in_region(p, seed)
+        assert close(certify(p, x, 1.0, 1.0, 1.0).min_eig, certify(mixed, x, 1.0, 1.0, 1.0).min_eig)
+        low = layered_hess(p, x).min_eig
+        assert close(low, layered_hess(mixed, x).min_eig)
+        for beta in (0.0, 3.0):
+            assert close(penalty_hess(p, x, beta), penalty_hess(mixed, x, beta))
+        lam, _ = multipliers(p, x)
+        for eps in [(10.0, 10.0, 0.5 * abs(low)), (10.0, 10.0, 2.0 * abs(low)), (10.0, 1e-6, 1.0)]:
+            assert lagrangian_check(p, x, lam, *eps) == lagrangian_check(mixed, x, q @ lam, *eps)
+    # the iterates differ by rounding, so only the outcome is compared
+    cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
+    for run in (gradient_eigenstep(p, p.init_point(3), cfg),
+                gradient_eigenstep(mixed, p.init_point(3), cfg)):
+        assert run.termination == "converged" and run.final_certificate.socp_pass

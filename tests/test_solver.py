@@ -293,6 +293,25 @@ def test_a_curvature_tie_at_minus_eps2_converges():
     assert trace.termination == "converged" and [r.kind for r in trace.records] == ["terminal"]
 
 
+def test_a_non_finite_penalty_hessian_is_named_before_the_convergence_test(monkeypatch):
+    # penalty_hess scans the matrix it formed, once; min_eig_above takes it as scanned and
+    # never sees a NaN (here hess_h is NaN only for the identity product, finite elsewhere)
+    p = builtin_problem("rayleigh", n=10)
+    eye = np.eye(10)
+
+    def hess_h(x, w, v):
+        out = p.hess_h(x, w, v)
+        return np.full_like(out, np.nan) if np.array_equal(v, eye) else out
+
+    def called(*args):
+        raise AssertionError("min_eig_above called")
+
+    monkeypatch.setattr(solver, "min_eig_above", called)
+    cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
+    with pytest.raises(EvaluationError, match="^hess_h returned non-finite"):
+        gradient_eigenstep(replace(p, hess_h=hess_h), eye[3], cfg)
+
+
 def test_eigen_backtrack_accepts_small_initial_step():
     toy = make_saddle_toy()
     cfg = SolverConfig(alpha02=0.1, c2=0.4)
