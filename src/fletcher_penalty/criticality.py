@@ -106,16 +106,25 @@ def _layer_min_eig(problem, pt):
     K = (I - V V^T) M (I - V V^T) + c V V^T with V = jac_svd.vt^T has the eigenvalues of Q^T M Q
     and m more equal to c = ||M||_inf + 1, above them all. With W = M V and E = V V^T W + c V - W,
     K = M + [V W] [E -V]^T: one rank-2m product. M is pt.lag_hess, else formed by one I product.
-    K goes through _symmetrize, is scanned once and handed to eigvalsh as it is.
+    K goes through _symmetrize, is scanned once and handed to eigvalsh as it is. Only where c
+    overflows is M first scaled by 2^-s, s = bit_length(n) + 3, so that c <= 2^1021 and K is
+    finite, and the eigenvalue scaled back: a power of two, exact but for subnormal entries.
     """
     lag = pt.lag_hess
     if lag is None:
         lag = _lagrangian_hess(problem, pt.x, pt.lambda_val, np.eye(pt.x.size))
+    with np.errstate(over="ignore"):
+        c = float(np.abs(lag).sum(axis=1).max()) + 1.0
+    scale = 1.0
+    if math.isinf(c):
+        scale = 2.0 ** (pt.x.size.bit_length() + 3)
+        lag = lag / scale
+        c = float(np.abs(lag).sum(axis=1).max()) + 1.0
     v = pt.jac_svd.vt.T
     w = lag @ v
-    e = v @ (v.T @ w) + (float(np.abs(lag).sum(axis=1).max()) + 1.0) * v - w
+    e = v @ (v.T @ w) + c * v - w
     k = _symmetrize(lag + np.hstack((v, w)) @ np.hstack((e, -v)).T)
-    return sym_eig_min(_finite(k, "hess_h", pt.x), vector=False)[0]
+    return scale * sym_eig_min(_finite(k, "hess_h", pt.x), vector=False)[0]
 
 
 def certify(problem, x, eps0, eps1, eps2):

@@ -245,20 +245,20 @@ def make_stiefel(n, p, cost, radius=0.5):
     dim = n * p
     eye_p = np.eye(p)
     basis_flat = basis.reshape(m, p * p)
+    basis2, basis2_flat = 2.0 * basis, 2.0 * basis_flat  # X (2 B) is 2 (X B) bit for bit
 
     def h(x):
         xm = x.reshape(n, p)
-        return basis_flat @ (xm.T @ xm - eye_p).ravel()
+        return basis_flat.dot((xm.T.dot(xm) - eye_p).ravel())
 
     def jac(x):
-        xm = x.reshape(n, p)
-        # row k is vec(2 X B_k), the gradient of <B_k, X^T X - I>
-        return 2.0 * (xm @ basis).reshape(m, dim)
+        # row k is vec(2 X B_k), the gradient of <B_k, X^T X - I>; @ broadcasts over k
+        return (x.reshape(n, p) @ basis2).reshape(m, dim)
 
     def hess(x, w, v):
-        # 2 kron(I_n, S(w)) v: S(w) times the n-by-p reshape of each column of v
-        s = (_weights(w, m) @ basis_flat).reshape(p, p)
-        return 2.0 * (s @ v.reshape(n, p, -1)).reshape(v.shape)
+        # 2 kron(I_n, S(w)) v: 2 S(w) times the n-by-p reshape of each column of v
+        s2 = _weights(w, m).dot(basis2_flat).reshape(p, p)
+        return (s2 @ v.reshape(n, p, -1)).reshape(v.shape)
 
     def init_point(seed):
         g = np.random.default_rng(seed).standard_normal((n, p))

@@ -565,13 +565,14 @@ def restore_feasibility(problem, x0, step, t_end):
     if not (0 < step < math.inf and 0 < t_end < math.inf):
         raise ValueError("step and t_end must be positive and finite")
     x = _check_start(problem, x0)
+    h, jac_h = problem.h, problem.jac_h
 
     def h_at(y):
         # read raw, not through _read_h: a non-finite h at a trial is a rejected step
-        return np.asarray(problem.h(y), dtype=float).ravel()
+        return np.asarray(h(y), dtype=float).ravel()
 
-    def rhs(y, hv=None):
-        return -(problem.jac_h(y).T @ (h_at(y) if hv is None else hv))
+    def grad_phi(y, hv=None):
+        return jac_h(y).T.dot(h_at(y) if hv is None else hv)
 
     h_x = h_at(x)
     phi = 0.5 * float(h_x @ h_x)
@@ -580,7 +581,7 @@ def restore_feasibility(problem, x0, step, t_end):
     dt, t_end = float(step), float(t_end)
     # each accepted step rounds t by at most eps * t_end
     t_rounding = float(np.finfo(float).eps) * t_end
-    # k1 is the flow at x: built from x's kept h, and kept across rejected steps.
+    # stages are Dh^T h (updates carry the sign); k1 reuses x's h and outlives rejected steps
     k1 = None
     # An overshooting step may overflow; its non-finite phi is rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -590,11 +591,11 @@ def restore_feasibility(problem, x0, step, t_end):
             last = t_end - t <= dt + len(log) * t_rounding
             dt_eff = t_end - t if last else dt
             if k1 is None:
-                k1 = rhs(x, h_x)
-            k2 = rhs(x + 0.5 * dt_eff * k1)
-            k3 = rhs(x + 0.5 * dt_eff * k2)
-            k4 = rhs(x + dt_eff * k3)
-            x_new = x + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k1 = grad_phi(x, h_x)
+            k2 = grad_phi(x - 0.5 * dt_eff * k1)
+            k3 = grad_phi(x - 0.5 * dt_eff * k2)
+            k4 = grad_phi(x - dt_eff * k3)
+            x_new = x - (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             h_new = h_at(x_new)
             phi_new = 0.5 * float(h_new @ h_new)
             if not phi_new <= phi:

@@ -1,4 +1,5 @@
-"""Shared fixtures: built-in problems and small synthetic toys for edge cases."""
+"""Shared fixtures: built-in problems, small synthetic toys for edge cases, and reference
+formulas that the library's faster forms must match bit for bit."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from fletcher_penalty import (
     Problem,
     RegionParams,
+    StepSizeError,
     builtin_problem,
     quadratic_cost,
 )
+from fletcher_penalty.problems import _sym_basis
 
 ALL_BUILTIN_IDS = ("sphere", "rayleigh", "stiefel", "product:sphere,stiefel")
 
@@ -151,3 +154,66 @@ def make_rank_crossing_toy():
         init_point=lambda seed: np.array([0.5, 0.3, 0.2]),
         name="rank-crossing-toy",
     )
+
+
+def reference_restore(problem, x, step, t_end):
+    """restore_feasibility written with the flow's own sign, -(Dh^T h), in every RK4 stage.
+
+    The reference for the library's loop, whose stages are Dh^T h and whose updates carry
+    the sign: the two give the same bits (negation and x + (-y) = x - y are exact).
+    """
+    def h_at(y):
+        return np.asarray(problem.h(y), dtype=float).ravel()
+
+    def rhs(y, hv=None):
+        return -(problem.jac_h(y).T @ (h_at(y) if hv is None else hv))
+
+    h_x = h_at(x)
+    phi = 0.5 * float(h_x @ h_x)
+    log, t, dt, k1 = [(0.0, phi)], 0.0, float(step), None
+    t_rounding = float(np.finfo(float).eps) * t_end
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_end and phi > 1e-16:
+            last = t_end - t <= dt + len(log) * t_rounding
+            dt_eff = t_end - t if last else dt
+            if k1 is None:
+                k1 = rhs(x, h_x)
+            k2 = rhs(x + 0.5 * dt_eff * k1)
+            k3 = rhs(x + 0.5 * dt_eff * k2)
+            k4 = rhs(x + dt_eff * k3)
+            x_new = x + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            h_new = h_at(x_new)
+            phi_new = 0.5 * float(h_new @ h_new)
+            if not phi_new <= phi:
+                dt *= 0.5
+                if dt < step * 2.0**-40:
+                    raise StepSizeError("reference: halving cannot restore decrease")
+                continue
+            x, h_x, k1 = x_new, h_new, None
+            t = t_end if last else t + dt_eff
+            phi = phi_new
+            log.append((t, phi))
+    return x, log
+
+
+def reference_stiefel(n, p):
+    """The Stiefel h, jac_h and hess_h in the basis form: 2 (X B_k) and 2 S(w) v, with @.
+
+    The reference for make_stiefel's evaluators, which fold the factor 2 into the basis.
+    """
+    m = p * (p + 1) // 2
+    basis = _sym_basis(p)
+    basis_flat = basis.reshape(m, p * p)
+
+    def h(x):
+        xm = x.reshape(n, p)
+        return basis_flat @ (xm.T @ xm - np.eye(p)).ravel()
+
+    def jac(x):
+        return 2.0 * (x.reshape(n, p) @ basis).reshape(m, n * p)
+
+    def hess(x, w, v):
+        s = (np.asarray(w, dtype=float) @ basis_flat).reshape(p, p)
+        return 2.0 * (s @ v.reshape(n, p, -1)).reshape(v.shape)
+
+    return h, jac, hess

@@ -269,6 +269,22 @@ def test_curvature_near_the_largest_float_reads_its_exact_value():
                 assert vec is None
 
 
+def test_certificate_scales_a_curvature_whose_row_sum_overflows():
+    # hess f = diag(1.7e308, 1e308, 3) with (0, 1) = (1, 0) = 1e308: M's first row sum, and
+    # so c = ||M||_inf + 1, pass the largest float; M is scaled by a power of two before K
+    # is formed, and the certificate reads the reduced Hessian's least eigenvalue 2.905e307
+    a = np.diag([1.7e308, 1e308, 3.0])
+    a[0, 1] = a[1, 0] = 1e308
+    p = make_rayleigh_sphere(a)
+    x = np.eye(3)[2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = certify(p, x, 1.0, 1.0, 1.0).min_eig
+        want = layered_hess(p, x).min_eig
+    assert want == pytest.approx(2.905e307, rel=1e-3)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_certify_implies_lagrangian(builtins):
     rng = np.random.default_rng(30)
     for p in builtins.values():

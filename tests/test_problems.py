@@ -27,7 +27,7 @@ from fletcher_penalty.derivative_check import (
 )
 from fletcher_penalty.problems import MAX_DENSE_N, _range_or_list
 
-from conftest import ALL_BUILTIN_IDS
+from conftest import ALL_BUILTIN_IDS, reference_stiefel
 
 SQRT_HALF = np.sqrt(0.5)
 
@@ -129,6 +129,22 @@ def test_stiefel_sigma_lower_bound_in_region():
         assert np.linalg.norm(p.h(x)) <= 0.5
         s = np.linalg.svd(p.jac_h(x), compute_uv=False)
         assert s[-1] >= 2.0 * SQRT_HALF - 1e-9
+
+
+@pytest.mark.parametrize("n, p", [(8, 3), (5, 2), (30, 3), (8, 2), (4, 1), (6, 6)])
+def test_stiefel_evaluators_match_the_basis_form_bit_for_bit(n, p):
+    # the factor 2 folded into the basis is a power-of-two scale, so h, jac_h and hess_h
+    # give the bits of 2 (X B_k) and 2 S(w) v, on and off the manifold
+    prob = builtin_problem("stiefel", n=n, p=p, seed=0)
+    h, jac, hess = reference_stiefel(n, p)
+    rng = np.random.default_rng(100 * n + p)
+    for seed in range(50):
+        x = prob.init_point(seed) + rng.uniform(0.0, 2.0) * rng.standard_normal(n * p)
+        assert prob.h(x).tobytes() == h(x).tobytes()
+        assert prob.jac_h(x).tobytes() == jac(x).tobytes()
+        w = rng.standard_normal(prob.dim_h)
+        for v in (rng.standard_normal(n * p), rng.standard_normal((n * p, 3)), np.eye(n * p)):
+            assert prob.hess_h(x, w, v).tobytes() == hess(x, w, v).tobytes()
 
 
 def test_random_point_reads_h_at_the_start_before_probing():

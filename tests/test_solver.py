@@ -40,7 +40,7 @@ from fletcher_penalty.linalg import min_eig_above, sym_eig_min
 from fletcher_penalty.solver import _two_loop
 
 from conftest import (ALL_BUILTIN_IDS, make_affine_toy, make_rank_crossing_toy, make_saddle_toy,
-                      replay_plateau_rules)
+                      reference_restore, replay_plateau_rules)
 
 
 def diag_rayleigh(n=10, radius=0.5):
@@ -448,6 +448,29 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tau1=0.0).validate()
     SolverConfig().validate()
+
+
+@pytest.mark.parametrize("name", ["alpha01", "alpha02"])
+def test_config_rejects_a_zero_initial_step(name):
+    with pytest.raises(ValueError, match="initial step sizes must be positive"):
+        SolverConfig(**{name: 0.0}).validate()
+    SolverConfig(**{name: 5e-324}).validate()
+
+
+def test_plateau_rejects_a_zero_beta0():
+    p = diag_rayleigh()
+    with pytest.raises(ValueError, match="beta0"):
+        plateau(p, p.init_point(0), SolverConfig(eps1=1e-4), beta0=0.0)
+
+
+def test_eps1_at_half_the_radius_is_accepted():
+    # eps1 <= R/2 holds at equality: a run starts (and stops at its budget of no steps)
+    p = diag_rayleigh()
+    radius = p.region.radius
+    trace = gradient_eigenstep(p, p.init_point(0), SolverConfig(eps1=radius / 2.0, max_iters=0))
+    assert trace.config.eps1 == radius / 2.0 and trace.termination in ("converged", "max_iters")
+    with pytest.raises(ValueError, match="eps1 <= R/2"):
+        gradient_eigenstep(p, p.init_point(0), SolverConfig(eps1=math.nextafter(radius / 2.0, 1.0)))
 
 
 @pytest.mark.parametrize(
@@ -1104,6 +1127,41 @@ def test_restore_gronwall_decay():
     flat = [(t, log[0][1]) for t, _ in log]
     assert [v.split(": ")[1] for v in audit_restore(p, rises)] == ["phi_increase"]
     assert [v.split(": ")[1] for v in audit_restore(p, flat)] == ["envelope"] * (len(log) - 1)
+
+
+@pytest.mark.parametrize("problem_id, kwargs, step, halved", [
+    ("stiefel", {"n": 8, "p": 3}, 1e-2, False),
+    ("stiefel", {"n": 5, "p": 2}, 1.0, True),
+    ("sphere", {"n": 5}, 1e-2, False),
+    ("product:sphere,stiefel", {}, 1e-2, False),
+])
+def test_restore_matches_the_signed_flow_bit_for_bit(problem_id, kwargs, step, halved):
+    # stages of Dh^T h whose updates carry the sign give the bits of -(Dh^T h) stages,
+    # rejected and halved steps included
+    p = builtin_problem(problem_id, seed=3, **kwargs)
+    for seed in range(5):
+        x0 = random_point_in_region(p, seed, scale=0.4)
+        x, log = restore_feasibility(p, x0, step, 3.0)
+        x_ref, log_ref = reference_restore(p, x0, step, 3.0)
+        assert x.tobytes() == x_ref.tobytes() and log == log_ref
+        # a halved step lengthens the log past the grid's t_end / step samples
+        assert (len(log) - 1 > round(3.0 / step)) == halved
+
+
+@pytest.mark.parametrize("problem_id", ["sphere", "stiefel"])
+def test_audit_restore_envelope_decays_at_the_gronwall_rate(problem_id):
+    # sigma_lb^2 = 2 here, so 2 sigma_lb^2 = 4 and 2 / sigma_lb^2 = 1 differ: a log at the
+    # rate passes, and one at half of it leaves the envelope at every sample past t = 0
+    p = builtin_problem(problem_id, seed=0)
+    rate = 2.0 * p.region.sigma_lb**2
+    assert rate == pytest.approx(4.0)
+    times = [0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0]
+    at_rate = [(t, 0.05 * math.exp(-rate * t)) for t in times]
+    half_rate = [(t, 0.05 * math.exp(-0.5 * rate * t)) for t in times]
+    assert audit_restore(p, at_rate) == []
+    found = audit_restore(p, half_rate)
+    assert [v.split(": ")[:2] for v in found] == [["sample %d" % i, "envelope"]
+                                                  for i in range(1, len(times))]
 
 
 def test_restore_monotone_log():
