@@ -10,12 +10,12 @@ them against target tolerances; lagrangian_check takes user multipliers.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .linalg import _sym_eig_min as sym_eig_min, _symmetrize, kernel_basis, vector_norm  # traced by name
+from .linalg import _by_identity, _symmetrize, kernel_basis, vector_norm
+from .linalg import _sym_eig_min as sym_eig_min  # traced by this name
 from .penalty import _finite, _lagrangian_hess, _point, _read_h
 
 __all__ = [
@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class LayeredQuantities:
+@_by_identity
+class LayeredQuantities(NamedTuple):
     """Riemannian gradient/Hessian data of f on the layer through x."""
 
     h_norm: float
@@ -40,8 +40,7 @@ class LayeredQuantities:
     min_eig: float
 
 
-@dataclass(frozen=True)
-class CriticalityCertificate:
+class CriticalityCertificate(NamedTuple):
     """Measured criticality quantities against (eps0, eps1, eps2) targets.
 
     eps2_measured is max(0, -min_eig) so certificates are monotone in the

@@ -6,7 +6,7 @@ code paths they verify: they call only the black-box evaluators.
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ TARGETS = {
 }
 
 
-@dataclass(frozen=True)
-class DerivativeReport:
+class DerivativeReport(NamedTuple):
     target: str
     max_rel_err: float
     worst_point_seed: int

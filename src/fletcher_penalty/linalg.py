@@ -7,7 +7,7 @@ Gram route and LAPACK's SVD; its docstring states when each is taken.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class SvdResult:
+def _by_identity(cls):
+    """A record of arrays compares and hashes as an object, as a dataclass with eq=False
+    does: a tuple's field-wise == of its ndarray fields could only raise. The library's one
+    statement of the rule, applied to each named tuple that holds arrays."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = object.__eq__, object.__ne__, object.__hash__
+    return cls
+
+
+@_by_identity
+class SvdResult(NamedTuple):
     """Thin SVD A = u @ diag(s) @ vt with s sorted nonincreasing.
 
     With k = min(m, n), u is (m, k), s has k entries and vt is (k, n).

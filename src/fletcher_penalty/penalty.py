@@ -15,13 +15,12 @@ only penalty_hess takes them with the n-by-n identity.
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .exceptions import EvaluationError, RankDeficiencyError
-from .linalg import SvdResult, _symmetrize, default_rank_tol, svd, vector_norm
+from .linalg import SvdResult, _by_identity, _symmetrize, default_rank_tol, svd, vector_norm
 
 __all__ = [
     "PenaltyEval",
@@ -37,8 +36,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, kw_only=True, eq=False)
-class PenaltyEval:
+@_by_identity
+class PenaltyEval(NamedTuple):
     """One point's record, and the penalty at one beta once evaluated.
 
     The point fields (x through lambda_val) are computed once per point. beta and g_val are
@@ -69,8 +68,7 @@ class PenaltyEval:
         return self.grad_f - self.jac.T @ self.lambda_val
 
 
-@dataclass(frozen=True)
-class BetaThresholds:
+class BetaThresholds(NamedTuple):
     """Pointwise lower thresholds on the penalty parameter.
 
     beta1 governs exactness of critical points, beta2/beta3 the
@@ -323,7 +321,7 @@ def _penalty_hess(problem, x, beta):
     normal = np.dot(jac.T, jac) + problem.hess_h(x, pt.h_val, eye)
     normal *= 2.0 * beta
     hess += normal
-    return _finite(_symmetrize(hess), "hess_h", x), replace(pt, lag_hess=lag)
+    return _finite(_symmetrize(hess), "hess_h", x), pt._replace(lag_hess=lag)
 
 
 def _thresholds(c_lambda, res):

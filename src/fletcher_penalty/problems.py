@@ -10,7 +10,7 @@ orthonormal-frame manifold, and Cartesian products of constraint blocks.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ class RegionParams:
                 raise ValueError("RegionParams.%s must be strictly positive" % name)
 
 
-@dataclass(frozen=True)
-class Cost:
+class Cost(NamedTuple):
     """Bundle of cost evaluators over the ambient vector x; hess(x, v) is hess f(x) v."""
 
     value: Callable[[np.ndarray], float]

@@ -13,8 +13,8 @@ flow provides feasibility restoration.
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import List, Optional
+from dataclasses import asdict, dataclass, field, replace
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -113,8 +113,7 @@ class SolverConfig:
         return out
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One accepted step (or the terminal point) of a solve; step_len is alpha along d."""
 
     k: int
@@ -130,13 +129,10 @@ class IterationRecord:
     d_norm: Optional[float] = None
 
     def as_dict(self):
-        # shallow: asdict's deep copy cost ~5% of a plateau CLI run on a 2-CPU VM
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if getattr(self, f.name) is not None}
+        return {name: value for name, value in zip(self._fields, self) if value is not None}
 
 
-@dataclass(frozen=True)
-class PlateauStage:
+class PlateauStage(NamedTuple):
     """Bookkeeping for one constant-beta stretch of the plateau scheme."""
 
     index: int
@@ -148,7 +144,7 @@ class PlateauStage:
     b_value: Optional[float]
 
     def as_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 @dataclass(eq=False)

@@ -1,6 +1,7 @@
 """The package's public surface: every export resolves and is declared."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import pathlib
@@ -8,6 +9,7 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fletcher_penalty
@@ -111,3 +113,44 @@ def test_records_of_arrays_compare_and_hash_by_identity(record):
     assert type(a).__name__ == record
     assert a == a and a != b
     assert len({a, b, a}) == 2
+
+
+# every record the library computes and returns, with its fields in their documented order
+RESULT_FIELDS = {
+    "SvdResult": ("u", "s", "vt"),
+    "PenaltyEval": ("x", "h_val", "h_norm", "jac", "jac_svd", "grad_f", "lambda_val", "beta",
+                    "g_val", "grad_g", "grad_norm", "lag_block", "lag_hess"),
+    "BetaThresholds": ("beta1", "beta2", "beta3", "b_max", "c_lambda", "sigma_min", "sigma_max"),
+    "LayeredQuantities": ("h_norm", "riem_grad", "riem_grad_norm", "tangent_basis",
+                          "reduced_hess", "min_eig"),
+    "CriticalityCertificate": ("eps0_measured", "eps1_measured", "eps2_measured", "targets",
+                               "focp_pass", "socp_pass", "min_eig"),
+    "Cost": ("value", "grad", "hess"),
+    "IterationRecord": ("k", "kind", "step_len", "g_before", "g_after", "grad_norm", "h_norm",
+                        "curvature", "backtracks", "slope", "d_norm"),
+    "PlateauStage": ("index", "beta", "lp", "iters", "stop_reason", "b_value"),
+    "DerivativeReport": ("target", "max_rel_err", "worst_point_seed", "step_used", "passed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESULT_FIELDS))
+def test_results_are_immutable_named_tuples(name):
+    cls = getattr(fletcher_penalty, name)
+    assert issubclass(cls, tuple) and cls._fields == RESULT_FIELDS[name]
+    record = cls._make(range(len(cls._fields)))
+    for i, field in enumerate(cls._fields):
+        assert getattr(record, field) == record[i] == i  # PlateauStage.index is its field
+        with pytest.raises(AttributeError):
+            setattr(record, field, -1)
+
+
+def test_svd_unpacks_and_four_classes_stay_dataclasses():
+    a = np.arange(6.0).reshape(2, 3)
+    u, s, vt = res = fletcher_penalty.svd(a)
+    assert u is res.u and s is res.s and vt is res.vt
+    np.testing.assert_allclose(u @ np.diag(s) @ vt, a, atol=1e-12)
+    classes = [getattr(fletcher_penalty, n) for n in fletcher_penalty.__all__]
+    classes = [c for c in classes if isinstance(c, type)]
+    assert {c.__name__ for c in classes if dataclasses.is_dataclass(c)} == {
+        "Problem", "RegionParams", "SolverConfig", "RunTrace"}
+    assert {c.__name__ for c in classes if issubclass(c, tuple)} == set(RESULT_FIELDS)

@@ -11,6 +11,8 @@ import pytest
 
 from fletcher_penalty import (
     BacktrackFailureError,
+    BetaThresholds,
+    CriticalityCertificate,
     DecreaseBelowRoundingError,
     EvaluationError,
     NumericalFailureError,
@@ -399,11 +401,32 @@ def test_first_order_termination_check_fires(monkeypatch):
     # ||h|| ends at 5e-8 here against eps1 / (beta sigma_min) = 5e-7: with sigma_min
     # scaled up 1000 times, ||h|| exceeds its bound and the runtime check raises
     real = solver.beta_thresholds
-    monkeypatch.setattr(solver, "beta_thresholds", lambda problem, ev: replace(
-        real(problem, ev), sigma_min=1e3 * real(problem, ev).sigma_min))
+    monkeypatch.setattr(solver, "beta_thresholds", lambda problem, ev: real(problem, ev)._replace(
+        sigma_min=1e3 * real(problem, ev).sigma_min))
     p = diag_rayleigh()
     with pytest.raises(NumericalFailureError, match="first-order certificate bounds violated"):
         gradient_eigenstep(p, p.init_point(3), SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0))
+
+
+def test_first_order_gradient_bound_is_read_as_stated(monkeypatch):
+    # bound_g = (1 + c_lambda / (beta sigma_min)) eps1 = (1 + 4 / (4 * 2)) * 0.25 = 0.375, and
+    # each mutated operator moves it: 1 - 0.5 gives 0.125, c_lambda * (beta sigma_min) 8.25,
+    # c_lambda / (beta / sigma_min) 0.75 and a division by eps1 6.0
+    th = BetaThresholds(beta1=1.0, beta2=2.0, beta3=0.5, b_max=2.0, c_lambda=4.0,
+                        sigma_min=2.0, sigma_max=2.0)
+    monkeypatch.setattr(solver, "beta_thresholds", lambda problem, ev: th)
+    cfg = SolverConfig(eps1=0.25, beta=4.0)
+
+    def check(grad_m):
+        cert = CriticalityCertificate(eps0_measured=0.0, eps1_measured=grad_m, eps2_measured=None,
+                                      targets=(0.25, 0.5, math.inf), focp_pass=True,
+                                      socp_pass=True)
+        solver._assert_first_order_bounds(None, None, cert, cfg)
+
+    check(0.35)
+    check(0.375)  # a tie passes
+    with pytest.raises(NumericalFailureError, match=r"\|\|grad_M f\|\|: 0.4 > 0.375$"):
+        check(0.4)
 
 
 def test_budget_sanity_from_trace():
