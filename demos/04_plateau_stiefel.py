@@ -9,9 +9,9 @@ beta (or a budget expires), then restarts with beta and budget enlarged.
 from fletcher_penalty import SolverConfig, builtin_problem, plateau
 
 problem = builtin_problem("stiefel", n=8, p=2, seed=3)  # linear cost over 8x2 frames
-cfg = SolverConfig(eps1=1e-4, eps2=1e-3)
+cfg = SolverConfig(eps1=1e-4, eps2=1e-3, beta=1e-3)  # the first plateau's beta
 
-trace = plateau(problem, problem.init_point(3), cfg, gamma=2.0, beta0=1e-3, lp0=50)
+trace = plateau(problem, problem.init_point(3), cfg, gamma=2.0, lp0=50)
 
 print("constraint: X^T X = I_2 over 8x2 matrices, seeded linear cost")
 print("plateau schedule (gamma = 2):")

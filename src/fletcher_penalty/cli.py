@@ -98,7 +98,7 @@ def _build_parser():
             if f.name not in own:
                 modes[mode].add_argument("--" + f.name.replace("_", "-"), type=f.type)
     modes["plateau"].add_argument("--gamma", type=float)
-    modes["plateau"].add_argument("--beta0", type=float)
+    modes["plateau"].add_argument("--beta0", dest="beta", type=float)  # the first plateau's beta
     modes["plateau"].add_argument("--lp0", type=float)
     modes["plateau"].add_argument("--max-plateaus", type=int)
     modes["restore"].add_argument("--step", type=float, default=1e-3)
@@ -216,7 +216,7 @@ def cmd_plateau(args):
     problem = _make_problem(args)
     cfg = _make_config(args)
     trace = plateau(problem, problem.init_point(args.seed), cfg,
-                    **_given(args, "gamma", "beta0", "lp0", "max_plateaus"))
+                    **_given(args, "gamma", "lp0", "max_plateaus"))
     cert = trace.final_certificate
     summary = (
         "plateau: termination=%s plateaus=%d final_beta=%.6e h_norm=%.6e grad_M_norm=%.6e"

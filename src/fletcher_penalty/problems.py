@@ -1,9 +1,9 @@
 """Problem definitions: cost/constraint evaluators, region constants, built-ins.
 
 A Problem bundles smooth evaluators for the cost f and the constraint h
-together with the region constants (radius R in constraint norm, a lower
+together with the region constants: radius R in constraint norm and a lower
 bound sigma_lb on the smallest singular value of the constraint Jacobian
-over that region, and the quadratic Taylor-remainder constant c_h of h).
+over that region.
 Built-ins cover the unit sphere (linear and Rayleigh-quotient costs), the
 orthonormal-frame manifold, and Cartesian products of constraint blocks.
 """
@@ -37,16 +37,15 @@ __all__ = [
 class RegionParams:
     """Constants describing the region {x : ||h(x)|| <= radius}.
 
-    sigma_lb lower-bounds sigma_min(Dh) over the region; c_h bounds the
-    quadratic Taylor remainder of h. All three must be strictly positive.
+    sigma_lb lower-bounds sigma_min(Dh) over the region. Both must be
+    strictly positive.
     """
 
     radius: float
     sigma_lb: float
-    c_h: float
 
     def __post_init__(self):
-        for name in ("radius", "sigma_lb", "c_h"):
+        for name in ("radius", "sigma_lb"):
             if not getattr(self, name) > 0:
                 raise ValueError("RegionParams.%s must be strictly positive" % name)
 
@@ -131,14 +130,15 @@ def _frame_problem(name, cost, radius, dim_x, dim_h, h, jac, hess, init_point):
     """Problem for a constraint X^T X = I_p (the unit sphere is p = 1) under `cost`.
 
     Any radius R in (0, 1) is admissible: sigma_min(Dh) >= 2*sqrt(1 - R)
-    over the region, and the Taylor remainder constant c_h is exactly 1.
+    over the region. The Taylor remainder of h is at most ||v||^2 (constant 1),
+    a property the tests check and the library does not read.
     """
     if not 0 < radius < 1:
         raise ValueError("region radius must lie in (0, 1), got %r" % (radius,))
     return Problem(
         dim_x=dim_x,
         dim_h=dim_h,
-        region=RegionParams(radius=radius, sigma_lb=2.0 * np.sqrt(1.0 - radius), c_h=1.0),
+        region=RegionParams(radius=radius, sigma_lb=2.0 * np.sqrt(1.0 - radius)),
         f=cost.value,
         grad_f=cost.grad,
         hess_f=cost.hess,
@@ -235,7 +235,7 @@ def make_stiefel(n, p, cost, radius=0.5):
     The ambient variable is x = X.ravel(); the m = p(p+1)/2 constraint
     components are Frobenius coordinates of X^T X - I_p in an orthonormal
     basis of the symmetric matrices. The region constants follow the
-    sphere's rule: 0 < R < 1, sigma_lb = 2*sqrt(1 - R) and c_h = 1.
+    sphere's rule: 0 < R < 1 and sigma_lb = 2*sqrt(1 - R).
     """
     if not 1 <= p <= n:
         raise ValueError("need 1 <= p <= n")
@@ -277,8 +277,7 @@ def make_product(blocks, cost, name="product"):
     """Stack independent constraint blocks under a single cost.
 
     The combined region takes the smallest radius and sigma lower bound
-    over the blocks and the largest Taylor constant; the combined Jacobian
-    is block diagonal.
+    over the blocks; the combined Jacobian is block diagonal.
     """
     if not blocks:
         raise ValueError("need at least one block")
@@ -291,7 +290,6 @@ def make_product(blocks, cost, name="product"):
     region = RegionParams(
         radius=min(b.region.radius for b in blocks),
         sigma_lb=min(b.region.sigma_lb for b in blocks),
-        c_h=max(b.region.c_h for b in blocks),
     )
 
     def split(x):
@@ -340,11 +338,12 @@ def make_product(blocks, cost, name="product"):
 # Sampling and the registry
 
 
-def random_point_in_region(problem, seed, scale=0.5):
+def random_point_in_region(problem, seed, scale):
     """Seeded point with ||h(x)|| <= radius.
 
-    Perturbs the initial point by `scale` (finite, >= 0) along a random
-    direction, halving the perturbation until the result lies in the region.
+    Perturbs the initial point by `scale` (finite, >= 0; no default, the CLI's
+    --perturb owns it) along a random direction, halving the perturbation
+    until the result lies in the region.
     Raises ValueError when no halving of `scale` lands in the region, e.g.
     when the initial point itself lies outside it, and EvaluationError when
     no probe lands and h at the initial point is not finite.

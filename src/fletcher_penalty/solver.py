@@ -371,12 +371,12 @@ def _descend(problem, x0, cfg, records, stop=None):
     trial provably passes its decrease test and keeps ||h|| <= radius,
     through regionwide curvature bounds once beta exceeds the pointwise
     thresholds (it scales with 1/(beta sigma_max(Dh)^2) and with the radius
-    over c_h). Every gradient d passes both safeguards (the clip puts the
-    fallback's scale in [kappa, 1]), so kappa ||grad g|| <= ||d|| <= M ||grad
-    g|| scales floor by at least kappa / M^2: each accepted gradient step has
-    alpha >= tau1 min(alpha01, kappa floor / M^2) and decreases g by at least
-    c1 kappa alpha ||grad g||^2; each eigenstep has alpha >= tau2 min(alpha02,
-    floor).
+    over the Taylor constant of h). Every gradient d passes both safeguards
+    (the clip puts the fallback's scale in [kappa, 1]), so kappa ||grad g|| <=
+    ||d|| <= M ||grad g|| scales floor by at least kappa / M^2: each accepted
+    gradient step has alpha >= tau1 min(alpha01, kappa floor / M^2) and
+    decreases g by at least c1 kappa alpha ||grad g||^2; each eigenstep has
+    alpha >= tau2 min(alpha02, floor).
     """
     try:
         ev = evaluate(problem, x0, cfg.beta, with_grad=True)
@@ -465,11 +465,12 @@ def gradient_eigenstep(problem, x0, cfg):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
+def plateau(problem, x0, cfg, *, gamma=2.0, lp0=100, max_plateaus=60):
     """Rerun the solver's loop with growing beta until it converges on its own.
 
-    Each plateau runs the gradient_eigenstep loop at constant beta with the
-    extra stopping criterion "B(x_k) >= beta_l or k > LP_l", where B is the
+    The first plateau's beta is cfg.beta. Each plateau runs the
+    gradient_eigenstep loop at constant beta with the extra stopping
+    criterion "B(x_k) >= beta_l or k > LP_l", where B is the
     maximum of the pointwise beta thresholds, checked at every non-converged
     iterate by beta_thresholds(below=beta_l), whose docstring states the
     bound that skips Dlambda's SVD; B, and so the stage's b_value and the
@@ -493,14 +494,12 @@ def plateau(problem, x0, cfg, gamma=2.0, beta0=1.0, lp0=100, max_plateaus=60):
     """
     if not 1.0 < gamma < math.inf:
         raise ValueError("gamma must be finite and exceed 1")
-    if not (0 < beta0 < math.inf and 0 < lp0 < math.inf):
-        raise ValueError("beta0 and lp0 must be positive and finite")
+    if not 0 < lp0 < math.inf:
+        raise ValueError("lp0 must be positive and finite")
     if max_plateaus < 0:
         raise ValueError("max_plateaus must be nonnegative")
-    beta_l = float(beta0)
-    lp_l = float(lp0)
-    stage_cfg = replace(cfg, beta=beta_l)
-    x0 = _check_inputs(problem, x0, stage_cfg)
+    x0 = _check_inputs(problem, x0, cfg)  # cfg.validate() refuses a beta that is not > 0 and finite
+    beta_l, lp_l, stage_cfg = float(cfg.beta), float(lp0), cfg
     start, records, stages, ev = x0, [], [], None
     for ell in range(max_plateaus):
         b_max = None
@@ -618,7 +617,7 @@ def audit(problem, trace):
     eigensteps eigen_curvature (< -eps2), eigen_grad_norm (<= eps1) and
     eigen_decrease (>= -c2 step_len^2 curvature); converged_grad_norm (a
     converged run's last grad_norm <= eps1). Each bound takes BOUND_SLACK. The plateau
-    schedule is left out: a trace holds no gamma, beta0 or lp0.
+    schedule is left out: a trace holds no gamma.
     """
     c, records, out = trace["config"], trace["records"], []
     for k, r in enumerate(records):

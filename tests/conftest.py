@@ -49,7 +49,7 @@ def builtins(sphere5, rayleigh10, stiefel83, product_spheres):
 def replay_plateau_rules(stages, gamma):
     """Whether each plateau stage's beta and budget follow from the stage before it.
 
-    The audit leaves the schedule out: a trace holds no gamma, beta0 or lp0.
+    The audit leaves the schedule out: a trace holds no gamma.
     """
     for prev, nxt in zip(stages, stages[1:]):
         if prev.stop_reason == "b_trigger":
@@ -89,7 +89,7 @@ def make_affine_toy(n=5, m=2, seed=0, radius=2.0, definite=True):
     return Problem(
         dim_x=n,
         dim_h=m,
-        region=RegionParams(radius=radius, sigma_lb=0.99 * sigma_min, c_h=1.0),
+        region=RegionParams(radius=radius, sigma_lb=0.99 * sigma_min),
         f=cost.value,
         grad_f=cost.grad,
         hess_f=cost.hess,
@@ -113,7 +113,7 @@ def make_saddle_toy():
     return Problem(
         dim_x=3,
         dim_h=2,
-        region=RegionParams(radius=5.0, sigma_lb=1.0, c_h=1.0),
+        region=RegionParams(radius=5.0, sigma_lb=1.0),
         f=cost.value,
         grad_f=cost.grad,
         hess_f=cost.hess,
@@ -144,7 +144,7 @@ def make_rank_crossing_toy():
     return Problem(
         dim_x=n,
         dim_h=1,
-        region=RegionParams(radius=1.0, sigma_lb=0.1, c_h=1.0),
+        region=RegionParams(radius=1.0, sigma_lb=0.1),
         f=lambda x: 0.5 * float((x - target) @ (x - target)),
         grad_f=lambda x: x - target,
         hess_f=lambda x, v: np.array(v, dtype=float),

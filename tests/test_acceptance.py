@@ -142,13 +142,13 @@ def test_criterion_6_plateau_termination():
     gamma = 2.0
     p1 = make_rayleigh_sphere(np.diag(np.arange(1.0, 11.0)))
     t1 = plateau(
-        p1, p1.init_point(1), SolverConfig(eps1=1e-4, eps2=1e-3),
-        gamma=gamma, beta0=1e-3, lp0=50, max_plateaus=60,
+        p1, p1.init_point(1), SolverConfig(eps1=1e-4, eps2=1e-3, beta=1e-3),
+        gamma=gamma, lp0=50, max_plateaus=60,
     )
     p2 = builtin_problem("stiefel", n=8, p=2, seed=3)
     t2 = plateau(
-        p2, p2.init_point(3), SolverConfig(eps1=1e-4, eps2=1e-3),
-        gamma=gamma, beta0=1e-3, lp0=50, max_plateaus=60,
+        p2, p2.init_point(3), SolverConfig(eps1=1e-4, eps2=1e-3, beta=1e-3),
+        gamma=gamma, lp0=50, max_plateaus=60,
     )
     ok = (
         t1.termination == "converged"

@@ -388,7 +388,7 @@ def test_curvature_readers_do_not_see_an_orthogonal_mixing_of_the_constraints(pi
         return np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
     for seed in range(5):
-        x = random_point_in_region(p, seed)
+        x = random_point_in_region(p, seed, scale=0.5)
         assert close(certify(p, x, 1.0, 1.0, 1.0).min_eig, certify(mixed, x, 1.0, 1.0, 1.0).min_eig)
         low = layered_hess(p, x).min_eig
         assert close(low, layered_hess(mixed, x).min_eig)

@@ -244,6 +244,22 @@ def test_kernel_basis_zero_matrix_full_kernel():
     assert q.shape == (4, 4)
 
 
+def test_kernel_basis_cutoff_is_relative_to_the_largest_singular_value():
+    # the cutoff is default_rank_tol(2, 4) * sigma_1 = 4e-6, so sigma_2 = 1e-7 counts as zero
+    a = with_singular_values([1e6, 1e-7], 4, seed=0)
+    q = kernel_basis(a)
+    assert q.shape == (4, 3)
+    np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-12)
+
+
+def test_kernel_basis_of_a_square_matrix():
+    # m = n is a wide matrix's edge: the kernel is the null rows of vt alone
+    assert kernel_basis(np.eye(3)).shape == (3, 0)
+    q = kernel_basis(np.diag([1.0, 1.0, 0.0]))
+    assert q.shape == (3, 1)
+    assert abs(q[2, 0]) == 1.0
+
+
 def test_bitwise_determinism(monkeypatch):
     rng = np.random.default_rng(13)
     a = rng.standard_normal((5, 8))

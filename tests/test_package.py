@@ -14,11 +14,17 @@ import pytest
 
 import fletcher_penalty
 from fletcher_penalty import (
+    RegionParams,
     SolverConfig,
     builtin_problem,
     evaluate,
     gradient_eigenstep,
     layered_hess,
+    make_product,
+    make_rayleigh_sphere,
+    make_sphere,
+    sym_eig_min,
+    zero_cost,
 )
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fletcher_penalty.__path__))
@@ -154,3 +160,24 @@ def test_svd_unpacks_and_four_classes_stay_dataclasses():
     assert {c.__name__ for c in classes if dataclasses.is_dataclass(c)} == {
         "Problem", "RegionParams", "SolverConfig", "RunTrace"}
     assert {c.__name__ for c in classes if issubclass(c, tuple)} == set(RESULT_FIELDS)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: RegionParams(radius=0.0, sigma_lb=1.0),
+                 r"^RegionParams\.radius must be strictly positive$", id="region-zero-radius"),
+    pytest.param(lambda: RegionParams(radius=0.5, sigma_lb=-1.0),
+                 r"^RegionParams\.sigma_lb must be strictly positive$", id="region-negative-sigma"),
+    pytest.param(lambda: RegionParams(radius=float("nan"), sigma_lb=1.0),
+                 r"^RegionParams\.radius must be strictly positive$", id="region-nan-radius"),
+    pytest.param(lambda: make_sphere(3, [1.0, 0.0]),
+                 r"^w has length 2, expected 3$", id="sphere-w-length"),
+    pytest.param(lambda: make_rayleigh_sphere(np.ones((2, 3))),
+                 r"^expected a square matrix$", id="rayleigh-non-square"),
+    pytest.param(lambda: make_product([], zero_cost(3)),
+                 r"^need at least one block$", id="product-no-block"),
+    pytest.param(lambda: sym_eig_min(np.ones((2, 3))),
+                 r"^expected a square matrix, got shape \(2, 3\)$", id="sym-eig-min-non-square"),
+])
+def test_bad_input_is_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -586,7 +586,7 @@ def test_beta_thresholds_unless_below_rules_out_only_what_lies_below_b_max(built
     # past sqrt(m) b_max without an SVD
     p = builtins[name]
     for seed in range(20):
-        ev = evaluate(p, random_point_in_region(p, seed), 1.0)
+        ev = evaluate(p, random_point_in_region(p, seed, scale=0.5), 1.0)
         exact = beta_thresholds(p, ev)
         for beta in (exact.b_max, np.nextafter(exact.b_max, 0.0)):
             assert beta_thresholds(p, ev, below=beta) == exact
@@ -617,7 +617,7 @@ def test_in_region_boundary_inclusive():
     p = Problem(
         dim_x=n,
         dim_h=1,
-        region=RegionParams(radius=1.0, sigma_lb=1.0, c_h=1.0),
+        region=RegionParams(radius=1.0, sigma_lb=1.0),
         f=lambda x: 0.0,
         grad_f=lambda x: np.zeros(n),
         hess_f=lambda x, v: np.zeros(np.shape(v)),

@@ -190,13 +190,25 @@ def test_stiefel_rejects_square_scalar():
         make_stiefel(1, 1, zero_cost(1))
 
 
+def test_region_params_are_the_radius_and_the_sigma_bound():
+    region = RegionParams(radius=0.5, sigma_lb=1.0)
+    assert (region.radius, region.sigma_lb) == (0.5, 1.0)
+    with pytest.raises(TypeError):
+        RegionParams(radius=0.5, sigma_lb=1.0, c_h=1.0)
+
+
+def test_random_point_in_region_takes_its_scale_with_no_default():
+    # the perturbation's one default is restore's --perturb
+    with pytest.raises(TypeError):
+        random_point_in_region(builtin_problem("sphere"), 0)
+
+
 def test_product_region_constants():
     w = np.array([1.0, 0.0, 0.0])
     blocks = [make_sphere(3, w), make_sphere(3, w)]
     p = make_product(blocks, zero_cost(6))
     assert p.region.radius == 0.5
     assert p.region.sigma_lb == pytest.approx(2.0 * SQRT_HALF, abs=0)
-    assert p.region.c_h == 1.0
 
 
 def test_product_single_block_identity():
@@ -204,7 +216,6 @@ def test_product_single_block_identity():
     p = make_product([make_sphere(3, w)], zero_cost(3))
     assert p.region.radius == 0.5
     assert p.region.sigma_lb == pytest.approx(2.0 * SQRT_HALF, abs=0)
-    assert p.region.c_h == 1.0
 
 
 def test_product_blockdiag_sigma_oracle():
@@ -233,7 +244,7 @@ def test_a_problem_without_hess_h_is_rejected_at_construction():
     # constraint Hessians are part of the contract: the multiplier Jacobian needs them
     n = 3
     fields = dict(
-        dim_x=n, dim_h=1, region=RegionParams(radius=0.5, sigma_lb=1.0, c_h=1.0),
+        dim_x=n, dim_h=1, region=RegionParams(radius=0.5, sigma_lb=1.0),
         f=lambda x: float(x[0]), grad_f=lambda x: np.eye(1, n)[0],
         hess_f=lambda x, v: np.zeros(np.shape(v)), h=lambda x: np.array([x @ x - 1.0]),
         jac_h=lambda x: 2.0 * x.reshape(1, n), init_point=lambda seed: np.eye(1, n)[0],

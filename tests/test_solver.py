@@ -3,7 +3,7 @@
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -138,8 +138,8 @@ def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch, tmp_pa
         # a fifth of the curvature: spectral scales of at least 1, clipped to it
         p = make_rayleigh_sphere(0.2 * np.diag(np.arange(1.0, 13.0)), radius=0.5)
         stiefel = builtin_problem("stiefel", n=8, p=2, seed=1)
-        traces = [plateau(p, x0, cfg, beta0=1e-2, lp0=50),
-                  plateau(stiefel, stiefel.init_point(1), replace(cfg, eps2=1e-3), beta0=1e-3, lp0=50)]
+        traces = [plateau(p, x0, replace(cfg, beta=1e-2), lp0=50),
+                  plateau(stiefel, stiefel.init_point(1), replace(cfg, eps2=1e-3, beta=1e-3), lp0=50)]
     starts = dict.fromkeys(["quasi_newton", "spectral", "clipped", "unsigned"], 0)
     pending = iter(calls)
     for trace in traces:
@@ -463,6 +463,13 @@ def test_rejects_infeasible_start():
         gradient_eigenstep(p, 1.5 * w, SolverConfig())
 
 
+def test_config_defaults_are_the_documented_ones():
+    # README lists them; beta is also the first plateau's beta
+    assert asdict(SolverConfig()) == {
+        "eps1": 1e-5, "eps2": math.inf, "beta": 1.0, "c1": 1e-4, "c2": 0.4, "tau1": 0.5,
+        "tau2": 0.5, "alpha01": 1.0, "alpha02": 1.0, "max_iters": 20000, "max_backtracks": 60}
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(c2=0.5).validate()
@@ -481,9 +488,10 @@ def test_config_rejects_a_zero_initial_step(name):
 
 
 def test_plateau_rejects_a_zero_beta0():
+    # the first plateau's beta is cfg.beta, which the config's validation refuses at 0
     p = diag_rayleigh()
-    with pytest.raises(ValueError, match="beta0"):
-        plateau(p, p.init_point(0), SolverConfig(eps1=1e-4), beta0=0.0)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        plateau(p, p.init_point(0), SolverConfig(eps1=1e-4, beta=0.0))
 
 
 def test_eps1_at_half_the_radius_is_accepted():
@@ -644,7 +652,7 @@ def test_an_inf_from_an_evaluator_raises_with_no_runtime_warning(evaluator):
         with pytest.raises(EvaluationError, match="^%s returned non-finite" % evaluator):
             gradient_eigenstep(bad, p.init_point(0), SolverConfig(beta=10.0))
         with pytest.raises(EvaluationError, match="^%s returned non-finite" % evaluator):
-            plateau(bad, p.init_point(0), SolverConfig(), beta0=1e-3)
+            plateau(bad, p.init_point(0), SolverConfig(beta=1e-3))
 
 
 def _nan_h_off(p, x0):
@@ -666,7 +674,7 @@ def test_nan_h_at_a_trial_ends_the_plateau_scheme():
     p = diag_rayleigh()
     x0 = p.init_point(0)
     with pytest.raises(EvaluationError, match="^h returned non-finite values"):
-        plateau(_nan_h_off(p, x0), x0, SolverConfig(), beta0=1.0, lp0=10, max_plateaus=5)
+        plateau(_nan_h_off(p, x0), x0, SolverConfig(), lp0=10, max_plateaus=5)
 
 
 def test_restoration_from_a_nan_h_point_raises_evaluation_error():
@@ -689,11 +697,11 @@ def test_rank_deficiency_terminates_cleanly():
 
 
 def test_plateau_degenerate_matches_plain_solve():
-    # beta0 stays above B(x) along the whole run (max observed B is ~1.01)
+    # cfg.beta, the first plateau's, stays above B(x) along the whole run (max observed B is ~1.01)
     p = diag_rayleigh()
     cfg = SolverConfig(eps1=1e-4, eps2=1e-4, beta=20.0)
     solo = gradient_eigenstep(p, p.init_point(1), cfg)
-    combo = plateau(p, p.init_point(1), cfg, gamma=2.0, beta0=20.0, lp0=1e9)
+    combo = plateau(p, p.init_point(1), cfg, gamma=2.0, lp0=1e9)
     assert len(combo.plateaus) == 1
     assert combo.plateaus[0].stop_reason == "converged"
     assert [r.as_dict() for r in combo.records] == [r.as_dict() for r in solo.records]
@@ -702,8 +710,8 @@ def test_plateau_degenerate_matches_plain_solve():
 
 def test_plateau_estimates_beta_from_tiny_start():
     p = diag_rayleigh()
-    cfg = SolverConfig(eps1=1e-5, eps2=1e-4)
-    trace = plateau(p, p.init_point(1), cfg, gamma=2.0, beta0=1e-3, lp0=50)
+    cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=1e-3)
+    trace = plateau(p, p.init_point(1), cfg, gamma=2.0, lp0=50)
     assert trace.termination == "converged"
     assert trace.final_certificate.focp_pass
     assert math.isfinite(trace.plateaus[-1].beta)
@@ -713,7 +721,7 @@ def test_plateau_budget_growth_replay():
     p = diag_rayleigh()
     cfg = SolverConfig(eps1=1e-3, eps2=1e-4, beta=20.0)
     gamma = 2.0
-    trace = plateau(p, p.init_point(1), cfg, gamma=gamma, beta0=20.0, lp0=5)
+    trace = plateau(p, p.init_point(1), cfg, gamma=gamma, lp0=5)
     stages = trace.plateaus
     assert len(stages) >= 2
     assert all(s.stop_reason == "budget" for s in stages[:-1])
@@ -722,9 +730,9 @@ def test_plateau_budget_growth_replay():
 
 def test_plateau_b_trigger_replay():
     p = diag_rayleigh()
-    cfg = SolverConfig(eps1=1e-5, eps2=1e-4)
+    cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=1e-3)
     gamma = 2.0
-    trace = plateau(p, p.init_point(1), cfg, gamma=gamma, beta0=1e-3, lp0=50)
+    trace = plateau(p, p.init_point(1), cfg, gamma=gamma, lp0=50)
     stages = trace.plateaus
     assert replay_plateau_rules(stages, gamma)
     assert any(s.stop_reason == "b_trigger" for s in stages)
@@ -732,15 +740,34 @@ def test_plateau_b_trigger_replay():
 
 @pytest.mark.parametrize("kwargs, what", [
     ({"lp0": math.nan}, "lp0"),
-    ({"beta0": math.inf}, "beta0"),
+    ({"beta": math.nan}, "beta must be finite"),  # the config's: plateau starts at cfg.beta
     ({"gamma": math.inf}, "gamma"),
     ({"gamma": math.nan}, "gamma"),
     ({"max_plateaus": -1}, "max_plateaus"),
 ])
 def test_plateau_rejects_non_finite_parameters(kwargs, what):
-    p = diag_rayleigh()
+    p, kwargs = diag_rayleigh(), dict(kwargs)
+    cfg = SolverConfig(eps1=1e-4, beta=kwargs.pop("beta", 1.0))
     with pytest.raises(ValueError, match=what):
-        plateau(p, p.init_point(0), SolverConfig(eps1=1e-4), **kwargs)
+        plateau(p, p.init_point(0), cfg, **kwargs)
+
+
+def test_plateau_starts_at_the_config_beta_as_the_command_line_does(tmp_path):
+    # --beta0 sets cfg.beta, the first plateau's beta: both write the same trace
+    p = builtin_problem("stiefel", seed=3)
+    trace = plateau(p, p.init_point(3), SolverConfig(eps1=1e-4, eps2=1e-3, beta=1e-3), lp0=50)
+    assert trace.plateaus[0].beta == 1e-3
+    out = tmp_path / "p.json"
+    assert main(["plateau", "--problem", "stiefel", "--seed", "3", "--eps1", "1e-4", "--eps2",
+                 "1e-3", "--beta0", "1e-3", "--lp0", "50", "--output-path", str(out)]) == 0
+    assert out.read_bytes() == (trace.to_json() + "\n").encode()
+
+
+def test_plateau_takes_its_schedule_by_keyword_only():
+    # a call in an older order (gamma, beta0, lp0) raises rather than reading 50 as lp0
+    p = diag_rayleigh()
+    with pytest.raises(TypeError):
+        plateau(p, p.init_point(0), SolverConfig(eps1=1e-4), 2.0, 50)
 
 
 def test_plateau_cap_returns_trace():
@@ -749,8 +776,8 @@ def test_plateau_cap_returns_trace():
     p = diag_rayleigh()
     x0 = p.init_point(0)
     p = replace(p, f=lambda x, f=p.f: f(x) + 1e6 * np.linalg.norm(x - x0))
-    cfg = SolverConfig(eps1=1e-5, eps2=math.inf, beta=1.0)
-    trace = plateau(p, x0, cfg, gamma=2.0, beta0=1e9, lp0=10, max_plateaus=3)
+    cfg = SolverConfig(eps1=1e-5, eps2=math.inf, beta=1e9)
+    trace = plateau(p, x0, cfg, gamma=2.0, lp0=10, max_plateaus=3)
     assert trace.termination == "max_plateaus"
     assert [s.stop_reason for s in trace.plateaus] == ["backtrack_failure"] * 3
     assert trace.config.beta == trace.plateaus[-1].beta
@@ -760,7 +787,7 @@ def test_plateau_cap_returns_trace():
 def test_plateau_zero_cap_returns_the_start():
     p = diag_rayleigh()
     x0 = p.init_point(0)
-    trace = plateau(p, x0, SolverConfig(eps1=1e-5), beta0=3.0, max_plateaus=0)
+    trace = plateau(p, x0, SolverConfig(eps1=1e-5, beta=3.0), max_plateaus=0)
     assert trace.termination == "max_plateaus"
     assert trace.plateaus == [] and trace.records == []
     assert trace.final_certificate is None
@@ -790,9 +817,10 @@ def test_a_second_order_run_certifies_from_its_last_penalty_hessian(monkeypatch,
                          (criticality, "kernel_basis")]:
         monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
     if driver == "plateau":
-        p, cfg = builtin_problem("stiefel", n=8, p=2, seed=3), SolverConfig(eps1=1e-4, eps2=1e-3)
+        p = builtin_problem("stiefel", n=8, p=2, seed=3)
+        cfg = SolverConfig(eps1=1e-4, eps2=1e-3, beta=1e-3)
         x0 = p.init_point(3)
-        run = lambda q: plateau(q, x0, cfg, gamma=2.0, beta0=1e-3, lp0=50)
+        run = lambda q: plateau(q, x0, cfg, gamma=2.0, lp0=50)
     else:
         p, cfg = diag_rayleigh(n=30), SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
         x0 = np.eye(30)[5]  # a strict saddle: the run takes eigensteps
@@ -840,8 +868,8 @@ def test_plateau_certifies_only_inside_the_solver(monkeypatch):
 
     monkeypatch.setattr(solver, "_descend", loop)
     p = builtin_problem("stiefel", n=8, p=2, seed=3)
-    trace = plateau(p, p.init_point(3), SolverConfig(eps1=1e-4, eps2=1e-3),
-                    gamma=2.0, beta0=1e-3, lp0=50)
+    trace = plateau(p, p.init_point(3), SolverConfig(eps1=1e-4, eps2=1e-3, beta=1e-3),
+                    gamma=2.0, lp0=50)
     assert trace.termination == "converged"
     assert len(trace.plateaus) >= 2
     assert [c for c in calls if c[0] == "certify"] == [("certify", False)]
@@ -892,8 +920,8 @@ def test_plateau_evaluates_each_stage_start_once(monkeypatch):
         return ev
 
     monkeypatch.setattr(solver, "evaluate", evaluate_spy)
-    trace = plateau(p, p.init_point(3), SolverConfig(eps1=1e-4, eps2=1e-3),
-                    gamma=2.0, beta0=1e-3, lp0=50)
+    trace = plateau(p, p.init_point(3), SolverConfig(eps1=1e-4, eps2=1e-3, beta=1e-3),
+                    gamma=2.0, lp0=50)
     assert trace.termination == "converged" and len(trace.plateaus) >= 2
     assert rebases == [{"f": 1, "hess_h": 1}] * (len(trace.plateaus) - 1)
     # one Dh and one SVD per point; beta_thresholds, and a stop check whose bound
@@ -913,8 +941,8 @@ _STOP_CHECK_RUNS = [
 
 def _stop_check_run(problem_id, seed):
     p = builtin_problem(problem_id, n=8 if problem_id == "stiefel" else 12, seed=seed)
-    return p, lambda q: plateau(q, q.init_point(seed), SolverConfig(eps1=1e-4, eps2=1e-3),
-                                gamma=2.0, beta0=1e-3, lp0=50)
+    return p, lambda q: plateau(q, q.init_point(seed), SolverConfig(eps1=1e-4, eps2=1e-3, beta=1e-3),
+                                gamma=2.0, lp0=50)
 
 
 @pytest.mark.parametrize("problem_id, seed", _STOP_CHECK_RUNS)
@@ -998,7 +1026,7 @@ def test_second_order_run_without_hess_h_fails_before_evaluating(monkeypatch, dr
         if driver == "solve":
             gradient_eigenstep(p, p.init_point(1), cfg)
         else:
-            plateau(p, p.init_point(1), cfg, beta0=5.0)
+            plateau(p, p.init_point(1), cfg)
     assert calls == []
 
 
@@ -1109,7 +1137,7 @@ def test_trace_invariants_across_builtins(problem_id, driver, eps2):
         if driver == "solve":
             trace = gradient_eigenstep(p, x0, cfg)
         else:
-            trace = plateau(p, x0, cfg, gamma=2.0, beta0=1e-2, lp0=20)
+            trace = plateau(p, x0, replace(cfg, beta=1e-2), gamma=2.0, lp0=20)
         assert trace.termination == "converged"
         assert trace.final_certificate.focp_pass
         assert audit(p, trace.as_dict()) == []
