@@ -23,6 +23,8 @@ from .exceptions import NumericalFailureError
 GRAM_CUTOFF = 1e-2
 # Below this, entries of A A^T may lie near the subnormal range and lose digits.
 GRAM_FLOOR = 1e-250
+# The Gram route takes only a matrix with ||A||_F^2 below this, so A A^T cannot overflow.
+GRAM_SCREEN = 1e300
 # Narrower matrices stay with LAPACK: for m >= 2 below about 64 columns, eigh's
 # fixed cost makes the Gram route no faster than LAPACK's SVD (timed for m = 2..6).
 GRAM_MIN_COLS = 64
@@ -103,14 +105,15 @@ def _lapack_svd(a, full_matrices):
 
 def _gram_svd(a):
     """The thin SVD of a wide a from eigh(a a^T), or None where that route does
-    not apply: a non-finite a, an eigenvalue ratio at most GRAM_CUTOFF, a
-    smallest eigenvalue below GRAM_FLOOR, or a failed eigensolve."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = a @ a.T
-    # diag(g) holds the squared row norms, so their sum is finite exactly when a
-    # is finite and g does not overflow: svd's finiteness check on this route.
-    if not math.isfinite(sum(g.diagonal().tolist())):
+    not apply: ||a||_F^2 not below GRAM_SCREEN (a non-finite a among them), an
+    eigenvalue ratio at most GRAM_CUTOFF, a smallest eigenvalue below
+    GRAM_FLOOR, or a failed eigensolve."""
+    # vdot, unlike a product, warns of no overflow, and by Cauchy-Schwarz every entry of
+    # a a^T is at most ||a||_F^2: below the screen, the product overflows nowhere and
+    # needs no errstate. The screen is svd's finiteness check on this route.
+    if not float(np.vdot(a, a)) < GRAM_SCREEN:
         return None
+    g = a @ a.T
     if len(g) == 1:
         w, u = g[0], np.ones((1, 1))  # what eigh returns for a 1-by-1 matrix
     else:
@@ -122,14 +125,14 @@ def _gram_svd(a):
         return None
     s = np.sqrt(w[::-1])
     u = u[:, ::-1]
-    return SvdResult(u=u, s=s, vt=(u / s).T @ a)
+    return SvdResult(u, s, (u / s).T @ a)
 
 
 def svd(a):
     """Thin singular value decomposition of a dense matrix.
 
-    A wide matrix (0 < m <= n, n >= GRAM_MIN_COLS) with
-    sigma_min / sigma_max > 0.1 is factored through eigh(A A^T):
+    A wide matrix (0 < m <= n, n >= GRAM_MIN_COLS) with ||A||_F^2 < GRAM_SCREEN
+    and sigma_min / sigma_max > 0.1 is factored through eigh(A A^T):
     s = sqrt(w), u its eigenvectors and vt = diag(1/s) u^T A. Every other
     matrix goes to LAPACK, so every rank-deficiency decision is made on
     LAPACK's singular values. Raises ValueError on non-finite entries, and
@@ -143,7 +146,7 @@ def svd(a):
         if res is not None:
             return res
     u, s, vt = _lapack_svd(_finite(a), full_matrices=False)
-    return SvdResult(u=u, s=s, vt=vt)
+    return SvdResult(u, s, vt)
 
 
 def _symmetrize(a):

@@ -107,29 +107,27 @@ def _value(problem, x, h_val, lam, beta):
     return g_val
 
 
-def _read_h(problem, x, h_val=None):
+def _read_h(problem, x):
     """(h, ||h||, ||h|| <= radius) at the array x: the one reader of h and region test.
 
     h comes back as a raveled float vector with its norm from vector_norm;
-    the region includes its boundary. h_val, when given, is h(x) as the
-    caller already evaluated it, used in place of a new call to h. Only a
-    non-finite norm scans h: a NaN or +-inf entry raises EvaluationError
-    naming h, while a finite h whose norm overflows lies outside the region.
+    the region includes its boundary. A search's trial is read once: its
+    evaluation takes this triple whole (evaluate's h_val). Only a non-finite
+    norm scans h: a NaN or +-inf entry raises EvaluationError naming h,
+    while a finite h whose norm overflows lies outside the region.
     """
-    if h_val is None:
-        h_val = problem.h(x)
-    h_val = np.asarray(h_val, dtype=float).ravel()
+    h_val = np.asarray(problem.h(x), dtype=float).ravel()
     h_norm = vector_norm(h_val)
     if not math.isfinite(h_norm):
         _finite(h_val, "h", x)
     return h_val, h_norm, h_norm <= problem.region.radius
 
 
-def _point(problem, x, h_val=None, beta=None):
+def _point(problem, x, read=None, beta=None):
     """The point record of x: h, its norm, Dh, its thin SVD, grad f and multipliers.
 
-    x may be a PenaltyEval, which is returned as it is. h_val, when given,
-    is h(x) as the caller already evaluated it (see _read_h). With beta,
+    x may be a PenaltyEval, which is returned as it is. read, when given, is
+    _read_h's (h, ||h||, inside) of x as the caller already took it. With beta,
     the new record also holds the penalty value at beta, so a value-only
     evaluation builds one record. Each evaluator's output is checked once,
     in the order h, jac_h, grad_f, f, and through one scalar: a NaN or
@@ -140,7 +138,7 @@ def _point(problem, x, h_val=None, beta=None):
     if isinstance(x, PenaltyEval):
         return x
     x = np.asarray(x, dtype=float)
-    h_val, h_norm, inside = _read_h(problem, x, h_val)
+    h_val, h_norm, inside = _read_h(problem, x) if read is None else read
     jac = np.asarray(problem.jac_h(x), dtype=float)
     try:
         res = svd(jac)  # svd's own finiteness check is the only pass over jac
@@ -152,22 +150,22 @@ def _point(problem, x, h_val=None, beta=None):
         _finite(grad_f, "grad_f", x)  # a finite grad_f whose square overflows passes
     m, n = jac.shape
     tol = default_rank_tol(m, n)
-    if res.sigma_min <= tol * res.sigma_max:
-        raise RankDeficiencyError(x, res.sigma_min, res.sigma_max)
+    s_min, s_max = res.sigma_min, res.sigma_max
+    if s_min <= tol * s_max:
+        raise RankDeficiencyError(x, s_min, s_max)
     # Minimum-norm least-squares multipliers through the SVD of Dh.
     lam = res.u @ ((res.vt @ grad_f) / res.s)
     g_val = None if beta is None else _value(problem, x, h_val, lam, beta)
     reg = problem.region
-    if inside and res.sigma_min < reg.sigma_lb * (1.0 - 1e-9):
+    if inside and s_min < reg.sigma_lb * (1.0 - 1e-9):
         warnings.warn(
             "sigma_min(Dh)=%.3e dips below the declared lower bound %.3e inside "
             "the region; the supplied region constants look inconsistent"
-            % (res.sigma_min, reg.sigma_lb),
+            % (s_min, reg.sigma_lb),
             RuntimeWarning,
             stacklevel=3,
         )
-    return PenaltyEval(x=x, h_val=h_val, h_norm=h_norm, jac=jac, jac_svd=res, grad_f=grad_f,
-                       lambda_val=lam, beta=beta, g_val=g_val)
+    return PenaltyEval(x, h_val, h_norm, jac, res, grad_f, lam, beta, g_val)
 
 
 def multipliers(problem, x):
@@ -205,8 +203,11 @@ def dlambda_jacobian(problem, x):
     if block is None:
         block = _lagrangian_hess(problem, pt.x, pt.lambda_val, pt.jac.T)
     rg = pt.riem_grad
-    rows = np.array([problem.hess_h(pt.x, e, rg) for e in np.eye(pt.jac.shape[0])])
-    return _finite(_gram_inverse(pt.jac_svd, rows + block.T), "hess_h", pt.x)
+    rows = np.empty(pt.jac.shape)  # R's m rows, then R + B^T in place
+    for i, e in enumerate(np.eye(len(rows))):
+        rows[i] = problem.hess_h(pt.x, e, rg)
+    rows += block.T
+    return _finite(_gram_inverse(pt.jac_svd, rows), "hess_h", pt.x)
 
 
 def _checked_gradient(x, beta, jac, h_val, rg, adjoint, hess_f):
@@ -236,8 +237,8 @@ def evaluate(problem, x, beta, with_grad=True, h_val=None):
     a value-only evaluation (as the searches return) gets its gradient; at
     another beta the record is re-based, the value with one more call to f
     and the gradient with one hess_h product beside the kept lag_block (and lag_hess).
-    h_val, when given with a point x, is h(x) as the caller already
-    evaluated it (the searches' region test), so h is not called again.
+    h_val, when given with a point x, is x's region read (h, ||h||, inside)
+    as _read_h returned it for a search's trial, so h is read once per trial.
     Raises EvaluationError when an evaluator returns a non-finite value
     (hess_h is caught through the assembled gradient) or when beta is so
     large that 2 beta Dh^T h is not finite.
@@ -272,9 +273,8 @@ def evaluate(problem, x, beta, with_grad=True, h_val=None):
             grad_norm = vector_norm(grad_g)
         if not (fits and math.isfinite(grad_norm)):
             grad_g, grad_norm = _checked_gradient(x, beta, jac, h_val, rg, adjoint, hess_f)
-    return PenaltyEval(x=x, h_val=h_val, h_norm=pt.h_norm, jac=jac, jac_svd=pt.jac_svd,
-                       grad_f=pt.grad_f, lambda_val=lam, beta=float(beta), g_val=g_val,
-                       grad_g=grad_g, grad_norm=grad_norm, lag_block=block, lag_hess=pt.lag_hess)
+    return PenaltyEval(x, h_val, pt.h_norm, jac, pt.jac_svd, pt.grad_f, lam, float(beta), g_val,
+                       grad_g, grad_norm, block, pt.lag_hess)
 
 
 def penalty_value(problem, x, beta):

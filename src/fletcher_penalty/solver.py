@@ -205,10 +205,9 @@ def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what):
     alpha = alpha0
     for j in range(cfg.max_backtracks + 1):
         x_next = ev.x + alpha * d
-        h_next, _, inside = _read_h(problem, x_next)
-        if inside:
-            # the trial's evaluation takes this h rather than calling h again
-            trial = evaluate(problem, x_next, ev.beta, with_grad=False, h_val=h_next)
+        read = _read_h(problem, x_next)
+        if read[2]:  # inside: the trial's evaluation takes this read rather than its own
+            trial = evaluate(problem, x_next, ev.beta, with_grad=False, h_val=read)
             if ev.g_val - trial.g_val >= required_decrease(alpha):
                 return alpha, trial, j
         alpha *= tau
@@ -302,22 +301,28 @@ def _check_start(problem, x0):
 
 
 def _terminal(records, ev, reason, k):
-    records.append(IterationRecord(k=k, kind="terminal", step_len=0.0, g_before=ev.g_val,
-                                   g_after=ev.g_val, grad_norm=ev.grad_norm, h_norm=ev.h_norm,
-                                   curvature=None, backtracks=0))
+    records.append(IterationRecord(k, "terminal", 0.0, ev.g_val, ev.g_val, ev.grad_norm,
+                                   ev.h_norm, None, 0))
     return ev, reason
 
 
 def _two_loop(pairs, grad):
-    """-H grad by L-BFGS's two-loop recursion over pairs (s, y, s.y), H0 from the newest."""
+    """-H grad by L-BFGS's two-loop recursion over pairs (s, y, s.y, y.y), H0 = (s.y / y.y) I
+    from the newest.
+
+    s.y and y.y are floats that _gradient_step formed for the pair test and ||y||; the
+    recursion's scalars are floats too, whose IEEE arithmetic is NumPy's bit for bit. A y.y
+    that underflows to 0 gives H0 = inf I, as NumPy's division by zero does.
+    """
     q, coefs = -grad, []
-    for s, y, sy in reversed(pairs):
-        coefs.append(s.dot(q) / sy)
-        q -= coefs[-1] * y
-    s, y, sy = pairs[-1]
-    q *= sy / y.dot(y)
-    for (s, y, sy), a in zip(pairs, reversed(coefs)):
-        q += (a - y.dot(q) / sy) * s
+    for s, y, sy, _ in reversed(pairs):
+        a = float(s.dot(q)) / sy
+        q -= a * y
+        coefs.append(a)
+    _, _, sy, yy = pairs[-1]
+    q *= sy / yy if yy else math.inf
+    for (s, y, sy, _), a in zip(pairs, reversed(coefs)):
+        q += (a - float(y.dot(q)) / sy) * s
     return q
 
 
@@ -325,9 +330,10 @@ def _gradient_step(pairs, prev, ev, alpha01):
     """(d, slope, ||d||) of the gradient search at ev after a step from prev (see _descend)."""
     if prev is not None:
         s, y = ev.x - prev.x, ev.grad_g - prev.grad_g
-        s_norm, y_norm = vector_norm(s), vector_norm(y)
+        yy = float(y.dot(y))
+        s_norm, y_norm = vector_norm(s), math.sqrt(yy)  # y_norm is vector_norm(y)
         if (sy := float(s.dot(y))) > PAIR_CURVATURE * s_norm * y_norm:
-            pairs.append((s, y, sy))
+            pairs.append((s, y, sy, yy))
     if pairs:
         d = _two_loop(pairs, ev.grad_g)
         slope, d_norm = -float(ev.grad_g.dot(d)), vector_norm(d)
@@ -421,9 +427,8 @@ def _descend(problem, x0, cfg, records, stop=None):
         except BacktrackFailureError:
             return _terminal(records, ev, "beta_too_small", k)
         records.append(IterationRecord(
-            k=k, kind="gradient" if curvature is None else "eigen", step_len=alpha,
-            g_before=ev.g_val, g_after=ev_next.g_val, grad_norm=ev.grad_norm, h_norm=ev_next.h_norm,
-            curvature=curvature, backtracks=bts, slope=slope, d_norm=d_norm))
+            k, "gradient" if curvature is None else "eigen", alpha, ev.g_val, ev_next.g_val,
+            ev.grad_norm, ev_next.h_norm, curvature, bts, slope, d_norm))
         ev = ev_next
         k += 1
 

@@ -196,6 +196,23 @@ def reference_restore(problem, x, step, t_end):
     return x, log
 
 
+def reference_two_loop(pairs, grad):
+    """L-BFGS's two-loop recursion with NumPy scalars, y.y formed anew from each pair's y.
+
+    The reference for solver._two_loop, which carries float scalars and reads the y.y kept
+    in the pair (s, y, s.y, y.y); only s, y and s.y are read here.
+    """
+    q, coefs = -grad, []
+    for s, y, sy, _ in reversed(pairs):
+        coefs.append(s.dot(q) / sy)
+        q -= coefs[-1] * y
+    s, y, sy, _ = pairs[-1]
+    q *= sy / y.dot(y)
+    for (s, y, sy, _), a in zip(pairs, reversed(coefs)):
+        q += (a - y.dot(q) / sy) * s
+    return q
+
+
 def reference_stiefel(n, p):
     """The Stiefel h, jac_h and hess_h in the basis form: 2 (X B_k) and 2 S(w) v, with @.
 

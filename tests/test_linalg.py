@@ -88,6 +88,9 @@ SVD_ROUTE_CASES = {
     "ill conditioned": ([1.0, 1e-3, 1e-9], 70, "lapack"),
     "rank deficient": ([1.0, 0.5, 0.0], 70, "lapack"),
     "huge": ([3e200, 2e200], 70, "lapack"),  # A A^T overflows
+    # ||A||_F^2 = 1.36 GRAM_SCREEN: A A^T is finite, but only the screen bounds it
+    "screened": ([1e150, 6e149], 70, "lapack"),
+    "below the screen": ([6e149, 4e149], 70, "gram"),  # ||A||_F^2 = 0.52 GRAM_SCREEN
     "tiny": ([3e-160, 2e-160], 70, "lapack"),  # A A^T is subnormal
 }
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import asdict, replace
 from types import SimpleNamespace
@@ -36,13 +37,13 @@ from fletcher_penalty import (
     restore_feasibility,
 )
 
-from fletcher_penalty import solver
+from fletcher_penalty import penalty, solver
 from fletcher_penalty.cli import main
 from fletcher_penalty.linalg import min_eig_above, sym_eig_min
 from fletcher_penalty.solver import _two_loop
 
 from conftest import (ALL_BUILTIN_IDS, make_affine_toy, make_rank_crossing_toy, make_saddle_toy,
-                      reference_restore, replay_plateau_rules)
+                      reference_restore, reference_two_loop, replay_plateau_rules)
 
 
 def diag_rayleigh(n=10, radius=0.5):
@@ -71,6 +72,54 @@ def test_gradient_backtrack_keeps_region_near_boundary():
     assert np.linalg.norm(p.h(x)) <= 0.4900001
     trace = gradient_eigenstep(p, x, SolverConfig(beta=1e-2, max_iters=5))
     assert audit(p, trace.as_dict()) == [] and max(r.h_norm for r in trace.records) > 0.499
+
+
+def test_a_search_trial_reads_h_once(monkeypatch):
+    # each trial's region read goes whole to its evaluation: one read per trial, through
+    # either module's name, and one SVD per trial inside the region. From alpha01 = 3 on
+    # St(30, 3) the first two trials leave the region and the third fails Armijo at c1 = 0.9.
+    reads, svds = [], []
+    real_read, real_svd = penalty._read_h, penalty.svd
+
+    def read(*args):
+        out = real_read(*args)
+        reads.append(out[2])
+        return out
+
+    for module in (penalty, solver):
+        monkeypatch.setattr(module, "_read_h", read)
+    monkeypatch.setattr(penalty, "svd", lambda a: svds.append(1) or real_svd(a))
+    p = builtin_problem("stiefel", n=30, p=3, seed=5)
+    ev = evaluate(p, p.init_point(5), 3.0)
+    reads.clear()
+    svds.clear()
+    alpha, _, bts = gradient_backtrack(p, ev, SolverConfig(alpha01=3.0, c1=0.9))
+    assert (alpha, bts) == (0.375, 3) and reads == [False, False, True, True]
+    assert len(svds) == reads.count(True)
+
+
+def test_errstate_is_entered_per_run_not_per_point(monkeypatch):
+    # the library enters np.errstate once per run (gradient_eigenstep's decorator), never
+    # per SVD or per point: a 3-iteration solve and a converged one count the same entries
+    entries, svds = [], []
+    real_enter, real_svd = np.errstate.__enter__, penalty.svd
+
+    def enter(self):
+        entries.append(sys._getframe(1).f_globals.get("__name__", ""))
+        return real_enter(self)
+
+    monkeypatch.setattr(np.errstate, "__enter__", enter)
+    monkeypatch.setattr(penalty, "svd", lambda a: svds.append(1) or real_svd(a))
+    p = builtin_problem("stiefel", n=30, p=3, seed=5)
+    counts = []
+    for max_iters, termination in ((3, "max_iters"), (20000, "converged")):
+        entries.clear()
+        svds.clear()
+        cfg = SolverConfig(eps1=1e-4, beta=3.0, max_iters=max_iters)
+        assert gradient_eigenstep(p, p.init_point(5), cfg).termination == termination
+        counts.append((sum(name.startswith("fletcher_penalty") for name in entries), len(svds)))
+    (short, short_svds), (full, full_svds) = counts
+    assert short == full and full_svds > short_svds + 20
 
 
 def test_fallback_scale_branches():
@@ -156,7 +205,7 @@ def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch, tmp_pa
             if prev is not None:
                 s, y = ev.x - prev.x, ev.grad_g - prev.grad_g
                 if s @ y > solver.PAIR_CURVATURE * np.linalg.norm(s) * np.linalg.norm(y):
-                    pairs = (pairs + [(s, y, float(s @ y))])[-solver.LBFGS_PAIRS:]
+                    pairs = (pairs + [(s, y, float(s @ y), float(y @ y))])[-solver.LBFGS_PAIRS:]
                 if np.any(y != 0.0):
                     scale = min(1.0, max(solver.DESCENT_KAPPA,
                                          np.linalg.norm(s) / (cfg.alpha01 * np.linalg.norm(y))))
@@ -197,15 +246,48 @@ def test_two_loop_matches_the_dense_bfgs_inverse_update(count):
     rng = np.random.default_rng(count)
     q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
     a = q @ np.diag(np.linspace(0.5, 20.0, 8)) @ q.T
-    pairs = [(s, a @ s, float(s @ a @ s)) for s in rng.standard_normal((count, 8))]
-    s, y, sy = pairs[-1]
+    pairs = []
+    for s in rng.standard_normal((count, 8)):
+        y = a @ s
+        pairs.append((s, y, float(s @ a @ s), float(y @ y)))
+    s, y, sy, _ = pairs[-1]
     h = sy / float(y @ y) * np.eye(8)
-    for s, y, sy in pairs:
+    for s, y, sy, _ in pairs:
         v = np.eye(8) - np.outer(y, s) / sy
         h = v.T @ h @ v + np.outer(s, s) / sy
     grad = rng.standard_normal(8)
     d = _two_loop(pairs, grad)
     np.testing.assert_allclose(d, -h @ grad, rtol=1e-12, atol=1e-12 * np.linalg.norm(h @ grad))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+def test_two_loop_is_the_numpy_scalar_recursion_bit_for_bit(count, scale):
+    # float scalars and the kept y.y give the bytes of NumPy scalars and a y.y formed anew
+    rng = np.random.default_rng(count)
+    a = np.diag(np.linspace(0.5, 20.0, 8)) + 0.1 * rng.standard_normal((8, 8))
+    pairs = []
+    for s in scale * rng.standard_normal((count, 8)):
+        y = a @ s
+        pairs.append((s, y, float(s.dot(y)), float(y.dot(y))))
+    grad = scale * rng.standard_normal(8)
+    assert all(pair[2] > 0.0 for pair in pairs)
+    assert _two_loop(pairs, grad).tobytes() == reference_two_loop(pairs, grad).tobytes()
+
+
+def test_two_loop_reads_a_vanishing_y_y_as_numpy_does():
+    # y.y underflows to 0 while s.y > 0: H0 = (s.y / 0) I is inf I, as NumPy's division gives
+    s, y = np.array([1e170, 0.0]), np.array([1e-170, 0.0])
+    pairs = [(s, y, float(s.dot(y)), float(y.dot(y)))]
+    assert pairs[0][2] > 0.0 and pairs[0][3] == 0.0
+    grad = np.array([1.0, 1.0])
+    with np.errstate(all="ignore"):
+        want = reference_two_loop(pairs, grad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):  # gradient_eigenstep's setting
+            got = _two_loop(pairs, grad)
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("direction, taken", [
