@@ -40,6 +40,7 @@ TARGETS = {
     "hess_h": (1e-4, SECOND_ORDER_STEP),
     "dlambda_jacobian": (1e-4, FIRST_ORDER_STEP),
 }
+PENALTY_BETA = 1.0  # the penalty_grad target's beta
 
 
 class DerivativeReport(NamedTuple):
@@ -97,16 +98,16 @@ def relative_error(a, b):
     return float(diff / (1.0 + max(np.linalg.norm(a), np.linalg.norm(b))))
 
 
-def check_problem(problem, seeds, beta=1.0):
+def check_problem(problem, seeds):
     """Verify every analytic derivative of a problem against finite differences.
 
     At init_point(seed) for each seed, checks hess_f(x, I) against grad_f,
     grad_f against f, jac_h against h, each hess_h(x, e_i, I) against row i
-    of one FD Jacobian of jac_h, the penalty gradient against the penalty
-    value, and the multiplier Jacobian against the multipliers. Failures
-    are reported, never raised: a NaN relative error, or a package error
-    (such as a non-finite evaluator output) raised while checking a target,
-    is reported as that target's worst error, NaN, and fails.
+    of one FD Jacobian of jac_h, the penalty gradient at PENALTY_BETA against
+    the penalty value, and the multiplier Jacobian against the multipliers.
+    Failures are reported, never raised: a NaN relative error, or a package
+    error (such as a non-finite evaluator output) raised while checking a
+    target, is reported as that target's worst error, NaN, and fails.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -135,8 +136,8 @@ def check_problem(problem, seeds, beta=1.0):
             "jac_h": lambda: relative_error(problem.jac_h(x), fd_jacobian(problem.h, x)),
             "hess_h": lambda: hess_h_err(x),
             "penalty_grad": lambda: relative_error(
-                penalty_grad(problem, x, beta),
-                fd_grad(lambda y: penalty_value(problem, y, beta), x)),
+                penalty_grad(problem, x, PENALTY_BETA),
+                fd_grad(lambda y: penalty_value(problem, y, PENALTY_BETA), x)),
             "dlambda_jacobian": lambda: relative_error(
                 dlambda_jacobian(problem, x),
                 fd_jacobian(lambda y: multipliers(problem, y)[0], x)),

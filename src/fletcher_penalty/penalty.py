@@ -101,7 +101,7 @@ def _value(problem, x, h_val, lam, beta):
     Only a non-finite g reads f_val, to name f when f is at fault.
     """
     f_val = float(problem.f(x))
-    g_val = f_val - float(h_val @ lam) + beta * float(h_val @ h_val)
+    g_val = f_val - float(h_val.dot(lam)) + beta * float(h_val.dot(h_val))
     if not math.isfinite(g_val) and not math.isfinite(f_val):
         raise EvaluationError("f returned a non-finite value at %s" % _at(x))
     return g_val
@@ -112,7 +112,7 @@ def _read_h(problem, x):
 
     h comes back as a raveled float vector with its norm from vector_norm;
     the region includes its boundary. A search's trial is read once: its
-    evaluation takes this triple whole (evaluate's h_val). Only a non-finite
+    evaluation takes this triple whole (evaluate's read). Only a non-finite
     norm scans h: a NaN or +-inf entry raises EvaluationError naming h,
     while a finite h whose norm overflows lies outside the region.
     """
@@ -230,14 +230,14 @@ def _checked_gradient(x, beta, jac, h_val, rg, adjoint, hess_f):
     return grad_g, vector_norm(grad_g)
 
 
-def evaluate(problem, x, beta, with_grad=True, h_val=None):
+def evaluate(problem, x, beta, with_grad=True, read=None):
     """The PenaltyEval of x at beta; the Dh SVD is computed once and shared.
 
     x may also be a PenaltyEval, whose point data is reused: at its own beta
     a value-only evaluation (as the searches return) gets its gradient; at
     another beta the record is re-based, the value with one more call to f
     and the gradient with one hess_h product beside the kept lag_block (and lag_hess).
-    h_val, when given with a point x, is x's region read (h, ||h||, inside)
+    read, when given with a point x, is x's region read (h, ||h||, inside)
     as _read_h returned it for a search's trial, so h is read once per trial.
     Raises EvaluationError when an evaluator returns a non-finite value
     (hess_h is caught through the assembled gradient) or when beta is so
@@ -245,7 +245,7 @@ def evaluate(problem, x, beta, with_grad=True, h_val=None):
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    pt = _point(problem, x, h_val, float(beta))
+    pt = _point(problem, x, read, float(beta))
     if pt.beta == beta and (pt.grad_g is not None or not with_grad):
         return pt
     x, h_val, jac, lam = pt.x, pt.h_val, pt.jac, pt.lambda_val

@@ -207,7 +207,7 @@ def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what):
         x_next = ev.x + alpha * d
         read = _read_h(problem, x_next)
         if read[2]:  # inside: the trial's evaluation takes this read rather than its own
-            trial = evaluate(problem, x_next, ev.beta, with_grad=False, h_val=read)
+            trial = evaluate(problem, x_next, ev.beta, with_grad=False, read=read)
             if ev.g_val - trial.g_val >= required_decrease(alpha):
                 return alpha, trial, j
         alpha *= tau
@@ -263,15 +263,17 @@ def _violations(where, checks):
 
 
 def _assert_first_order_bounds(problem, ev, cert, cfg):
-    """Termination sanity: first-order certificate inequalities at the final point.
+    """The termination of a converged run: "converged", or "beta_too_small" below the thresholds.
 
     With beta above the pointwise thresholds, a small penalty gradient
     forces small ||h|| and small layered gradient; violation indicates a
     broken gradient computation, so it raises rather than passing silently.
+    At or below them the bounds need not hold, and a point that fails its
+    first-order certificate is beta_too_small.
     """
     th = beta_thresholds(problem, ev)
     if cfg.beta <= max(th.beta2, th.beta3):
-        return
+        return "converged" if cert.focp_pass else "beta_too_small"
     bound_h = cfg.eps1 / (cfg.beta * th.sigma_min)
     bound_g = (1.0 + th.c_lambda / (cfg.beta * th.sigma_min)) * cfg.eps1
     bad = _violations("first-order certificate bounds violated at termination",
@@ -279,6 +281,7 @@ def _assert_first_order_bounds(problem, ev, cert, cfg):
                        ("||grad_M f||", cert.eps1_measured, bound_g)])
     if bad:
         raise NumericalFailureError("; ".join(bad))
+    return "converged"
 
 
 def _check_inputs(problem, x0, cfg):
@@ -443,7 +446,7 @@ def _certified(problem, cfg, records, ev, reason, x0, plateaus=None):
         return RunTrace(cfg, records, x0, None, reason, plateaus)
     cert = certify(problem, ev, cfg.eps1, 2.0 * cfg.eps1, cfg.eps2)
     if reason == "converged":
-        _assert_first_order_bounds(problem, ev, cert, cfg)
+        reason = _assert_first_order_bounds(problem, ev, cert, cfg)
     return RunTrace(cfg, records, ev.x, cert, reason, plateaus, final_eval=ev)
 
 

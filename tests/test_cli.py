@@ -16,7 +16,7 @@ from fletcher_penalty.cli import main
 from fletcher_penalty.problems import MAX_DENSE_N
 from fletcher_penalty.solver import SolverConfig
 
-from conftest import make_rank_crossing_toy
+from conftest import ALL_BUILTIN_IDS, make_rank_crossing_toy
 
 
 def run_cli(args):
@@ -204,6 +204,19 @@ def test_overflowing_matrix_exits_three_in_one_line(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("fletcher-penalty: h returned non-finite")
 
 
+def test_a_point_failing_its_certificate_below_the_thresholds_exits_three(tmp_path, capsys):
+    # at beta = 0.1 the run meets eps1 at ||h|| = 0.097: beta is below the thresholds and
+    # the certificate fails, so the run is beta_too_small, not converged
+    out = tmp_path / "s.json"
+    code = run_cli(["solve", "--problem", "stiefel", "--n", "8", "--p", "2", "--seed", "0",
+                    "--beta", "0.1", "--eps1", "1e-4", "--output-path", str(out)])
+    assert code == 3
+    payload = json.loads(out.read_text())
+    assert payload["termination"] == "beta_too_small" and not payload["certificate"]["focp_pass"]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("solve: termination=beta_too_small ")
+
+
 def test_unreachable_tolerance_exits_two_in_one_line(tmp_path, capsys):
     # eps1 = 1e-300 is below what the rounding of g can resolve: the failed search
     # is named for that (tolerance not reached), not read as beta too small
@@ -233,6 +246,7 @@ def test_plateau_cap_writes_trace_and_exits_two(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["termination"] == "max_plateaus"
     assert [s["stop_reason"] for s in payload["plateaus"]] == ["budget"] * 3
+    assert [s["index"] for s in payload["plateaus"]] == [0, 1, 2]  # the field, not tuple.index
 
 
 def test_negative_max_plateaus_exits_64_before_any_output(tmp_path, capsys):
@@ -351,11 +365,15 @@ def test_restore_command(tmp_path):
     assert audit_restore(cli.builtin_problem("stiefel", n=8, p=3, seed=3), decay) == []
 
 
-def test_check_command(tmp_path):
+@pytest.mark.parametrize("problem_id", ALL_BUILTIN_IDS)
+def test_check_command(tmp_path, problem_id):
+    # every report lists the six targets in their documented order, and each passes
     out = tmp_path / "c.json"
-    code = run_cli(["check", "--problem", "sphere", "--seeds", "10", "--output-path", str(out)])
+    code = run_cli(["check", "--problem", problem_id, "--seeds", "10", "--output-path", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
+    assert [r["target"] for r in payload] == [
+        "grad_f", "jac_h", "penalty_grad", "hess_f", "hess_h", "dlambda_jacobian"]
     assert all(r["pass"] for r in payload)
 
 

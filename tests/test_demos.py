@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package the tests import."""
 
 import os
 import pathlib
@@ -7,13 +7,15 @@ import sys
 
 import pytest
 
+import fletcher_penalty
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fletcher_penalty.__file__).parents[1]))
     result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -1,7 +1,7 @@
 """Built-in problems: closed forms, region constants, derivative consistency."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -191,6 +191,7 @@ def test_stiefel_rejects_square_scalar():
 
 
 def test_region_params_are_the_radius_and_the_sigma_bound():
+    assert [f.name for f in fields(RegionParams)] == ["radius", "sigma_lb"]
     region = RegionParams(radius=0.5, sigma_lb=1.0)
     assert (region.radius, region.sigma_lb) == (0.5, 1.0)
     with pytest.raises(TypeError):

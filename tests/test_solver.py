@@ -28,8 +28,10 @@ from fletcher_penalty import (
     evaluate,
     gradient_backtrack,
     gradient_eigenstep,
+    linear_cost,
     make_rayleigh_sphere,
     make_sphere,
+    make_stiefel,
     penalty_grad,
     penalty_hess,
     plateau,
@@ -353,15 +355,37 @@ def test_spectral_start_keeps_stiefel_solves_short():
 
 def test_first_order_bounds_are_checked_only_above_the_thresholds():
     # at beta <= max(beta2, beta3) the certificate's bounds need not hold, so a measure
-    # past them is not checked; above, it raises
+    # past them is not checked, and a failing certificate makes the run beta_too_small;
+    # above, a measure past them raises
     p = diag_rayleigh()
     ev = evaluate(p, p.init_point(0), 1.0)
     th = beta_thresholds(p, ev)
-    broken = SimpleNamespace(eps0_measured=1.0, eps1_measured=1.0)
+    broken = SimpleNamespace(eps0_measured=1.0, eps1_measured=1.0, focp_pass=False)
+    passing = SimpleNamespace(eps0_measured=0.0, eps1_measured=0.0, focp_pass=True)
     low = max(th.beta2, th.beta3)
-    assert solver._assert_first_order_bounds(p, ev, broken, SolverConfig(beta=low)) is None
+
+    def termination(cert, beta):
+        return solver._assert_first_order_bounds(p, ev, cert, SolverConfig(beta=beta))
+
+    assert termination(broken, low) == "beta_too_small"
+    assert termination(passing, low) == termination(passing, 2.0 * low) == "converged"
     with pytest.raises(NumericalFailureError, match="^first-order certificate bounds violated"):
-        solver._assert_first_order_bounds(p, ev, broken, SolverConfig(beta=2.0 * low))
+        termination(broken, 2.0 * low)
+
+
+def test_a_run_too_small_in_beta_for_its_certificate_ends_as_beta_too_small():
+    # St(8, 2) with ten times the built-in cost: at beta = 3 the run meets eps1 where beta
+    # is below the thresholds and ||h|| = 0.263, so its certificate fails and it has not
+    # converged
+    p = make_stiefel(8, 2, linear_cost(10.0 * np.random.default_rng(0).standard_normal(16)))
+    cfg = SolverConfig(eps1=1e-4, beta=3.0)
+    trace = gradient_eigenstep(p, p.init_point(0), cfg)
+    assert trace.termination == "beta_too_small"
+    assert trace.records[-1].grad_norm <= cfg.eps1
+    cert = trace.final_certificate
+    assert not cert.focp_pass and cert.eps0_measured == pytest.approx(0.263, abs=1e-3)
+    th = beta_thresholds(p, trace.final_eval)
+    assert cfg.beta <= max(th.beta2, th.beta3)
 
 
 def test_a_curvature_tie_at_minus_eps2_converges():
