@@ -27,7 +27,6 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .criticality import _layer_min_eig
 from .exceptions import FletcherPenaltyError
 from .problems import builtin_problem, random_point_in_region
 from .solver import SolverConfig, gradient_eigenstep, plateau, restore_feasibility
@@ -184,18 +183,15 @@ def _fmt(value):
     return format(float(value), ".12g")
 
 
-def _final_measures(problem, trace):
-    """The certificate's h_norm, grad_M_norm and min_eig, all nan without one.
+def _final_measures(trace):
+    """The certificate's h_norm, grad_M_norm and min_eig; nan where it has none.
 
-    Only a first-order run's min_eig is measured here, from the run's last
-    PenaltyEval, so the final point is not evaluated again.
+    A first-order run's certificate measures no curvature, so its min_eig is nan.
     """
     cert = trace.final_certificate
     if cert is None:
-        return (float("nan"),) * 3
-    min_eig = cert.min_eig
-    if min_eig is None:
-        min_eig = _layer_min_eig(problem, trace.final_eval)
+        return (math.nan,) * 3
+    min_eig = math.nan if cert.min_eig is None else cert.min_eig
     return cert.eps0_measured, cert.eps1_measured, min_eig
 
 
@@ -204,7 +200,7 @@ def cmd_solve(args):
     cfg = _make_config(args)
     trace = gradient_eigenstep(problem, problem.init_point(args.seed), cfg)
     iters = trace.iteration_counts()[0]
-    h_norm, grad_norm, min_eig = _final_measures(problem, trace)
+    h_norm, grad_norm, min_eig = _final_measures(trace)
     summary = (
         "solve: termination=%s iters=%d h_norm=%.6e grad_M_norm=%.6e min_eig=%.6e"
         % (trace.termination, iters, h_norm, grad_norm, min_eig)
@@ -275,7 +271,7 @@ def cmd_sweep(args):
         cfg = replace(base_cfg, eps1=eps, eps2=eps if args.second_order else math.inf)
         trace = gradient_eigenstep(problem, x0, cfg)
         total, grad_iters, eigen_iters = trace.iteration_counts()
-        h_norm, grad_norm, min_eig = _final_measures(problem, trace)
+        h_norm, grad_norm, min_eig = _final_measures(trace)
         g_final = trace.records[-1].g_after if trace.records else float("nan")
         flag = "" if trace.termination == "converged" else trace.termination
         all_converged = all_converged and trace.termination == "converged"

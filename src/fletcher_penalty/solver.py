@@ -13,7 +13,7 @@ flow provides feasibility restoration.
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -26,9 +26,10 @@ from .exceptions import (
     RankDeficiencyError,
     StepSizeError,
 )
-from .linalg import _sym_eig_min as sym_eig_min, min_eig_above, vector_norm  # traced by name
+from .linalg import _by_identity, min_eig_above, vector_norm
+from .linalg import _sym_eig_min as sym_eig_min  # traced by this name
 from .penalty import (
-    PenaltyEval,
+    _finite,
     _read_h,
     beta_thresholds,
     evaluate,
@@ -62,6 +63,11 @@ BOUND_SLACK = 1e-12
 # L-BFGS in _descend: pairs kept, a pair's curvature test, the safeguards kappa and M.
 LBFGS_PAIRS, PAIR_CURVATURE = 5, 1e-12
 DESCENT_KAPPA, DIRECTION_BOUND = 1e-4, 1e4
+
+# restore_feasibility's work. A t_end / step above RESTORE_STEPS is refused before any
+# step; RESTORE_ATTEMPTS caps one run's RK4 steps, rejected ones included. Each halving
+# leaves dt halved for every later step, so the cap leaves room for two at the budget.
+RESTORE_STEPS, RESTORE_ATTEMPTS = 10**5, 4 * 10**5
 
 
 @dataclass(frozen=True)
@@ -147,8 +153,8 @@ class PlateauStage(NamedTuple):
         return self._asdict()
 
 
-@dataclass(eq=False)
-class RunTrace:
+@_by_identity
+class RunTrace(NamedTuple):
     """Per-iteration records plus the final point and its certificate.
 
     termination is one of "converged", "max_iters", "rank_deficient", "beta_too_small",
@@ -157,10 +163,8 @@ class RunTrace:
     schedule; their records concatenate all plateaus (the k index restarts at each plateau).
     A plateau run stopped by its plateau cap, or by a schedule that cannot grow any further,
     has termination "max_plateaus"; one whose backtracking failed at a beta for which the
-    trial budget, not beta, is too short has termination "trial_budget". final_eval is the
-    last iterate's PenaltyEval (None with no certificate), kept for the caller's further
-    measures; as_dict leaves it out. After a second-order test it holds the n-by-n lag_hess
-    certify read: 115 KB at n = 120.
+    trial budget, not beta, is too short has termination "trial_budget". The curvature of
+    the final point is the certificate's min_eig, measured by a second-order run only.
     """
 
     config: SolverConfig
@@ -168,8 +172,7 @@ class RunTrace:
     final_x: np.ndarray
     final_certificate: Optional[CriticalityCertificate]
     termination: str
-    plateaus: Optional[List[PlateauStage]] = field(default=None)
-    final_eval: Optional[PenaltyEval] = field(default=None, repr=False)
+    plateaus: Optional[List[PlateauStage]] = None
 
     def iteration_counts(self):
         grad = sum(1 for r in self.records if r.kind == "gradient")
@@ -196,7 +199,8 @@ class RunTrace:
 
 def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what):
     """First alpha in {alpha0 * tau^j} whose trial ev.x + alpha*d stays in the region
-    and decreases g by at least required_decrease(alpha).
+    and decreases g by at least required_decrease(alpha), and by more than 0: a
+    required decrease that underflows to 0 accepts no null step.
 
     The rounding rule: a failed search whose required_decrease(alpha0), at its
     one start, is at most ROUNDING_ULPS ulps of g raises
@@ -208,7 +212,8 @@ def _backtrack(problem, ev, d, alpha0, tau, required_decrease, cfg, what):
         read = _read_h(problem, x_next)
         if read[2]:  # inside: the trial's evaluation takes this read rather than its own
             trial = evaluate(problem, x_next, ev.beta, with_grad=False, read=read)
-            if ev.g_val - trial.g_val >= required_decrease(alpha):
+            decrease = ev.g_val - trial.g_val
+            if decrease > 0.0 and decrease >= required_decrease(alpha):
                 return alpha, trial, j
         alpha *= tau
     if required_decrease(alpha0) <= ROUNDING_ULPS * math.ulp(ev.g_val):
@@ -299,8 +304,12 @@ def _check_start(problem, x0):
     """x0 as an array; ValueError unless it lies in the region (in_region)."""
     x0 = np.asarray(x0, dtype=float)
     if not in_region(problem, x0):
-        raise ValueError("x0 lies outside the region ||h|| <= %g" % problem.region.radius)
+        raise _outside(problem)
     return x0
+
+
+def _outside(problem):
+    return ValueError("x0 lies outside the region ||h|| <= %g" % problem.region.radius)
 
 
 def _terminal(records, ev, reason, k):
@@ -447,7 +456,7 @@ def _certified(problem, cfg, records, ev, reason, x0, plateaus=None):
     cert = certify(problem, ev, cfg.eps1, 2.0 * cfg.eps1, cfg.eps2)
     if reason == "converged":
         reason = _assert_first_order_bounds(problem, ev, cert, cfg)
-    return RunTrace(cfg, records, ev.x, cert, reason, plateaus, final_eval=ev)
+    return RunTrace(cfg, records, ev.x, cert, reason, plateaus)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an evaluator's inf raises, and warns nothing
@@ -563,11 +572,22 @@ def restore_feasibility(problem, x0, step, t_end):
     samples it exactly; with no halving and t_end a multiple of step, it
     takes t_end / step steps.
 
-    Raises StepSizeError when halving cannot restore monotone decrease.
+    Raises ValueError for a step or t_end that is not positive and finite,
+    a t_end / step above RESTORE_STEPS, or an x0 outside the region;
+    EvaluationError when h at x0, or jac_h at an accepted point, is not
+    finite (a non-finite value at a trial stage only rejects the step); and
+    StepSizeError when halving cannot restore monotone decrease, or when
+    the run takes more than RESTORE_ATTEMPTS RK4 steps, rejected ones included.
     """
     if not (0 < step < math.inf and 0 < t_end < math.inf):
         raise ValueError("step and t_end must be positive and finite")
-    x = _check_start(problem, x0)
+    if t_end / step > RESTORE_STEPS:
+        raise ValueError("t_end / step = %g exceeds the budget of %d steps"
+                         % (t_end / step, RESTORE_STEPS))
+    x = np.asarray(x0, dtype=float)
+    h_x, _, inside = _read_h(problem, x)  # h at x0 is read once, and must be finite
+    if not inside:
+        raise _outside(problem)
     h, jac_h = problem.h, problem.jac_h
 
     def h_at(y):
@@ -577,10 +597,9 @@ def restore_feasibility(problem, x0, step, t_end):
     def grad_phi(y, hv=None):
         return jac_h(y).T.dot(h_at(y) if hv is None else hv)
 
-    h_x = h_at(x)
     phi = 0.5 * float(h_x @ h_x)
     log = [(0.0, phi)]
-    t = 0.0
+    t, attempts = 0.0, 0
     dt, t_end = float(step), float(t_end)
     # each accepted step rounds t by at most eps * t_end
     t_rounding = float(np.finfo(float).eps) * t_end
@@ -589,6 +608,10 @@ def restore_feasibility(problem, x0, step, t_end):
     # An overshooting step may overflow; its non-finite phi is rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end and phi > 1e-16:
+            attempts += 1
+            if attempts > RESTORE_ATTEMPTS:
+                raise StepSizeError("restoration did not reach t_end=%g within %d RK4 steps, "
+                                    "halved ones included" % (t_end, RESTORE_ATTEMPTS))
             # a remainder within the rounding t has gathered of one step is
             # folded into the last step, which ends at t_end
             last = t_end - t <= dt + len(log) * t_rounding
@@ -602,6 +625,8 @@ def restore_feasibility(problem, x0, step, t_end):
             h_new = h_at(x_new)
             phi_new = 0.5 * float(h_new @ h_new)
             if not phi_new <= phi:
+                # x's h is finite, so a non-finite k1 is jac_h's, and no halving mends it
+                _finite(k1, "jac_h", x)
                 dt *= 0.5
                 if dt < step * 2.0**-40:
                     raise StepSizeError(
@@ -619,17 +644,20 @@ def restore_feasibility(problem, x0, step, t_end):
 def audit(problem, trace):
     """The paper's guarantees checked on a trace in the JSON layout; a list of violations.
 
-    Clauses: region (h_norm <= R); at gradient steps armijo (decrease >= c1
-    step_len slope) and gradient_related, _descend's safeguards (slope >=
-    DESCENT_KAPPA grad_norm^2, d_norm <= DIRECTION_BOUND grad_norm); at
-    eigensteps eigen_curvature (< -eps2), eigen_grad_norm (<= eps1) and
-    eigen_decrease (>= -c2 step_len^2 curvature); converged_grad_norm (a
-    converged run's last grad_norm <= eps1). Each bound takes BOUND_SLACK. The plateau
-    schedule is left out: a trace holds no gamma.
+    Clauses: region (h_norm <= R); progress (a gradient step or eigenstep
+    has g_after < g_before, strictly: no slack); at gradient steps armijo
+    (decrease >= c1 step_len slope) and gradient_related, _descend's
+    safeguards (slope >= DESCENT_KAPPA grad_norm^2, d_norm <= DIRECTION_BOUND
+    grad_norm); at eigensteps eigen_curvature (< -eps2), eigen_grad_norm (<=
+    eps1) and eigen_decrease (>= -c2 step_len^2 curvature); converged_grad_norm
+    (a converged run's last grad_norm <= eps1). Each bound but progress takes
+    BOUND_SLACK. The plateau schedule is left out: a trace holds no gamma.
     """
     c, records, out = trace["config"], trace["records"], []
     for k, r in enumerate(records):
         decrease = r["g_before"] - r["g_after"]
+        if r["kind"] != "terminal" and not decrease > 0.0:
+            out.append("record %d: progress: %r >= %r" % (k, r["g_after"], r["g_before"]))
         checks = [("region", r["h_norm"], problem.region.radius)]
         if r["kind"] == "gradient":
             checks += [("armijo", c["c1"] * r["step_len"] * r["slope"], decrease),

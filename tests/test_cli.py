@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import contextlib
 import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import warnings
@@ -96,6 +98,7 @@ def test_sweep_monotone_rows(tmp_path):
     iters = [int(r[1]) for r in rows]
     assert iters == sorted(iters)  # nondecreasing as eps shrinks
     assert all(r[-1] == "" for r in rows)  # all converged
+    assert all(r[6] == "nan" for r in rows)  # a first-order run measures no curvature
 
 
 def test_sweep_single_eps_matches_solve(tmp_path):
@@ -307,8 +310,8 @@ def test_plateau_trial_budget_too_short_for_beta_ends_as_trial_budget(tmp_path, 
     (["solve", "--problem", "rayleigh", "--diag", "1,4,9", "--seed", "1"], 1),
 ])
 def test_cli_run_measures_min_eig_once_per_solve(tmp_path, monkeypatch, capsys, args, solves):
-    # a second-order certificate carries the min_eig it measured, so the CLI
-    # does not measure it again; a first-order run measures it in the CLI
+    # a second-order certificate carries the min_eig it measured, so the CLI does not
+    # measure it again; a first-order run measures no curvature and reports min_eig=nan
     from fletcher_penalty import criticality
 
     real, calls = criticality._layer_min_eig, []
@@ -318,9 +321,11 @@ def test_cli_run_measures_min_eig_once_per_solve(tmp_path, monkeypatch, capsys, 
         return real(*a)
 
     monkeypatch.setattr(criticality, "_layer_min_eig", spy)
-    monkeypatch.setattr(cli, "_layer_min_eig", spy)
+    second_order = "--eps2" in args or "--second-order" in args
     assert run_cli(args + ["--output-path", str(tmp_path / "out")]) == 0
-    assert len(calls) == solves
+    assert len(calls) == (solves if second_order else 0)
+    if args[0] == "solve":
+        assert capsys.readouterr().err.rstrip().endswith("min_eig=nan") == (not second_order)
 
 
 @pytest.mark.parametrize("args", [
@@ -328,8 +333,8 @@ def test_cli_run_measures_min_eig_once_per_solve(tmp_path, monkeypatch, capsys, 
     ["sweep", "--problem", "stiefel", "--n", "8", "--p", "2", "--eps-list", "1e-4"],
 ])
 def test_first_order_run_evaluates_its_final_point_once(tmp_path, monkeypatch, args):
-    # the CLI measures a first-order run's min_eig from the run's last PenaltyEval,
-    # so the final point's h, jac_h, grad_f and SVD are not computed again
+    # the summary reads the certificate the run took at its last PenaltyEval, so the
+    # final point's h, jac_h, grad_f and SVD are not computed again
     base = cli.builtin_problem("stiefel", n=8, p=2)
     points, finals = [], []
 
@@ -684,7 +689,7 @@ def test_restore_step_that_overflows_exits_three(tmp_path, capsys):
     # no phi_end=nan, no NaN tokens in the JSON, no RuntimeWarning lines
     out = tmp_path / "r.json"
     args = ["restore", "--problem", "stiefel", "--perturb", "0.3", "--step", "1e30",
-            "--t-end", "1e200", "--output-path", str(out)]
+            "--t-end", "1e31", "--output-path", str(out)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(args) == 3
@@ -714,6 +719,28 @@ _GRID_MODE_FLAGS = {
 # flags that size an array, a budget or a loop are not tried at 1e6
 _GRID_SIZES = {"--n", "--p", "--max-iters", "--max-backtracks", "--max-plateaus", "--lp0",
                "--seeds", "--t-end"}
+# flags that set a step or a horizon, tried also at the extremes of the floats
+_GRID_EXTREMES = {("restore", "--step"), ("restore", "--t-end"), ("solve", "--alpha01")}
+# each run's bound on its wall time: the slowest run of the grid takes well under a second
+_GRID_SECONDS = 10.0
+
+
+class _Overtime(Exception):
+    """Neither a usage nor a library error, so main lets it through."""
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    def expire(signum, frame):
+        raise _Overtime("still running after %g s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("mode, flag", [
@@ -727,9 +754,11 @@ def test_numeric_flag_edges_end_in_an_exit_code(tmp_path, capsys, mode, flag):
     values = ["nan", "inf", "-inf", "0", "-1"] + ([] if flag in _GRID_SIZES else ["1e6"])
     if flag == "--perturb":  # overflows h at the first trial point
         values.append("1e300")
+    if (mode, flag) in _GRID_EXTREMES:
+        values += ["1e308", "1e-308", "5e-324"]
     for value in values:
         # outside pytest a warning is more stderr lines, so none may be raised
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, _within(_GRID_SECONDS):
             warnings.simplefilter("always")
             code = run_cli([mode, *base, flag, value, "--output-path", out])
         err = capsys.readouterr().err

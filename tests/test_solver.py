@@ -336,7 +336,7 @@ def test_grown_gradient_steps_keep_the_guarantees(seed):
     assert trace.termination == "converged"
     assert all(r.step_len <= cfg.alpha01 for r in trace.records if r.kind == "gradient")
     assert audit(p, trace.as_dict()) == []
-    th = beta_thresholds(p, trace.final_eval)
+    th = beta_thresholds(p, evaluate(p, trace.final_x, cfg.beta))
     assert cfg.beta > max(th.beta2, th.beta3)
 
 
@@ -384,7 +384,7 @@ def test_a_run_too_small_in_beta_for_its_certificate_ends_as_beta_too_small():
     assert trace.records[-1].grad_norm <= cfg.eps1
     cert = trace.final_certificate
     assert not cert.focp_pass and cert.eps0_measured == pytest.approx(0.263, abs=1e-3)
-    th = beta_thresholds(p, trace.final_eval)
+    th = beta_thresholds(p, evaluate(p, trace.final_x, cfg.beta))
     assert cfg.beta <= max(th.beta2, th.beta3)
 
 
@@ -433,14 +433,16 @@ def test_eigen_backtrack_accepts_small_initial_step():
 # (clause, kind of the record broken, key, its broken value from the record and config)
 _BROKEN_RECORDS = [
     ("region", "gradient", "h_norm", lambda r, c: 0.5 * (1.0 + 1e-11)),
-    ("armijo", "gradient", "g_after", lambda r, c: r["g_before"]),
+    ("armijo", "gradient", "g_after",
+     lambda r, c: r["g_before"] - 0.5 * c["c1"] * r["step_len"] * r["slope"]),
     ("gradient_related", "gradient", "slope",
      lambda r, c: solver.DESCENT_KAPPA * r["grad_norm"]**2 * (1.0 - 1e-11)),
     ("gradient_related", "gradient", "d_norm",
      lambda r, c: solver.DIRECTION_BOUND * r["grad_norm"] * (1.0 + 1e-11)),
     ("eigen_curvature", "eigen", "curvature", lambda r, c: -c["eps2"] * (1.0 - 1e-11)),
     ("eigen_grad_norm", "eigen", "grad_norm", lambda r, c: c["eps1"] * (1.0 + 1e-11)),
-    ("eigen_decrease", "eigen", "g_after", lambda r, c: r["g_before"]),
+    ("eigen_decrease", "eigen", "g_after",
+     lambda r, c: r["g_before"] + 0.5 * c["c2"] * r["step_len"]**2 * r["curvature"]),
     ("converged_grad_norm", "terminal", "grad_norm", lambda r, c: c["eps1"] * (1.0 + 1e-11)),
 ]
 
@@ -714,7 +716,7 @@ def test_unreachable_tolerance_ends_as_tolerance_unreachable():
     cfg = SolverConfig(eps1=1e-300)
     trace = gradient_eigenstep(p, p.init_point(0), cfg)
     assert trace.termination == "tolerance_unreachable"
-    ev = trace.final_eval
+    ev = evaluate(p, trace.final_x, cfg.beta)
     assert ev.x is trace.final_x and ev.grad_norm > cfg.eps1
     assert cfg.c1 * cfg.alpha01 * ev.grad_norm**2 <= 4.0 * math.ulp(ev.g_val)
     assert issubclass(DecreaseBelowRoundingError, BacktrackFailureError)
@@ -724,14 +726,6 @@ def test_unreachable_tolerance_ends_as_tolerance_unreachable():
     with pytest.raises(BacktrackFailureError) as exc:
         gradient_backtrack(p, ev, replace(cfg, max_backtracks=0, alpha01=1e30))
     assert type(exc.value) is BacktrackFailureError
-
-
-def test_run_trace_keeps_its_last_evaluation_out_of_the_json():
-    p = diag_rayleigh()
-    trace = gradient_eigenstep(p, p.init_point(0), SolverConfig(eps1=1e-5, beta=10.0))
-    assert trace.final_eval.x is trace.final_x
-    assert trace.final_eval.g_val == trace.records[-1].g_after
-    assert "final_eval" not in trace.as_dict()
 
 
 @pytest.mark.parametrize("evaluator", ["f", "hess_h"])
@@ -1161,7 +1155,7 @@ def test_cholesky_convergence_test_keeps_the_records(monkeypatch, start):
     assert shipped.records[-1].kind == "terminal" and shipped.records[-1].curvature is None
     assert shipped.final_certificate.socp_pass
     # an oracle independent of the Cholesky test that ended the run
-    final_hess = penalty_hess(p, shipped.final_eval, cfg.beta)
+    final_hess = penalty_hess(p, evaluate(p, shipped.final_x, cfg.beta), cfg.beta)
     assert np.linalg.eigvalsh(final_hess)[0] >= -cfg.eps2
     monkeypatch.setattr(solver, "min_eig_above",
                         lambda h, floor: bool(np.linalg.eigh(h)[0][0] > floor))
@@ -1394,8 +1388,8 @@ def test_restore_evaluates_h_once_per_point_and_k1_once_per_iterate(step):
     assert np.array_equal(x, x_ref) and log == log_ref
     steps = len(log) - 1
     assert (trials > steps) == (step == 2.0)
-    # h: the region guard and the start, then k2, k3, k4 and the new point per trial
-    assert calls["h"] == 2 + 4 * trials
+    # h: the start, read once, then k2, k3, k4 and the new point per trial
+    assert calls["h"] == 1 + 4 * trials
     # jac_h: k1 once per iterate a trial starts from, then k2, k3, k4 per trial
     assert calls["jac_h"] == steps + 3 * trials
 
@@ -1404,7 +1398,7 @@ def test_restore_rejects_infeasible_start():
     w = np.zeros(4)
     w[0] = 1.0
     p = make_sphere(4, w)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^x0 lies outside the region \|\|h\|\| <= 0\.5$"):
         restore_feasibility(p, 1.5 * w, 1e-3, 1.0)
 
 
@@ -1425,4 +1419,96 @@ def test_restore_rejects_a_step_whose_violation_energy_is_not_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepSizeError, match="keeps increasing or is not finite"):
-            restore_feasibility(p, x0, 1e30, 1e200)
+            restore_feasibility(p, x0, 1e30, 1e31)
+
+
+def test_restore_refuses_more_steps_than_its_budget_before_evaluating():
+    # 1e-308 or 5e-324 would never end, and 1e-9 over t_end = 1 asks for 1e9 steps
+    def evaluated(x):
+        raise AssertionError("evaluated")
+
+    w = np.zeros(4)
+    w[0] = 1.0
+    p = replace(make_sphere(4, w), h=evaluated, jac_h=evaluated)
+    for step, t_end in [(1e-308, 3.0), (5e-324, 3.0), (1e-9, 1.0), (1.0, 1e5 * (1 + 1e-15))]:
+        with pytest.raises(ValueError, match="^t_end / step = .* exceeds the budget of 100000 steps$"):
+            restore_feasibility(p, w, step, t_end)
+    with pytest.raises(AssertionError, match="evaluated"):  # the budget itself is admitted
+        restore_feasibility(p, w, 1.0, float(solver.RESTORE_STEPS))
+
+
+def test_restore_attempts_are_capped_with_halved_steps_counted(monkeypatch):
+    # at step 2.0 some RK4 steps are rejected and halved; every attempt counts
+    p = builtin_problem("stiefel", n=5, p=2, seed=1)
+    x0 = random_point_in_region(p, 3, scale=0.4)
+    _, log_ref, trials = _restore_reference(p, x0, 2.0, 3.0)
+    assert trials > len(log_ref) - 1
+    monkeypatch.setattr(solver, "RESTORE_ATTEMPTS", trials)
+    assert restore_feasibility(p, x0, 2.0, 3.0)[1] == log_ref
+    monkeypatch.setattr(solver, "RESTORE_ATTEMPTS", trials - 1)
+    with pytest.raises(StepSizeError, match="^restoration did not reach t_end=3 within %d RK4 "
+                                            "steps, halved ones included$" % (trials - 1)):
+        restore_feasibility(p, x0, 2.0, 3.0)
+
+
+class _Injected(Exception):
+    pass
+
+
+def _fault_at(fn, at, fault):
+    """fn whose call number `at` (from 1) puts `fault` in its first entry, or raises _Injected."""
+    calls = [0]
+
+    def call(y):
+        calls[0] += 1
+        out = np.array(fn(y), dtype=float)
+        if calls[0] == at:
+            if fault == "raise":
+                raise _Injected(at)
+            out.flat[0] = fault
+        return out
+
+    return call
+
+
+@pytest.mark.parametrize("evaluator", ["h", "jac_h"])
+def test_restore_ends_every_evaluator_fault_by_name(evaluator):
+    # 50 steps make 201 h and 200 jac_h calls. The first five hold the start's h and the
+    # first two k1: a fault there is the evaluator's, and no halving may hide it. A fault
+    # at a trial stage rejects the step and the halved retry goes on to t_end.
+    p = builtin_problem("stiefel", n=8, p=3)
+    x0 = random_point_in_region(p, 1, 0.4)
+    sample = np.random.default_rng(7919).choice(np.arange(6, 202), 12, replace=False)
+    for at in [1, 2, 3, 4, 5, *sorted(sample.tolist())]:
+        for fault in (math.nan, math.inf, "raise"):
+            faulty = replace(p, **{evaluator: _fault_at(getattr(p, evaluator), at, fault)})
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    x, log = restore_feasibility(faulty, x0, 1e-2, 0.5)
+            except _Injected:
+                assert fault == "raise"
+                continue
+            except EvaluationError as exc:
+                assert str(exc).startswith(evaluator + " returned non-finite values"), (at, fault)
+                continue
+            assert np.isfinite(x).all() and log[-1][0] == 0.5, (at, fault)
+            assert audit_restore(p, log) == [], (at, fault)
+
+
+def test_a_search_whose_required_decrease_underflows_takes_no_null_step():
+    # alpha01 = 1e-308: a gradient trial moves by about 7e-320 and leaves x as it is, and
+    # its required decrease c1 alpha slope underflows to 0. No such trial is accepted, so
+    # the run ends by the rounding rule at x0 instead of taking max_iters null steps.
+    p = builtin_problem("stiefel", n=8, p=2, seed=1)
+    x0 = p.init_point(0)
+    cfg = SolverConfig(eps1=1e-4, beta=3.0, alpha01=1e-308, max_iters=50)
+    trace = gradient_eigenstep(p, x0, cfg)
+    assert trace.termination == "tolerance_unreachable"
+    assert [r.kind for r in trace.records] == ["terminal"]
+    # the audit reports such a step, which passes armijo
+    null = gradient_eigenstep(p, x0, replace(cfg, alpha01=1.0)).as_dict()
+    record = null["records"][0]
+    record.update(step_len=5e-324, g_after=record["g_before"])
+    assert record["kind"] == "gradient"
+    assert audit(p, null) == ["record 0: progress: %r >= %r" % ((record["g_before"],) * 2)]
