@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import fields, replace
 
@@ -56,6 +57,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # a word that starts with one "-" and names no flag is a value: --step -inf is --step=-inf
+        self._negative_number_matcher = re.compile("-[^-]")
+
     # argparse exits 2 on bad usage; 2 here means "tolerance not reached"
     def error(self, message):
         raise UsageError(message)
@@ -213,16 +219,10 @@ def cmd_plateau(args):
     cfg = _make_config(args)
     trace = plateau(problem, problem.init_point(args.seed), cfg,
                     **_given(args, "gamma", "lp0", "max_plateaus"))
-    cert = trace.final_certificate
+    h_norm, grad_norm, _ = _final_measures(trace)
     summary = (
         "plateau: termination=%s plateaus=%d final_beta=%.6e h_norm=%.6e grad_M_norm=%.6e"
-        % (
-            trace.termination,
-            len(trace.plateaus),
-            trace.config.beta,
-            float("nan") if cert is None else cert.eps0_measured,
-            float("nan") if cert is None else cert.eps1_measured,
-        )
+        % (trace.termination, len(trace.plateaus), trace.config.beta, h_norm, grad_norm)
     )
     return trace.to_json() + "\n", summary, _TERMINATION_EXIT[trace.termination]
 

@@ -2,11 +2,11 @@
 
 Every point x with full-rank constraint Jacobian sits on the level set
 {y : h(y) = h(x)}, a smooth submanifold. Criticality of f is measured on
-that layer: gradient projected to ker Dh(x), Hessian of f minus the
-multiplier-weighted constraint Hessians reduced to ker Dh(x): through an
-orthonormal kernel basis (layered_hess), or for the certificate's least
-eigenvalue through Dh's right singular vectors alone. A certificate compares
-them against target tolerances; lagrangian_check takes user multipliers.
+that layer: gradient projected to ker Dh(x), and the least eigenvalue of the
+Hessian of f minus the multiplier-weighted constraint Hessians reduced to
+ker Dh(x), read through Dh's right singular vectors alone (_layer_min_eig,
+for layered_hess and certify). A certificate compares them against targets;
+lagrangian_check takes user multipliers and any Dh, through a kernel basis.
 """
 
 import math
@@ -30,13 +30,11 @@ __all__ = [
 
 @_by_identity
 class LayeredQuantities(NamedTuple):
-    """Riemannian gradient/Hessian data of f on the layer through x."""
+    """Riemannian gradient of f on the layer through x and its least Hessian eigenvalue."""
 
     h_norm: float
     riem_grad: np.ndarray
     riem_grad_norm: float
-    tangent_basis: np.ndarray
-    reduced_hess: np.ndarray
     min_eig: float
 
 
@@ -79,24 +77,15 @@ def layered_grad(problem, x):
     return _point(problem, x).riem_grad
 
 
-def _reduced_hess(problem, x, jac, lam):
-    """Kernel basis Q of jac, Q^T (hess f - H(lam)) Q through _symmetrize, its least eigenvalue."""
-    q = kernel_basis(jac)
-    reduced = _finite(_symmetrize(q.T @ _lagrangian_hess(problem, x, lam, q)), "hess_h", x)
-    return q, reduced, sym_eig_min(reduced, vector=False)[0]
-
-
 def layered_hess(problem, x):
-    """Layered Riemannian gradient and reduced Hessian at x.
+    """Layered Riemannian gradient at x and the least eigenvalue of the reduced Hessian.
 
-    The reduced Hessian is Q^T (hess f - sum_i lambda_i hess h_i) Q for an
-    orthonormal kernel basis Q of Dh(x), one Hessian product with Q.
+    min_eig is certify's (_layer_min_eig), bit for bit: that of Q^T (hess f - H(lambda)) Q.
     """
     pt = _point(problem, x)
     rg = pt.riem_grad
-    q, reduced, min_eig = _reduced_hess(problem, pt.x, pt.jac, pt.lambda_val)
     return LayeredQuantities(h_norm=pt.h_norm, riem_grad=rg, riem_grad_norm=vector_norm(rg),
-                             tangent_basis=q, reduced_hess=reduced, min_eig=min_eig)
+                             min_eig=_layer_min_eig(problem, pt))
 
 
 def _layer_min_eig(problem, pt):
@@ -164,4 +153,6 @@ def lagrangian_check(problem, x, lam, eps0, eps1, eps2):
         return False, False
     if math.isinf(eps2):
         return True, True
-    return True, bool(_reduced_hess(problem, x, jac, lam)[2] >= -eps2)
+    q = kernel_basis(jac)  # a full SVD: Dh may have lost rank here
+    reduced = _finite(_symmetrize(q.T @ _lagrangian_hess(problem, x, lam, q)), "hess_h", x)
+    return True, bool(sym_eig_min(reduced, vector=False)[0] >= -eps2)

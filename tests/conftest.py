@@ -156,6 +156,26 @@ def make_rank_crossing_toy():
     )
 
 
+def kernel_oracle(problem, x, lam=None):
+    """Kernel basis Q of Dh(x) from a full SVD, Q^T (hess f - H(lam)) Q and its least eigenvalue.
+
+    The independent reference for the library's curvature readers: lam defaults to the
+    least-squares multipliers from lstsq, Q takes the right singular vectors past the
+    numerical rank at numpy's default cutoff (so a rank-deficient Dh keeps a larger kernel),
+    and the product is symmetrized by halves, which cannot overflow.
+    """
+    x = np.asarray(x, dtype=float)
+    jac = np.asarray(problem.jac_h(x), dtype=float)
+    if lam is None:
+        lam = np.linalg.lstsq(jac.T, problem.grad_f(x), rcond=None)[0]
+    _, s, vt = np.linalg.svd(jac, full_matrices=True)
+    rank = int(np.sum(s > s.max(initial=0.0) * max(jac.shape) * np.finfo(float).eps))
+    q = vt[rank:].T
+    reduced = q.T @ (problem.hess_f(x, q) - problem.hess_h(x, np.asarray(lam, dtype=float), q))
+    reduced = 0.5 * reduced + 0.5 * reduced.T
+    return q, reduced, float(np.linalg.eigvalsh(reduced)[0])
+
+
 def reference_restore(problem, x, step, t_end):
     """restore_feasibility written with the flow's own sign, -(Dh^T h), in every RK4 stage.
 

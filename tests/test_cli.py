@@ -764,7 +764,25 @@ def test_numeric_flag_edges_end_in_an_exit_code(tmp_path, capsys, mode, flag):
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 64), (value, code, err)
         assert err.count("\n") == 1, (value, err)
+        assert "expected one argument" not in err, (value, err)  # -inf is a value, not a flag
         assert not caught, (value, [str(w.message) for w in caught])
+
+
+@pytest.mark.parametrize("args, want", [
+    (["restore", "--problem", "stiefel", "--step", "-inf"], 64),
+    (["restore", "--problem", "stiefel", "--t-end", "-1e3"], 64),
+    (["solve", "--problem", "rayleigh", "--alpha01", "-inf"], 64),
+    (["solve", "--problem", "rayleigh", "--diag", "-3..5"], 0),
+])
+def test_a_value_that_begins_with_a_minus_parses_as_its_equals_form(tmp_path, capsys, args,
+                                                                    want):
+    runs = []
+    for form in (args, [*args[:-2], "=".join(args[-2:])]):
+        out = tmp_path / "out.json"
+        runs.append((run_cli(form + ["--output-path", str(out)]), capsys.readouterr().err,
+                     out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert runs[0] == runs[1] and runs[0][0] == want, runs
 
 
 def test_check_without_seeds_exits_64(tmp_path, capsys):

@@ -10,6 +10,8 @@ import pytest
 
 from fletcher_penalty import (
     EvaluationError,
+    Problem,
+    RegionParams,
     SolverConfig,
     builtin_problem,
     certify,
@@ -23,9 +25,12 @@ from fletcher_penalty import (
     make_sphere,
     multipliers,
     penalty_hess,
+    quadratic_cost,
     random_point_in_region,
 )
 from fletcher_penalty import criticality, linalg, penalty
+
+from conftest import ALL_BUILTIN_IDS, kernel_oracle
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +69,7 @@ def test_layered_hess_counterexample_eigenvalue(sphere_w):
     p, w = sphere_w
     lq = layered_hess(p, w)
     assert lq.min_eig == pytest.approx(-1.0, abs=1e-12)
-    np.testing.assert_allclose(lq.reduced_hess, -np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(kernel_oracle(p, w)[1], -np.eye(4), atol=1e-12)
 
 
 def test_layered_hess_rayleigh_gap_oracle():
@@ -74,9 +79,10 @@ def test_layered_hess_rayleigh_gap_oracle():
     p = make_rayleigh_sphere(a)
     w, v = np.linalg.eigh(a)
     for i in (0, 2, 5):
-        lq = layered_hess(p, v[:, i])
-        gaps = np.delete(w, i) - w[i]
-        np.testing.assert_allclose(np.linalg.eigvalsh(lq.reduced_hess), np.sort(gaps), atol=1e-9)
+        gaps = np.sort(np.delete(w, i) - w[i])
+        reduced = kernel_oracle(p, v[:, i])[1]
+        np.testing.assert_allclose(np.linalg.eigvalsh(reduced), gaps, atol=1e-9)
+        assert layered_hess(p, v[:, i]).min_eig == pytest.approx(gaps[0], abs=1e-9)
 
 
 def test_layered_hess_zero_cost(sphere_w):
@@ -86,8 +92,9 @@ def test_layered_hess_zero_cost(sphere_w):
     pz = replace(
         p, f=lambda y: 0.0, grad_f=lambda y: np.zeros(5), hess_f=lambda y, v: np.zeros(np.shape(v))
     )
-    lq = layered_hess(pz, pz.init_point(1))
-    np.testing.assert_allclose(lq.reduced_hess, 0.0, atol=1e-14)
+    x = pz.init_point(1)
+    np.testing.assert_allclose(kernel_oracle(pz, x)[1], 0.0, atol=1e-14)
+    assert abs(layered_hess(pz, x).min_eig) <= 1e-14
 
 
 def test_min_eig_invariant_under_basis_rotation(builtins):
@@ -95,7 +102,7 @@ def test_min_eig_invariant_under_basis_rotation(builtins):
     for p in builtins.values():
         x = random_point_in_region(p, 7, scale=0.4)
         lq = layered_hess(p, x)
-        q = lq.tangent_basis
+        q = kernel_oracle(p, x)[0]
         k = q.shape[1]
         o, _ = np.linalg.qr(rng.standard_normal((k, k)))
         lam, _ = multipliers(p, x)
@@ -106,12 +113,12 @@ def test_min_eig_invariant_under_basis_rotation(builtins):
 
 
 def test_certificate_curvature_matches_an_eigh_oracle(builtins):
-    # the certificate reads eigvalsh; the full eigh of the same matrix agrees with it
+    # the certificate reads eigvalsh of K; the full eigh of the oracle's Q^T M Q agrees with it
     for p in builtins.values():
         for seed in range(5):
             x = random_point_in_region(p, seed, scale=0.4)
             lq = layered_hess(p, x)
-            oracle = float(np.linalg.eigh(lq.reduced_hess)[0][0])
+            oracle = float(np.linalg.eigh(kernel_oracle(p, x)[1])[0][0])
             assert abs(lq.min_eig - oracle) <= 1e-12
             cert = certify(p, x, 1.0, 1.0, 1.0)
             assert abs(cert.min_eig - oracle) <= 1e-12
@@ -119,18 +126,21 @@ def test_certificate_curvature_matches_an_eigh_oracle(builtins):
 
 
 def test_certificate_curvature_matches_the_kernel_route(builtins):
-    # certify reads the least eigenvalue of P M P + c V V^T, layered_hess that of Q^T M Q;
-    # also for m = 6 with Dh factored on the Gram route, and for M = 0, where c = 1
+    # certify and layered_hess read the least eigenvalue of P M P + c V V^T, the same number
+    # bit for bit, and it is the least eigenvalue of the full-SVD oracle's Q^T M Q; also for
+    # m = 6 with Dh factored on the Gram route, and for M = 0, where c = 1
     stiefel = builtin_problem("stiefel", n=30, p=3, seed=0)
     sphere = builtins["sphere"]
     zero = replace(sphere, f=lambda y: 0.0, grad_f=lambda y: np.zeros(5),
                    hess_f=lambda y, v: np.zeros(np.shape(v)))
     assert linalg._gram_svd(stiefel.jac_h(stiefel.init_point(0))) is not None
-    for p in [*builtins.values(), stiefel, zero]:
+    for p in [*builtins.values(), *map(builtin_problem, ALL_BUILTIN_IDS), stiefel, zero]:
         for seed in range(5):
             x = random_point_in_region(p, seed, scale=0.4)
-            cert = certify(p, x, 1.0, 1.0, 1.0)
-            assert abs(cert.min_eig - layered_hess(p, x).min_eig) <= 1e-12
+            got = certify(p, x, 1.0, 1.0, 1.0).min_eig
+            assert got == layered_hess(p, x).min_eig
+            want = kernel_oracle(p, x)[2]
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
     # there K = V V^T, with eigenvalue 1 on range V and, to rounding, 0 on the kernel
     assert abs(certify(zero, zero.init_point(1), 1.0, 1.0, 1.0).min_eig) <= 1e-15
 
@@ -236,6 +246,26 @@ def test_lagrangian_check_strict_minimizer():
     assert lagrangian_check(p, e1, lam, 1e-10, 1e-10, 1e-10) == (True, True)
 
 
+def test_lagrangian_check_reads_the_whole_kernel_of_a_rank_deficient_jacobian():
+    # Dh's zero row leaves the 2-dimensional kernel span(e_2, e_3), on which hess f has the
+    # eigenvalues 3 and -1; the one direction orthogonal to both rows of the thin vt, e_3,
+    # reads curvature 1, so a kernel of n - m = 1 column would miss the negative curvature
+    jac = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    hess = np.array([[4.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+    cost = quadratic_cost(hess)
+    p = Problem(dim_x=3, dim_h=2, region=RegionParams(radius=1.0, sigma_lb=1.0), f=cost.value,
+                grad_f=cost.grad, hess_f=cost.hess, h=lambda x: jac @ x,
+                jac_h=lambda x: jac.copy(), hess_h=lambda x, w, v: np.zeros(np.shape(v)),
+                init_point=lambda seed: np.zeros(3), name="rank-deficient-toy")
+    x, lam = np.zeros(3), np.array([0.0, 3.0])  # lam's second entry meets the zero row
+    q, _, low = kernel_oracle(p, x, lam)
+    assert q.shape == (3, 2) and low == pytest.approx(-1.0, abs=1e-12)
+    thin_vt = np.linalg.svd(jac, full_matrices=False)[2]
+    assert np.cross(*thin_vt) @ hess @ np.cross(*thin_vt) == 1.0
+    for eps2, flags in [(0.5, (True, False)), (2.0, (True, True))]:
+        assert lagrangian_check(p, x, lam, 1e-12, 1e-12, eps2) == flags == (True, low >= -eps2)
+
+
 @pytest.mark.parametrize("evaluator", ["h", "jac_h", "grad_f"])
 def test_lagrangian_check_names_a_non_finite_evaluator(evaluator):
     # as certify does: a NaN is an evaluator fault, not a failed check
@@ -280,7 +310,7 @@ def test_certificate_scales_a_curvature_whose_row_sum_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = certify(p, x, 1.0, 1.0, 1.0).min_eig
-        want = layered_hess(p, x).min_eig
+    want = kernel_oracle(p, x)[2]
     assert want == pytest.approx(2.905e307, rel=1e-3)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -311,8 +341,10 @@ def test_feasible_points_match_classical_riemannian():
         grad_classical = proj @ p.grad_f(x)
         np.testing.assert_allclose(lq.riem_grad, grad_classical, atol=1e-12)
         hess_classical = a - float(x @ (a @ x)) * np.eye(6)
-        q = lq.tangent_basis
-        np.testing.assert_allclose(lq.reduced_hess, q.T @ hess_classical @ q, atol=1e-10)
+        q, reduced, _ = kernel_oracle(p, x)
+        classical = q.T @ hess_classical @ q
+        np.testing.assert_allclose(reduced, classical, atol=1e-10)
+        assert lq.min_eig == pytest.approx(np.linalg.eigvalsh(classical)[0], abs=1e-10)
 
 
 def test_second_order_transfer_inequality():
