@@ -24,7 +24,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields, replace
 
 import numpy as np
 
@@ -99,9 +98,10 @@ def _build_parser():
         p.add_argument("--output-path", default=output, help="where to write the JSON/CSV result")
     # the modes that run the solver, less the fields a mode sets itself
     for mode, own in (("solve", ()), ("plateau", ("beta",)), ("sweep", ("eps1", "eps2"))):
-        for f in fields(SolverConfig):
-            if f.name not in own:
-                modes[mode].add_argument("--" + f.name.replace("_", "-"), type=f.type)
+        for name in SolverConfig._fields:
+            if name not in own:
+                modes[mode].add_argument("--" + name.replace("_", "-"),
+                                         type=SolverConfig.__annotations__[name])
     modes["plateau"].add_argument("--gamma", type=float)
     modes["plateau"].add_argument("--beta0", dest="beta", type=float)  # the first plateau's beta
     modes["plateau"].add_argument("--lp0", type=float)
@@ -182,7 +182,7 @@ def _make_problem(args):
 
 
 def _make_config(args):
-    return SolverConfig(**_given(args, *(f.name for f in fields(SolverConfig))))
+    return SolverConfig(**_given(args, *SolverConfig._fields))
 
 
 def _fmt(value):
@@ -268,7 +268,7 @@ def cmd_sweep(args):
     x0 = problem.init_point(args.seed)
     all_converged = True
     for eps in eps_values:
-        cfg = replace(base_cfg, eps1=eps, eps2=eps if args.second_order else math.inf)
+        cfg = base_cfg._replace(eps1=eps, eps2=eps if args.second_order else math.inf)
         trace = gradient_eigenstep(problem, x0, cfg)
         total, grad_iters, eigen_iters = trace.iteration_counts()
         h_norm, grad_norm, min_eig = _final_measures(trace)

@@ -13,7 +13,6 @@ flow provides feasibility restoration.
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, replace
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -65,13 +64,12 @@ LBFGS_PAIRS, PAIR_CURVATURE = 5, 1e-12
 DESCENT_KAPPA, DIRECTION_BOUND = 1e-4, 1e4
 
 # restore_feasibility's work. A t_end / step above RESTORE_STEPS is refused before any
-# step; RESTORE_ATTEMPTS caps one run's RK4 steps, rejected ones included. Each halving
-# leaves dt halved for every later step, so the cap leaves room for two at the budget.
+# step; RESTORE_ATTEMPTS caps one run's RK4 steps, rejected ones included. An accepted step
+# doubles dt back to step, so at the budget the cap admits a rejection before each half step.
 RESTORE_STEPS, RESTORE_ATTEMPTS = 10**5, 4 * 10**5
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(NamedTuple):
     """Tolerances, line-search constants, and budgets for one solve.
 
     eps2 = inf turns off eigensteps (pure first-order variant). The
@@ -114,9 +112,7 @@ class SolverConfig:
             raise ValueError("iteration budgets must be nonnegative")
 
     def as_dict(self):
-        out = asdict(self)
-        out["eps2"] = None if math.isinf(self.eps2) else self.eps2
-        return out
+        return self._asdict() | {"eps2": None if math.isinf(self.eps2) else self.eps2}
 
 
 class IterationRecord(NamedTuple):
@@ -531,7 +527,7 @@ def plateau(problem, x0, cfg, *, gamma=2.0, lp0=100, max_plateaus=60):
                 return "budget"
             return None
 
-        stage_cfg = replace(cfg, beta=beta_l)
+        stage_cfg = cfg._replace(beta=beta_l)
         first = len(records)
         ev, reason = _descend(problem, start, stage_cfg, records, stop)
         iters = sum(r.kind != "terminal" for r in records[first:])
@@ -565,12 +561,12 @@ def plateau(problem, x0, cfg, *, gamma=2.0, lp0=100, max_plateaus=60):
 def restore_feasibility(problem, x0, step, t_end):
     """Integrate the constraint-violation gradient flow dx/dt = -Dh(x)^T h(x).
 
-    Fixed-size fourth-order (classical Runge-Kutta) steps, halved whenever
-    the violation energy phi = 0.5 ||h||^2 fails to decrease or is not
-    finite; stops at t_end or once phi <= 1e-16. Returns the final point and
-    the list of (t, phi) samples including t = 0. A run that reaches t_end
-    samples it exactly; with no halving and t_end a multiple of step, it
-    takes t_end / step steps.
+    Fourth-order (classical Runge-Kutta) steps of size step, halved whenever the
+    violation energy phi = 0.5 ||h||^2 fails to decrease or is not finite, and
+    doubled back, up to step, after each accepted one; stops at t_end or once phi
+    <= 1e-16. Returns the final point and the list of (t, phi) samples including
+    t = 0. A run that reaches t_end samples it exactly; with no halving and t_end
+    a multiple of step, it takes t_end / step steps.
 
     Raises ValueError for a step or t_end that is not positive and finite,
     a t_end / step above RESTORE_STEPS, or an x0 outside the region;
@@ -599,8 +595,8 @@ def restore_feasibility(problem, x0, step, t_end):
 
     phi = 0.5 * float(h_x @ h_x)
     log = [(0.0, phi)]
-    t, attempts = 0.0, 0
-    dt, t_end = float(step), float(t_end)
+    step, t_end = float(step), float(t_end)
+    t, attempts, dt = 0.0, 0, step
     # each accepted step rounds t by at most eps * t_end
     t_rounding = float(np.finfo(float).eps) * t_end
     # stages are Dh^T h (updates carry the sign); k1 reuses x's h and outlives rejected steps
@@ -636,7 +632,7 @@ def restore_feasibility(problem, x0, step, t_end):
                 continue
             x, h_x, k1 = x_new, h_new, None
             t = t_end if last else t + dt_eff
-            phi = phi_new
+            phi, dt = phi_new, min(step, 2.0 * dt)
             log.append((t, phi))
     return x, log
 

@@ -211,7 +211,7 @@ def reference_restore(problem, x, step, t_end):
                 continue
             x, h_x, k1 = x_new, h_new, None
             t = t_end if last else t + dt_eff
-            phi = phi_new
+            phi, dt = phi_new, min(step, 2.0 * dt)
             log.append((t, phi))
     return x, log
 

@@ -9,7 +9,7 @@ import signal
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -707,7 +707,7 @@ _GRID_BASE = {
     "check": ["--problem", "stiefel", "--n", "3", "--seeds", "1"],
     "sweep": ["--problem", "rayleigh", "--n", "4", "--max-iters", "20", "--eps-list", "1e-2"],
 }
-_GRID_SOLVER_FLAGS = ["--" + f.name.replace("_", "-") for f in fields(SolverConfig)]
+_GRID_SOLVER_FLAGS = ["--" + name.replace("_", "-") for name in SolverConfig._fields]
 _GRID_MODE_FLAGS = {
     "solve": _GRID_SOLVER_FLAGS,
     "plateau": [f for f in _GRID_SOLVER_FLAGS if f != "--beta"] + [

@@ -4,7 +4,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -189,8 +189,8 @@ def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch, tmp_pa
         # a fifth of the curvature: spectral scales of at least 1, clipped to it
         p = make_rayleigh_sphere(0.2 * np.diag(np.arange(1.0, 13.0)), radius=0.5)
         stiefel = builtin_problem("stiefel", n=8, p=2, seed=1)
-        traces = [plateau(p, x0, replace(cfg, beta=1e-2), lp0=50),
-                  plateau(stiefel, stiefel.init_point(1), replace(cfg, eps2=1e-3, beta=1e-3), lp0=50)]
+        traces = [plateau(p, x0, cfg._replace(beta=1e-2), lp0=50),
+                  plateau(stiefel, stiefel.init_point(1), cfg._replace(eps2=1e-3, beta=1e-3), lp0=50)]
     starts = dict.fromkeys(["quasi_newton", "spectral", "clipped", "unsigned"], 0)
     pending = iter(calls)
     for trace in traces:
@@ -573,9 +573,25 @@ def test_rejects_infeasible_start():
 
 def test_config_defaults_are_the_documented_ones():
     # README lists them; beta is also the first plateau's beta
-    assert asdict(SolverConfig()) == {
+    assert SolverConfig()._asdict() == {
         "eps1": 1e-5, "eps2": math.inf, "beta": 1.0, "c1": 1e-4, "c2": 0.4, "tau1": 0.5,
         "tau2": 0.5, "alpha01": 1.0, "alpha02": 1.0, "max_iters": 20000, "max_backtracks": 60}
+
+
+def test_config_is_an_immutable_named_tuple_with_typed_fields():
+    # the CLI's solver flags are its fields, in order, each parsed by its annotation
+    assert list(SolverConfig.__annotations__.items()) == [
+        (name, float) for name in ("eps1", "eps2", "beta", "c1", "c2", "tau1", "tau2",
+                                   "alpha01", "alpha02")] + [("max_iters", int), ("max_backtracks", int)]
+    assert list(SolverConfig._fields) == list(SolverConfig.__annotations__)
+    cfg = SolverConfig(1e-4, 1e-3)  # positional, like any tuple
+    assert cfg == (1e-4, 1e-3) + SolverConfig()[2:] and cfg._replace(eps2=math.inf)[1] == math.inf
+    with pytest.raises(AttributeError):
+        cfg.eps1 = 1.0
+    # eps2 = inf is written as null, in the field order
+    assert json.dumps(SolverConfig().as_dict()) == (
+        '{"eps1": 1e-05, "eps2": null, "beta": 1.0, "c1": 0.0001, "c2": 0.4, "tau1": 0.5, '
+        '"tau2": 0.5, "alpha01": 1.0, "alpha02": 1.0, "max_iters": 20000, "max_backtracks": 60}')
 
 
 def test_config_validation():
@@ -722,9 +738,9 @@ def test_unreachable_tolerance_ends_as_tolerance_unreachable():
     assert issubclass(DecreaseBelowRoundingError, BacktrackFailureError)
     # the same search with a measurable decrease still fails as a backtrack failure
     with pytest.raises(DecreaseBelowRoundingError):
-        gradient_backtrack(p, ev, replace(cfg, max_backtracks=0, alpha01=1e-300))
+        gradient_backtrack(p, ev, cfg._replace(max_backtracks=0, alpha01=1e-300))
     with pytest.raises(BacktrackFailureError) as exc:
-        gradient_backtrack(p, ev, replace(cfg, max_backtracks=0, alpha01=1e30))
+        gradient_backtrack(p, ev, cfg._replace(max_backtracks=0, alpha01=1e30))
     assert type(exc.value) is BacktrackFailureError
 
 
@@ -1217,6 +1233,13 @@ def test_converged_point_takes_one_svd(monkeypatch, eps2):
     assert sum(1 for a in seen if a.shape == jac.shape and np.array_equal(a, jac)) == 1
 
 
+def _near_maximizer(p, x0):
+    """The end of a first-order solve of -f from x0: near a maximizer of f, eigensteps fire."""
+    neg = replace(p, f=lambda x: -p.f(x), grad_f=lambda x: -p.grad_f(x),
+                  hess_f=lambda x, v: -p.hess_f(x, v))
+    return gradient_eigenstep(neg, x0, SolverConfig(eps1=1e-5, beta=3.0)).final_x
+
+
 @pytest.mark.parametrize("eps2", [math.inf, 1e-3])
 @pytest.mark.parametrize("driver", ["solve", "plateau"])
 @pytest.mark.parametrize("problem_id", ALL_BUILTIN_IDS)
@@ -1231,18 +1254,56 @@ def test_trace_invariants_across_builtins(problem_id, driver, eps2):
         p = builtin_problem(problem_id, n=4, seed=seed)
         x0 = random_point_in_region(p, seed, scale=float(rng.uniform(0.05, 0.5)))
         if math.isfinite(eps2):
-            neg = replace(p, f=lambda x, p=p: -p.f(x), grad_f=lambda x, p=p: -p.grad_f(x),
-                          hess_f=lambda x, v, p=p: -p.hess_f(x, v))
-            x0 = gradient_eigenstep(neg, x0, replace(cfg, eps1=1e-5, eps2=math.inf)).final_x
+            x0 = _near_maximizer(p, x0)
         if driver == "solve":
             trace = gradient_eigenstep(p, x0, cfg)
         else:
-            trace = plateau(p, x0, replace(cfg, beta=1e-2), gamma=2.0, lp0=20)
+            trace = plateau(p, x0, cfg._replace(beta=1e-2), gamma=2.0, lp0=20)
         assert trace.termination == "converged"
         assert trace.final_certificate.focp_pass
         assert audit(p, trace.as_dict()) == []
         eigensteps += trace.iteration_counts()[2]
     assert (eigensteps > 0) == math.isfinite(eps2)
+
+
+@pytest.mark.parametrize("problem_id", ALL_BUILTIN_IDS)
+def test_constraint_mixing_changes_no_record(problem_id):
+    # h -> Q h for an orthogonal Q (Dh -> Q Dh, H(w) -> H(Q^T w)) leaves g, its gradient and
+    # the region as they are: the same steps, backtracks, terminations and certificate flags
+    p = builtin_problem(problem_id, seed=0)
+    m = p.dim_h
+    q = -np.eye(1) if m == 1 else np.linalg.qr(np.random.default_rng(7919).normal(size=(m, m)))[0]
+    mixed = replace(p, h=lambda x: q @ p.h(x), jac_h=lambda x: q @ p.jac_h(x),
+                    hess_h=lambda x, w, v: p.hess_h(x, q.T @ w, v))
+    cfg = SolverConfig(eps1=1e-4, eps2=1e-3, beta=3.0)
+    for seed in (1, 2):  # at one point every measure agrees to rounding
+        x = random_point_in_region(p, seed, scale=0.3)
+        a, b = evaluate(p, x, cfg.beta), evaluate(mixed, x, cfg.beta)
+        for field in ("g_val", "grad_norm", "h_norm"):
+            assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-10, abs=0)
+    x0 = p.init_point(0)
+    # a Stiefel block's maximizer has a multiple smallest curvature, and rounding picks
+    # its eigenvector, so only the m = 1 problems start their second-order run there
+    top = _near_maximizer(p, x0) if m == 1 else x0
+    eigensteps = []
+    for run in (lambda pr: gradient_eigenstep(pr, x0, cfg._replace(eps2=math.inf)),
+                lambda pr: gradient_eigenstep(pr, top, cfg),
+                lambda pr: plateau(pr, x0, cfg._replace(beta=1e-3), lp0=50)):
+        a, b = run(p), run(mixed)
+        assert b.termination == a.termination == "converged"
+        assert [(r.kind, r.backtracks) for r in b.records] == [(r.kind, r.backtracks)
+                                                                for r in a.records]
+        stages = [[(s.iters, s.stop_reason) for s in t.plateaus or []] for t in (a, b)]
+        flags = [(t.final_certificate.focp_pass, t.final_certificate.socp_pass) for t in (a, b)]
+        assert stages[0] == stages[1] and flags[0] == flags[1]
+        # the iterates part by rounding that the steps amplify: g agrees record by record,
+        # and the norms, which end small, to rounding of their largest value in the run
+        for field in ("g_after", "grad_norm", "h_norm"):
+            va, vb = (np.array([getattr(r, field) for r in t.records]) for t in (a, b))
+            scale = np.abs(va) if field == "g_after" else np.abs(va).max()
+            assert np.all(np.abs(vb - va) <= 1e-10 * scale), field
+        eigensteps.append(a.iteration_counts()[2])
+    assert eigensteps == [0, eigensteps[1], 0] and (eigensteps[1] > 0) == (m == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1337,7 +1398,10 @@ def test_restore_ends_exactly_at_t_end_on_the_step_grid(step, t_end):
 
 
 def _restore_reference(problem, x, step, t_end):
-    """The RK4 loop with h and k1 evaluated afresh at every use; (x, log, trials)."""
+    """The RK4 loop with h and k1 evaluated afresh at every use; (x, log, trials).
+
+    A rejected step halves dt, and each accepted step doubles it back, up to step.
+    """
 
     def rhs(y):
         return -(problem.jac_h(y).T @ problem.h(y))
@@ -1362,6 +1426,7 @@ def _restore_reference(problem, x, step, t_end):
             dt *= 0.5
             continue
         x, t, phi = x_new, t_end if last else t + dt_eff, phi_new
+        dt = min(step, 2.0 * dt)
         log.append((t, phi))
     return x, log, trials
 
@@ -1459,9 +1524,9 @@ def _fault_at(fn, at, fault):
     """fn whose call number `at` (from 1) puts `fault` in its first entry, or raises _Injected."""
     calls = [0]
 
-    def call(y):
+    def call(*args):
         calls[0] += 1
-        out = np.array(fn(y), dtype=float)
+        out = np.array(fn(*args), dtype=float)
         if calls[0] == at:
             if fault == "raise":
                 raise _Injected(at)
@@ -1496,6 +1561,72 @@ def test_restore_ends_every_evaluator_fault_by_name(evaluator):
             assert audit_restore(p, log) == [], (at, fault)
 
 
+_EVALUATORS = ("f", "grad_f", "hess_f", "h", "jac_h", "hess_h")
+
+
+def _faulted_runs():
+    """name -> (problem, run(problem) -> RunTrace): the solves and the plateau run faulted below."""
+    st = builtin_problem("stiefel", n=8, p=2, seed=1)
+    ray = diag_rayleigh(20)
+    return {
+        "first-order": (st, lambda p: gradient_eigenstep(
+            p, st.init_point(0), SolverConfig(eps1=1e-4, beta=3.0))),
+        "second-order": (ray, lambda p: gradient_eigenstep(
+            p, np.eye(20)[5], SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0))),
+        "plateau": (st, lambda p: plateau(
+            p, st.init_point(0), SolverConfig(eps1=1e-4, eps2=1e-3, beta=1e-3), lp0=50)),
+    }
+
+
+@pytest.mark.parametrize("run", ["first-order", "second-order", "plateau"])
+def test_every_evaluator_fault_of_a_solve_ends_by_name(run):
+    # NaN, inf or a raise at each evaluator's first and last call of the clean run and at
+    # 7 seeded calls between: the run raises EvaluationError naming that evaluator, or the
+    # injected exception unchanged, and warns of nothing
+    p, solve = _faulted_runs()[run]
+    calls = dict.fromkeys(_EVALUATORS, 0)
+
+    def counted(name):
+        def call(*args, fn=getattr(p, name)):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    assert solve(replace(p, **{k: counted(k) for k in _EVALUATORS})).termination == "converged"
+    rng = np.random.default_rng(7919)
+    for evaluator in _EVALUATORS:
+        last = calls[evaluator]
+        sample = rng.choice(np.arange(2, last), 7, replace=False).tolist()
+        for at in [1, *sorted(sample), last]:
+            for fault in (math.nan, math.inf, "raise"):
+                faulty = replace(p, **{evaluator: _fault_at(getattr(p, evaluator), at, fault)})
+                with pytest.raises((EvaluationError, _Injected)) as caught:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        solve(faulty)
+                if fault == "raise":
+                    assert caught.type is _Injected and caught.value.args == (at,)
+                else:
+                    assert caught.type is EvaluationError, (evaluator, at, fault)
+                    assert str(caught.value).startswith(evaluator + " returned"), (at, fault)
+
+
+def test_restore_step_grows_back_after_a_halving():
+    # h's 2nd call is the first step's k2 stage: NaN there rejects that step once. The
+    # halved step is taken, then dt doubles back to 1e-2, so the run logs 302 samples
+    # (0, 0.005, 0.015, ..., 2.995, 3) where a halving kept for good logged 601
+    p = builtin_problem("stiefel", n=8, p=3)
+    x0 = random_point_in_region(p, 3, 0.4)
+    _, clean = restore_feasibility(p, x0, 1e-2, 3.0)
+    _, log = restore_feasibility(replace(p, h=_fault_at(p.h, 2, math.nan)), x0, 1e-2, 3.0)
+    assert len(clean) == 301 and len(log) == 302
+    times = [t for t, _ in log]
+    assert times[:3] == [0.0, 0.005, 0.015] and times[-1] == 3.0
+    assert np.allclose(np.diff(times[1:-1]), 1e-2, rtol=1e-9, atol=0)
+    assert log[-1][1] == pytest.approx(clean[-1][1], rel=1e-8)
+    assert audit_restore(p, log) == []
+
+
 def test_a_search_whose_required_decrease_underflows_takes_no_null_step():
     # alpha01 = 1e-308: a gradient trial moves by about 7e-320 and leaves x as it is, and
     # its required decrease c1 alpha slope underflows to 0. No such trial is accepted, so
@@ -1507,7 +1638,7 @@ def test_a_search_whose_required_decrease_underflows_takes_no_null_step():
     assert trace.termination == "tolerance_unreachable"
     assert [r.kind for r in trace.records] == ["terminal"]
     # the audit reports such a step, which passes armijo
-    null = gradient_eigenstep(p, x0, replace(cfg, alpha01=1.0)).as_dict()
+    null = gradient_eigenstep(p, x0, cfg._replace(alpha01=1.0)).as_dict()
     record = null["records"][0]
     record.update(step_len=5e-324, g_after=record["g_before"])
     assert record["kind"] == "gradient"
