@@ -111,10 +111,11 @@ def _read_h(problem, x):
     """(h, ||h||, ||h|| <= radius) at the array x: the one reader of h and region test.
 
     h comes back as a raveled float vector with its norm from vector_norm;
-    the region includes its boundary. A search's trial is read once: its
-    evaluation takes this triple whole (evaluate's read). Only a non-finite
-    norm scans h: a NaN or +-inf entry raises EvaluationError naming h,
-    while a finite h whose norm overflows lies outside the region.
+    the region includes its boundary. A search's trial and a run's start are
+    read once: their evaluation takes this triple whole (evaluate's read).
+    Only a non-finite norm scans h: a NaN or +-inf entry raises
+    EvaluationError naming h, while a finite h whose norm overflows lies
+    outside the region.
     """
     h_val = np.asarray(problem.h(x), dtype=float).ravel()
     h_norm = vector_norm(h_val)
@@ -238,7 +239,8 @@ def evaluate(problem, x, beta, with_grad=True, read=None):
     another beta the record is re-based, the value with one more call to f
     and the gradient with one hess_h product beside the kept lag_block (and lag_hess).
     read, when given with a point x, is x's region read (h, ||h||, inside)
-    as _read_h returned it for a search's trial, so h is read once per trial.
+    as _read_h returned it for a search's trial or a run's start check, so h
+    is read once per point.
     Raises EvaluationError when an evaluator returns a non-finite value
     (hess_h is caught through the assembled gradient) or when beta is so
     large that 2 beta Dh^T h is not finite.

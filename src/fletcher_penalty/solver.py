@@ -32,7 +32,7 @@ from .penalty import (
     _read_h,
     beta_thresholds,
     evaluate,
-    in_region,
+    in_region,  # not called here (the start check reads h by _read_h); bench/tracing.py patches it
 )
 from .penalty import _penalty_hess as penalty_hess  # (H, record with M); traced by this name
 
@@ -286,7 +286,7 @@ def _assert_first_order_bounds(problem, ev, cert, cfg):
 
 
 def _check_inputs(problem, x0, cfg):
-    """Check cfg and x0 before a run evaluates anything; returns x0 as an array."""
+    """Check cfg and x0 before a run evaluates anything; returns _check_start's (x0, read)."""
     cfg.validate()
     if cfg.eps1 > problem.region.radius / 2.0:
         raise ValueError(
@@ -297,15 +297,13 @@ def _check_inputs(problem, x0, cfg):
 
 
 def _check_start(problem, x0):
-    """x0 as an array; ValueError unless it lies in the region (in_region)."""
+    """(x0 as an array, its region read by _read_h), which the caller hands on rather than
+    read h at x0 again; ValueError unless x0 lies in the region."""
     x0 = np.asarray(x0, dtype=float)
-    if not in_region(problem, x0):
-        raise _outside(problem)
-    return x0
-
-
-def _outside(problem):
-    return ValueError("x0 lies outside the region ||h|| <= %g" % problem.region.radius)
+    read = _read_h(problem, x0)
+    if not read[2]:
+        raise ValueError("x0 lies outside the region ||h|| <= %g" % problem.region.radius)
+    return x0, read
 
 
 def _terminal(records, ev, reason, k):
@@ -314,21 +312,39 @@ def _terminal(records, ev, reason, k):
     return ev, reason
 
 
-def _two_loop(pairs, grad):
-    """-H grad by L-BFGS's two-loop recursion over pairs (s, y, s.y, y.y), H0 = (s.y / y.y) I
-    from the newest.
+def _two_loop(pairs, grad, vt):
+    """-H grad by L-BFGS's two-loop recursion over pairs (s, y, s.y, y.y), H0 split by the layer.
+
+    vt's orthonormal rows span the normal space range Dh^T of the layer {h = h(x)} through
+    the iterate; its tangent space is their complement. From the newest pair, a = vt s and
+    b = vt y, H0 = gamma_T (I - vt^T vt) + gamma_N vt^T vt with one Barzilai-Borwein scale
+    per space: gamma_N = a.b / b.b and gamma_T = (s.y - a.b) / (y.y - b.b), each taken only
+    when both of its numbers are positive, and otherwise gamma = s.y / y.y. So the stiff
+    2 beta Dh^T Dh block of the penalty Hessian no longer sets the tangent scale, and the
+    two scales are equal, as H0 = gamma I, when y has no normal part.
 
     s.y and y.y are floats that _gradient_step formed for the pair test and ||y||; the
-    recursion's scalars are floats too, whose IEEE arithmetic is NumPy's bit for bit. A y.y
-    that underflows to 0 gives H0 = inf I, as NumPy's division by zero does.
+    recursion's scalars are floats too, whose IEEE arithmetic is NumPy's bit for bit. Each
+    guard leaves H0 positive definite or gamma I. Two equal scales skip the normal
+    correction, so H0 = gamma I is the plain scalar recursion bit for bit; so is a vt with
+    no rows. A y.y that underflows to 0 gives H0 = inf I, as NumPy's division by zero does:
+    b.b underflows with it, so neither split scale is taken.
     """
     q, coefs = -grad, []
     for s, y, sy, _ in reversed(pairs):
         a = float(s.dot(q)) / sy
         q -= a * y
         coefs.append(a)
-    _, _, sy, yy = pairs[-1]
-    q *= sy / yy if yy else math.inf
+    s, y, sy, yy = pairs[-1]
+    gamma = sy / yy if yy else math.inf
+    a, b = vt.dot(s), vt.dot(y)
+    ab, bb = float(a.dot(b)), float(b.dot(b))
+    gamma_n = ab / bb if ab > 0.0 and bb > 0.0 else gamma
+    gamma_t = (sy - ab) / (yy - bb) if sy > ab and yy > bb else gamma  # u > v iff u - v > 0
+    if gamma_n == gamma_t:
+        q *= gamma_t
+    else:
+        q = gamma_t * q + ((gamma_n - gamma_t) * vt.dot(q)).dot(vt)
     for (s, y, sy, _), a in zip(pairs, reversed(coefs)):
         q += (a - float(y.dot(q)) / sy) * s
     return q
@@ -343,7 +359,7 @@ def _gradient_step(pairs, prev, ev, alpha01):
         if (sy := float(s.dot(y))) > PAIR_CURVATURE * s_norm * y_norm:
             pairs.append((s, y, sy, yy))
     if pairs:
-        d = _two_loop(pairs, ev.grad_g)
+        d = _two_loop(pairs, ev.grad_g, ev.jac_svd.vt)
         slope, d_norm = -float(ev.grad_g.dot(d)), vector_norm(d)
         if slope >= DESCENT_KAPPA * ev.grad_norm**2 and d_norm <= DIRECTION_BOUND * ev.grad_norm:
             return d, slope, d_norm
@@ -353,11 +369,12 @@ def _gradient_step(pairs, prev, ev, alpha01):
     return -scale * ev.grad_g, scale * ev.grad_norm**2, scale * ev.grad_norm
 
 
-def _descend(problem, x0, cfg, records, stop=None):
+def _descend(problem, x0, cfg, records, stop=None, read=None):
     """The gradient/eigenstep loop from x0 at penalty parameter cfg.beta.
 
-    x0 is a point or a PenaltyEval (the last iterate of a plateau stage),
-    which evaluate() re-bases at cfg.beta without redoing its point.
+    x0 is a point, with its region read from _check_start, or a PenaltyEval
+    (the last iterate of a plateau stage), which evaluate() re-bases at
+    cfg.beta without redoing its point.
     Appends a record per accepted step and then a terminal record (none
     when x0 itself is rank deficient). Returns (ev, reason): the last
     iterate's PenaltyEval (None when x0 is rank deficient), holding lag_hess
@@ -373,7 +390,10 @@ def _descend(problem, x0, cfg, records, stop=None):
     alpha02. d = -H grad g, H by the L-BFGS two-loop recursion (_two_loop)
     over the pairs s = x - prev.x, y = grad g - prev.grad g of the last
     LBFGS_PAIRS gradient steps; a pair enters if s.y > PAIR_CURVATURE ||s||
-    ||y||, an eigenstep clears them and each call starts with none. Without
+    ||y||, an eigenstep clears them and each call starts with none. H0 takes
+    one Barzilai-Borwein scale on the layer's tangent space and one on its
+    normal space, read from the newest pair and the iterate's Dh SVD (vt),
+    each replaced by s.y / y.y where its guard fails (_two_loop). Without
     a pair, or unless slope = -grad g . d >= kappa ||grad g||^2 and ||d|| <=
     M ||grad g|| (DESCENT_KAPPA, DIRECTION_BOUND), d = -scale grad g with
     scale = ||s|| / (alpha01 ||y||) clipped to [kappa, 1], and 1 without prev
@@ -393,7 +413,7 @@ def _descend(problem, x0, cfg, records, stop=None):
     alpha >= tau2 min(alpha02, floor).
     """
     try:
-        ev = evaluate(problem, x0, cfg.beta, with_grad=True)
+        ev = evaluate(problem, x0, cfg.beta, with_grad=True, read=read)
     except RankDeficiencyError:
         return None, "rank_deficient"
     # prev: the last iterate, kept only when the last step was a gradient step
@@ -471,9 +491,9 @@ def gradient_eigenstep(problem, x0, cfg):
     the per-step decreases that audit checks, with alpha bounded below
     (_descend), gives counts scaling like eps1^-2 and eps2^-3.
     """
-    x0 = _check_inputs(problem, x0, cfg)
+    x0, read = _check_inputs(problem, x0, cfg)
     records = []
-    ev, reason = _descend(problem, x0, cfg, records)
+    ev, reason = _descend(problem, x0, cfg, records, read=read)
     return _certified(problem, cfg, records, ev, reason, x0)
 
 
@@ -511,7 +531,8 @@ def plateau(problem, x0, cfg, *, gamma=2.0, lp0=100, max_plateaus=60):
         raise ValueError("lp0 must be positive and finite")
     if max_plateaus < 0:
         raise ValueError("max_plateaus must be nonnegative")
-    x0 = _check_inputs(problem, x0, cfg)  # cfg.validate() refuses a beta that is not > 0 and finite
+    # cfg.validate() refuses a beta that is not > 0 and finite
+    x0, read = _check_inputs(problem, x0, cfg)
     beta_l, lp_l, stage_cfg = float(cfg.beta), float(lp0), cfg
     start, records, stages, ev = x0, [], [], None
     for ell in range(max_plateaus):
@@ -529,7 +550,7 @@ def plateau(problem, x0, cfg, *, gamma=2.0, lp0=100, max_plateaus=60):
 
         stage_cfg = cfg._replace(beta=beta_l)
         first = len(records)
-        ev, reason = _descend(problem, start, stage_cfg, records, stop)
+        ev, reason = _descend(problem, start, stage_cfg, records, stop, read)
         iters = sum(r.kind != "terminal" for r in records[first:])
         stop_reason = "backtrack_failure" if reason == "beta_too_small" else reason
         b_value = {"b_trigger": b_max, "beta_too_small": beta_l}.get(reason)
@@ -541,7 +562,7 @@ def plateau(problem, x0, cfg, *, gamma=2.0, lp0=100, max_plateaus=60):
             if floor < cfg.alpha01 * cfg.tau1**cfg.max_backtracks:
                 reason = "trial_budget"
                 break
-        start = ev  # the next stage re-bases this evaluation at its beta
+        start, read = ev, None  # the next stage re-bases this evaluation at its beta
         if reason == "b_trigger":
             ratio, beta_l = gamma * b_max / beta_l, gamma * b_max
         else:
@@ -580,10 +601,7 @@ def restore_feasibility(problem, x0, step, t_end):
     if t_end / step > RESTORE_STEPS:
         raise ValueError("t_end / step = %g exceeds the budget of %d steps"
                          % (t_end / step, RESTORE_STEPS))
-    x = np.asarray(x0, dtype=float)
-    h_x, _, inside = _read_h(problem, x)  # h at x0 is read once, and must be finite
-    if not inside:
-        raise _outside(problem)
+    x, (h_x, _, _) = _check_start(problem, x0)  # h at x0 must be finite
     h, jac_h = problem.h, problem.jac_h
 
     def h_at(y):

@@ -102,7 +102,8 @@ def test_a_search_trial_reads_h_once(monkeypatch):
 
 def test_errstate_is_entered_per_run_not_per_point(monkeypatch):
     # the library enters np.errstate once per run (gradient_eigenstep's decorator), never
-    # per SVD or per point: a 3-iteration solve and a converged one count the same entries
+    # per SVD or per point: a 3-iteration solve and a converged one count the same entries.
+    # At beta = 10 the converged run evaluates more than 20 points beyond the short one
     entries, svds = [], []
     real_enter, real_svd = np.errstate.__enter__, penalty.svd
 
@@ -117,7 +118,7 @@ def test_errstate_is_entered_per_run_not_per_point(monkeypatch):
     for max_iters, termination in ((3, "max_iters"), (20000, "converged")):
         entries.clear()
         svds.clear()
-        cfg = SolverConfig(eps1=1e-4, beta=3.0, max_iters=max_iters)
+        cfg = SolverConfig(eps1=1e-4, beta=10.0, max_iters=max_iters)
         assert gradient_eigenstep(p, p.init_point(5), cfg).termination == termination
         counts.append((sum(name.startswith("fletcher_penalty") for name in entries), len(svds)))
     (short, short_svds), (full, full_svds) = counts
@@ -166,7 +167,7 @@ def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch, tmp_pa
     # an exact replay of every gradient search's direction. prev is the point of the last
     # search when the last step was a gradient step of the same loop (else None); the
     # pair (x - prev.x, grad g - prev.grad g) enters the last LBFGS_PAIRS pairs when its
-    # curvature passes. With a pair and a d = _two_loop(pairs, grad g) that passes both
+    # curvature passes. With a pair and a d = _two_loop(pairs, grad g, vt) that passes both
     # safeguards, the search takes d; otherwise -scale grad g, whose first trial alpha01
     # scale is the spectral step. Each loop (a plateau stage, whose k restarts at 0) and
     # each eigenstep starts anew.
@@ -186,11 +187,13 @@ def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch, tmp_pa
     if driver == "solve":
         traces = [gradient_eigenstep(diag_rayleigh(n=12), x0, cfg)]
     else:
-        # a fifth of the curvature: spectral scales of at least 1, clipped to it
+        # a fifth of the curvature: spectral scales of at least 1, clipped to it; at the full
+        # curvature they fall below 1
         p = make_rayleigh_sphere(0.2 * np.diag(np.arange(1.0, 13.0)), radius=0.5)
         stiefel = builtin_problem("stiefel", n=8, p=2, seed=1)
         traces = [plateau(p, x0, cfg._replace(beta=1e-2), lp0=50),
-                  plateau(stiefel, stiefel.init_point(1), cfg._replace(eps2=1e-3, beta=1e-3), lp0=50)]
+                  plateau(stiefel, stiefel.init_point(1), cfg._replace(eps2=1e-3, beta=1e-3), lp0=50),
+                  plateau(diag_rayleigh(n=12), x0, cfg._replace(beta=1e-2), lp0=50)]
     starts = dict.fromkeys(["quasi_newton", "spectral", "clipped", "unsigned"], 0)
     pending = iter(calls)
     for trace in traces:
@@ -211,7 +214,7 @@ def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch, tmp_pa
                 if np.any(y != 0.0):
                     scale = min(1.0, max(solver.DESCENT_KAPPA,
                                          np.linalg.norm(s) / (cfg.alpha01 * np.linalg.norm(y))))
-            qn = _two_loop(pairs, ev.grad_g) if pairs else None
+            qn = _two_loop(pairs, ev.grad_g, ev.jac_svd.vt) if pairs else None
             if qn is not None and (-float(ev.grad_g @ qn) >= solver.DESCENT_KAPPA * ev.grad_norm**2
                                    and np.linalg.norm(qn) <= solver.DIRECTION_BOUND * ev.grad_norm):
                 assert np.array_equal(d, qn)
@@ -241,31 +244,50 @@ def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch, tmp_pa
         assert "gradient eigen gradient" in " ".join(r.kind for r in traces[0].records)
 
 
+def _orthonormal_rows(rng, k, n):
+    """k seeded orthonormal rows in R^n: a vt as the thin SVD of a k-by-n Dh gives it."""
+    return np.linalg.qr(rng.standard_normal((n, k)))[0].T.copy()
+
+
+def _dense_bfgs(pairs, h0):
+    h = h0
+    for s, y, sy, _ in pairs:
+        v = np.eye(len(s)) - np.outer(y, s) / sy
+        h = v.T @ h @ v + np.outer(s, s) / sy
+    return h
+
+
 @pytest.mark.parametrize("count", [1, 3, 5])
 def test_two_loop_matches_the_dense_bfgs_inverse_update(count):
-    # on a strictly convex quadratic (y = A s), the recursion is the BFGS update of
-    # H0 = (s.y / y.y) I of the newest pair, applied to the pairs oldest first
+    # on a strictly convex quadratic (y = A s) whose Hessian is stiff on the normal space
+    # range vt^T and mild on its complement, as the penalty's is near its layer, the
+    # recursion is the BFGS update of H0 = gamma_T (I - vt^T vt) + gamma_N vt^T vt of the
+    # newest pair, applied to the pairs oldest first; both scales are in use
     rng = np.random.default_rng(count)
     q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
-    a = q @ np.diag(np.linspace(0.5, 20.0, 8)) @ q.T
+    vt = q[:, :2].T.copy()  # the normal space: two of A's eigenvectors
+    a = q @ np.diag([50.0, 80.0, *np.linspace(0.5, 2.0, 6)]) @ q.T
     pairs = []
     for s in rng.standard_normal((count, 8)):
         y = a @ s
         pairs.append((s, y, float(s @ a @ s), float(y @ y)))
-    s, y, sy, _ = pairs[-1]
-    h = sy / float(y @ y) * np.eye(8)
-    for s, y, sy, _ in pairs:
-        v = np.eye(8) - np.outer(y, s) / sy
-        h = v.T @ h @ v + np.outer(s, s) / sy
+    s, y, sy, yy = pairs[-1]
+    s_n, y_n = vt @ s, vt @ y  # the newest pair's normal parts, a and b
+    gamma_n, gamma_t = (s_n @ y_n) / (y_n @ y_n), (sy - s_n @ y_n) / (yy - y_n @ y_n)
+    assert 0.0 < 20.0 * gamma_n < gamma_t
+    proj = vt.T @ vt
+    h = _dense_bfgs(pairs, gamma_t * (np.eye(8) - proj) + gamma_n * proj)
     grad = rng.standard_normal(8)
-    d = _two_loop(pairs, grad)
+    d = _two_loop(pairs, grad, vt)
     np.testing.assert_allclose(d, -h @ grad, rtol=1e-12, atol=1e-12 * np.linalg.norm(h @ grad))
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
 def test_two_loop_is_the_numpy_scalar_recursion_bit_for_bit(count, scale):
-    # float scalars and the kept y.y give the bytes of NumPy scalars and a y.y formed anew
+    # float scalars and the kept y.y give the bytes of NumPy scalars and a y.y formed anew;
+    # with a normal space of two rows the split scales differ, so the correction runs, and
+    # with none H0 = gamma I
     rng = np.random.default_rng(count)
     a = np.diag(np.linspace(0.5, 20.0, 8)) + 0.1 * rng.standard_normal((8, 8))
     pairs = []
@@ -273,23 +295,75 @@ def test_two_loop_is_the_numpy_scalar_recursion_bit_for_bit(count, scale):
         y = a @ s
         pairs.append((s, y, float(s.dot(y)), float(y.dot(y))))
     grad = scale * rng.standard_normal(8)
+    vt = _orthonormal_rows(rng, 2, 8)
     assert all(pair[2] > 0.0 for pair in pairs)
-    assert _two_loop(pairs, grad).tobytes() == reference_two_loop(pairs, grad).tobytes()
+    scalar = _two_loop(pairs, grad, vt[:0])
+    assert scalar.tobytes() == reference_two_loop(pairs, grad, vt[:0]).tobytes()
+    split = _two_loop(pairs, grad, vt)
+    assert split.tobytes() == reference_two_loop(pairs, grad, vt).tobytes()
+    assert not np.array_equal(split, scalar)
 
 
 def test_two_loop_reads_a_vanishing_y_y_as_numpy_does():
-    # y.y underflows to 0 while s.y > 0: H0 = (s.y / 0) I is inf I, as NumPy's division gives
+    # y.y underflows to 0 while s.y > 0: H0 = (s.y / 0) I is inf I, as NumPy's division
+    # gives. b.b underflows with it, so neither split scale is taken: no inf - inf
     s, y = np.array([1e170, 0.0]), np.array([1e-170, 0.0])
     pairs = [(s, y, float(s.dot(y)), float(y.dot(y)))]
     assert pairs[0][2] > 0.0 and pairs[0][3] == 0.0
     grad = np.array([1.0, 1.0])
+    vt = np.array([[0.6, 0.8]])
     with np.errstate(all="ignore"):
-        want = reference_two_loop(pairs, grad)
+        want = reference_two_loop(pairs, grad, vt[:0])
+        assert want.tobytes() == reference_two_loop(pairs, grad, vt).tobytes()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore", invalid="ignore"):  # gradient_eigenstep's setting
-            got = _two_loop(pairs, grad)
+            got = _two_loop(pairs, grad, vt)
     np.testing.assert_array_equal(got, want)
+
+
+def _one_pair_inverse(s, y, vt):
+    """The n-by-n H that _two_loop applies with the single pair (s, y): H e_i column by column."""
+    pairs = [(s, y, float(s.dot(y)), float(y.dot(y)))]
+    assert pairs[0][2] > solver.PAIR_CURVATURE * np.linalg.norm(s) * np.linalg.norm(y)
+    return pairs, -np.column_stack([_two_loop(pairs, e, vt) for e in np.eye(len(s))])
+
+
+@pytest.mark.parametrize("case", ["no_normal_part", "no_tangent_part", "rounding_tangent",
+                                  "both_fall_back"])
+def test_two_loop_split_guards_give_an_spd_h0_or_the_scalar_one(case):
+    # each guard leaves H0 symmetric positive definite, so with s.y > 0 one BFGS update of
+    # it is too, and the direction is finite and descends; a scale whose numbers are not
+    # both positive is gamma = s.y / y.y, and where the two scales come out equal, H0 =
+    # gamma I and the bytes are the scalar recursion's
+    normal = np.eye(3)[:1]  # vt: the normal space is the first axis
+    grad = np.array([0.3, -1.0, 0.7])
+    if case == "no_normal_part":  # b = 0: gamma_T = s.y / y.y exactly, and gamma_N falls back
+        vt, s, y = normal, np.array([3.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0])
+    elif case == "no_tangent_part":  # s and y in a seeded normal space: s.y - a.b is rounding
+        rng = np.random.default_rng(3)
+        vt = _orthonormal_rows(rng, 2, 6)
+        s, y = vt.T @ np.array([1.0, 2.0]), vt.T @ np.array([3.0, 1.0])
+        grad = rng.standard_normal(6)
+    elif case == "rounding_tangent":  # y.y = b.b: gamma_T falls back, gamma_N = 1 is taken
+        vt, s, y = normal, np.array([1.0, 1.0, 1.0]), np.array([1.0, 1e-9, 0.0])
+    else:  # a.b < 0 and y.y = b.b
+        vt, s, y = normal, np.array([-1e-10, 1.0, 0.0]), np.array([1.0, 1e-9, 0.0])
+    pairs, h = _one_pair_inverse(s, y, vt)
+    assert np.isfinite(h).all()
+    np.testing.assert_allclose(h, h.T, rtol=0, atol=1e-12 * np.abs(h).max())
+    assert np.linalg.eigvalsh(0.5 * (h + h.T)).min() > 0.0
+    d = _two_loop(pairs, grad, vt)
+    assert np.isfinite(d).all() and grad @ d < 0.0
+    scalar = reference_two_loop(pairs, grad, vt[:0])
+    if case in ("no_normal_part", "both_fall_back"):
+        assert d.tobytes() == scalar.tobytes()
+    if case == "rounding_tangent":
+        gamma = float(s @ y) / float(y @ y)
+        proj = vt.T @ vt
+        want = _dense_bfgs(pairs, gamma * (np.eye(3) - proj) + 1.0 * proj)
+        np.testing.assert_allclose(h, want, rtol=1e-12, atol=1e-15)
+        assert not np.array_equal(d, scalar)
 
 
 @pytest.mark.parametrize("direction, taken", [
@@ -307,12 +381,18 @@ def test_a_direction_failing_a_safeguard_falls_back_to_the_gradient(direction, t
         searches.append((ev, d))
         return real(problem, ev, cfg, d)
 
-    monkeypatch.setattr(solver, "_two_loop", lambda pairs, grad: calls.append(1) or direction(grad))
+    def spy_two_loop(pairs, grad, vt):
+        calls.append(vt)
+        return direction(grad)
+
+    monkeypatch.setattr(solver, "_two_loop", spy_two_loop)
     monkeypatch.setattr(solver, "gradient_backtrack", spy)
     p = diag_rayleigh()
     cfg = SolverConfig(eps1=1e-4, beta=10.0, max_iters=8)
     trace = gradient_eigenstep(p, p.init_point(1), cfg)
     assert len(calls) == len(searches) - 1 > 0  # every search after the first has a pair
+    # each call reads the searched iterate's own vt, the rows of the SVD of its Dh
+    assert all(vt is ev.jac_svd.vt for vt, (ev, _) in zip(calls, searches[1:]))
     for (prev, _), (ev, d), r in zip(searches, searches[1:], trace.records[1:]):
         if taken:
             assert np.array_equal(d, direction(ev.grad_g))
@@ -323,6 +403,22 @@ def test_a_direction_failing_a_safeguard_falls_back_to_the_gradient(direction, t
             assert (r.slope, r.d_norm) == (scale * ev.grad_norm**2, scale * ev.grad_norm)
     _searched_from_the_configured_starts(trace.records, cfg)
     assert audit(p, trace.as_dict()) == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_split_scales_halve_the_stiefel_iterations(seed):
+    # H0's tangent scale no longer follows the stiff normal block: a first-order solve on
+    # St(30, 3) converges within 25 iterations (17 to 21 here; 34 to 47 with H0 = gamma I)
+    # and a plateau run on St(8, 2) within 18 (14 to 16; 20 to 26 with H0 = gamma I)
+    p = builtin_problem("stiefel", n=30, p=3, seed=seed)
+    q = builtin_problem("stiefel", n=8, p=2, seed=seed)
+    runs = [(p, gradient_eigenstep(p, p.init_point(seed), SolverConfig(eps1=1e-4, beta=3.0)), 25),
+            (q, plateau(q, q.init_point(seed), SolverConfig(eps1=1e-4, eps2=1e-3, beta=1e-3),
+                        lp0=50), 18)]
+    for problem, trace, most in runs:
+        assert trace.termination == "converged"
+        assert trace.iteration_counts()[0] <= most
+        assert audit(problem, trace.as_dict()) == []
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7919])
@@ -692,9 +788,8 @@ def test_solve_takes_thin_svds_and_two_hess_h_per_gradient(monkeypatch):
 
 
 def test_each_search_trial_evaluates_h_once():
-    # St(8, 2), first order: h runs twice at x0 (the region check and the
-    # evaluation) and once per search trial, whose evaluation takes the h of
-    # its region test
+    # St(8, 2), first order: h runs once at x0, whose evaluation takes the start check's
+    # read, and once per search trial, whose evaluation takes the h of its region test
     base = builtin_problem("stiefel", n=8, p=2, seed=3)
     calls = []
 
@@ -707,7 +802,24 @@ def test_each_search_trial_evaluates_h_once():
     assert trace.termination == "converged"
     assert any(r.backtracks for r in trace.records)
     trials = sum(r.backtracks + 1 for r in trace.records if r.kind != "terminal")
-    assert len(calls) == 2 + trials
+    assert len(calls) == 1 + trials
+
+
+@pytest.mark.parametrize("entry", ["solve", "plateau"])
+def test_a_run_reads_h_at_x0_once(entry):
+    # the start check's region read goes whole to the run's first evaluation
+    base = builtin_problem("stiefel", n=8, p=2, seed=1)
+    x0 = base.init_point(1)
+    at_x0 = []
+    p = replace(base, h=lambda x: at_x0.append(np.array_equal(x, x0)) or base.h(x))
+    cfg = SolverConfig(eps1=1e-4, eps2=1e-3, beta=1e-3)
+    if entry == "solve":
+        trace = gradient_eigenstep(p, x0, cfg._replace(eps2=math.inf, beta=3.0))
+    else:
+        trace = plateau(p, x0, cfg, lp0=50)
+        assert len(trace.plateaus) > 1  # a later stage starts from an evaluation, not a read
+    assert trace.termination == "converged"
+    assert at_x0.count(True) == 1 and at_x0[0]
 
 
 def test_max_iters_termination():
