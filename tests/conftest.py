@@ -216,33 +216,26 @@ def reference_restore(problem, x, step, t_end):
     return x, log
 
 
-def reference_two_loop(pairs, grad, vt):
-    """L-BFGS's two-loop recursion with NumPy scalars, y.y formed anew from each pair's y.
+def reference_two_loop(pairs, grad, svd, beta):
+    """L-BFGS's two-loop recursion with NumPy scalars, y.y formed anew from the newest y.
 
     The reference for solver._two_loop, which carries float scalars and reads the y.y kept
-    in the pair (s, y, s.y, y.y); only s, y and s.y are read here. H0 = gamma_T (I - vt^T vt)
-    + gamma_N vt^T vt, with a = vt s and b = vt y of the newest pair: gamma_N = a.b / b.b
-    and gamma_T = (s.y - a.b) / (y.y - b.b), each where both of its numbers are positive,
-    else gamma = s.y / y.y. A vt with no rows gives H0 = gamma I, the scalar recursion.
+    in the pair (s, y, s.y, y.y); only s, y and s.y are read here. With vt = svd.vt and
+    P_T = I - vt^T vt, the recursion with H0 = (s.y / y.y) I starts from -P_T grad, its
+    result is projected by P_T, and the normal step -vt^T diag(1/(2 beta s^2)) vt grad is
+    added, in _two_loop's order of operations.
     """
-    q, coefs = -grad, []
+    vt = svd.vt
+    normal = vt.dot(grad)
+    q, coefs = normal.dot(vt) - grad, []
     for s, y, sy, _ in reversed(pairs):
         coefs.append(s.dot(q) / sy)
         q -= coefs[-1] * y
     s, y, sy, _ = pairs[-1]
-    yy = y.dot(y)
-    a, b = vt.dot(s), vt.dot(y)
-    ab, bb = a.dot(b), b.dot(b)
-    gamma = sy / yy
-    gamma_n = ab / bb if ab > 0 and bb > 0 else gamma
-    gamma_t = (sy - ab) / (yy - bb) if sy - ab > 0 and yy - bb > 0 else gamma
-    if gamma_n == gamma_t:
-        q *= gamma_t
-    else:
-        q = gamma_t * q + ((gamma_n - gamma_t) * vt.dot(q)).dot(vt)
+    q *= sy / y.dot(y)
     for (s, y, sy, _), a in zip(pairs, reversed(coefs)):
         q += (a - y.dot(q) / sy) * s
-    return q
+    return q - (vt.dot(q) + normal / (2.0 * beta * svd.s**2)).dot(vt)
 
 
 def reference_stiefel(n, p):

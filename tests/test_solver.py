@@ -16,7 +16,9 @@ from fletcher_penalty import (
     CriticalityCertificate,
     DecreaseBelowRoundingError,
     EvaluationError,
+    IterationRecord,
     NumericalFailureError,
+    RunTrace,
     SolverConfig,
     StepSizeError,
     audit,
@@ -41,7 +43,7 @@ from fletcher_penalty import (
 
 from fletcher_penalty import penalty, solver
 from fletcher_penalty.cli import main
-from fletcher_penalty.linalg import min_eig_above, sym_eig_min
+from fletcher_penalty.linalg import SvdResult, min_eig_above, sym_eig_min
 from fletcher_penalty.solver import _two_loop
 
 from conftest import (ALL_BUILTIN_IDS, make_affine_toy, make_rank_crossing_toy, make_saddle_toy,
@@ -68,12 +70,21 @@ def test_gradient_backtrack_accepts_first_trial():
 
 def test_gradient_backtrack_keeps_region_near_boundary():
     p = diag_rayleigh()
-    # radial point with ||h|| = 0.49; at beta = 1e-2 the searches end within 1e-3 of R,
-    # where a region test loosened by 1% would let them out
+    # radial point with ||h|| = 0.49; at beta = 1e-2 searches along -grad g end within 1e-3
+    # of R, where a region test loosened by 1% would let them out. A solve's Gauss-Newton
+    # normal step pulls its iterates off the boundary, so the searches run here directly
     x = np.sqrt(1.49) * (np.ones(10) / np.sqrt(10.0))
     assert np.linalg.norm(p.h(x)) <= 0.4900001
-    trace = gradient_eigenstep(p, x, SolverConfig(beta=1e-2, max_iters=5))
-    assert audit(p, trace.as_dict()) == [] and max(r.h_norm for r in trace.records) > 0.499
+    cfg = SolverConfig(beta=1e-2)
+    ev, records = evaluate(p, x, cfg.beta), []
+    for k in range(20):
+        alpha, trial, bts = gradient_backtrack(p, ev, cfg)
+        nxt = evaluate(p, trial, cfg.beta)
+        records.append(IterationRecord(k, "gradient", alpha, ev.g_val, nxt.g_val, ev.grad_norm,
+                                       nxt.h_norm, None, bts, ev.grad_norm**2, ev.grad_norm))
+        ev = nxt
+    trace = RunTrace(cfg, records, ev.x, None, "max_iters")
+    assert audit(p, trace.as_dict()) == [] and max(r.h_norm for r in records) > 0.499
 
 
 def test_a_search_trial_reads_h_once(monkeypatch):
@@ -103,7 +114,8 @@ def test_a_search_trial_reads_h_once(monkeypatch):
 def test_errstate_is_entered_per_run_not_per_point(monkeypatch):
     # the library enters np.errstate once per run (gradient_eigenstep's decorator), never
     # per SVD or per point: a 3-iteration solve and a converged one count the same entries.
-    # At beta = 10 the converged run evaluates more than 20 points beyond the short one
+    # At beta = 30 and eps1 = 1e-6 the converged run evaluates more than 20 points beyond
+    # the short one (30 SVDs against 7; 21 against 5 at beta = 10 and eps1 = 1e-4)
     entries, svds = [], []
     real_enter, real_svd = np.errstate.__enter__, penalty.svd
 
@@ -118,7 +130,7 @@ def test_errstate_is_entered_per_run_not_per_point(monkeypatch):
     for max_iters, termination in ((3, "max_iters"), (20000, "converged")):
         entries.clear()
         svds.clear()
-        cfg = SolverConfig(eps1=1e-4, beta=10.0, max_iters=max_iters)
+        cfg = SolverConfig(eps1=1e-6, beta=30.0, max_iters=max_iters)
         assert gradient_eigenstep(p, p.init_point(5), cfg).termination == termination
         counts.append((sum(name.startswith("fletcher_penalty") for name in entries), len(svds)))
     (short, short_svds), (full, full_svds) = counts
@@ -127,11 +139,14 @@ def test_errstate_is_entered_per_run_not_per_point(monkeypatch):
 
 def test_fallback_scale_branches():
     # the fallback d = -scale grad g, scale = ||s|| / (alpha01 ||y||) clipped to [kappa, 1];
-    # each s.y <= 0 keeps the pair out, so no quasi-Newton d is tried
+    # each s.y <= 0 keeps the pair out, so no quasi-Newton d is tried. A vt with no rows
+    # leaves the pair unprojected
     prev = SimpleNamespace(x=np.zeros(2), grad_g=np.array([1.0, 0.0]))
+    svd = SvdResult(np.zeros((0, 0)), np.zeros(0), np.zeros((0, 2)))
 
     def scale(grad, alpha01=1.0, last=prev):
-        ev = SimpleNamespace(x=np.array([0.5, 0.0]), grad_g=np.array(grad), grad_norm=np.linalg.norm(grad))
+        ev = SimpleNamespace(x=np.array([0.5, 0.0]), grad_g=np.array(grad),
+                             grad_norm=np.linalg.norm(grad), jac_svd=svd)
         pairs = []
         d, slope, d_norm = solver._gradient_step(pairs, last, ev, alpha01)
         out = d_norm / ev.grad_norm
@@ -166,11 +181,12 @@ def _searched_from_the_configured_starts(records, cfg):
 def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch, tmp_path):
     # an exact replay of every gradient search's direction. prev is the point of the last
     # search when the last step was a gradient step of the same loop (else None); the
-    # pair (x - prev.x, grad g - prev.grad g) enters the last LBFGS_PAIRS pairs when its
-    # curvature passes. With a pair and a d = _two_loop(pairs, grad g, vt) that passes both
-    # safeguards, the search takes d; otherwise -scale grad g, whose first trial alpha01
-    # scale is the spectral step. Each loop (a plateau stage, whose k restarts at 0) and
-    # each eigenstep starts anew.
+    # pair (x - prev.x, grad g - prev.grad g), projected onto the tangent space at x,
+    # enters the last LBFGS_PAIRS pairs when its curvature passes. With a pair and a
+    # d = _two_loop(pairs, grad g, jac_svd, beta) that passes both safeguards, the search
+    # takes d; otherwise -scale grad g, whose first trial alpha01 scale is the spectral
+    # step, read from the unprojected pair. Each loop (a plateau stage, whose k restarts
+    # at 0) and each eigenstep starts anew.
     calls = []
     real = solver.gradient_backtrack
 
@@ -209,12 +225,15 @@ def test_gradient_search_starts_at_the_spectral_step(driver, monkeypatch, tmp_pa
             scale = 1.0
             if prev is not None:
                 s, y = ev.x - prev.x, ev.grad_g - prev.grad_g
-                if s @ y > solver.PAIR_CURVATURE * np.linalg.norm(s) * np.linalg.norm(y):
-                    pairs = (pairs + [(s, y, float(s @ y), float(y @ y))])[-solver.LBFGS_PAIRS:]
+                vt = ev.jac_svd.vt
+                s_t, y_t = s - vt.dot(s).dot(vt), y - vt.dot(y).dot(vt)
+                if s_t @ y_t > solver.PAIR_CURVATURE * np.linalg.norm(s_t) * np.linalg.norm(y_t):
+                    pairs = (pairs + [(s_t, y_t, float(s_t @ y_t), float(y_t @ y_t))])
+                    pairs = pairs[-solver.LBFGS_PAIRS:]
                 if np.any(y != 0.0):
                     scale = min(1.0, max(solver.DESCENT_KAPPA,
                                          np.linalg.norm(s) / (cfg.alpha01 * np.linalg.norm(y))))
-            qn = _two_loop(pairs, ev.grad_g, ev.jac_svd.vt) if pairs else None
+            qn = _two_loop(pairs, ev.grad_g, ev.jac_svd, ev.beta) if pairs else None
             if qn is not None and (-float(ev.grad_g @ qn) >= solver.DESCENT_KAPPA * ev.grad_norm**2
                                    and np.linalg.norm(qn) <= solver.DIRECTION_BOUND * ev.grad_norm):
                 assert np.array_equal(d, qn)
@@ -249,6 +268,13 @@ def _orthonormal_rows(rng, k, n):
     return np.linalg.qr(rng.standard_normal((n, k)))[0].T.copy()
 
 
+def _seeded_svd(rng, n, sv):
+    """The SvdResult of a seeded Dh with singular values sv: orthonormal u and vt rows."""
+    k = len(sv)
+    return SvdResult(_orthonormal_rows(rng, k, k).T.copy(), np.array(sv, dtype=float),
+                     _orthonormal_rows(rng, k, n))
+
+
 def _dense_bfgs(pairs, h0):
     h = h0
     for s, y, sy, _ in pairs:
@@ -259,35 +285,76 @@ def _dense_bfgs(pairs, h0):
 
 @pytest.mark.parametrize("count", [1, 3, 5])
 def test_two_loop_matches_the_dense_bfgs_inverse_update(count):
-    # on a strictly convex quadratic (y = A s) whose Hessian is stiff on the normal space
-    # range vt^T and mild on its complement, as the penalty's is near its layer, the
-    # recursion is the BFGS update of H0 = gamma_T (I - vt^T vt) + gamma_N vt^T vt of the
-    # newest pair, applied to the pairs oldest first; both scales are in use
+    # with P_T = I - vt^T vt, d = P_T H (-P_T grad) - vt^T diag(1/(2 beta s^2)) vt grad, H the
+    # dense BFGS update of H0 = gamma I (gamma = s.y / y.y of the newest pair) by the pairs,
+    # oldest first. The pairs are a strictly convex quadratic's (y = A s), each projected
+    # as _gradient_step stores it: a step tangent to a seeded normal space of two rows, and
+    # y projected onto the same tangent space
     rng = np.random.default_rng(count)
     q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
-    vt = q[:, :2].T.copy()  # the normal space: two of A's eigenvectors
-    a = q @ np.diag([50.0, 80.0, *np.linspace(0.5, 2.0, 6)]) @ q.T
+    a = q @ np.diag(np.linspace(0.5, 20.0, 8)) @ q.T
     pairs = []
     for s in rng.standard_normal((count, 8)):
-        y = a @ s
-        pairs.append((s, y, float(s @ a @ s), float(y @ y)))
-    s, y, sy, yy = pairs[-1]
-    s_n, y_n = vt @ s, vt @ y  # the newest pair's normal parts, a and b
-    gamma_n, gamma_t = (s_n @ y_n) / (y_n @ y_n), (sy - s_n @ y_n) / (yy - y_n @ y_n)
-    assert 0.0 < 20.0 * gamma_n < gamma_t
-    proj = vt.T @ vt
-    h = _dense_bfgs(pairs, gamma_t * (np.eye(8) - proj) + gamma_n * proj)
+        w = _orthonormal_rows(rng, 2, 8)
+        p_t = np.eye(8) - w.T @ w
+        s = p_t @ s
+        y = p_t @ (a @ s)
+        pairs.append((s, y, float(s @ y), float(y @ y)))
+    assert all(pair[2] > 0.0 for pair in pairs)
+    svd, beta = _seeded_svd(rng, 8, [3.0, 0.5]), 7.0
+    _, _, sy, yy = pairs[-1]
+    h = _dense_bfgs(pairs, sy / yy * np.eye(8))
+    vt = svd.vt
+    p_t = np.eye(8) - vt.T @ vt
     grad = rng.standard_normal(8)
-    d = _two_loop(pairs, grad, vt)
-    np.testing.assert_allclose(d, -h @ grad, rtol=1e-12, atol=1e-12 * np.linalg.norm(h @ grad))
+    want = -p_t @ h @ p_t @ grad - vt.T @ ((vt @ grad) / (2.0 * beta * svd.s**2))
+    d = _two_loop(pairs, grad, svd, beta)
+    np.testing.assert_allclose(d, want, rtol=1e-12, atol=1e-12 * np.linalg.norm(want))
+
+
+def _stiefel_critical_off_the_layer():
+    """St(6, 2) under <C, X> with C = Q S, S symmetric, at X = 1.1 Q: grad f = C lies in
+    range Dh^T = {X S'}, so the gradient on the layer vanishes while X^T X - I = 0.21 I."""
+    q = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 2)))[0]
+    p = make_stiefel(6, 2, linear_cost(q @ np.array([[1.0, 0.3], [0.3, -2.0]])))
+    return p, 1.1 * q.ravel()
+
+
+@pytest.mark.parametrize("problem_id", ["sphere", "stiefel"])
+def test_normal_step_is_gauss_newton_up_to_h_over_beta(problem_id):
+    # where the gradient on the layer vanishes and h does not, grad g = 2 beta Dh^T h -
+    # (Dlam)^T h is normal: d has no tangent part, and its normal part is the Gauss-Newton
+    # step -Dh^+ h plus vt^T diag(1/(2 beta s^2)) vt (Dlam)^T h, a term of norm at most
+    # ||(Dlam)^T h|| / (2 beta sigma_min^2) = O(||h|| / beta)
+    if problem_id == "sphere":  # <x, e_1> on the sphere, at x = sqrt(1.3) e_1
+        p = builtin_problem("sphere", n=5)
+        x = np.sqrt(1.3) * np.eye(5)[0]
+    else:
+        p, x = _stiefel_critical_off_the_layer()
+    t = np.random.default_rng(0).standard_normal(len(x))
+    errs = []
+    for beta in (1.0, 10.0, 100.0):
+        ev = evaluate(p, x, beta)
+        svd, h_val = ev.jac_svd, ev.h_val
+        assert np.linalg.norm(ev.riem_grad) <= 1e-13 * np.linalg.norm(ev.grad_f)
+        assert ev.h_norm > 0.25
+        s = t - svd.vt.T @ (svd.vt @ t)  # a pair of tangent steps: H is the identity there
+        d = _two_loop([(s, s, float(s @ s), float(s @ s))], ev.grad_g, svd, beta)
+        newton = -np.linalg.pinv(ev.jac) @ h_val
+        adjoint = penalty.dlambda_jacobian(p, x).T @ h_val
+        term = svd.vt.T @ ((svd.vt @ adjoint) / (2.0 * beta * svd.s**2))
+        np.testing.assert_allclose(d, newton + term, rtol=0, atol=1e-12 * np.linalg.norm(newton))
+        err = np.linalg.norm(d - newton)
+        assert 0.0 < err <= np.linalg.norm(adjoint) / (2.0 * beta * svd.sigma_min**2) * (1 + 1e-9)
+        errs.append(err)
+    np.testing.assert_allclose([errs[0] / errs[1], errs[1] / errs[2]], 10.0, rtol=1e-6)
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
 def test_two_loop_is_the_numpy_scalar_recursion_bit_for_bit(count, scale):
-    # float scalars and the kept y.y give the bytes of NumPy scalars and a y.y formed anew;
-    # with a normal space of two rows the split scales differ, so the correction runs, and
-    # with none H0 = gamma I
+    # float scalars and the kept y.y give the bytes of NumPy scalars and a y.y formed anew,
+    # the tangent projections and the normal step included
     rng = np.random.default_rng(count)
     a = np.diag(np.linspace(0.5, 20.0, 8)) + 0.1 * rng.standard_normal((8, 8))
     pairs = []
@@ -295,75 +362,58 @@ def test_two_loop_is_the_numpy_scalar_recursion_bit_for_bit(count, scale):
         y = a @ s
         pairs.append((s, y, float(s.dot(y)), float(y.dot(y))))
     grad = scale * rng.standard_normal(8)
-    vt = _orthonormal_rows(rng, 2, 8)
+    svd = _seeded_svd(rng, 8, [3.0, 0.5])
     assert all(pair[2] > 0.0 for pair in pairs)
-    scalar = _two_loop(pairs, grad, vt[:0])
-    assert scalar.tobytes() == reference_two_loop(pairs, grad, vt[:0]).tobytes()
-    split = _two_loop(pairs, grad, vt)
-    assert split.tobytes() == reference_two_loop(pairs, grad, vt).tobytes()
-    assert not np.array_equal(split, scalar)
+    d = _two_loop(pairs, grad, svd, 7.0)
+    assert d.tobytes() == reference_two_loop(pairs, grad, svd, 7.0).tobytes()
+    assert np.all(np.abs(svd.vt @ d) > 0.0) and np.all(np.abs(d - svd.vt.T @ (svd.vt @ d)) > 0.0)
 
 
 def test_two_loop_reads_a_vanishing_y_y_as_numpy_does():
     # y.y underflows to 0 while s.y > 0: H0 = (s.y / 0) I is inf I, as NumPy's division
-    # gives. b.b underflows with it, so neither split scale is taken: no inf - inf
-    s, y = np.array([1e170, 0.0]), np.array([1e-170, 0.0])
+    # gives, and the direction is NumPy's, with no warning under a run's errstate
+    t = np.array([0.8, -0.6])  # the tangent space of vt = [[0.6, 0.8]]
+    s, y = 1e170 * t, 1e-170 * t
     pairs = [(s, y, float(s.dot(y)), float(y.dot(y)))]
     assert pairs[0][2] > 0.0 and pairs[0][3] == 0.0
     grad = np.array([1.0, 1.0])
-    vt = np.array([[0.6, 0.8]])
+    svd = SvdResult(np.ones((1, 1)), np.array([2.0]), np.array([[0.6, 0.8]]))
     with np.errstate(all="ignore"):
-        want = reference_two_loop(pairs, grad, vt[:0])
-        assert want.tobytes() == reference_two_loop(pairs, grad, vt).tobytes()
+        want = reference_two_loop(pairs, grad, svd, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore", invalid="ignore"):  # gradient_eigenstep's setting
-            got = _two_loop(pairs, grad, vt)
+            got = _two_loop(pairs, grad, svd, 1.0)
     np.testing.assert_array_equal(got, want)
 
 
-def _one_pair_inverse(s, y, vt):
-    """The n-by-n H that _two_loop applies with the single pair (s, y): H e_i column by column."""
-    pairs = [(s, y, float(s.dot(y)), float(y.dot(y)))]
-    assert pairs[0][2] > solver.PAIR_CURVATURE * np.linalg.norm(s) * np.linalg.norm(y)
-    return pairs, -np.column_stack([_two_loop(pairs, e, vt) for e in np.eye(len(s))])
-
-
-@pytest.mark.parametrize("case", ["no_normal_part", "no_tangent_part", "rounding_tangent",
-                                  "both_fall_back"])
-def test_two_loop_split_guards_give_an_spd_h0_or_the_scalar_one(case):
-    # each guard leaves H0 symmetric positive definite, so with s.y > 0 one BFGS update of
-    # it is too, and the direction is finite and descends; a scale whose numbers are not
-    # both positive is gamma = s.y / y.y, and where the two scales come out equal, H0 =
-    # gamma I and the bytes are the scalar recursion's
-    normal = np.eye(3)[:1]  # vt: the normal space is the first axis
-    grad = np.array([0.3, -1.0, 0.7])
-    if case == "no_normal_part":  # b = 0: gamma_T = s.y / y.y exactly, and gamma_N falls back
-        vt, s, y = normal, np.array([3.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0])
-    elif case == "no_tangent_part":  # s and y in a seeded normal space: s.y - a.b is rounding
-        rng = np.random.default_rng(3)
-        vt = _orthonormal_rows(rng, 2, 6)
-        s, y = vt.T @ np.array([1.0, 2.0]), vt.T @ np.array([3.0, 1.0])
-        grad = rng.standard_normal(6)
-    elif case == "rounding_tangent":  # y.y = b.b: gamma_T falls back, gamma_N = 1 is taken
-        vt, s, y = normal, np.array([1.0, 1.0, 1.0]), np.array([1.0, 1e-9, 0.0])
-    else:  # a.b < 0 and y.y = b.b
-        vt, s, y = normal, np.array([-1e-10, 1.0, 0.0]), np.array([1.0, 1e-9, 0.0])
-    pairs, h = _one_pair_inverse(s, y, vt)
-    assert np.isfinite(h).all()
-    np.testing.assert_allclose(h, h.T, rtol=0, atol=1e-12 * np.abs(h).max())
-    assert np.linalg.eigvalsh(0.5 * (h + h.T)).min() > 0.0
-    d = _two_loop(pairs, grad, vt)
-    assert np.isfinite(d).all() and grad @ d < 0.0
-    scalar = reference_two_loop(pairs, grad, vt[:0])
-    if case in ("no_normal_part", "both_fall_back"):
-        assert d.tobytes() == scalar.tobytes()
-    if case == "rounding_tangent":
-        gamma = float(s @ y) / float(y @ y)
-        proj = vt.T @ vt
-        want = _dense_bfgs(pairs, gamma * (np.eye(3) - proj) + 1.0 * proj)
-        np.testing.assert_allclose(h, want, rtol=1e-12, atol=1e-15)
-        assert not np.array_equal(d, scalar)
+@pytest.mark.parametrize("case", ["no_normal_part", "no_tangent_part", "mixed"])
+def test_gradient_step_stores_each_pair_projected_onto_the_new_tangent_space(case):
+    # the pair (x - prev.x, grad g - prev.grad g) is projected once, onto the tangent space
+    # at x, and then takes the pair test: a pair with no normal part enters bit for bit, one
+    # with no tangent part stays out though s.y > 0, and one whose s.y < 0 comes from its
+    # normal part enters. The fallback's spectral scale reads the unprojected pair
+    svd = SvdResult(np.ones((1, 1)), np.array([2.0]), np.eye(3)[:1])  # normal space: axis 0
+    s, y = {"no_normal_part": ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0]),
+            "no_tangent_part": ([1.0, 0.0, 0.0], [4.0, 0.0, 0.0]),
+            "mixed": ([3.0, 1.0, 1.0], [-5.0, 1.0, 2.0])}[case]
+    grad = np.array([0.25, -1.0, 0.75])  # dyadic: y is read back exactly
+    prev = SimpleNamespace(x=np.zeros(3), grad_g=grad)
+    ev = SimpleNamespace(x=np.array(s), grad_g=grad + y, grad_norm=np.linalg.norm(grad + y),
+                         jac_svd=svd, beta=2.0)
+    pairs = []
+    d, slope, d_norm = solver._gradient_step(pairs, prev, ev, 1.0)
+    stored = [(a.tolist(), b.tolist(), sy, yy) for a, b, sy, yy in pairs]
+    if case == "no_tangent_part":
+        assert stored == [] and np.array_equal(d, -0.25 * ev.grad_g)
+        return
+    assert stored == [([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], 3.0, 5.0)]
+    if case == "no_normal_part":
+        assert pairs[0][0].tobytes() == ev.x.tobytes()
+    else:
+        assert float(ev.x @ np.array(y)) < 0.0
+    assert np.array_equal(d, _two_loop(pairs, ev.grad_g, svd, ev.beta))
+    assert (slope, d_norm) == (-float(ev.grad_g @ d), np.linalg.norm(d)) and slope > 0.0
 
 
 @pytest.mark.parametrize("direction, taken", [
@@ -381,8 +431,8 @@ def test_a_direction_failing_a_safeguard_falls_back_to_the_gradient(direction, t
         searches.append((ev, d))
         return real(problem, ev, cfg, d)
 
-    def spy_two_loop(pairs, grad, vt):
-        calls.append(vt)
+    def spy_two_loop(pairs, grad, svd, beta):
+        calls.append((svd, beta))
         return direction(grad)
 
     monkeypatch.setattr(solver, "_two_loop", spy_two_loop)
@@ -391,8 +441,9 @@ def test_a_direction_failing_a_safeguard_falls_back_to_the_gradient(direction, t
     cfg = SolverConfig(eps1=1e-4, beta=10.0, max_iters=8)
     trace = gradient_eigenstep(p, p.init_point(1), cfg)
     assert len(calls) == len(searches) - 1 > 0  # every search after the first has a pair
-    # each call reads the searched iterate's own vt, the rows of the SVD of its Dh
-    assert all(vt is ev.jac_svd.vt for vt, (ev, _) in zip(calls, searches[1:]))
+    # each call reads the searched iterate's own Dh SVD and beta
+    assert all(svd is ev.jac_svd and beta == ev.beta
+               for (svd, beta), (ev, _) in zip(calls, searches[1:]))
     for (prev, _), (ev, d), r in zip(searches, searches[1:], trace.records[1:]):
         if taken:
             assert np.array_equal(d, direction(ev.grad_g))
@@ -407,18 +458,39 @@ def test_a_direction_failing_a_safeguard_falls_back_to_the_gradient(direction, t
 
 @pytest.mark.parametrize("seed", range(6))
 def test_split_scales_halve_the_stiefel_iterations(seed):
-    # H0's tangent scale no longer follows the stiff normal block: a first-order solve on
-    # St(30, 3) converges within 25 iterations (17 to 21 here; 34 to 47 with H0 = gamma I)
-    # and a plateau run on St(8, 2) within 18 (14 to 16; 20 to 26 with H0 = gamma I)
+    # the direction scales the layer's tangent and normal spaces apart, L-BFGS on the one
+    # and a Gauss-Newton step on the other: a first-order solve on St(30, 3) converges
+    # within 15 iterations (12 to 13 here; 17 to 21 with one Barzilai-Borwein scale per
+    # space learned from the pairs, 34 to 47 with one for both) and a plateau run on
+    # St(8, 2) within 13 (11 to 12; 14 to 16 and 20 to 26)
     p = builtin_problem("stiefel", n=30, p=3, seed=seed)
     q = builtin_problem("stiefel", n=8, p=2, seed=seed)
-    runs = [(p, gradient_eigenstep(p, p.init_point(seed), SolverConfig(eps1=1e-4, beta=3.0)), 25),
+    runs = [(p, gradient_eigenstep(p, p.init_point(seed), SolverConfig(eps1=1e-4, beta=3.0)), 15),
             (q, plateau(q, q.init_point(seed), SolverConfig(eps1=1e-4, eps2=1e-3, beta=1e-3),
-                        lp0=50), 18)]
+                        lp0=50), 13)]
     for problem, trace, most in runs:
         assert trace.termination == "converged"
         assert trace.iteration_counts()[0] <= most
         assert audit(problem, trace.as_dict()) == []
+
+
+@pytest.mark.parametrize("problem_id, kwargs, most", [
+    ("sphere", dict(n=40), 115),  # 101 here; 144 with Barzilai-Borwein scales per space
+    ("rayleigh", dict(n=10), 185),  # 160; 212
+    ("stiefel", dict(n=8, p=2), 160),  # 139; 233
+    ("product:sphere,stiefel", {}, 180),  # 154; 260
+])
+def test_first_order_iteration_budget_per_family(problem_id, kwargs, most):
+    # the total iterations of first-order solves (eps1 = 1e-4, beta = 10) from
+    # init_point(0..7) of a built-in: the Gauss-Newton normal step converges on the
+    # sphere too, where scales learned from y, almost all normal, overshot
+    p = builtin_problem(problem_id, **kwargs)
+    total = 0
+    for seed in range(8):
+        trace = gradient_eigenstep(p, p.init_point(seed), SolverConfig(eps1=1e-4, beta=10.0))
+        assert trace.termination == "converged" and audit(p, trace.as_dict()) == []
+        total += trace.iteration_counts()[0]
+    assert total <= most
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7919])
@@ -602,14 +674,18 @@ def test_converged_trace_invariant():
 
 
 def test_first_order_termination_check_fires(monkeypatch):
-    # ||h|| ends at 5e-8 here against eps1 / (beta sigma_min) = 5e-7: with sigma_min
-    # scaled up 1000 times, ||h|| exceeds its bound and the runtime check raises
+    # ||h|| ends at 3.8e-11 here against eps1 / (beta sigma_min) = 5e-7: the run converges,
+    # and with sigma_min scaled up 1e6 times, ||h|| exceeds its bound of 5e-13 and the
+    # runtime check raises
+    p = diag_rayleigh()
+    cfg = SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0)
+    assert gradient_eigenstep(p, p.init_point(3), cfg).termination == "converged"
     real = solver.beta_thresholds
     monkeypatch.setattr(solver, "beta_thresholds", lambda problem, ev: real(problem, ev)._replace(
-        sigma_min=1e3 * real(problem, ev).sigma_min))
-    p = diag_rayleigh()
-    with pytest.raises(NumericalFailureError, match="first-order certificate bounds violated"):
-        gradient_eigenstep(p, p.init_point(3), SolverConfig(eps1=1e-5, eps2=1e-4, beta=10.0))
+        sigma_min=1e6 * real(problem, ev).sigma_min))
+    with pytest.raises(NumericalFailureError,
+                       match=r"first-order certificate bounds violated at termination: \|\|h\|\|"):
+        gradient_eigenstep(p, p.init_point(3), cfg)
 
 
 def test_first_order_gradient_bound_is_read_as_stated(monkeypatch):
